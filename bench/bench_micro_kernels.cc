@@ -1043,6 +1043,19 @@ bool WriteKernelSweepJson(const char* path, int64_t kRows) {
              dataframe::Merge(sj_left_plain, sj_right_plain, join_opts)
                  .ValueOrDie());
        }},
+      // Dictionary keys sort by dictionary rank (radix path); the plain
+      // reference compares the strings in place (merge-sort path).
+      {"dict_sort", kRows,
+       [&, df_out] {
+         *df_out = dataframe::SortValues(sgb_enc, {"k", "x"}, {true, false})
+                       .ValueOrDie();
+       },
+       df_fingerprint,
+       [&] {
+         return FingerprintFrame(
+             dataframe::SortValues(sgb_plain, {"k", "x"}, {true, false})
+                 .ValueOrDie());
+       }},
   };
 
   FILE* f = std::fopen(path, "w");

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -78,8 +79,32 @@ template <typename T>
 struct Buffer {
   explicit Buffer(std::vector<T> v)
       : vec(std::move(v)), id(NextBufferId()) {}
+
+  /// Measured payload bytes of the whole vector. A string buffer is walked
+  /// once and the total cached, so sizing each of many slices of one large
+  /// buffer costs O(window), not O(buffer). Recomputing is idempotent, so
+  /// a racing double-measure is benign (relaxed atomics suffice).
+  int64_t nbytes() const {
+    const int64_t n = static_cast<int64_t>(vec.size());
+    if constexpr (!std::is_same_v<T, std::string>) {
+      return PayloadBytes(vec.data(), n);
+    } else {
+      int64_t bytes = nbytes_cache.load(std::memory_order_relaxed);
+      if (bytes >= 0) return bytes;
+      bytes = PayloadBytes(vec.data(), n);
+      nbytes_cache.store(bytes, std::memory_order_relaxed);
+      measures.fetch_add(1, std::memory_order_relaxed);
+      return bytes;
+    }
+  }
+
   std::vector<T> vec;
   const uint64_t id;
+  /// Cached nbytes() of a string buffer; -1 = unknown. MutableVec resets it
+  /// on every in-place path, before the caller mutates.
+  mutable std::atomic<int64_t> nbytes_cache{-1};
+  /// Times nbytes() walked the strings (the caching regression test reads it).
+  mutable std::atomic<int64_t> measures{0};
 };
 
 }  // namespace buffer_detail
@@ -146,6 +171,8 @@ class BufferView {
     if (buf_.use_count() == 1 && offset_ == 0 &&
         (length_ < 0 ||
          length_ == static_cast<int64_t>(buf_->vec.size()))) {
+      // The caller may change the payload in place: drop its cached size.
+      buf_->nbytes_cache.store(-1, std::memory_order_relaxed);
       length_ = -1;
       return buf_->vec;
     }
@@ -210,11 +237,12 @@ class BufferView {
   int64_t view_nbytes() const {
     return buffer_detail::PayloadBytes(data(), ssize());
   }
-  /// Measured payload bytes of the whole underlying buffer.
-  int64_t buffer_nbytes() const {
-    if (!buf_) return 0;
-    return buffer_detail::PayloadBytes(
-        buf_->vec.data(), static_cast<int64_t>(buf_->vec.size()));
+  /// Measured payload bytes of the whole underlying buffer (cached on the
+  /// buffer; see buffer_detail::Buffer::nbytes).
+  int64_t buffer_nbytes() const { return buf_ ? buf_->nbytes() : 0; }
+  /// Times the underlying buffer's strings were walked to measure it.
+  int64_t buffer_measure_count() const {
+    return buf_ ? buf_->measures.load(std::memory_order_relaxed) : 0;
   }
 
   /// Appends this view's buffer to `out` for unique-byte accounting.

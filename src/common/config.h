@@ -73,9 +73,10 @@ struct Config {
   /// Execution slots (vCPUs) modeled per band. The paper's r6i.8xlarge
   /// workers expose 32 vCPUs across 2 NUMA bands, i.e. 16 per band; the
   /// default is smaller so unit tests stay light. Each worker node gets one
-  /// shared kernel pool sized bands_per_worker * cpus_per_band, and
-  /// per-subtask parallel-kernel CPU is divided by this count in the
-  /// simulated cost model. 1 disables intra-operator parallelism.
+  /// shared kernel pool sized bands_per_worker * cpus_per_band, capped at
+  /// the worker's share of the host's hardware threads, and per-subtask
+  /// parallel-kernel CPU is divided by this count in the simulated cost
+  /// model. 1 disables intra-operator parallelism.
   int cpus_per_band = 4;
   /// Memory budget per band in bytes; chunk bytes are accounted against it.
   int64_t band_memory_limit = 256LL << 20;

@@ -1,9 +1,12 @@
 #ifndef XORBITS_DATAFRAME_DICT_H_
 #define XORBITS_DATAFRAME_DICT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -73,9 +76,31 @@ class StringDict {
     return this == &other || values_.IdenticalTo(other.values_);
   }
 
+  /// Rank of each code's value in byte-wise string order (equal values
+  /// share a rank), so sorting codes by rank sorts their strings without
+  /// touching them. Computed on first use and kept: the values never change.
+  const std::vector<uint32_t>& SortRanks() const {
+    std::call_once(ranks_once_, [this] {
+      std::vector<int32_t> order(values_.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::sort(order.begin(), order.end(), [this](int32_t a, int32_t b) {
+        return values_[a] < values_[b];
+      });
+      ranks_.resize(order.size());
+      uint32_t rank = 0;
+      for (size_t r = 0; r < order.size(); ++r) {
+        if (r > 0 && values_[order[r - 1]] != values_[order[r]]) ++rank;
+        ranks_[order[r]] = rank;
+      }
+    });
+    return ranks_;
+  }
+
  private:
   common::BufferView<std::string> values_;
   std::vector<uint64_t> hashes_;  // HashBytes of each value
+  mutable std::once_flag ranks_once_;
+  mutable std::vector<uint32_t> ranks_;  // SortRanks(), once computed
 };
 
 using StringDictPtr = std::shared_ptr<const StringDict>;

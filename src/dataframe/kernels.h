@@ -20,10 +20,28 @@ Result<DataFrame> Filter(const DataFrame& df, const Column& mask);
 Result<DataFrame> FilterLate(const DataFrame& df, const Column& mask);
 
 /// Stable multi-key sort; `ascending` must match `by` in length (or be
-/// empty for all-ascending). Nulls sort last (pandas default).
+/// empty for all-ascending). Per key, whatever the direction: nulls sort
+/// last and NaN just before them (pandas puts both last); -0.0 ties with
+/// 0.0; int64 compares exactly (also beyond 2^53); strings compare
+/// byte-wise, in either encoding.
 Result<DataFrame> SortValues(const DataFrame& df,
                              const std::vector<std::string>& by,
                              const std::vector<bool>& ascending = {});
+
+/// The permutation SortValues applies: row positions of `df` in sorted
+/// order.
+Result<std::vector<int64_t>> SortIndices(
+    const DataFrame& df, const std::vector<std::string>& by,
+    const std::vector<bool>& ascending = {});
+
+/// Range-partition routing for a sample sort. `bounds` holds boundary
+/// values in SortValues order for `ascending`; each row of `key` gets the
+/// position of the first boundary it does not sort after, or
+/// bounds.length() when it sorts after them all. A row equal to a boundary
+/// goes left of it, so ties never straddle two partitions.
+Result<std::vector<int32_t>> RangePartitionIds(const Column& key,
+                                               const Column& bounds,
+                                               bool ascending);
 
 /// Row-wise concatenation; schemas must match by name (column order of the
 /// first frame wins); indexes are preserved like pandas.concat.

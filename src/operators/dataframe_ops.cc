@@ -168,17 +168,15 @@ Status DedupChunkOp::Execute(ExecutionContext& ctx) const {
 Status QuantileBoundariesChunkOp::Execute(ExecutionContext& ctx) const {
   XORBITS_ASSIGN_OR_RETURN(const DataFrame* in,
                            services::AsDataFrame(ctx.inputs[0]));
-  XORBITS_ASSIGN_OR_RETURN(DataFrame sorted,
-                           dataframe::SortValues(*in, {key_}, {ascending_}));
-  const int64_t n = sorted.num_rows();
+  XORBITS_ASSIGN_OR_RETURN(DataFrame keys, in->Select({key_}));
+  XORBITS_ASSIGN_OR_RETURN(std::vector<int64_t> order,
+                           dataframe::SortIndices(keys, {key_}, {ascending_}));
+  const int64_t n = keys.num_rows();
   std::vector<int64_t> picks;
-  for (int p = 1; p < partitions_; ++p) {
-    int64_t idx = n == 0 ? 0 : std::min<int64_t>(n - 1, p * n / partitions_);
-    picks.push_back(idx);
+  for (int p = 1; p < partitions_ && n > 0; ++p) {
+    picks.push_back(order[std::min<int64_t>(n - 1, p * n / partitions_)]);
   }
-  DataFrame bounds =
-      n == 0 ? sorted.SliceRows(0, 0) : sorted.TakeRows(picks);
-  XORBITS_ASSIGN_OR_RETURN(bounds, bounds.Select({key_}));
+  DataFrame bounds = n == 0 ? keys.SliceRows(0, 0) : keys.TakeRows(picks);
   ctx.outputs[0] = services::MakeChunk(std::move(bounds));
   return Status::OK();
 }
@@ -191,20 +189,17 @@ Status RangePartitionChunkOp::Execute(ExecutionContext& ctx) const {
   XORBITS_ASSIGN_OR_RETURN(const dataframe::Column* key, in->GetColumn(key_));
   XORBITS_ASSIGN_OR_RETURN(const dataframe::Column* bcol,
                            bounds->GetColumn(key_));
-  const int64_t n = in->num_rows();
-  std::vector<std::vector<int64_t>> part_rows(partitions_);
-  for (int64_t i = 0; i < n; ++i) {
-    dataframe::Scalar v = key->GetScalar(i);
-    int p = 0;
-    while (p < bcol->length()) {
-      dataframe::Scalar b = bcol->GetScalar(p);
-      // Ascending: rows <= boundary stay left; ties never straddle.
-      const bool goes_left = ascending_ ? !(b < v) : !(v < b);
-      if (goes_left) break;
-      ++p;
-    }
-    part_rows[p].push_back(i);
+  if (bcol->length() >= partitions_) {
+    return Status::Invalid("RangePartition: " +
+                           std::to_string(bcol->length()) +
+                           " boundaries for " + std::to_string(partitions_) +
+                           " partitions");
   }
+  XORBITS_ASSIGN_OR_RETURN(
+      std::vector<int32_t> ids,
+      dataframe::RangePartitionIds(*key, *bcol, ascending_));
+  std::vector<std::vector<int64_t>> part_rows(partitions_);
+  for (int64_t i = 0; i < in->num_rows(); ++i) part_rows[ids[i]].push_back(i);
   for (int p = 0; p < partitions_; ++p) {
     XORBITS_RETURN_NOT_OK(ctx.EmitShufflePartition(
         p, services::MakeChunk(in->TakeRows(part_rows[p]))));

@@ -97,8 +97,16 @@ Executor::Executor(const Config& config, Metrics* metrics,
       });
   kernel_pools_.resize(config_.num_workers);
   if (config_.cpus_per_band > 1) {
+    // The modeled slots (bands_per_worker × cpus_per_band) may exceed the
+    // host; running that many threads only oversubscribes it. Each worker
+    // gets its share of the hardware instead. Morsels depend on the grain,
+    // not the thread count, so outputs do not change, and the cost model
+    // still divides parallel CPU by cpus_per_band.
+    const int hardware =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
     const int pool_threads =
-        config_.bands_per_worker * config_.cpus_per_band;
+        std::min(config_.bands_per_worker * config_.cpus_per_band,
+                 std::max(1, hardware / std::max(1, config_.num_workers)));
     for (int w = 0; w < config_.num_workers; ++w) {
       kernel_pools_[w] = std::make_unique<ThreadPool>(pool_threads);
     }
@@ -116,10 +124,11 @@ Executor::~Executor() {
 
 namespace {
 
-services::ChunkMeta MetaOf(const ChunkDataPtr& data, int band) {
+services::ChunkMeta MetaOf(const ChunkDataPtr& data, int64_t nbytes,
+                           int band) {
   services::ChunkMeta m;
   m.rows = data->rows();
-  m.nbytes = data->nbytes();
+  m.nbytes = nbytes;
   m.band = band;
   if (data->is_dataframe()) {
     m.cols = data->dataframe().num_columns();
@@ -327,9 +336,10 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
             return put.WithContext(op->type_name());
           }
           published_keys.push_back(part_key);
-          store_us += data->nbytes() / kStoreBytesPerUs;
+          const int64_t part_bytes = data->nbytes();
+          store_us += part_bytes / kStoreBytesPerUs;
           total_rows += data->rows();
-          total_bytes += data->nbytes();
+          total_bytes += part_bytes;
         }
         services::ChunkMeta m;
         m.rows = total_rows;
@@ -348,25 +358,26 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
       return Status::ExecutionError(std::string(op->type_name()) +
                                     " produced no output");
     }
+    const int64_t payload_bytes = payload->nbytes();
     if (persist.count(node)) {
       Status put = storage_->Put(node->key, payload, band);
       if (!put.ok()) {
         release_all();
         return put.WithContext(op->type_name());
       }
-      store_us += payload->nbytes() / kStoreBytesPerUs;
-      meta_->Put(node->key, MetaOf(payload, band));
+      store_us += payload_bytes / kStoreBytesPerUs;
+      meta_->Put(node->key, MetaOf(payload, payload_bytes, band));
       published_keys.push_back(node->key);
       node->executed = true;
     } else {
       // Fused intermediate: never stored, but it occupies worker memory
       // while the subtask runs.
-      Status res = storage_->ReserveTransient(band, payload->nbytes());
+      Status res = storage_->ReserveTransient(band, payload_bytes);
       if (!res.ok()) {
         release_all();
         return res.WithContext(op->type_name());
       }
-      transients.push_back(payload->nbytes());
+      transients.push_back(payload_bytes);
     }
     // Result-cache publish (DESIGN.md §9): the optimizer stamped this node
     // as a cache miss worth keeping. Both branches feed the cache — fusion
@@ -374,7 +385,8 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
     // Best-effort by contract; a full cache just misses out.
     if (result_cache_ != nullptr && !node->cache_plan_sig.empty()) {
       result_cache_->Publish(node->cache_plan_sig, payload, band,
-                             MetaOf(payload, band), node->cache_tags);
+                             MetaOf(payload, payload_bytes, band),
+                             node->cache_tags);
     }
     local[node->key] = std::move(payload);
   }

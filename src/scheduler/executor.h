@@ -53,11 +53,12 @@ struct RunOptions {
 /// across Run calls — dynamic tiling executes many partial graphs per
 /// pipeline, so re-spawning num_bands threads per graph is pure overhead.
 /// Each simulated worker node additionally owns a shared kernel ThreadPool
-/// (bands_per_worker * cpus_per_band threads) that its band workers install
-/// as the current pool, giving chunk kernels morsel-driven intra-operator
+/// (bands_per_worker * cpus_per_band threads, capped at the worker's share
+/// of the host's hardware threads) that its band workers install as the
+/// current pool, giving chunk kernels morsel-driven intra-operator
 /// parallelism. Kernel CPU burned on pool threads is aggregated per subtask
 /// and divided by cpus_per_band in the simulated cost model, so
-/// `simulated_us` reflects parallel speedup honestly.
+/// `simulated_us` reflects modeled parallel speedup whatever the host.
 ///
 /// Fault tolerance (DESIGN.md § Failure model & recovery): subtask attempts
 /// that fail with a retryable error (transient I/O flake, lost band,
@@ -121,6 +122,13 @@ class Executor {
   /// directly; disabled (and bypassed) when Config::pipelined_shuffle is
   /// off.
   services::ExchangeService* exchange() { return exchange_.get(); }
+
+  /// Threads in `worker`'s kernel pool; 0 when kernels run on the band
+  /// threads alone (cpus_per_band == 1).
+  int kernel_pool_threads(int worker) const {
+    const auto& pool = kernel_pools_.at(worker);
+    return pool ? pool->num_threads() : 0;
+  }
 
  private:
   struct RunState;

@@ -331,6 +331,105 @@ TEST(StorageSharingTest, SpillRoundTripOfSlicedViewPreservesValues) {
   store.Clear();
 }
 
+// --- measured byte accounting ---------------------------------------------
+
+std::vector<std::string> Words(int64_t n) {
+  std::vector<std::string> v(n);
+  for (int64_t i = 0; i < n; ++i) v[i] = "value_" + std::to_string(i);
+  return v;
+}
+
+int64_t StringBytes(const std::string* begin, const std::string* end) {
+  int64_t bytes = 0;
+  for (const std::string* s = begin; s != end; ++s) {
+    bytes += static_cast<int64_t>(s->size()) + common::kItemSizeString;
+  }
+  return bytes;
+}
+
+TEST(BufferAccountingTest, SlicesOfOneStringBufferMeasureItOnce) {
+  const std::vector<std::string> words = Words(1 << 16);
+  const int64_t whole = StringBytes(words.data(), words.data() + words.size());
+  constexpr int64_t kSlice = 1024;
+
+  BufferView<std::string> base(words);
+  std::vector<common::BufferRef> refs;
+  for (int64_t lo = 0; lo + kSlice <= base.ssize(); lo += kSlice) {
+    base.Slice(lo, kSlice).AppendRef(&refs);
+  }
+  ASSERT_EQ(refs.size(), words.size() / kSlice);
+  for (const common::BufferRef& r : refs) {
+    EXPECT_EQ(r.buffer_bytes, whole);
+    EXPECT_EQ(r.view_bytes, StringBytes(words.data() + r.offset,
+                                        words.data() + r.offset + kSlice));
+  }
+  EXPECT_EQ(base.buffer_measure_count(), 1);
+
+  // The same through columns, chunks and a storage band: every slice chunk
+  // is sized and charged, the parent buffer is charged once and measured
+  // once.
+  Column col = Column::String(words);
+  Metrics metrics;
+  StorageService store(BigConfig(false, 64 << 20), &metrics);
+  int64_t overhead = 0;
+  for (int c = 0; c < 8; ++c) {
+    ChunkDataPtr chunk = MakeChunk(
+        DataFrame::Make({"v"}, {col.Slice(c * kSlice, kSlice)}).MoveValue());
+    EXPECT_GT(chunk->nbytes(), 0);
+    overhead += chunk->overhead_nbytes();
+    ASSERT_TRUE(store.Put("slice" + std::to_string(c), chunk, 0).ok());
+  }
+  EXPECT_EQ(store.band_used_bytes(0), whole + overhead);
+  EXPECT_EQ(col.string_data().buffer_measure_count(), 1);
+}
+
+TEST(BufferAccountingTest, InPlaceMutationRefreshesBufferBytes) {
+  BufferView<std::string> v(Words(100));
+  const int64_t before = v.buffer_nbytes();
+  EXPECT_EQ(v.buffer_nbytes(), before);
+  EXPECT_EQ(v.buffer_measure_count(), 1);
+
+  ASSERT_TRUE(v.unique());
+  const uint64_t id = v.buffer_id();
+  v.MutableVec().push_back(std::string(1000, 'x'));
+  EXPECT_EQ(v.buffer_id(), id);  // grew in place, no copy
+  EXPECT_EQ(v.buffer_nbytes(), before + 1000 + common::kItemSizeString);
+
+  v.MutableVec()[0].clear();  // same size, shorter payload
+  v.AppendValue("abc");
+  EXPECT_EQ(v.buffer_id(), id);
+  std::vector<common::BufferRef> refs;
+  v.AppendRef(&refs);
+  ASSERT_EQ(refs.size(), 1u);
+  EXPECT_EQ(refs[0].buffer_bytes, StringBytes(v.begin(), v.end()));
+}
+
+TEST(BufferAccountingTest, ConcurrentAppendRefIsRaceFree) {
+  // Many threads size windows of one shared string buffer at once; the
+  // first measure races the others (TSan checks the cached size's handoff).
+  const std::vector<std::string> words = Words(1 << 14);
+  const int64_t whole = StringBytes(words.data(), words.data() + words.size());
+  BufferView<std::string> base(words);
+  constexpr int kThreads = 8;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const BufferView<std::string> mine = base.Slice(t * 100, 100);
+      for (int rep = 0; rep < 50; ++rep) {
+        std::vector<common::BufferRef> refs;
+        mine.AppendRef(&refs);
+        if (refs.size() != 1 || refs[0].buffer_bytes != whole) wrong++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(base.buffer_measure_count(), 1);
+  EXPECT_LE(base.buffer_measure_count(), kThreads);
+}
+
 // --- stats & concurrency ---------------------------------------------------
 
 TEST(BufferStatsTest, SharingAndCowEventsAreCounted) {

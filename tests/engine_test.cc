@@ -196,6 +196,41 @@ TEST_P(EngineSweep, SortValuesGloballyOrdered) {
   }
 }
 
+TEST_P(EngineSweep, SortValuesMatchesSingleNodeWithNulls) {
+  // A range-partitioned sort concatenates its partitions in order, so rows
+  // must route where the sort puts them: nulls last in either direction.
+  Session session(TestConfig(GetParam()));
+  const int64_t n = 6000;  // several times the chunk store limit
+  DataFrame raw = SampleFrame(n);
+  std::vector<int64_t> k(n);
+  std::vector<uint8_t> valid(n, 1);
+  for (int64_t i = 0; i < n; ++i) {
+    k[i] = (i * 37) % 101;
+    if (i % 9 == 0) valid[i] = 0;
+  }
+  ASSERT_TRUE(raw.SetColumn("k", Column::Int64(k, valid)).ok());
+  auto df = FromPandas(&session, raw);
+  ASSERT_TRUE(df.ok());
+  for (bool ascending : {true, false}) {
+    auto sorted = df->SortValues({"k", "v"}, {ascending, true});
+    ASSERT_TRUE(sorted.ok());
+    auto out = sorted->Fetch();
+    ASSERT_TRUE(out.ok()) << out.status();
+    auto want = dataframe::SortValues(raw, {"k", "v"}, {ascending, true});
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(out->num_rows(), n);
+    const Column& got_k = *out->GetColumn("k").ValueOrDie();
+    const Column& want_k = *want->GetColumn("k").ValueOrDie();
+    const auto& got_v = out->GetColumn("v").ValueOrDie()->int64_data();
+    const auto& want_v = want->GetColumn("v").ValueOrDie()->int64_data();
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got_k.IsValid(i), want_k.IsValid(i))
+          << "row " << i << " ascending=" << ascending;
+      ASSERT_EQ(got_v[i], want_v[i]) << "row " << i;
+    }
+  }
+}
+
 TEST_P(EngineSweep, DropDuplicatesAndHead) {
   Session session(TestConfig(GetParam()));
   auto df = FromPandas(&session, SampleFrame(700));

@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/thread_pool.h"
 #include "dataframe/kernels.h"
+#include "operators/dataframe_ops.h"
+#include "services/chunk_data.h"
 
 namespace xorbits::dataframe {
 namespace {
@@ -64,6 +73,256 @@ TEST(SortTest, NullsSortLast) {
   EXPECT_TRUE(r->GetColumn("a").ValueOrDie()->IsNull(2));
   auto d = SortValues(df, {"a"}, {false});
   EXPECT_TRUE(d->GetColumn("a").ValueOrDie()->IsNull(2));
+}
+
+// --- typed sort against the Scalar comparator it replaced -----------------
+
+/// Test oracle: the stable sort SortValues ran before the normalized-key
+/// kernel, one Scalar pair per comparison (nulls last in either direction).
+std::vector<int64_t> ScalarOracleOrder(const DataFrame& df,
+                                       const std::vector<std::string>& by,
+                                       const std::vector<bool>& asc) {
+  std::vector<const Column*> cols;
+  for (const auto& k : by) cols.push_back(df.GetColumn(k).ValueOrDie());
+  std::vector<int64_t> order(df.num_rows());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const Column* c = cols[k];
+      const bool an = c->IsNull(a), bn = c->IsNull(b);
+      if (an || bn) {
+        if (an == bn) continue;
+        return bn;
+      }
+      Scalar sa = c->GetScalar(a), sb = c->GetScalar(b);
+      if (sa < sb) return static_cast<bool>(asc[k]);
+      if (sb < sa) return !asc[k];
+    }
+    return false;
+  });
+  return order;
+}
+
+/// Exact bytes of a frame: validity and raw values of every column, index
+/// labels included, so any reordering shows.
+std::string Bytes(const DataFrame& df) {
+  std::string out;
+  for (int ci = 0; ci < df.num_columns(); ++ci) {
+    const Column& c = df.column(ci);
+    for (int64_t i = 0; i < c.length(); ++i) {
+      out += c.IsValid(i) ? 'v' : 'n';
+      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
+    }
+  }
+  for (int64_t i = 0; i < df.num_rows(); ++i) {
+    out += std::to_string(df.index().Label(i)) + ',';
+  }
+  return out;
+}
+
+/// Mixed-type frame with ties, nulls, negative numbers, -0.0 next to 0.0,
+/// empty strings and bytes above 0x7f (strings compare unsigned). `d` is
+/// `s` dictionary-encoded.
+DataFrame SortFrame(int64_t n) {
+  std::vector<int64_t> i64(n);
+  std::vector<double> f64(n);
+  std::vector<uint8_t> b(n), f_valid(n, 1), b_valid(n, 1), s_valid(n, 1);
+  std::vector<std::string> s(n);
+  uint64_t state = 99;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int64_t r = 0; r < n; ++r) {
+    i64[r] = static_cast<int64_t>(next() % 41) - 20;
+    const int64_t f = static_cast<int64_t>(next() % 23) - 11;
+    f64[r] = f == 0 ? (next() % 2 ? -0.0 : 0.0) : static_cast<double>(f) / 4;
+    b[r] = next() % 2;
+    const uint64_t pick = next() % 9;
+    s[r] = pick == 0   ? ""
+           : pick == 1 ? "\xc3\xa9t\xc3\xa9"
+                       : "k" + std::to_string(pick * 7 % 5);
+    if (next() % 9 == 0) f_valid[r] = 0;
+    if (next() % 11 == 0) b_valid[r] = 0;
+    if (next() % 13 == 0) s_valid[r] = 0;
+  }
+  Column plain = Column::String(std::move(s), std::move(s_valid));
+  Column dict = plain.DictEncode();
+  return DataFrame::Make(
+             {"i", "f", "b", "s", "d"},
+             {Column::Int64(std::move(i64)),
+              Column::Float64(std::move(f64), std::move(f_valid)),
+              Column::Bool(std::move(b), std::move(b_valid)), std::move(plain),
+              std::move(dict)})
+      .MoveValue();
+}
+
+TEST(TypedSortTest, MatchesScalarComparatorAtEveryThreadCount) {
+  const std::vector<std::pair<std::vector<std::string>, std::vector<bool>>>
+      cases = {
+          {{"i"}, {true}},
+          {{"f"}, {false}},
+          {{"b", "i"}, {true, false}},
+          {{"s"}, {true}},
+          {{"d"}, {false}},
+          {{"d", "f"}, {true, false}},
+          {{"s", "i"}, {false, true}},
+          {{"i", "f", "b"}, {false, true, false}},
+      };
+  // 7 rows: comparison path; 3000: one radix morsel; 70000: many morsels.
+  for (int64_t n : {7, 3000, 70000}) {
+    const DataFrame df = SortFrame(n);
+    for (const auto& [by, asc] : cases) {
+      const std::string want = Bytes(df.TakeRows(ScalarOracleOrder(df, by, asc)));
+      for (int threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        ThreadPool* prev = SetCurrentThreadPool(&pool);
+        auto got = SortValues(df, by, asc);
+        SetCurrentThreadPool(prev);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(Bytes(*got), want)
+            << "n=" << n << " key=" << by[0] << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(TypedSortTest, Int64BeyondTwoToThe53CompareExactly) {
+  // The Scalar comparator went through double, where 2^53 + 1 rounds to
+  // 2^53: such values tied and kept input order. The typed sort orders
+  // every int64 exactly.
+  const int64_t big = int64_t{1} << 53;
+  auto df = DataFrame::Make({"a"}, {Column::Int64({big + 1, big, big + 2,
+                                                   -big - 1, -big})})
+                .MoveValue();
+  auto r = SortValues(df, {"a"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->GetColumn("a").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{-big - 1, -big, big, big + 1, big + 2}));
+  auto d = SortValues(df, {"a"}, {false});
+  EXPECT_EQ(d->GetColumn("a").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{big + 2, big + 1, big, -big, -big - 1}));
+}
+
+TEST(TypedSortTest, NaNSortsAfterNumbersAndBeforeNulls) {
+  // NaN compared neither less nor greater than anything under the Scalar
+  // comparator, so its place was unspecified. The typed sort pins it: after
+  // every number and before nulls, in either direction, stable among NaNs.
+  const double nan = std::nan("");
+  auto df = DataFrame::Make(
+                {"x", "seq"},
+                {Column::Float64({1.0, nan, 0.0, -1.0, nan, 2.0},
+                                 {1, 1, 0, 1, 1, 1}),
+                 Column::Int64({0, 1, 2, 3, 4, 5})})
+                .MoveValue();
+  auto up = SortValues(df, {"x"});
+  ASSERT_TRUE(up.ok());
+  EXPECT_EQ(up->GetColumn("seq").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{3, 0, 5, 1, 4, 2}));
+  auto down = SortValues(df, {"x"}, {false});
+  ASSERT_TRUE(down.ok());
+  EXPECT_EQ(down->GetColumn("seq").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{5, 0, 3, 1, 4, 2}));
+}
+
+// --- range-partition routing against the per-row Scalar scan --------------
+
+/// Test oracle: the routing RangePartitionChunkOp ran before, a linear scan
+/// over the boundaries comparing Scalars.
+std::vector<int32_t> ScalarOracleRoute(const Column& key, const Column& bounds,
+                                       bool ascending) {
+  std::vector<int32_t> ids(key.length());
+  for (int64_t i = 0; i < key.length(); ++i) {
+    const Scalar v = key.GetScalar(i);
+    int32_t p = 0;
+    while (p < bounds.length()) {
+      const Scalar b = bounds.GetScalar(p);
+      if (ascending ? !(b < v) : !(v < b)) break;
+      ++p;
+    }
+    ids[i] = p;
+  }
+  return ids;
+}
+
+/// Boundaries the way QuantileBoundaries picks them: every `step`-th value
+/// of the sorted keys, so repeated values give repeated boundaries.
+Column PickBounds(const Column& key, bool ascending, int64_t step) {
+  DataFrame df = DataFrame::Make({"k"}, {key}).MoveValue();
+  DataFrame sorted = SortValues(df, {"k"}, {ascending}).MoveValue();
+  std::vector<int64_t> picks;
+  for (int64_t i = step; i < sorted.num_rows(); i += step) picks.push_back(i);
+  return sorted.TakeRows(picks).column(0);
+}
+
+TEST(RangePartitionTest, RoutingMatchesScalarScanWithTiesAndDirections) {
+  const DataFrame df = SortFrame(2000);
+  for (bool ascending : {true, false}) {
+    for (const char* name : {"i", "s", "d"}) {
+      const Column& key = *df.GetColumn(name).ValueOrDie();
+      // Null-free keys: the Scalar scan sent nulls to partition 0 even when
+      // the sort puts them last (see NullsRouteWhereTheSortPutsThem).
+      std::vector<uint8_t> valid(key.length());
+      for (int64_t i = 0; i < key.length(); ++i) valid[i] = key.IsValid(i);
+      const Column dense = key.Filter(valid);
+      for (int64_t step : {7, 300, 900}) {
+        const Column bounds = PickBounds(dense, ascending, step);
+        auto got = RangePartitionIds(dense, bounds, ascending);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, ScalarOracleRoute(dense, bounds, ascending))
+            << name << " ascending=" << ascending << " step=" << step;
+        // Plain boundaries over a dictionary key (and back) route alike.
+        if (key.dtype() == DType::kString) {
+          const Column other = bounds.is_dict() ? bounds.DictDecode()
+                                                : bounds.DictEncode();
+          EXPECT_EQ(*RangePartitionIds(dense, other, ascending), *got);
+        }
+      }
+    }
+  }
+}
+
+TEST(RangePartitionTest, ChunkOpEmitsTheScalarScanPartitions) {
+  const DataFrame df = SortFrame(3000).Select({"i", "f"}).MoveValue();
+  const Column& key = *df.GetColumn("i").ValueOrDie();
+  for (bool ascending : {true, false}) {
+    const Column bounds = PickBounds(key, ascending, 700);
+    const int partitions = static_cast<int>(bounds.length()) + 1;
+    operators::RangePartitionChunkOp op("i", partitions, ascending);
+    operators::ExecutionContext ctx;
+    ctx.inputs = {services::MakeChunk(df),
+                  services::MakeChunk(
+                      DataFrame::Make({"i"}, {bounds}).MoveValue())};
+    ASSERT_TRUE(op.Execute(ctx).ok());
+    const std::vector<int32_t> want = ScalarOracleRoute(key, bounds, ascending);
+    for (int p = 0; p < partitions; ++p) {
+      std::vector<int64_t> rows;
+      for (int64_t i = 0; i < df.num_rows(); ++i) {
+        if (want[i] == p) rows.push_back(i);
+      }
+      ASSERT_TRUE(ctx.shuffle_outputs.count(p));
+      EXPECT_EQ(Bytes(ctx.shuffle_outputs[p]->dataframe()),
+                Bytes(df.TakeRows(rows)))
+          << "partition " << p << " ascending=" << ascending;
+    }
+  }
+}
+
+TEST(RangePartitionTest, NullsRouteWhereTheSortPutsThem) {
+  // Sorted output concatenates the partitions in order, so nulls (last in
+  // either direction) belong after every boundary that holds a value.
+  const Column key = Column::Int64({1, 0, 5, 9, 7}, {1, 0, 1, 1, 1});
+  auto up = RangePartitionIds(key, Column::Int64({3, 7}), true);
+  ASSERT_TRUE(up.ok());
+  EXPECT_EQ(*up, (std::vector<int32_t>{0, 2, 1, 2, 1}));
+  auto down = RangePartitionIds(key, Column::Int64({7, 3}), false);
+  ASSERT_TRUE(down.ok());
+  EXPECT_EQ(*down, (std::vector<int32_t>{2, 2, 1, 0, 0}));
+  // A null boundary (the sample's tail was null) sorts after every value,
+  // so it takes the values above 3 and the nulls.
+  auto tail = RangePartitionIds(key, Column::Int64({3, 0}, {1, 0}), true);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail, (std::vector<int32_t>{0, 1, 1, 1, 1}));
 }
 
 TEST(ConcatTest, MatchesByNameAcrossColumnOrder) {

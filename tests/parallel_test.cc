@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -240,6 +241,39 @@ TEST(ParallelDeterminismTest, SortValuesByteIdentical) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return Fingerprint(*r);
   });
+}
+
+TEST(ParallelDeterminismTest, SortByteIdenticalAcrossEncodingsAndRadix) {
+  // String keys through both string paths (dictionary rank vs in-place
+  // compare), mixed with the radix-sorted fixed-width keys; frame sizes on
+  // either side of the radix cutoff. Nulls sit in the float key.
+  for (int64_t n : {900, 50000}) {
+    const DataFrame plain = MakeFrame(n);
+    DataFrame dict = plain;
+    ASSERT_TRUE(
+        dict.SetColumn("k2", plain.GetColumn("k2").ValueOrDie()->DictEncode())
+            .ok());
+    for (const auto& [by, asc] :
+         std::vector<std::pair<std::vector<std::string>, std::vector<bool>>>{
+             {{"k2", "d"}, {true, false}},
+             {{"d", "k2", "k1"}, {false, true, true}},
+             {{"k1", "i"}, {false, true}}}) {
+      std::string reference;
+      ExpectIdenticalAcrossThreadCounts([&] {
+        auto r = SortValues(plain, by, asc);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        reference = Fingerprint(*r);
+        return reference;
+      });
+      ExpectIdenticalAcrossThreadCounts([&] {
+        auto r = SortValues(dict, by, asc);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        const std::string fp = Fingerprint(*r);
+        EXPECT_EQ(fp, reference) << "dictionary vs plain, n=" << n;
+        return fp;
+      });
+    }
+  }
 }
 
 TEST(ParallelDeterminismTest, SortIsStable) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "operators/dataframe_ops.h"
 #include "operators/source_ops.h"
 #include "scheduler/band.h"
@@ -355,6 +358,53 @@ TEST(ExecutorTest, ParallelKernelCpuIsNotFree) {
   // Dividing parallel CPU across modeled slots must shrink modeled time.
   EXPECT_LT(parallel.metrics.simulated_us.load(),
             serial.metrics.simulated_us.load());
+}
+
+TEST(ExecutorTest, KernelPoolsAreCappedAtTheHardware) {
+  // Modeled slots far beyond the host: the pools run at most the worker's
+  // share of the hardware threads, results match a pool-less run, and the
+  // modeled clock still divides parallel CPU by cpus_per_band.
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  Config wide_cfg = FourBands();
+  wide_cfg.cpus_per_band = 2 * hardware;
+  Config serial_cfg = FourBands();
+  serial_cfg.cpus_per_band = 1;
+  ConfiguredHarness wide(wide_cfg);
+  ConfiguredHarness serial(serial_cfg);
+  const int cap = std::max(1, hardware / wide_cfg.num_workers);
+  for (int w = 0; w < wide_cfg.num_workers; ++w) {
+    EXPECT_GE(wide.executor.kernel_pool_threads(w), 1);
+    EXPECT_LE(wide.executor.kernel_pool_threads(w), cap);
+    EXPECT_EQ(serial.executor.kernel_pool_threads(w), 0);
+  }
+
+  ChunkGraph wide_cg, serial_cg;
+  SubtaskGraph wide_g = BusyGraph(&wide_cg, 4);
+  SubtaskGraph serial_g = BusyGraph(&serial_cg, 4);
+  ASSERT_TRUE(wide.Run(&wide_g).ok());
+  ASSERT_TRUE(serial.Run(&serial_g).ok());
+  for (size_t i = 0; i < wide_g.subtasks.size(); ++i) {
+    auto a = wide.storage.Get(wide_g.subtasks[i].outputs[0]->key, 0);
+    auto b = serial.storage.Get(serial_g.subtasks[i].outputs[0]->key, 0);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*services::SerializeChunk(**a), *services::SerializeChunk(**b));
+  }
+
+  // parallel_us = ceil(pool CPU / cpus_per_band) per subtask, so scaling it
+  // back by cpus_per_band recovers the measured kernel CPU to within one
+  // rounding step per subtask.
+  const int64_t slots = wide_cfg.cpus_per_band;
+  int64_t rebuilt = 0, parallel_us = 0;
+  for (const Subtask& st : wide_g.subtasks) {
+    rebuilt += st.cost.serial_us + st.cost.parallel_us * slots;
+    parallel_us += st.cost.parallel_us;
+  }
+  const int64_t kernel_cpu = wide.metrics.kernel_cpu_us.load();
+  EXPECT_GT(parallel_us, 0);
+  EXPECT_GE(rebuilt, kernel_cpu);
+  EXPECT_LT(rebuilt,
+            kernel_cpu + slots * static_cast<int64_t>(wide_g.subtasks.size()));
 }
 
 }  // namespace
