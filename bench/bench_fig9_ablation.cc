@@ -4,10 +4,14 @@
 //     Xorbits configuration);
 // (b) Q7 and Q8 with coloring-based graph-level fusion on vs off, and Q1
 //     (expression-heavy) with operator-level fusion on vs off.
+// Each configuration is the Xorbits preset with one optimizer pass list
+// changed: graph-level fusion is the `graph_fusion` subtask pass,
+// operator-level fusion the `op_fusion` + `cse` chunk passes.
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "io/tpch_gen.h"
@@ -17,13 +21,26 @@
 namespace xorbits::bench {
 namespace {
 
-RunStats RunQuery(int q, const std::string& dir, bool dynamic,
-                  bool graph_fusion, bool op_fusion) {
+/// One ablation point: dynamic tiling plus the chunk and subtask pass
+/// lists (the tileable pipeline stays the preset's).
+struct Ablation {
+  bool dynamic = true;
+  std::vector<std::string> chunk = OptimizerSpec{}.chunk;
+  std::vector<std::string> subtask = OptimizerSpec{}.subtask;
+};
+
+const Ablation kFull;
+const Ablation kStatic{/*dynamic=*/false};
+const Ablation kNoGraphFusion{true, OptimizerSpec{}.chunk, {}};
+const Ablation kNoOpFusion{true, {"late_materialization"},
+                           OptimizerSpec{}.subtask};
+
+RunStats RunQuery(int q, const std::string& dir, const Ablation& a) {
   Config c = BenchConfig(EngineKind::kXorbits, 2, 2, /*band_mb=*/24,
                          /*chunk_kb=*/512, /*deadline_ms=*/180000);
-  c.dynamic_tiling = dynamic;
-  c.graph_fusion = graph_fusion;
-  c.op_fusion = op_fusion;
+  c.dynamic_tiling = a.dynamic;
+  c.optimizer.chunk = a.chunk;
+  c.optimizer.subtask = a.subtask;
   return TimedRun(std::move(c), [&](core::Session* s) {
     return workloads::tpch::RunQuery(q, s, dir).status();
   });
@@ -42,8 +59,8 @@ void Run() {
   std::printf("%-6s %-12s %-12s %-10s\n", "query", "dynamic_on",
               "dynamic_off", "speedup");
   for (int q : {2, 7}) {
-    RunStats on = RunQuery(q, dir, true, true, true);
-    RunStats off = RunQuery(q, dir, false, true, true);
+    RunStats on = RunQuery(q, dir, kFull);
+    RunStats off = RunQuery(q, dir, kStatic);
     std::printf("Q%-5d %-12.3f %-12.3f %-9.2fx  %s%s\n", q, on.sim_s,
                 off.sim_s, on.sim_s > 0 ? off.sim_s / on.sim_s : 0.0,
                 on.status.ok() ? "" : "on:FAILED ",
@@ -74,8 +91,8 @@ void Run() {
   std::printf("%-6s %-12s %-12s %-10s\n", "query", "fusion_on",
               "fusion_off", "speedup");
   for (int q : {7, 8}) {
-    RunStats on = RunQuery(q, dir, true, true, true);
-    RunStats off = RunQuery(q, dir, true, false, true);
+    RunStats on = RunQuery(q, dir, kFull);
+    RunStats off = RunQuery(q, dir, kNoGraphFusion);
     std::printf("Q%-5d %-12.3f %-12.3f %-9.2fx  %s%s\n", q, on.sim_s,
                 off.sim_s, on.sim_s > 0 ? off.sim_s / on.sim_s : 0.0,
                 on.status.ok() ? "" : "on:FAILED ",
@@ -87,8 +104,8 @@ void Run() {
   std::printf("%-6s %-12s %-12s %-10s\n", "query", "opfuse_on",
               "opfuse_off", "improvement");
   for (int q : {1, 6}) {
-    RunStats on = RunQuery(q, dir, true, true, true);
-    RunStats off = RunQuery(q, dir, true, true, false);
+    RunStats on = RunQuery(q, dir, kFull);
+    RunStats off = RunQuery(q, dir, kNoOpFusion);
     const double imp =
         off.sim_s > 0 ? 100.0 * (off.sim_s - on.sim_s) / off.sim_s : 0.0;
     std::printf("Q%-5d %-12.3f %-12.3f %-9.1f%%\n", q, on.sim_s, off.sim_s,

@@ -511,12 +511,11 @@ void WriteOptimizerJson(FILE* f) {
                                Lit(int64_t{9950})));
   };
   const auto run = [&](const char* mode, Config cfg) {
-    cfg.default_chunk_rows = 4096;
     // This section compares eager-path source I/O across pass specs;
     // under late materialization payload reads defer to decode time and
     // `source_bytes_read` stays 0 (the selectivity section covers the
     // late path with `bytes_materialized`).
-    cfg.late_materialization = false;
+    std::erase(cfg.optimizer.chunk, optimizer::kPassLateMaterialization);
     core::Session session(std::move(cfg));
     // Two branches hand-written against separate reads of the same table —
     // the duplicate scan CSE exists to collapse. Both prune to the same
@@ -756,7 +755,7 @@ bool WriteSelectivityJson(FILE* f, int64_t rows) {
 // ---------------------------------------------------------------------------
 // Pipelined block exchange (DESIGN.md §11): OOM frontier at a fixed band
 // budget, wire-vs-memory compression on dict-encoded TPC-H lineitem keys,
-// and eager-vs-pipelined checksum identity.
+// and checksum identity against a single-band reference.
 // ---------------------------------------------------------------------------
 
 /// TPC-H lineitem key columns — int64 l_orderkey plus the dict-encoded
@@ -788,11 +787,9 @@ struct ShuffleProbe {
   size_t checksum = 0;
 };
 
-/// One full shuffle (global sort of the key frame) on a session whose band
-/// budget is fixed at `band_budget`. Eager mode holds every whole shuffle
-/// partition resident; pipelined mode streams blocks and may spill them.
-ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
-                             int64_t band_budget, bool pipelined) {
+/// The cluster whose OOM frontier the sweep measures: 4 bands whose budget
+/// is fixed at `band_budget`, small chunks and small exchange blocks.
+Config ShuffleClusterConfig(int64_t band_budget) {
   Config c;
   c.num_workers = 2;
   c.bands_per_worker = 2;
@@ -800,9 +797,15 @@ ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
   c.band_memory_limit = band_budget;
   c.chunk_store_limit = 128LL << 10;
   c.shuffle_block_bytes = 32 << 10;
-  c.pipelined_shuffle = pipelined;
   c.task_deadline_ms = 120000;
+  return c;
+}
 
+/// One full shuffle (global sort of the `rows` head of the key frame) on a
+/// session built from `c`. A single-band kPandasLike `c` sorts in one chunk
+/// and is the reference the cluster run must match.
+ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
+                             const Config& c, const char* label) {
   auto& stats = common::ExchangeStats::Get();
   const int64_t w0 = stats.shuffle_wire_bytes.load();
   const int64_t m0 = stats.shuffle_memory_bytes.load();
@@ -847,11 +850,10 @@ ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
   p.oom = !p.completed && st.IsOutOfMemory();
   if (!p.completed && !p.oom) {
     std::fprintf(stderr, "shuffle probe rows=%" PRId64 " %s failed: %s\n",
-                 rows, pipelined ? "pipelined" : "eager",
-                 st.ToString().c_str());
+                 rows, label, st.ToString().c_str());
   } else if (p.oom && std::getenv("XORBITS_SHUFFLE_DEBUG") != nullptr) {
     std::fprintf(stderr, "shuffle probe rows=%" PRId64 " %s OOM: %s\n", rows,
-                 pipelined ? "pipelined" : "eager", st.ToString().c_str());
+                 label, st.ToString().c_str());
   }
   p.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
@@ -862,45 +864,48 @@ ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
   return p;
 }
 
-/// Writes the `shuffle` JSON section: an SF sweep at a fixed band budget in
-/// eager and pipelined mode. Gates (returned as `ok`): identical checksums
-/// wherever both modes complete, and wire <= 0.7x memory on the dict-keyed
-/// frame. The full bench additionally records how far the pipelined OOM
-/// frontier sits beyond the eager one.
+/// Writes the `shuffle` JSON section: an SF sweep through the exchange at a
+/// fixed band budget. Gates (returned as `ok`): every completed step's
+/// output matches the single-band kPandasLike reference, and wire <= 0.7x
+/// memory on the dict-keyed frame. `min_frontier_sf` > 0 additionally
+/// requires the OOM frontier to reach that SF step.
 bool WriteShuffleJson(FILE* f, int64_t base_rows, int64_t band_budget,
-                      bool require_frontier_shift) {
+                      int64_t min_frontier_sf) {
   const std::vector<int64_t> sf = {1, 2, 3, 4, 6, 8};
   DataFrame keys = LineitemKeyFrame(base_rows * sf.back());
   if (keys.num_rows() < base_rows) {
     std::fprintf(stderr, "shuffle bench: lineitem generation failed\n");
     return false;
   }
+  const Config cluster = ShuffleClusterConfig(band_budget);
+  Config reference = Config::Preset(EngineKind::kPandasLike);
+  reference.task_deadline_ms = cluster.task_deadline_ms;
   bool identical = true;
   bool wire_gate = true;
-  int64_t eager_frontier = 0, pipelined_frontier = 0;
+  int64_t frontier = 0;
   std::fprintf(f, "  \"shuffle\": {\n");
   std::fprintf(f,
                "    \"note\": \"global sort of dict-encoded lineitem keys; "
                "fixed band budget %" PRId64
                " bytes; frontier = largest row count that completes without "
-               "OOM\",\n",
+               "OOM; identical = matches a single-band kPandasLike run\",\n",
                band_budget);
   std::fprintf(f, "    \"sweep\": [\n");
   for (size_t i = 0; i < sf.size(); ++i) {
     const int64_t rows = std::min(base_rows * sf[i], keys.num_rows());
-    ShuffleProbe eager =
-        RunShuffleProbe(keys, rows, band_budget, /*pipelined=*/false);
-    ShuffleProbe piped =
-        RunShuffleProbe(keys, rows, band_budget, /*pipelined=*/true);
-    if (eager.completed) eager_frontier = sf[i];
-    if (piped.completed) pipelined_frontier = sf[i];
-    if (eager.completed && piped.completed &&
-        eager.checksum != piped.checksum) {
-      std::fprintf(stderr,
-                   "shuffle bench: eager/pipelined checksum mismatch at "
-                   "rows=%" PRId64 "!\n",
-                   rows);
-      identical = false;
+    ShuffleProbe piped = RunShuffleProbe(keys, rows, cluster, "pipelined");
+    bool same = true;
+    if (piped.completed) {
+      frontier = sf[i];
+      ShuffleProbe ref = RunShuffleProbe(keys, rows, reference, "reference");
+      same = ref.completed && ref.checksum == piped.checksum;
+      if (!same) {
+        std::fprintf(stderr,
+                     "shuffle bench: output differs from the single-band "
+                     "reference at rows=%" PRId64 "!\n",
+                     rows);
+        identical = false;
+      }
     }
     if (piped.completed && piped.mem > 0 &&
         piped.wire > (piped.mem * 7) / 10) {
@@ -913,46 +918,34 @@ bool WriteShuffleJson(FILE* f, int64_t base_rows, int64_t band_budget,
     std::fprintf(
         f,
         "      {\"sf\": %" PRId64 ", \"rows\": %" PRId64
-        ", \"eager\": {\"completed\": %s, \"oom\": %s, \"wall_s\": %.3f}, "
-        "\"pipelined\": {\"completed\": %s, \"oom\": %s, \"wall_s\": %.3f, "
-        "\"shuffle_wire_bytes\": %" PRId64 ", \"shuffle_memory_bytes\": %" PRId64
+        ", \"pipelined\": {\"completed\": %s, \"oom\": %s, "
+        "\"wall_s\": %.3f, \"shuffle_wire_bytes\": %" PRId64
+        ", \"shuffle_memory_bytes\": %" PRId64
         ", \"wire_ratio\": %.3f, \"blocks_spilled\": %" PRId64
         "}, \"identical\": %s}%s\n",
-        sf[i], rows, eager.completed ? "true" : "false",
-        eager.oom ? "true" : "false", eager.wall_s,
-        piped.completed ? "true" : "false", piped.oom ? "true" : "false",
-        piped.wall_s, piped.wire, piped.mem,
+        sf[i], rows, piped.completed ? "true" : "false",
+        piped.oom ? "true" : "false", piped.wall_s, piped.wire, piped.mem,
         piped.mem > 0 ? static_cast<double>(piped.wire) /
                             static_cast<double>(piped.mem)
                       : 0.0,
-        piped.spilled,
-        (!eager.completed || !piped.completed ||
-         eager.checksum == piped.checksum)
-            ? "true"
-            : "false",
-        i + 1 < sf.size() ? "," : "");
-    std::printf("shuffle sf=%" PRId64 " eager=%s pipelined=%s spilled=%" PRId64
-                "\n",
-                sf[i], eager.completed ? "ok" : (eager.oom ? "OOM" : "fail"),
-                piped.completed ? "ok" : (piped.oom ? "OOM" : "fail"),
-                piped.spilled);
+        piped.spilled, same ? "true" : "false", i + 1 < sf.size() ? "," : "");
+    std::printf("shuffle sf=%" PRId64 " pipelined=%s spilled=%" PRId64
+                " identical=%s\n",
+                sf[i], piped.completed ? "ok" : (piped.oom ? "OOM" : "fail"),
+                piped.spilled, same ? "yes" : "NO");
   }
-  const bool frontier_moved = pipelined_frontier > eager_frontier;
   std::fprintf(f, "    ],\n");
   std::fprintf(f,
-               "    \"eager_oom_frontier_sf\": %" PRId64
-               ", \"pipelined_oom_frontier_sf\": %" PRId64
-               ", \"frontier_moved\": %s, \"identical_outputs\": %s, "
-               "\"wire_gate_0p7\": %s\n  },\n",
-               eager_frontier, pipelined_frontier,
-               frontier_moved ? "true" : "false",
-               identical ? "true" : "false", wire_gate ? "true" : "false");
+               "    \"pipelined_oom_frontier_sf\": %" PRId64
+               ", \"identical_outputs\": %s, \"wire_gate_0p7\": %s\n  },\n",
+               frontier, identical ? "true" : "false",
+               wire_gate ? "true" : "false");
   bool ok = identical && wire_gate;
-  if (require_frontier_shift && !frontier_moved) {
+  if (frontier < min_frontier_sf) {
     std::fprintf(stderr,
-                 "shuffle bench: pipelined OOM frontier (%" PRId64
-                 ") did not move past eager (%" PRId64 ")\n",
-                 pipelined_frontier, eager_frontier);
+                 "shuffle bench: OOM frontier (SF %" PRId64
+                 ") fell short of SF %" PRId64 "\n",
+                 frontier, min_frontier_sf);
     ok = false;
   }
   return ok;
@@ -1125,11 +1118,11 @@ bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   std::fprintf(f, "\n  ],\n");
   WriteSharingJson(f);
   all_identical = WriteSelectivityJson(f, kRows) && all_identical;
-  // Shuffle frontier sweep: base 8k rows per SF step, 1 MiB band budget —
-  // sized so the eager plan falls over one SF step before the pipelined one.
+  // Shuffle frontier sweep: base 8k rows per SF step, 1 MiB band budget.
+  // The exchange must complete through SF 3, its committed frontier in
+  // BENCH_kernels.json (the removed whole-partition store OOMed past SF 2).
   all_identical = WriteShuffleJson(f, std::min<int64_t>(kRows / 2, 8000),
-                                   1LL << 20,
-                                   /*require_frontier_shift=*/true) &&
+                                   1LL << 20, /*min_frontier_sf=*/3) &&
                   all_identical;
   WriteOptimizerJson(f);
   std::fprintf(f, "}\n");
@@ -1161,16 +1154,16 @@ int main(int argc, char** argv) {
   }
   argc = kept;
   if (smoke_shuffle) {
-    // CI gate for the pipelined exchange alone: a short SF sweep that
-    // fails when eager and pipelined checksums ever differ or when the
-    // serialized wire bytes exceed 0.7x the logical bytes on the
-    // dict-encoded lineitem key frame. The OOM-frontier shift is recorded
-    // but only enforced by the full (non-smoke) run.
+    // CI gate for the exchange alone: a short SF sweep that fails when any
+    // completed step's output differs from the single-band reference or
+    // when the serialized wire bytes exceed 0.7x the logical bytes on the
+    // dict-encoded lineitem key frame. The OOM frontier is recorded but
+    // only enforced by the full (non-smoke) run.
     FILE* f = std::fopen("/tmp/bench_smoke_shuffle.json", "w");
     if (f == nullptr) return 1;
     std::fprintf(f, "{\n");
     const bool ok = WriteShuffleJson(f, 8000, 1LL << 20,
-                                     /*require_frontier_shift=*/false);
+                                     /*min_frontier_sf=*/0);
     std::fprintf(f, "  \"bench\": \"shuffle_smoke\"\n}\n");
     std::fclose(f);
     std::printf("shuffle smoke: %s\n", ok ? "PASS" : "FAIL");

@@ -155,21 +155,34 @@ inline void PrintHeader(const char* title) {
   std::printf("\n=== %s ===\n", title);
 }
 
+/// Comma-joined pass list, "-" when empty.
+inline std::string JoinPasses(const std::vector<std::string>& passes) {
+  if (passes.empty()) return "-";
+  std::string out;
+  for (const std::string& p : passes) {
+    if (!out.empty()) out += ',';
+    out += p;
+  }
+  return out;
+}
+
 /// Prints the engine-configuration overview (the Table IV analogue: which
-/// policy stack each emulated engine runs).
+/// policy stack each emulated engine runs, with its optimizer pass lists).
 inline void PrintEngineTable() {
   PrintHeader("Engine configurations (Table IV analogue)");
-  std::printf("%-10s %-8s %-12s %-10s %-8s %-6s\n", "engine", "dynamic",
-              "reduce", "graphfuse", "opfuse", "spill");
+  std::printf("%-10s %-8s %-8s %-6s %s\n", "engine", "dynamic", "reduce",
+              "spill", "passes (tileable | chunk | subtask)");
   for (EngineKind kind : AllEngines()) {
     Config c = Config::Preset(kind);
     const char* reduce = c.reduce_policy == ReducePolicy::kAuto ? "auto"
                          : c.reduce_policy == ReducePolicy::kTree ? "tree"
                                                                   : "shuffle";
-    std::printf("%-10s %-8s %-12s %-10s %-8s %-6s\n", EngineKindName(kind),
+    std::printf("%-10s %-8s %-8s %-6s %s | %s | %s\n", EngineKindName(kind),
                 c.dynamic_tiling ? "yes" : "no", reduce,
-                c.graph_fusion ? "yes" : "no", c.op_fusion ? "yes" : "no",
-                c.enable_spill ? "yes" : "no");
+                c.enable_spill ? "yes" : "no",
+                JoinPasses(c.optimizer.tileable).c_str(),
+                JoinPasses(c.optimizer.chunk).c_str(),
+                JoinPasses(c.optimizer.subtask).c_str());
   }
 }
 

@@ -80,10 +80,12 @@ Status Config::Validate() const {
 Config Config::Preset(EngineKind kind) {
   Config c;
   c.engine = kind;
+  // Every engine keeps late materialization: it is a physical rewrite with
+  // byte-identical results, not a tiling policy the baselines differ on.
   switch (kind) {
     case EngineKind::kXorbits:
-      // The full system; the storage service spills cold chunks to disk
-      // (paper §V-C memory->disk StorageLevels).
+      // The full system (OptimizerSpec defaults); the storage service
+      // spills cold chunks to disk (paper §V-C memory->disk StorageLevels).
       c.enable_spill = true;
       break;
     case EngineKind::kPandasLike:
@@ -92,41 +94,38 @@ Config Config::Preset(EngineKind kind) {
       c.bands_per_worker = 1;
       c.cpus_per_band = 1;  // pandas kernels hold the GIL
       c.dynamic_tiling = false;
-      c.graph_fusion = false;
-      c.op_fusion = false;
-      c.column_pruning = false;
+      c.optimizer.tileable = {};
+      c.optimizer.chunk = {"late_materialization"};
+      c.optimizer.subtask = {};
       c.reduce_policy = ReducePolicy::kTree;
-      c.numa_aware = false;
       break;
     case EngineKind::kDaskLike:
       // Static task graphs built ahead of execution; tree-reduce default
-      // aggregations; no runtime metadata.
+      // aggregations; no runtime metadata; no op fusion.
       c.dynamic_tiling = false;
-      c.op_fusion = false;
+      c.optimizer.chunk = {"late_materialization"};
       c.reduce_policy = ReducePolicy::kTree;
       c.enable_spill = true;  // Dask workers spill to disk
-      c.numa_aware = false;
       break;
     case EngineKind::kModinLike:
       // Static row partitioning decided from the initial source size; no
       // spill management (Ray workers die on memory pressure). Modin's
       // query compiler fuses per-partition pipelines, so graph-level
-      // fusion stays on.
+      // fusion stays on; it neither prunes columns nor fuses ops.
       c.dynamic_tiling = false;
-      c.op_fusion = false;
-      c.column_pruning = false;
+      c.optimizer.tileable = {};
+      c.optimizer.chunk = {"late_materialization"};
       c.reduce_policy = ReducePolicy::kShuffle;
       c.enable_spill = false;
-      c.numa_aware = false;
       break;
     case EngineKind::kSparkLike:
-      // Static physical plans with size-rule shuffles; whole-stage fusion is
-      // comparable to graph fusion, so keep it on; spill supported.
+      // Static physical plans with size-rule shuffles; Catalyst prunes and
+      // pushes down; whole-stage fusion is comparable to graph fusion, so
+      // keep it on; no op fusion; spill supported.
       c.dynamic_tiling = false;
-      c.op_fusion = false;
+      c.optimizer.chunk = {"late_materialization"};
       c.reduce_policy = ReducePolicy::kShuffle;
       c.enable_spill = true;
-      c.numa_aware = false;
       break;
   }
   return c;

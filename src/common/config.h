@@ -35,32 +35,30 @@ struct TraceConfig {
   Tracer* sink = nullptr;
   /// Process id of this session inside `sink` (1-based; 0 = unregistered).
   int pid = 0;
-  /// Also emit per-chunk storage:put / storage:get instants (high volume;
-  /// off by default even when tracing).
-  bool verbose_storage = false;
 
   bool enabled() const { return sink != nullptr; }
 };
 
 /// How a multi-chunk aggregation is reduced (paper §IV-C "Auto Reduce
-/// Selection"). kAuto samples the first chunks and picks tree- vs
-/// shuffle-reduce from the measured aggregation ratio.
+/// Selection"). kAuto executes the head map chunk and picks tree-reduce
+/// when the estimated aggregated size fits Config::chunk_store_limit,
+/// shuffle-reduce otherwise.
 enum class ReducePolicy { kAuto, kTree, kShuffle };
 
 /// Pipeline spec for the three-level optimizer (src/optimizer/pass.h): one
-/// ordered pass-name list per graph level. The sentinel pipeline {"auto"}
-/// derives the list from the legacy Config bools (graph_fusion / op_fusion /
-/// column_pruning) so presets and older call sites keep their meaning; an
-/// explicit list overrides the bools. Unknown names fail Materialize with
-/// an Invalid status naming the pass.
+/// ordered pass-name list per graph level, run exactly as listed. The
+/// defaults are the full Xorbits pipelines; Config::Preset states each
+/// baseline engine's lists (DESIGN.md §6). The `result_cache` pass is not
+/// listed here: it leads the chunk pipeline whenever a result cache is
+/// bound. Unknown names fail Materialize with an Invalid status naming the
+/// pass.
 struct OptimizerSpec {
-  std::vector<std::string> tileable{"auto"};
-  std::vector<std::string> chunk{"auto"};
-  std::vector<std::string> subtask{"auto"};
-  /// Run the graph invariant verifier after every pass (graph/rewrite.h).
-  /// On by default — the default build is RelWithDebInfo, so a compile-time
-  /// NDEBUG gate would never fire; cost is a few linear scans per pass.
-  bool verify = true;
+  std::vector<std::string> tileable{"predicate_pushdown", "column_pruning",
+                                    "dead_node_elim"};
+  /// Late materialization runs last: it rewrites the post-fusion kernels
+  /// and must see the closure's final consumer wiring.
+  std::vector<std::string> chunk{"op_fusion", "cse", "late_materialization"};
+  std::vector<std::string> subtask{"graph_fusion"};
 };
 
 /// Engine + simulated cluster configuration.
@@ -86,12 +84,10 @@ struct Config {
   std::string spill_dir = "/tmp/xorbits_spill";
 
   // --- pipelined shuffle (see DESIGN.md §11) ---
-  /// Stream shuffle-map output through the block exchange: partitions are
-  /// emitted as fixed-size blocks and reduce-side subtasks become runnable
-  /// as soon as every input block for their partition exists — not when
-  /// every mapper has finished. Off falls back to the eager whole-partition
-  /// shuffle store; results are byte-identical either way.
-  bool pipelined_shuffle = true;
+  // Shuffle-map output always streams through the block exchange:
+  // partitions are emitted as fixed-size blocks and reduce-side subtasks
+  // become runnable as soon as every input block for their partition
+  // exists — not when every mapper has finished.
   /// Target payload bytes per shuffle block. Mappers cut their per-partition
   /// output into blocks of at most this many logical bytes (the last block
   /// of a partition may be smaller; a partition always emits at least one
@@ -115,40 +111,14 @@ struct Config {
   /// Upper bound for one chunk's payload; auto merge concatenates chunks and
   /// auto rechunk splits dimensions against this limit.
   int64_t chunk_store_limit = 64LL << 20;
-  /// Default target rows per dataframe chunk when sizes are unknown.
-  int64_t default_chunk_rows = 1 << 16;
-  /// Tree-reduce is selected when sampled aggregated size is below this
-  /// fraction of the input size (and below chunk_store_limit in bytes).
-  double tree_reduce_ratio_threshold = 0.1;
   ReducePolicy reduce_policy = ReducePolicy::kAuto;
-  /// How many head chunks dynamic tiling executes to collect metadata.
-  int sample_chunks = 1;
 
   // --- optimizer ---
-  /// Deprecated aliases, kept so existing callers (bench_fig9_ablation,
-  /// presets, tests) keep working: when the corresponding OptimizerSpec
-  /// pipeline is the default "auto", these bools decide which built-in
-  /// passes run. An explicit pipeline list overrides them entirely.
-  bool graph_fusion = true;  // coloring-based graph-level fusion
-  bool op_fusion = true;     // numexpr-style elementwise fusion
-  bool column_pruning = true;
   /// Per-level rewrite-pass pipelines (see src/optimizer/pass.h and
-  /// DESIGN.md §6). Each level lists pass names executed in order; the
-  /// single entry "auto" (the default) derives the pipeline from the legacy
-  /// bools above:
-  ///   tileable: column_pruning ? {predicate_pushdown, column_pruning,
-  ///                               dead_node_elim} : {}
-  ///   chunk:    (enable_result_cache ? {result_cache} : {}) +
-  ///             (op_fusion ? {op_fusion, cse} : {}) +
-  ///             (late_materialization ? {late_materialization} : {})
-  ///   subtask:  graph_fusion   ? {graph_fusion} : {}
+  /// DESIGN.md §6): graph-level fusion, op fusion + CSE, column pruning,
+  /// predicate pushdown and late materialization (DESIGN.md §10) are all
+  /// selected by naming their pass here.
   OptimizerSpec optimizer;
-  /// Late materialization (DESIGN.md §10): a chunk pass swaps kernels that
-  /// offer a late variant, so filters flow selection vectors downstream and
-  /// xparquet payload columns decode lazily on first read instead of at
-  /// scan time. Physical rewrite only — results are byte-identical; the
-  /// `bytes_materialized` gauge shows what it saves.
-  bool late_materialization = true;
 
   /// When true, the API layer enforces each emulated engine's documented
   /// API gaps at call time (used by the API-coverage benchmark, Table V).
@@ -161,7 +131,6 @@ struct Config {
   /// hang (StatusCode::kTimeout), mirroring the paper's Table II.
   int64_t task_deadline_ms = 120000;
   bool locality_aware = true;
-  bool numa_aware = true;
 
   // --- fault tolerance ---
   /// Max re-executions of one subtask after a retryable failure (transient

@@ -52,8 +52,6 @@ XORBITS_EVENT_NAME(kEventBandKill, "chaos:band_kill")
 XORBITS_EVENT_NAME(kEventChunkLoss, "chaos:chunk_loss")
 XORBITS_EVENT_NAME(kEventSpill, "storage:spill")
 XORBITS_EVENT_NAME(kEventOom, "storage:oom")
-XORBITS_EVENT_NAME(kEventStoragePut, "storage:put")
-XORBITS_EVENT_NAME(kEventStorageGet, "storage:get")
 XORBITS_EVENT_NAME(kEventFetch, "fetch:chunks")
 XORBITS_EVENT_NAME(kEventSessionCreate, "session:create")
 XORBITS_EVENT_NAME(kEventSessionClose, "session:close")

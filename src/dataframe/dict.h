@@ -42,6 +42,21 @@ inline uint64_t MixHash(uint64_t x) {
   return x;
 }
 
+/// True when every non-null code indexes into a dictionary of `dict_size`
+/// values. Null rows carry placeholder codes that are never looked up, so
+/// they are exempt; `validity` is null (all valid) or one byte per code.
+/// Readers of untrusted bytes call this before building a Column.
+inline bool DictCodesInRange(const int32_t* codes, int64_t n,
+                             const uint8_t* validity, int64_t dict_size) {
+  for (int64_t i = 0; i < n; ++i) {
+    if ((codes[i] < 0 || codes[i] >= dict_size) &&
+        (validity == nullptr || validity[i] != 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// An immutable, deduplicated string dictionary: the value side of a
 /// dictionary-encoded Column (int32 codes index into it). The values ride
 /// a copy-on-write BufferView so columns sharing one dictionary share one

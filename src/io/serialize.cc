@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <variant>
 
 #include "common/late_stats.h"
+#include "dataframe/dict.h"
 
 namespace xorbits::io {
 
@@ -51,11 +53,45 @@ void WritePod(std::ostream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+/// A stream being decoded plus the count of bytes left in it. Every length
+/// prefix and element count is checked against `left` before anything is
+/// allocated, so corrupt input fails with IOError instead of attempting a
+/// huge allocation.
+struct Reader {
+  std::istream& is;
+  uint64_t left;
+
+  explicit Reader(std::istream& stream) : is(stream), left(0) {
+    const std::streampos pos = is.tellg();
+    if (pos < 0) return;  // unseekable: every sized read fails cleanly
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.seekg(pos);
+    if (end > pos) left = static_cast<uint64_t>(end - pos);
+  }
+
+  /// Reads `n` raw bytes into `dst`.
+  Status Read(void* dst, uint64_t n) {
+    if (n > left) return Status::IOError("truncated stream");
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (!is) return Status::IOError("truncated stream");
+    left -= n;
+    return Status::OK();
+  }
+
+  /// Fails unless `count` items of at least `min_bytes` each fit in the
+  /// bytes left.
+  Status CheckFits(uint64_t count, uint64_t min_bytes) const {
+    if (count > left / min_bytes) {
+      return Status::IOError("length prefix exceeds the bytes left");
+    }
+    return Status::OK();
+  }
+};
+
 template <typename T>
-Status ReadPod(std::istream& is, T* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  if (!is) return Status::IOError("truncated stream");
-  return Status::OK();
+Status ReadPod(Reader& in, T* v) {
+  return in.Read(v, sizeof(*v));
 }
 
 void WriteString(std::ostream& os, const std::string& s) {
@@ -63,12 +99,12 @@ void WriteString(std::ostream& os, const std::string& s) {
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-Result<std::string> ReadString(std::istream& is) {
+Result<std::string> ReadString(Reader& in) {
   uint64_t len = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &len));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &len));
+  XORBITS_RETURN_NOT_OK(in.CheckFits(len, 1));
   std::string s(len, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  if (!is) return Status::IOError("truncated string");
+  XORBITS_RETURN_NOT_OK(in.Read(s.data(), len));
   return s;
 }
 
@@ -92,13 +128,12 @@ void WriteVec(std::ostream& os, const std::vector<T>& v) {
 }
 
 template <typename T>
-Result<std::vector<T>> ReadVec(std::istream& is) {
+Result<std::vector<T>> ReadVec(Reader& in) {
   uint64_t n = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &n));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
+  XORBITS_RETURN_NOT_OK(in.CheckFits(n, sizeof(T)));
   std::vector<T> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!is) return Status::IOError("truncated vector");
+  XORBITS_RETURN_NOT_OK(in.Read(v.data(), n * sizeof(T)));
   return v;
 }
 
@@ -167,32 +202,32 @@ Status WritePayload(std::ostream& os, const BufferView<T>& v,
 }
 
 template <typename T>
-Result<BufferView<T>> ReadInlinePayload(std::istream& is) {
-  XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<T>(is));
+Result<BufferView<T>> ReadInlinePayload(Reader& in) {
+  XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<T>(in));
   return BufferView<T>(std::move(data));
 }
 
 template <>
-Result<BufferView<std::string>> ReadInlinePayload<std::string>(
-    std::istream& is) {
+Result<BufferView<std::string>> ReadInlinePayload<std::string>(Reader& in) {
   uint64_t n = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &n));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
+  XORBITS_RETURN_NOT_OK(in.CheckFits(n, sizeof(uint64_t)));
   std::vector<std::string> data;
   data.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    XORBITS_ASSIGN_OR_RETURN(std::string s, ReadString(is));
+    XORBITS_ASSIGN_OR_RETURN(std::string s, ReadString(in));
     data.push_back(std::move(s));
   }
   return BufferView<std::string>(std::move(data));
 }
 
 template <typename T>
-Result<BufferView<T>> ReadPayload(std::istream& is, ReadRegistry* reg) {
+Result<BufferView<T>> ReadPayload(Reader& in, ReadRegistry* reg) {
   uint8_t tag = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &tag));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &tag));
   if (tag == kPayloadBackref) {
     uint32_t idx = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &idx));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &idx));
     if (idx >= reg->payloads.size()) {
       return Status::IOError("payload back-reference out of range");
     }
@@ -203,7 +238,7 @@ Result<BufferView<T>> ReadPayload(std::istream& is, ReadRegistry* reg) {
     return *v;
   }
   if (tag != kPayloadInline) return Status::IOError("bad payload tag");
-  XORBITS_ASSIGN_OR_RETURN(BufferView<T> v, ReadInlinePayload<T>(is));
+  XORBITS_ASSIGN_OR_RETURN(BufferView<T> v, ReadInlinePayload<T>(in));
   if (!v.empty()) reg->payloads.push_back(v);
   return v;
 }
@@ -274,13 +309,18 @@ Status WritePackedCodes(std::ostream& os, const BufferView<int32_t>& v,
   return os ? Status::OK() : Status::IOError("write failed");
 }
 
-Result<BufferView<int32_t>> ReadPackedCodes(std::istream& is,
-                                            ReadRegistry* reg) {
+/// Reads a dictionary-code payload. `max_code` receives the largest code
+/// read as unsigned (a negative code reads as huge), so the caller can
+/// range-check the codes against their dictionary without another pass;
+/// back-references and inline payloads report UINT32_MAX (unknown).
+Result<BufferView<int32_t>> ReadPackedCodes(Reader& in, ReadRegistry* reg,
+                                            uint32_t* max_code) {
+  *max_code = std::numeric_limits<uint32_t>::max();
   uint8_t tag = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &tag));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &tag));
   if (tag == kPayloadBackref) {
     uint32_t idx = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &idx));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &idx));
     if (idx >= reg->payloads.size()) {
       return Status::IOError("payload back-reference out of range");
     }
@@ -291,58 +331,67 @@ Result<BufferView<int32_t>> ReadPackedCodes(std::istream& is,
     return *v;
   }
   if (tag == kPayloadInline) {  // not emitted by the v4 writer; accepted
-    XORBITS_ASSIGN_OR_RETURN(auto v, ReadInlinePayload<int32_t>(is));
+    XORBITS_ASSIGN_OR_RETURN(auto v, ReadInlinePayload<int32_t>(in));
     if (!v.empty()) reg->payloads.push_back(v);
     return v;
   }
   if (tag != kPayloadPackedCodes) return Status::IOError("bad payload tag");
   uint64_t n = 0;
   uint8_t width = 0, rle = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &n));
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &width));
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &rle));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &width));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &rle));
   if (width != 1 && width != 2 && width != 4) {
     return Status::IOError("bad packed-code width");
   }
   auto read_code = [&](int32_t* c) -> Status {
     if (width == 1) {
       uint8_t b = 0;
-      XORBITS_RETURN_NOT_OK(ReadPod(is, &b));
+      XORBITS_RETURN_NOT_OK(ReadPod(in, &b));
       *c = b;
     } else if (width == 2) {
       uint16_t b = 0;
-      XORBITS_RETURN_NOT_OK(ReadPod(is, &b));
+      XORBITS_RETURN_NOT_OK(ReadPod(in, &b));
       *c = b;
     } else {
-      XORBITS_RETURN_NOT_OK(ReadPod(is, c));
+      XORBITS_RETURN_NOT_OK(ReadPod(in, c));
     }
     return Status::OK();
   };
-  // Rebuilt through the amortized-growth append path: one reservation,
-  // geometric growth if a corrupt stream under-declares `n`.
+  uint32_t hi = 0;
   BufferView<int32_t> out;
-  out.Reserve(static_cast<int64_t>(n));
   if (rle) {
+    // Run headers are read (and their lengths summed against `n`) before
+    // the expansion is allocated: RLE output may legitimately exceed the
+    // bytes left, so `n` cannot be checked against them.
     uint64_t runs = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &runs));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &runs));
+    XORBITS_RETURN_NOT_OK(in.CheckFits(runs, width + sizeof(uint32_t)));
+    std::vector<std::pair<int32_t, uint32_t>> run_list(runs);
     uint64_t total = 0;
-    for (uint64_t r = 0; r < runs; ++r) {
-      int32_t c = 0;
-      uint32_t len = 0;
+    for (auto& [c, len] : run_list) {
       XORBITS_RETURN_NOT_OK(read_code(&c));
-      XORBITS_RETURN_NOT_OK(ReadPod(is, &len));
+      XORBITS_RETURN_NOT_OK(ReadPod(in, &len));
       total += len;
       if (total > n) return Status::IOError("packed-code run overflow");
-      for (uint32_t k = 0; k < len; ++k) out.AppendValue(c);
+      hi = std::max(hi, static_cast<uint32_t>(c));
     }
     if (total != n) return Status::IOError("packed-code run underflow");
+    out.Reserve(static_cast<int64_t>(n));
+    for (const auto& [c, len] : run_list) {
+      for (uint32_t k = 0; k < len; ++k) out.AppendValue(c);
+    }
   } else {
+    XORBITS_RETURN_NOT_OK(in.CheckFits(n, width));
+    out.Reserve(static_cast<int64_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
       int32_t c = 0;
       XORBITS_RETURN_NOT_OK(read_code(&c));
+      hi = std::max(hi, static_cast<uint32_t>(c));
       out.AppendValue(c);
     }
   }
+  if (n > 0) *max_code = hi;
   if (!out.empty()) reg->payloads.push_back(out);
   return out;
 }
@@ -378,55 +427,72 @@ Status WriteColumn(std::ostream& os, const Column& c, WriteRegistry* reg) {
   return Status::OK();
 }
 
-Result<Column> ReadColumn(std::istream& is, ReadRegistry* reg,
-                          uint32_t version) {
+Result<Column> ReadColumn(Reader& in, ReadRegistry* reg, uint32_t version) {
   uint8_t dtype_raw = 0, has_validity = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &dtype_raw));
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &has_validity));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &dtype_raw));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &has_validity));
   if (dtype_raw > static_cast<uint8_t>(DType::kBool)) {
     return Status::IOError("bad dtype tag");
   }
   const DType dtype = static_cast<DType>(dtype_raw);
   BufferView<uint8_t> validity;
   if (has_validity) {
-    XORBITS_ASSIGN_OR_RETURN(validity, ReadPayload<uint8_t>(is, reg));
+    XORBITS_ASSIGN_OR_RETURN(validity, ReadPayload<uint8_t>(in, reg));
   }
+  Column col;
+  // Largest dictionary code read, as unsigned; UINT32_MAX = not tracked.
+  uint32_t max_code = std::numeric_limits<uint32_t>::max();
   switch (dtype) {
     case DType::kInt64: {
-      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<int64_t>(is, reg));
-      return Column::FromView(std::move(data), std::move(validity));
+      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<int64_t>(in, reg));
+      col = Column::FromView(std::move(data), std::move(validity));
+      break;
     }
     case DType::kFloat64: {
-      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<double>(is, reg));
-      return Column::FromView(std::move(data), std::move(validity));
+      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<double>(in, reg));
+      col = Column::FromView(std::move(data), std::move(validity));
+      break;
     }
     case DType::kBool: {
-      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<uint8_t>(is, reg));
-      return Column::BoolFromView(std::move(data), std::move(validity));
+      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<uint8_t>(in, reg));
+      col = Column::BoolFromView(std::move(data), std::move(validity));
+      break;
     }
     case DType::kString: {
       uint8_t encoding = kEncodingPlain;
-      if (version >= 3) XORBITS_RETURN_NOT_OK(ReadPod(is, &encoding));
+      if (version >= 3) XORBITS_RETURN_NOT_OK(ReadPod(in, &encoding));
       if (encoding == kEncodingDict) {
         BufferView<int32_t> codes;
         if (version >= 4) {
-          XORBITS_ASSIGN_OR_RETURN(codes, ReadPackedCodes(is, reg));
+          XORBITS_ASSIGN_OR_RETURN(codes, ReadPackedCodes(in, reg, &max_code));
         } else {
-          XORBITS_ASSIGN_OR_RETURN(codes, ReadPayload<int32_t>(is, reg));
+          XORBITS_ASSIGN_OR_RETURN(codes, ReadPayload<int32_t>(in, reg));
         }
         XORBITS_ASSIGN_OR_RETURN(auto values,
-                                 ReadPayload<std::string>(is, reg));
-        return Column::Dictionary(std::move(codes), reg->DictFor(values),
-                                  std::move(validity));
-      }
-      if (encoding != kEncodingPlain) {
+                                 ReadPayload<std::string>(in, reg));
+        col = Column::Dictionary(std::move(codes), reg->DictFor(values),
+                                 std::move(validity));
+      } else if (encoding == kEncodingPlain) {
+        XORBITS_ASSIGN_OR_RETURN(auto data,
+                                 ReadPayload<std::string>(in, reg));
+        col = Column::FromView(std::move(data), std::move(validity));
+      } else {
         return Status::IOError("bad string encoding tag");
       }
-      XORBITS_ASSIGN_OR_RETURN(auto data, ReadPayload<std::string>(is, reg));
-      return Column::FromView(std::move(data), std::move(validity));
+      break;
     }
   }
-  return Status::IOError("unreachable");
+  if (col.has_validity() && col.validity().ssize() != col.length()) {
+    return Status::IOError("validity length does not match the column");
+  }
+  if (col.is_dict() && max_code >= col.dict()->size() &&
+      !dataframe::DictCodesInRange(
+          col.dict_codes().data(), col.length(),
+          col.has_validity() ? col.validity().data() : nullptr,
+          col.dict()->size())) {
+    return Status::IOError("dictionary code out of range");
+  }
+  return col;
 }
 
 }  // namespace
@@ -490,56 +556,67 @@ Status WriteDataFrame(std::ostream& os, const DataFrame& df) {
 }
 
 Result<DataFrame> ReadDataFrame(std::istream& is) {
+  Reader in(is);
   uint32_t magic = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &magic));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &magic));
   if (magic != kDfMagic && magic != kDfMagicV3 && magic != kDfMagicV2) {
     return Status::IOError("bad dataframe magic");
   }
   const uint32_t version = magic & 0xff;
   uint32_t ncols = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &ncols));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &ncols));
+  XORBITS_RETURN_NOT_OK(in.CheckFits(ncols, sizeof(uint64_t)));
   ReadRegistry reg;
   std::vector<std::string> names;
   std::vector<Column> cols;
   for (uint32_t i = 0; i < ncols; ++i) {
-    XORBITS_ASSIGN_OR_RETURN(std::string name, ReadString(is));
-    XORBITS_ASSIGN_OR_RETURN(Column c, ReadColumn(is, &reg, version));
+    XORBITS_ASSIGN_OR_RETURN(std::string name, ReadString(in));
+    XORBITS_ASSIGN_OR_RETURN(Column c, ReadColumn(in, &reg, version));
     names.push_back(std::move(name));
     cols.push_back(std::move(c));
   }
   XORBITS_ASSIGN_OR_RETURN(DataFrame df,
                            DataFrame::Make(std::move(names), std::move(cols)));
   uint8_t index_kind = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &index_kind));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &index_kind));
+  Index index;
   if (index_kind == 0) {
     int64_t start = 0, stop = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &start));
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &stop));
-    df.set_index(Index::Range(start, stop));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &start));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &stop));
+    int64_t length = 0;
+    if (__builtin_sub_overflow(stop, start, &length) || length < 0) {
+      return Status::IOError("bad range index");
+    }
+    index = Index::Range(start, stop);
   } else if (index_kind == 1) {
-    XORBITS_ASSIGN_OR_RETURN(auto labels, ReadVec<int64_t>(is));
-    df.set_index(Index::Labels(std::move(labels)));
+    XORBITS_ASSIGN_OR_RETURN(auto labels, ReadVec<int64_t>(in));
+    index = Index::Labels(std::move(labels));
   } else if (index_kind == 2 && version >= 4) {
     int64_t lo = 0;
     uint64_t n = 0;
     uint8_t width = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &lo));
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &n));
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &width));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &lo));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &width));
     if (width != 1 && width != 2 && width != 4) {
       return Status::IOError("bad packed-index width");
     }
+    XORBITS_RETURN_NOT_OK(in.CheckFits(n, width));
     std::vector<int64_t> labels(n);
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t d = 0;
-      is.read(reinterpret_cast<char*>(&d), width);
-      if (!is) return Status::IOError("truncated packed index");
-      labels[i] = lo + static_cast<int64_t>(d);
+      XORBITS_RETURN_NOT_OK(in.Read(&d, width));
+      labels[i] = static_cast<int64_t>(static_cast<uint64_t>(lo) + d);
     }
-    df.set_index(Index::Labels(std::move(labels)));
+    index = Index::Labels(std::move(labels));
   } else {
     return Status::IOError("bad index kind");
   }
+  if (ncols > 0 && index.length() != df.num_rows()) {
+    return Status::IOError("index length does not match the columns");
+  }
+  df.set_index(std::move(index));
   return df;
 }
 
@@ -553,16 +630,18 @@ Status WriteNDArray(std::ostream& os, const NDArray& a) {
 }
 
 Result<NDArray> ReadNDArray(std::istream& is) {
+  Reader in(is);
   uint32_t magic = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &magic));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &magic));
   if (magic != kArrMagic) return Status::IOError("bad ndarray magic");
   uint32_t ndim = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &ndim));
+  XORBITS_RETURN_NOT_OK(ReadPod(in, &ndim));
+  XORBITS_RETURN_NOT_OK(in.CheckFits(ndim, sizeof(int64_t)));
   std::vector<int64_t> shape(ndim);
   for (uint32_t i = 0; i < ndim; ++i) {
-    XORBITS_RETURN_NOT_OK(ReadPod(is, &shape[i]));
+    XORBITS_RETURN_NOT_OK(ReadPod(in, &shape[i]));
   }
-  XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<double>(is));
+  XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<double>(in));
   return NDArray::Make(std::move(data), std::move(shape));
 }
 

@@ -1,11 +1,13 @@
 #include "io/xparquet.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/kernel_stats.h"
 #include "common/late_stats.h"
+#include "dataframe/dict.h"
 
 namespace xorbits::io {
 
@@ -29,26 +31,74 @@ void WritePod(std::ostream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-template <typename T>
-Status ReadPod(std::istream& is, T* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  if (!is) return Status::IOError("truncated xparquet stream");
-  return Status::OK();
-}
-
 void WriteStr(std::ostream& os, const std::string& s) {
   WritePod<uint32_t>(os, static_cast<uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-Result<std::string> ReadStr(std::istream& is) {
-  uint32_t len = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &len));
-  std::string s(len, '\0');
-  is.read(s.data(), len);
-  if (!is) return Status::IOError("truncated string");
-  return s;
-}
+/// Bounds-checked reader over an in-memory block or footer: every length
+/// prefix and row count is checked against the bytes left before anything
+/// is allocated or copied, so corrupt files fail with IOError.
+struct Cursor {
+  const char* p;
+  const char* end;
+
+  explicit Cursor(const std::string& bytes)
+      : p(bytes.data()), end(bytes.data() + bytes.size()) {}
+
+  /// True when `count` items of `width` bytes each fit in the bytes left.
+  bool Fits(int64_t count, int64_t width) const {
+    return count >= 0 && count <= (end - p) / width;
+  }
+
+  /// Start of the next `count` items of `width` bytes; skips past them.
+  Result<const char*> Take(int64_t count, int64_t width, const char* what) {
+    if (!Fits(count, width)) return Status::IOError(what);
+    const char* at = p;
+    p += count * width;
+    return at;
+  }
+
+  template <typename T>
+  Status Pod(T* v) {
+    XORBITS_ASSIGN_OR_RETURN(const char* at,
+                             Take(1, sizeof(T), "truncated xparquet data"));
+    std::memcpy(v, at, sizeof(T));
+    return Status::OK();
+  }
+
+  /// `n` fixed-width values, allocated only once they are known to fit.
+  template <typename T>
+  Result<std::vector<T>> Vec(int64_t n, const char* what) {
+    XORBITS_ASSIGN_OR_RETURN(const char* at, Take(n, sizeof(T), what));
+    std::vector<T> out(n);
+    if (n > 0) std::memcpy(out.data(), at, n * sizeof(T));
+    return out;
+  }
+
+  Result<std::string> Str() {
+    uint32_t len = 0;
+    XORBITS_RETURN_NOT_OK(Pod(&len));
+    XORBITS_ASSIGN_OR_RETURN(const char* at, Take(len, 1, "truncated string"));
+    return std::string(at, len);
+  }
+
+  /// A dictionary page's values: a count, then length-prefixed strings.
+  Result<std::vector<std::string>> DictValues() {
+    uint32_t dict_size = 0;
+    XORBITS_RETURN_NOT_OK(Pod(&dict_size));
+    if (!Fits(dict_size, sizeof(uint32_t))) {
+      return Status::IOError("truncated dict values");
+    }
+    std::vector<std::string> values;
+    values.reserve(dict_size);
+    for (uint32_t k = 0; k < dict_size; ++k) {
+      XORBITS_ASSIGN_OR_RETURN(std::string s, Str());
+      values.push_back(std::move(s));
+    }
+    return values;
+  }
+};
 
 /// Encodes one column into a standalone block.
 std::string EncodeColumn(const Column& c) {
@@ -90,49 +140,42 @@ std::string EncodeColumn(const Column& c) {
 
 Result<Column> DecodeColumn(const std::string& block, DType dtype, int64_t n,
                             bool has_encoding_byte, bool dict_encode) {
-  std::istringstream is(block);
+  Cursor in(block);
   uint8_t has_validity = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(is, &has_validity));
+  XORBITS_RETURN_NOT_OK(in.Pod(&has_validity));
   std::vector<uint8_t> validity;
   if (has_validity) {
-    validity.resize(n);
-    is.read(reinterpret_cast<char*>(validity.data()), n);
-    if (!is) return Status::IOError("truncated validity");
+    XORBITS_ASSIGN_OR_RETURN(validity,
+                             in.Vec<uint8_t>(n, "truncated validity"));
   }
   switch (dtype) {
     case DType::kInt64: {
-      std::vector<int64_t> data(n);
-      is.read(reinterpret_cast<char*>(data.data()), n * 8);
-      if (!is) return Status::IOError("truncated int64 block");
+      XORBITS_ASSIGN_OR_RETURN(auto data,
+                               in.Vec<int64_t>(n, "truncated int64 block"));
       return Column::Int64(std::move(data), std::move(validity));
     }
     case DType::kFloat64: {
-      std::vector<double> data(n);
-      is.read(reinterpret_cast<char*>(data.data()), n * 8);
-      if (!is) return Status::IOError("truncated float64 block");
+      XORBITS_ASSIGN_OR_RETURN(auto data,
+                               in.Vec<double>(n, "truncated float64 block"));
       return Column::Float64(std::move(data), std::move(validity));
     }
     case DType::kBool: {
-      std::vector<uint8_t> data(n);
-      is.read(reinterpret_cast<char*>(data.data()), n);
-      if (!is) return Status::IOError("truncated bool block");
+      XORBITS_ASSIGN_OR_RETURN(auto data,
+                               in.Vec<uint8_t>(n, "truncated bool block"));
       return Column::Bool(std::move(data), std::move(validity));
     }
     case DType::kString: {
       uint8_t encoding = kEncodingPlain;
-      if (has_encoding_byte) XORBITS_RETURN_NOT_OK(ReadPod(is, &encoding));
+      if (has_encoding_byte) XORBITS_RETURN_NOT_OK(in.Pod(&encoding));
       if (encoding == kEncodingDict) {
-        uint32_t dict_size = 0;
-        XORBITS_RETURN_NOT_OK(ReadPod(is, &dict_size));
-        std::vector<std::string> values;
-        values.reserve(dict_size);
-        for (uint32_t k = 0; k < dict_size; ++k) {
-          XORBITS_ASSIGN_OR_RETURN(std::string s, ReadStr(is));
-          values.push_back(std::move(s));
+        XORBITS_ASSIGN_OR_RETURN(auto values, in.DictValues());
+        XORBITS_ASSIGN_OR_RETURN(auto codes,
+                                 in.Vec<int32_t>(n, "truncated dict codes"));
+        if (!dataframe::DictCodesInRange(
+                codes.data(), n, validity.empty() ? nullptr : validity.data(),
+                static_cast<int64_t>(values.size()))) {
+          return Status::IOError("dictionary code out of range");
         }
-        std::vector<int32_t> codes(n);
-        is.read(reinterpret_cast<char*>(codes.data()), n * 4);
-        if (!is) return Status::IOError("truncated dict codes");
         Column col = Column::Dictionary(
             common::BufferView<int32_t>(std::move(codes)),
             dataframe::StringDict::Make(std::move(values)),
@@ -145,10 +188,13 @@ Result<Column> DecodeColumn(const std::string& block, DType dtype, int64_t n,
       if (encoding != kEncodingPlain) {
         return Status::IOError("bad string encoding tag");
       }
+      if (!in.Fits(n, sizeof(uint32_t))) {
+        return Status::IOError("truncated string block");
+      }
       std::vector<std::string> data;
       data.reserve(n);
       for (int64_t i = 0; i < n; ++i) {
-        XORBITS_ASSIGN_OR_RETURN(std::string s, ReadStr(is));
+        XORBITS_ASSIGN_OR_RETURN(std::string s, in.Str());
         data.push_back(std::move(s));
       }
       Column col = Column::String(std::move(data), std::move(validity));
@@ -169,16 +215,13 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
                                 int64_t n, bool has_encoding_byte,
                                 bool dict_encode,
                                 const std::vector<int64_t>& rows) {
-  const char* p = block.data();
-  const char* end = p + block.size();
-  auto need = [&](int64_t k) { return end - p >= k; };
-  if (!need(1)) return Status::IOError("truncated block header");
-  const uint8_t has_validity = static_cast<uint8_t>(*p++);
-  const uint8_t* validity_base = nullptr;
+  Cursor in(block);
+  uint8_t has_validity = 0;
+  XORBITS_RETURN_NOT_OK(in.Pod(&has_validity));
+  const char* validity_base = nullptr;
   if (has_validity) {
-    if (!need(n)) return Status::IOError("truncated validity");
-    validity_base = reinterpret_cast<const uint8_t*>(p);
-    p += n;
+    XORBITS_ASSIGN_OR_RETURN(validity_base,
+                             in.Take(n, 1, "truncated validity"));
   }
   const int64_t m = static_cast<int64_t>(rows.size());
   for (int64_t i = 0; i < m; ++i) {
@@ -189,11 +232,14 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
   std::vector<uint8_t> validity;
   if (has_validity) {
     validity.resize(m);
-    for (int64_t i = 0; i < m; ++i) validity[i] = validity_base[rows[i]];
+    for (int64_t i = 0; i < m; ++i) {
+      validity[i] = static_cast<uint8_t>(validity_base[rows[i]]);
+    }
   }
   switch (dtype) {
     case DType::kInt64: {
-      if (!need(n * 8)) return Status::IOError("truncated int64 block");
+      XORBITS_ASSIGN_OR_RETURN(const char* p,
+                               in.Take(n, 8, "truncated int64 block"));
       std::vector<int64_t> data(m);
       for (int64_t i = 0; i < m; ++i) {
         std::memcpy(&data[i], p + rows[i] * 8, 8);
@@ -201,7 +247,8 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
       return Column::Int64(std::move(data), std::move(validity));
     }
     case DType::kFloat64: {
-      if (!need(n * 8)) return Status::IOError("truncated float64 block");
+      XORBITS_ASSIGN_OR_RETURN(const char* p,
+                               in.Take(n, 8, "truncated float64 block"));
       std::vector<double> data(m);
       for (int64_t i = 0; i < m; ++i) {
         std::memcpy(&data[i], p + rows[i] * 8, 8);
@@ -209,7 +256,8 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
       return Column::Float64(std::move(data), std::move(validity));
     }
     case DType::kBool: {
-      if (!need(n)) return Status::IOError("truncated bool block");
+      XORBITS_ASSIGN_OR_RETURN(const char* p,
+                               in.Take(n, 1, "truncated bool block"));
       std::vector<uint8_t> data(m);
       for (int64_t i = 0; i < m; ++i) {
         data[i] = static_cast<uint8_t>(p[rows[i]]);
@@ -218,30 +266,23 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
     }
     case DType::kString: {
       uint8_t encoding = kEncodingPlain;
-      if (has_encoding_byte) {
-        if (!need(1)) return Status::IOError("truncated encoding tag");
-        encoding = static_cast<uint8_t>(*p++);
-      }
+      if (has_encoding_byte) XORBITS_RETURN_NOT_OK(in.Pod(&encoding));
       if (encoding == kEncodingDict) {
-        uint32_t dict_size = 0;
-        if (!need(4)) return Status::IOError("truncated dict size");
-        std::memcpy(&dict_size, p, 4);
-        p += 4;
-        std::vector<std::string> values;
-        values.reserve(dict_size);
-        for (uint32_t k = 0; k < dict_size; ++k) {
-          uint32_t len = 0;
-          if (!need(4)) return Status::IOError("truncated dict value");
-          std::memcpy(&len, p, 4);
-          p += 4;
-          if (!need(len)) return Status::IOError("truncated dict value");
-          values.emplace_back(p, len);
-          p += len;
-        }
-        if (!need(n * 4)) return Status::IOError("truncated dict codes");
+        XORBITS_ASSIGN_OR_RETURN(auto values, in.DictValues());
+        XORBITS_ASSIGN_OR_RETURN(const char* p,
+                                 in.Take(n, 4, "truncated dict codes"));
+        const int64_t dict_size = static_cast<int64_t>(values.size());
         std::vector<int32_t> codes(m);
+        uint32_t max_code = 0;  // as unsigned: a negative code reads huge
         for (int64_t i = 0; i < m; ++i) {
           std::memcpy(&codes[i], p + rows[i] * 4, 4);
+          max_code = std::max(max_code, static_cast<uint32_t>(codes[i]));
+        }
+        if (max_code >= dict_size &&
+            !dataframe::DictCodesInRange(
+                codes.data(), m, validity.empty() ? nullptr : validity.data(),
+                dict_size)) {
+          return Status::IOError("dictionary code out of range");
         }
         if (dict_encode) {
           common::KernelStats::Get().dict_encoded_columns.fetch_add(
@@ -264,15 +305,10 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
       int64_t next = 0;
       for (int64_t r = 0; r < n && next < m; ++r) {
         uint32_t len = 0;
-        if (!need(4)) return Status::IOError("truncated string block");
-        std::memcpy(&len, p, 4);
-        p += 4;
-        if (!need(len)) return Status::IOError("truncated string block");
-        if (rows[next] == r) {
-          data[next].assign(p, len);
-          ++next;
-        }
-        p += len;
+        XORBITS_RETURN_NOT_OK(in.Pod(&len));
+        XORBITS_ASSIGN_OR_RETURN(const char* s,
+                                 in.Take(len, 1, "truncated string block"));
+        if (rows[next] == r) data[next++].assign(s, len);
       }
       if (next < m) return Status::IOError("string block shorter than rows");
       Column col = Column::String(std::move(data), std::move(validity));
@@ -332,25 +368,54 @@ Result<XpqFileInfo> ReadXpqInfo(const std::string& path) {
   in.seekg(file_size - 12);
   int64_t footer_size = 0;
   uint32_t magic = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &footer_size));
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &magic));
+  in.read(reinterpret_cast<char*>(&footer_size), sizeof(footer_size));
+  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  if (!in) return Status::IOError("truncated xparquet trailer: " + path);
   if (magic != kMagic && magic != kMagicV1) {
     return Status::IOError("bad xparquet magic: " + path);
   }
-  in.seekg(file_size - 12 - footer_size);
+  // Layout: leading magic, column blocks, footer, footer size, magic. The
+  // footer holds at least the row and column counts.
+  if (footer_size < 12 || footer_size > file_size - 16) {
+    return Status::IOError("bad xparquet footer size: " + path);
+  }
+  const int64_t footer_start = file_size - 12 - footer_size;
+  std::string footer(footer_size, '\0');
+  in.seekg(footer_start);
+  in.read(footer.data(), footer_size);
+  if (!in) return Status::IOError("truncated xparquet footer: " + path);
+  Cursor c(footer);
   XpqFileInfo info;
   info.version = magic == kMagic ? 2 : 1;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &info.num_rows));
+  XORBITS_RETURN_NOT_OK(c.Pod(&info.num_rows));
   uint32_t ncols = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &ncols));
-  for (uint32_t c = 0; c < ncols; ++c) {
+  XORBITS_RETURN_NOT_OK(c.Pod(&ncols));
+  // Each entry: name length, dtype, offset, nbytes.
+  if (info.num_rows < 0 || !c.Fits(ncols, 4 + 1 + 8 + 8)) {
+    return Status::IOError("bad xparquet footer: " + path);
+  }
+  for (uint32_t k = 0; k < ncols; ++k) {
     XpqColumnInfo ci;
-    XORBITS_ASSIGN_OR_RETURN(ci.name, ReadStr(in));
+    XORBITS_ASSIGN_OR_RETURN(ci.name, c.Str());
     uint8_t dt = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &dt));
+    XORBITS_RETURN_NOT_OK(c.Pod(&dt));
+    if (dt > static_cast<uint8_t>(DType::kBool)) {
+      return Status::IOError("bad xparquet dtype: " + path);
+    }
     ci.dtype = static_cast<DType>(dt);
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &ci.offset));
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &ci.nbytes));
+    XORBITS_RETURN_NOT_OK(c.Pod(&ci.offset));
+    XORBITS_RETURN_NOT_OK(c.Pod(&ci.nbytes));
+    if (ci.offset < 4 || ci.nbytes < 1 ||
+        ci.offset > footer_start - ci.nbytes) {
+      return Status::IOError("xparquet column block outside the file: " +
+                             path);
+    }
+    // Every encoding spends at least one byte per row past the block's
+    // validity flag, so a row count the block cannot hold is corrupt.
+    if (info.num_rows >= ci.nbytes) {
+      return Status::IOError("xparquet row count exceeds column block: " +
+                             path);
+    }
     info.columns.push_back(std::move(ci));
   }
   return info;

@@ -505,12 +505,10 @@ TileTask DropDuplicatesOp::Tile(TileContext& ctx, TileableNode* node) {
   }
   int64_t avg_bytes = -1;
   if (ctx.dynamic() && !partials.empty()) {
-    // Auto reduce selection needs the deduplicated size, not the raw size.
+    // Auto reduce selection needs the deduplicated size, not the raw size;
+    // executing the head chunk measures it.
     ctx.metrics()->dynamic_yields++;
-    std::vector<ChunkNode*> sample(
-        partials.begin(),
-        partials.begin() + std::min<size_t>(partials.size(),
-                                            ctx.config().sample_chunks));
+    std::vector<ChunkNode*> sample{partials.front()};
     co_yield sample;
     SizeEstimate est = EstimateChunk(ctx, partials[0]);
     avg_bytes = est.nbytes;

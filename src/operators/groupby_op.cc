@@ -158,19 +158,15 @@ TileTask GroupByAggOp::Tile(TileContext& ctx, TileableNode* node) {
     map_nodes.push_back(m);
   }
 
-  // Auto reduce selection (Fig. 6(a)): run the first map chunks, compare
+  // Auto reduce selection (Fig. 6(a)): run the head map chunk, compare
   // aggregated size against the raw input, then decide.
   ReducePolicy policy = ctx.config().reduce_policy;
   int64_t avg_partial_bytes = -1;
   int64_t est_total_agg = -1;
   if (policy == ReducePolicy::kAuto) {
     if (ctx.dynamic() && !map_nodes.empty()) {
-      const size_t sample_n = std::min<size_t>(
-          map_nodes.size(),
-          static_cast<size_t>(std::max(1, ctx.config().sample_chunks)));
-      std::vector<ChunkNode*> sample(map_nodes.begin(),
-                                     map_nodes.begin() + sample_n);
       ctx.metrics()->dynamic_yields++;
+      std::vector<ChunkNode*> sample{map_nodes.front()};
       co_yield sample;
       SizeEstimate agg_est = EstimateChunks(ctx, map_nodes);
       avg_partial_bytes =

@@ -2,7 +2,6 @@
 #define XORBITS_OPERATORS_OPERATOR_H_
 
 #include <coroutine>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -21,14 +20,14 @@ namespace xorbits::operators {
 using services::ChunkDataPtr;
 
 /// Everything a chunk kernel sees while running on a worker: fetched input
-/// payloads, slots for its outputs, and (for shuffle mappers) a partition
-/// output map. Mirrors the `ctx` dict of the paper's execute method.
+/// payloads, slots for its outputs, and (for shuffle mappers) the sink that
+/// streams its partitions out. Mirrors the `ctx` dict of the paper's
+/// execute method.
 struct ExecutionContext {
-  /// Streaming destination for shuffle partitions (DESIGN.md §11). When the
-  /// executor runs a shuffle mapper under the pipelined exchange it plants
-  /// one of these, and each partition leaves the mapper the moment it is
-  /// cut — blocked, compressed, and sealed mid-subtask — instead of
-  /// accumulating in shuffle_outputs until the subtask ends.
+  /// Streaming destination for shuffle partitions (DESIGN.md §11). The
+  /// executor plants one for every shuffle mapper, and each partition
+  /// leaves the mapper the moment it is cut — blocked, compressed, and
+  /// sealed mid-subtask — published as "<key>@<partition>".
   class ShuffleSink {
    public:
     virtual ~ShuffleSink() = default;
@@ -38,23 +37,18 @@ struct ExecutionContext {
   const graph::ChunkNode* node = nullptr;
   std::vector<ChunkDataPtr> inputs;
   std::vector<ChunkDataPtr> outputs;
-  /// partition id -> payload, published as "<key>@<partition>".
-  std::map<int, ChunkDataPtr> shuffle_outputs;
-  /// Non-null only for shuffle mappers under the pipelined exchange.
+  /// Set for shuffle mappers; a mapper run without one fails.
   ShuffleSink* shuffle_sink = nullptr;
   int band = 0;
   /// Run counters (source_bytes_read, ...); null in bare kernel tests.
   Metrics* metrics = nullptr;
 
-  /// How mapper kernels hand off a finished partition: streams through the
-  /// sink when one is planted, otherwise buffers in shuffle_outputs (the
-  /// eager path — byte-identical results either way).
+  /// How mapper kernels hand off a finished partition.
   Status EmitShufflePartition(int partition, ChunkDataPtr data) {
-    if (shuffle_sink != nullptr) {
-      return shuffle_sink->Emit(partition, std::move(data));
+    if (shuffle_sink == nullptr) {
+      return Status::Invalid("shuffle mapper run without a shuffle sink");
     }
-    shuffle_outputs[partition] = std::move(data);
-    return Status::OK();
+    return shuffle_sink->Emit(partition, std::move(data));
   }
 };
 
@@ -69,7 +63,8 @@ class ChunkOp : public graph::OperatorBase {
   /// this to address per-partition keys.
   virtual std::vector<std::string> InputKeys(
       const graph::ChunkNode& node) const;
-  /// True when Execute fills shuffle_outputs instead of outputs.
+  /// True when Execute emits partitions through ctx.shuffle_sink instead
+  /// of filling outputs.
   virtual bool is_shuffle_map() const { return false; }
   /// Value-identity signature for common-subexpression elimination: two
   /// nodes whose ops return the same signature, and whose inputs and

@@ -10,18 +10,6 @@ namespace xorbits::optimizer {
 
 namespace {
 
-/// Resolves one level's pipeline: the `{"auto"}` sentinel expands from the
-/// legacy toggle, anything else is taken verbatim.
-std::vector<std::string> ResolveLevel(const std::vector<std::string>& spec,
-                                      bool legacy_enabled,
-                                      std::vector<std::string> auto_passes) {
-  if (spec.size() == 1 && spec[0] == "auto") {
-    if (!legacy_enabled) return {};
-    return auto_passes;
-  }
-  return spec;
-}
-
 /// Gauge slot for one pass: level letter + pipeline index + name
 /// ("t1_column_pruning"). Stable across runs of the same config, so run
 /// reports can list the pipeline in order.
@@ -47,41 +35,29 @@ void PassManager::BindResultCache(services::ResultCache* cache,
 Status PassManager::EnsureInit() {
   if (initialized_) return Status::OK();
   const OptimizerSpec& spec = config_.optimizer;
-  for (const std::string& name :
-       ResolveLevel(spec.tileable, config_.column_pruning,
-                    {kPassPredicatePushdown, kPassColumnPruning,
-                     kPassDeadNodeElim})) {
+  for (const std::string& name : spec.tileable) {
     auto pass = MakeTileablePass(name);
     if (pass == nullptr) {
       return Status::Invalid("unknown tileable pass: " + name);
     }
     tileable_.push_back(std::move(pass));
   }
-  // Chunk "auto": the result-cache rewrite (when enabled) must see the
-  // pre-fusion closure, so it leads; the legacy op_fusion toggle still
-  // gates the fusion+CSE tail.
-  std::vector<std::string> chunk_auto;
-  if (config_.enable_result_cache) chunk_auto.push_back(kPassResultCache);
-  if (config_.op_fusion) {
-    chunk_auto.push_back(kPassOpFusion);
-    chunk_auto.push_back(kPassCse);
+  // The result-cache rewrite must see the pre-fusion closure, so it leads
+  // the chunk pipeline exactly when a cache is bound, and runs once even
+  // when the spec names it too.
+  std::vector<std::string> chunk;
+  if (result_cache_ != nullptr) chunk.push_back(kPassResultCache);
+  for (const std::string& name : spec.chunk) {
+    if (name != kPassResultCache) chunk.push_back(name);
   }
-  // Late materialization runs last: it rewrites the post-fusion kernels and
-  // must see the closure's final consumer wiring to pick forcing points.
-  if (config_.late_materialization) {
-    chunk_auto.push_back(kPassLateMaterialization);
-  }
-  const bool chunk_auto_enabled = !chunk_auto.empty();
-  for (const std::string& name : ResolveLevel(spec.chunk, chunk_auto_enabled,
-                                              std::move(chunk_auto))) {
+  for (const std::string& name : chunk) {
     auto pass = MakeChunkPass(name);
     if (pass == nullptr) {
       return Status::Invalid("unknown chunk pass: " + name);
     }
     chunk_.push_back(std::move(pass));
   }
-  for (const std::string& name : ResolveLevel(
-           spec.subtask, config_.graph_fusion, {kPassGraphFusion})) {
+  for (const std::string& name : spec.subtask) {
     auto pass = MakeSubtaskPass(name);
     if (pass == nullptr) {
       return Status::Invalid("unknown subtask pass: " + name);
@@ -152,12 +128,9 @@ Status PassManager::RunTileablePipeline(
       return r.status().WithContext(std::string("in tileable pass ") +
                                     pass->name());
     }
-    if (config_.optimizer.verify) {
-      XORBITS_RETURN_NOT_OK(
-          graph::VerifyTileableList(*topo, sinks)
-              .WithContext(std::string("after tileable pass ") +
-                           pass->name()));
-    }
+    XORBITS_RETURN_NOT_OK(
+        graph::VerifyTileableList(*topo, sinks)
+            .WithContext(std::string("after tileable pass ") + pass->name()));
   }
   return Status::OK();
 }
@@ -184,11 +157,9 @@ Status PassManager::RunChunkPipeline(
       return r.status().WithContext(std::string("in chunk pass ") +
                                     pass->name());
     }
-    if (config_.optimizer.verify) {
-      XORBITS_RETURN_NOT_OK(
-          graph::VerifyChunkClosure(*closure, must_persist)
-              .WithContext(std::string("after chunk pass ") + pass->name()));
-    }
+    XORBITS_RETURN_NOT_OK(
+        graph::VerifyChunkClosure(*closure, must_persist)
+            .WithContext(std::string("after chunk pass ") + pass->name()));
   }
   return Status::OK();
 }
@@ -210,12 +181,9 @@ Status PassManager::RunSubtaskPipeline(
       return r.status().WithContext(std::string("in subtask pass ") +
                                     pass->name());
     }
-    if (config_.optimizer.verify) {
-      XORBITS_RETURN_NOT_OK(
-          graph::VerifySubtaskGraph(*st_graph, closure, must_persist)
-              .WithContext(std::string("after subtask pass ") +
-                           pass->name()));
-    }
+    XORBITS_RETURN_NOT_OK(
+        graph::VerifySubtaskGraph(*st_graph, closure, must_persist)
+            .WithContext(std::string("after subtask pass ") + pass->name()));
   }
   return Status::OK();
 }

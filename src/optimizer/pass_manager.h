@@ -21,14 +21,13 @@ namespace xorbits::optimizer {
 /// Owns the three per-level pass pipelines and runs them with uniform
 /// instrumentation: one `optimize:<pass>` trace span per run, per-pass
 /// gauges (`optimizer_pass_us/<slot>` etc., slot = level letter + pipeline
-/// index + pass name, e.g. `t1_column_pruning`), and — unless
-/// `config.optimizer.verify` is off — a structural invariant check of the
-/// rewritten graph after every pass (see graph/rewrite.h), so a buggy pass
-/// fails loudly at its own boundary instead of corrupting execution.
+/// index + pass name, e.g. `t1_column_pruning`), and a structural invariant
+/// check of the rewritten graph after every pass (see graph/rewrite.h), so
+/// a buggy pass fails loudly at its own boundary instead of corrupting
+/// execution.
 ///
-/// Pipelines come from `config.optimizer`; the `{"auto"}` sentinel derives
-/// each level from the legacy `column_pruning` / `op_fusion` /
-/// `graph_fusion` toggles (see common/config.h). Unknown pass names fail
+/// Pipelines are the explicit lists in `config.optimizer`, plus a leading
+/// `result_cache` chunk pass when a cache is bound. Unknown pass names fail
 /// with Status::Invalid on first use.
 class PassManager {
  public:
@@ -48,7 +47,8 @@ class PassManager {
   /// `result_cache` chunk pass can probe and rewrite. `meta` is where hit
   /// metadata/lineage land (the service the consuming run reads);
   /// `session_id` stamps hit lineage (-1 solo). All must outlive the
-  /// manager. Without this call the pass is an instrumented no-op.
+  /// manager. Binding puts `result_cache` at the head of the chunk
+  /// pipeline; call it before the first Run*Pipeline.
   void BindResultCache(services::ResultCache* cache,
                        services::MetaService* meta, int64_t session_id);
 

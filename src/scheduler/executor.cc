@@ -53,8 +53,6 @@ struct Executor::RunState {
   int inflight = 0;
 
   // --- pipelined exchange dispatch (DESIGN.md §11; all guarded by mu_) ---
-  /// True when this run routes shuffles through the block exchange.
-  bool pipelined = false;
   /// Per subtask: input partitions not yet sealed. A reducer becomes
   /// runnable when this hits zero and `nonex_left` is zero — possibly while
   /// its mapper subtasks are still executing.
@@ -234,12 +232,11 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
           ctx.inputs.push_back(it->second);
           continue;
         }
-        // Pipelined shuffle input (DESIGN.md §11): a sealed partition is
-        // reassembled from its exchange blocks, and transfer is metered on
-        // the blocks' *wire* (compressed) bytes — the pipelined path's
-        // UC10 advantage over moving logical bytes.
-        if (exchange_->enabled() && !storage_->Has(k) &&
-            exchange_->IsSealed(k)) {
+        // Shuffle input (DESIGN.md §11): a sealed partition is reassembled
+        // from its exchange blocks, and transfer is metered on the blocks'
+        // *wire* (compressed) bytes — the UC10 advantage over moving
+        // logical bytes.
+        if (!storage_->Has(k) && exchange_->IsSealed(k)) {
           int64_t wire = 0;
           std::string lost;
           auto part = exchange_->FetchPartition(k, band, &wire, &lost);
@@ -272,9 +269,9 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
         fetched_keys.push_back(k);
         ctx.inputs.push_back(*fetched);
       }
-      // Pipelined shuffle output: plant the streaming sink before the
-      // kernel runs, so each partition leaves as sealed blocks the moment
-      // the mapper cuts it. Provisional lineage goes in first — a block
+      // Shuffle output: plant the streaming sink before the kernel runs,
+      // so each partition leaves as sealed blocks the moment the mapper
+      // cuts it. Provisional lineage goes in first — a block
       // lost while the mapper is still executing must already resolve to
       // this group for recovery (output_keys stays empty; rollback and
       // recovery sweep mapper blocks by "<key>@" prefix anyway).
@@ -294,7 +291,7 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
         }
       };
       ExchangeSink sink;
-      if (op->is_shuffle_map() && exchange_->enabled()) {
+      if (op->is_shuffle_map()) {
         sink.exchange = exchange_.get();
         sink.base = node->key;
         sink.band = band;
@@ -313,37 +310,13 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
         return st.WithContext(op->type_name());
       }
       if (op->is_shuffle_map()) {
-        if (ctx.shuffle_sink != nullptr) {
-          // Partitions already streamed out block-by-block mid-kernel; all
-          // that is left is the aggregate meta and the store pass, charged
-          // on the logical bytes just as the eager path does.
-          store_us += sink.memory_bytes / kStoreBytesPerUs;
-          services::ChunkMeta m;
-          m.rows = sink.rows;
-          m.nbytes = sink.memory_bytes;
-          m.band = band;
-          meta_->Put(node->key, m);
-          shuffle_map_nodes.push_back(node);
-          node->executed = true;
-          continue;
-        }
-        int64_t total_rows = 0, total_bytes = 0;
-        for (const auto& [p, data] : ctx.shuffle_outputs) {
-          const std::string part_key = node->key + "@" + std::to_string(p);
-          Status put = storage_->Put(part_key, data, band);
-          if (!put.ok()) {
-            release_all();
-            return put.WithContext(op->type_name());
-          }
-          published_keys.push_back(part_key);
-          const int64_t part_bytes = data->nbytes();
-          store_us += part_bytes / kStoreBytesPerUs;
-          total_rows += data->rows();
-          total_bytes += part_bytes;
-        }
+        // Partitions already streamed out block-by-block mid-kernel; all
+        // that is left is the aggregate meta and the store pass, charged
+        // on the logical bytes.
+        store_us += sink.memory_bytes / kStoreBytesPerUs;
         services::ChunkMeta m;
-        m.rows = total_rows;
-        m.nbytes = total_bytes;
+        m.rows = sink.rows;
+        m.nbytes = sink.memory_bytes;
         m.band = band;
         meta_->Put(node->key, m);
         shuffle_map_nodes.push_back(node);
@@ -457,14 +430,12 @@ void Executor::RollbackSubtask(graph::Subtask& subtask, bool tombstone) {
     // re-publishes byte-identical blocks over the tombstones. Seal records
     // stay: the deterministic re-run reseals the same ranges, and deleting
     // them would turn a concurrent FetchPartition into kKeyError.
-    if (exchange_->enabled()) {
-      const auto* op = dynamic_cast<const operators::ChunkOp*>(node->op.get());
-      if (op != nullptr && op->is_shuffle_map()) {
-        storage_->DropByPrefix(node->key + "@");
-        meta_->Delete(node->key);
-        node->executed = false;
-        continue;
-      }
+    const auto* op = dynamic_cast<const operators::ChunkOp*>(node->op.get());
+    if (op != nullptr && op->is_shuffle_map()) {
+      storage_->DropByPrefix(node->key + "@");
+      meta_->Delete(node->key);
+      node->executed = false;
+      continue;
     }
     if (!node->executed) continue;
     if (tombstone) {
@@ -472,11 +443,9 @@ void Executor::RollbackSubtask(graph::Subtask& subtask, bool tombstone) {
       // consumers on other bands — leave kChunkLost tombstones behind.
       Status ignored = storage_->DropChunk(node->key);
       (void)ignored;
-      storage_->DropByPrefix(node->key + "@");
     } else {
       Status ignored = storage_->Delete(node->key);
       (void)ignored;
-      storage_->DeleteByPrefix(node->key + "@");
     }
     meta_->Delete(node->key);
     node->executed = false;
@@ -542,8 +511,7 @@ Status Executor::RecoverLostChunk(const std::string& key, int band,
 }
 
 bool Executor::InputAvailable(const std::string& key) const {
-  if (storage_->Has(key)) return true;
-  return exchange_->enabled() && exchange_->PartitionIntact(key);
+  return storage_->Has(key) || exchange_->PartitionIntact(key);
 }
 
 Status Executor::RecoverKey(const std::string& key, int band, int depth,
@@ -690,7 +658,7 @@ void Executor::EnqueueLocked(RunState* state, int task_id) {
     st.band = target;
     for (graph::ChunkNode* n : st.chunk_nodes) n->band = target;
   }
-  if (!state->enqueued.empty()) state->enqueued[task_id] = 1;
+  state->enqueued[task_id] = 1;
   state->band_queues[st.band].push_back(task_id);
 }
 
@@ -698,7 +666,6 @@ void Executor::OnPartitionSealed(const std::string& partition_key) {
   std::lock_guard<std::mutex> lock(mu_);
   bool woke = false;
   for (RunState* state : runs_) {
-    if (!state->pipelined) continue;
     auto it = state->seal_waiters.find(partition_key);
     if (it == state->seal_waiters.end()) continue;
     for (int id : it->second) {
@@ -854,15 +821,13 @@ void Executor::BandWorkerLoop(int band) {
     if (result.ok()) {
       state->remaining--;
       for (int succ : st.succs) {
-        if (state->pipelined &&
-            state->ex_preds[succ].count(task_id) == 0) {
+        if (state->ex_preds[succ].count(task_id) == 0) {
           state->nonex_left[succ]--;
         }
         const bool ready =
             --state->indegree[succ] == 0 ||
-            (state->pipelined && state->ex_wait[succ] == 0 &&
-             state->nonex_left[succ] == 0);
-        if (ready && (state->enqueued.empty() || !state->enqueued[succ])) {
+            (state->ex_wait[succ] == 0 && state->nonex_left[succ] == 0);
+        if (ready && !state->enqueued[succ]) {
           EnqueueLocked(state, succ);
         }
       }
@@ -971,68 +936,61 @@ Status Executor::Run(graph::SubtaskGraph* st_graph,
   // for whole mapper subtasks. Computed before the run is published in
   // runs_, so the seal listener can never observe a half-built table.
   const size_t n_subtasks = st_graph->subtasks.size();
-  state.pipelined = exchange_->enabled();
   state.enqueued.assign(n_subtasks, 0);
-  if (state.pipelined) {
-    state.ex_wait.assign(n_subtasks, 0);
-    state.nonex_left.assign(n_subtasks, 0);
-    state.ex_preds.assign(n_subtasks, {});
-    for (graph::Subtask& st : st_graph->subtasks) {
-      std::unordered_set<std::string> own;  // keys produced inside
-      for (const graph::ChunkNode* node : st.chunk_nodes) {
-        own.insert(node->key);
-      }
-      std::unordered_set<std::string> part_keys;   // "<base>@<p>" inputs
-      std::unordered_set<std::string> part_bases;  // their mapper keys
-      std::unordered_set<std::string> plain_keys;  // ordinary inputs
-      for (const graph::ChunkNode* node : st.chunk_nodes) {
-        const auto* op = dynamic_cast<const ChunkOp*>(node->op.get());
-        if (op == nullptr) continue;
-        for (const std::string& k : op->InputKeys(*node)) {
-          if (own.count(k)) continue;  // fused-internal edge
-          const auto at = k.rfind('@');
-          if (at != std::string::npos) {
-            const std::string base = k.substr(0, at);
-            if (own.count(base)) continue;  // in-subtask mapper
-            part_keys.insert(k);
-            part_bases.insert(base);
-          } else {
-            plain_keys.insert(k);
-          }
-        }
-      }
-      // A predecessor is exchange-only when none of its nodes feed this
-      // subtask directly and at least one is a mapper it consumes; its
-      // completion then carries no dispatch information beyond the seals.
-      // Anything ambiguous stays a direct predecessor (correct, just not
-      // early).
-      int nonex = 0;
-      for (int p : st.preds) {
-        bool direct = false;
-        bool via_exchange = false;
-        for (const graph::ChunkNode* pn :
-             st_graph->subtasks[p].chunk_nodes) {
-          if (plain_keys.count(pn->key)) {
-            direct = true;
-            break;
-          }
-          if (part_bases.count(pn->key)) via_exchange = true;
-        }
-        if (!direct && via_exchange) {
-          state.ex_preds[st.id].insert(p);
+  state.ex_wait.assign(n_subtasks, 0);
+  state.nonex_left.assign(n_subtasks, 0);
+  state.ex_preds.assign(n_subtasks, {});
+  for (graph::Subtask& st : st_graph->subtasks) {
+    std::unordered_set<std::string> own;  // keys produced inside
+    for (const graph::ChunkNode* node : st.chunk_nodes) own.insert(node->key);
+    std::unordered_set<std::string> part_keys;   // "<base>@<p>" inputs
+    std::unordered_set<std::string> part_bases;  // their mapper keys
+    std::unordered_set<std::string> plain_keys;  // ordinary inputs
+    for (const graph::ChunkNode* node : st.chunk_nodes) {
+      const auto* op = dynamic_cast<const ChunkOp*>(node->op.get());
+      if (op == nullptr) continue;
+      for (const std::string& k : op->InputKeys(*node)) {
+        if (own.count(k)) continue;  // fused-internal edge
+        const auto at = k.rfind('@');
+        if (at != std::string::npos) {
+          const std::string base = k.substr(0, at);
+          if (own.count(base)) continue;  // in-subtask mapper
+          part_keys.insert(k);
+          part_bases.insert(base);
         } else {
-          nonex++;
+          plain_keys.insert(k);
         }
       }
-      state.nonex_left[st.id] = nonex;
-      int waits = 0;
-      for (const std::string& k : part_keys) {
-        if (exchange_->IsSealed(k)) continue;  // from an earlier partial run
-        waits++;
-        state.seal_waiters[k].push_back(st.id);
-      }
-      state.ex_wait[st.id] = waits;
     }
+    // A predecessor is exchange-only when none of its nodes feed this
+    // subtask directly and at least one is a mapper it consumes; its
+    // completion then carries no dispatch information beyond the seals.
+    // Anything ambiguous stays a direct predecessor (correct, not early).
+    int nonex = 0;
+    for (int p : st.preds) {
+      bool direct = false;
+      bool via_exchange = false;
+      for (const graph::ChunkNode* pn : st_graph->subtasks[p].chunk_nodes) {
+        if (plain_keys.count(pn->key)) {
+          direct = true;
+          break;
+        }
+        if (part_bases.count(pn->key)) via_exchange = true;
+      }
+      if (!direct && via_exchange) {
+        state.ex_preds[st.id].insert(p);
+      } else {
+        nonex++;
+      }
+    }
+    state.nonex_left[st.id] = nonex;
+    int waits = 0;
+    for (const std::string& k : part_keys) {
+      if (exchange_->IsSealed(k)) continue;  // from an earlier partial run
+      waits++;
+      state.seal_waiters[k].push_back(st.id);
+    }
+    state.ex_wait[st.id] = waits;
   }
 
   Status out = Status::OK();
@@ -1051,12 +1009,11 @@ Status Executor::Run(graph::SubtaskGraph* st_graph,
     }
     state.vwork = min_vwork;
     for (const graph::Subtask& st : st_graph->subtasks) {
-      // Roots; plus, under the pipelined exchange, subtasks whose whole
-      // input set is already-sealed partitions from an earlier partial run.
+      // Roots; plus subtasks whose whole input set is already-sealed
+      // partitions from an earlier partial run.
       const bool ready =
           st.preds.empty() ||
-          (state.pipelined && state.ex_wait[st.id] == 0 &&
-           state.nonex_left[st.id] == 0);
+          (state.ex_wait[st.id] == 0 && state.nonex_left[st.id] == 0);
       if (ready && !state.enqueued[st.id]) EnqueueLocked(&state, st.id);
     }
     // Kill/loss events scheduled at or before the current completion count

@@ -118,9 +118,8 @@ class Executor {
   }
 
   /// The pipelined block exchange this executor owns (DESIGN.md §11).
-  /// Exposed for tests and benches that inspect seals or fetch partitions
-  /// directly; disabled (and bypassed) when Config::pipelined_shuffle is
-  /// off.
+  /// Every shuffle streams through it. Exposed for tests and benches that
+  /// inspect seals or fetch partitions directly.
   services::ExchangeService* exchange() { return exchange_.get(); }
 
   /// Threads in `worker`'s kernel pool; 0 when kernels run on the band

@@ -23,8 +23,7 @@ int64_t WallUsSince(std::chrono::steady_clock::time_point t0) {
 
 ExchangeService::ExchangeService(const Config& config, Metrics* metrics,
                                  StorageService* storage, MetaService* meta)
-    : enabled_(config.pipelined_shuffle),
-      block_bytes_(config.shuffle_block_bytes),
+    : block_bytes_(config.shuffle_block_bytes),
       watermark_(config.exchange_backpressure_watermark),
       metrics_(metrics),
       storage_(storage),
@@ -204,19 +203,6 @@ Result<ChunkDataPtr> ExchangeService::FetchPartition(
   XORBITS_ASSIGN_OR_RETURN(dataframe::DataFrame whole,
                            dataframe::Concat(frames));
   return MakeChunk(std::move(whole));
-}
-
-void ExchangeService::ResetStreams(const std::string& base_key) {
-  const std::string prefix = base_key + "@";
-  meta_->DeleteBlockRangeByPrefix(prefix);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = wire_bytes_.begin(); it != wire_bytes_.end();) {
-    if (it->first.rfind(prefix, 0) == 0) {
-      it = wire_bytes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace xorbits::services

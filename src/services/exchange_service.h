@@ -52,10 +52,6 @@ class ExchangeService {
   ExchangeService(const ExchangeService&) = delete;
   ExchangeService& operator=(const ExchangeService&) = delete;
 
-  /// False when Config::pipelined_shuffle is off — callers fall back to the
-  /// eager whole-partition path (byte-identical results either way).
-  bool enabled() const { return enabled_; }
-
   /// Called after a partition seals (block range recorded, all blocks
   /// stored), with the partition key. Invoked on the pushing band's worker
   /// thread with no exchange locks held; must be thread-safe.
@@ -94,18 +90,12 @@ class ExchangeService {
                                       int64_t* transferred_wire_bytes,
                                       std::string* lost_key);
 
-  /// Forgets seal records and wire sizes for every partition of the mapper
-  /// `base_key` — the exchange half of a rollback; the caller sweeps the
-  /// block payloads from storage by prefix.
-  void ResetStreams(const std::string& base_key);
-
  private:
   /// Encoded (v4) size of one block, and the side table that remembers it
   /// so fetch can meter transfer on wire bytes. Caller holds mu_.
   int64_t WireBytesLocked(const std::string& block_key,
                           int64_t logical_bytes) const;
 
-  const bool enabled_;
   const int64_t block_bytes_;
   const double watermark_;
   Metrics* const metrics_;

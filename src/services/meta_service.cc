@@ -146,17 +146,6 @@ bool MetaService::HasBlockRange(const std::string& partition_key) const {
   return block_ranges_.count(partition_key) > 0;
 }
 
-void MetaService::DeleteBlockRangeByPrefix(const std::string& prefix) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = block_ranges_.begin(); it != block_ranges_.end();) {
-    if (it->first.rfind(prefix, 0) == 0) {
-      it = block_ranges_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 int64_t MetaService::block_range_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(block_ranges_.size());

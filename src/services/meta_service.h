@@ -96,9 +96,6 @@ class MetaService {
   Result<int64_t> GetBlockRange(const std::string& partition_key) const;
   /// True once the partition's block stream has sealed.
   bool HasBlockRange(const std::string& partition_key) const;
-  /// Unseals every partition whose key starts with `prefix` (a mapper being
-  /// rolled back: "<mapper>@" sweeps all its partitions). Missing is fine.
-  void DeleteBlockRangeByPrefix(const std::string& prefix);
   int64_t block_range_size() const;
 
  private:

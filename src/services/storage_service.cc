@@ -199,11 +199,6 @@ Status StorageService::Put(const std::string& key, ChunkDataPtr data,
   metrics_->UpdatePeak(band_used_[band]);
   metrics_->chunk_bytes->Observe(bytes);
   peak_gauges_[band]->SetMax(band_used_[band]);
-  if (trace_.sink != nullptr && trace_.verbose_storage) {
-    trace_.sink->Instant(trace_.pid, kTrackStorage, trace::kEventStoragePut,
-                         {Arg("key", key), Arg("bytes", bytes),
-                          Arg("band", int64_t{band})});
-  }
   return Status::OK();
 }
 
@@ -261,7 +256,6 @@ Result<ChunkDataPtr> StorageService::Get(const std::string& key,
     metrics_->UpdatePeak(band_used_[e.band]);
     peak_gauges_[e.band]->SetMax(band_used_[e.band]);
   }
-  bool moved = false;
   if (requesting_band >= 0 && requesting_band != e.band) {
     bool cached = false;
     for (int b : e.replicas) {
@@ -277,13 +271,7 @@ Result<ChunkDataPtr> StorageService::Get(const std::string& key,
       replica_gauges_[requesting_band]->Set(
           band_replica_bytes_[requesting_band]);
       if (transferred != nullptr) *transferred = true;
-      moved = true;
     }
-  }
-  if (trace_.sink != nullptr && trace_.verbose_storage) {
-    trace_.sink->Instant(trace_.pid, kTrackStorage, trace::kEventStorageGet,
-                         {Arg("key", key), Arg("bytes", e.nbytes),
-                          Arg("transferred", int64_t{moved ? 1 : 0})});
   }
   return e.data;
 }

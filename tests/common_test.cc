@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/metrics.h"
@@ -99,21 +101,44 @@ TEST(ThreadPoolTest, TasksCanSubmitTasks) {
 }
 
 TEST(ConfigTest, PresetsMatchDocumentedPolicies) {
-  Config x = Config::Preset(EngineKind::kXorbits);
-  EXPECT_TRUE(x.dynamic_tiling);
-  EXPECT_TRUE(x.graph_fusion);
+  using Passes = std::vector<std::string>;
+  const Passes full_tileable = {"predicate_pushdown", "column_pruning",
+                                "dead_node_elim"};
+  const Passes late_only = {"late_materialization"};
+  const Passes fusion_only = {"graph_fusion"};
+
+  // Config{} and the Xorbits preset run the full pipelines.
+  for (const Config& x : {Config{}, Config::Preset(EngineKind::kXorbits)}) {
+    EXPECT_TRUE(x.dynamic_tiling);
+    EXPECT_EQ(x.optimizer.tileable, full_tileable);
+    EXPECT_EQ(x.optimizer.chunk,
+              (Passes{"op_fusion", "cse", "late_materialization"}));
+    EXPECT_EQ(x.optimizer.subtask, fusion_only);
+  }
 
   Config p = Config::Preset(EngineKind::kPandasLike);
   EXPECT_EQ(p.total_bands(), 1);
   EXPECT_FALSE(p.dynamic_tiling);
+  EXPECT_EQ(p.optimizer.tileable, Passes{});
+  EXPECT_EQ(p.optimizer.chunk, late_only);
+  EXPECT_EQ(p.optimizer.subtask, Passes{});
 
-  Config d = Config::Preset(EngineKind::kDaskLike);
-  EXPECT_FALSE(d.dynamic_tiling);
-  EXPECT_EQ(d.reduce_policy, ReducePolicy::kTree);
+  for (EngineKind k : {EngineKind::kDaskLike, EngineKind::kSparkLike}) {
+    Config c = Config::Preset(k);
+    EXPECT_FALSE(c.dynamic_tiling) << EngineKindName(k);
+    EXPECT_EQ(c.optimizer.tileable, full_tileable) << EngineKindName(k);
+    EXPECT_EQ(c.optimizer.chunk, late_only) << EngineKindName(k);
+    EXPECT_EQ(c.optimizer.subtask, fusion_only) << EngineKindName(k);
+  }
+  EXPECT_EQ(Config::Preset(EngineKind::kDaskLike).reduce_policy,
+            ReducePolicy::kTree);
 
   Config m = Config::Preset(EngineKind::kModinLike);
   EXPECT_FALSE(m.enable_spill);
   EXPECT_EQ(m.reduce_policy, ReducePolicy::kShuffle);
+  EXPECT_EQ(m.optimizer.tileable, Passes{});
+  EXPECT_EQ(m.optimizer.chunk, late_only);
+  EXPECT_EQ(m.optimizer.subtask, fusion_only);
 }
 
 TEST(MetricsTest, PeakUpdatesMonotonically) {

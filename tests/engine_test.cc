@@ -25,8 +25,9 @@ Config TestConfig(EngineKind kind = EngineKind::kXorbits) {
     c.bands_per_worker = 1;
   }
   c.band_memory_limit = 32LL << 20;
-  c.chunk_store_limit = 1LL << 16;  // small chunks => real multi-chunk plans
-  c.default_chunk_rows = 100;
+  // Small chunks => real multi-chunk plans: SampleFrame(1000) tiles to
+  // about ten chunks, past the 4-band floor.
+  c.chunk_store_limit = 1LL << 12;
   c.task_deadline_ms = 30000;
   return c;
 }
@@ -55,7 +56,8 @@ TEST(EngineTest, FromPandasRoundTrip) {
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->num_rows(), 1000);
   EXPECT_EQ(out->GetColumn("v").ValueOrDie()->int64_data()[999], 999);
-  // Multi-chunk plan actually happened.
+  // Multi-chunk plan actually happened, by size rather than band count.
+  EXPECT_GT(df->node()->chunks.size(), 4u);
   EXPECT_GT(session.metrics().subtasks_executed.load(), 1);
 }
 

@@ -18,8 +18,8 @@
 // Pipelined block exchange coverage (DESIGN.md §11): deterministic block
 // splitting, compressed serialize/spill round trips, backpressure progress
 // under tiny budgets, checksum identity across thread counts and string
-// encodings (pipelined vs eager), block-loss lineage recovery, and the
-// mapper-death-mid-partition chaos regression.
+// encodings against the single-band kPandasLike oracle, block-loss lineage
+// recovery, and the mapper-death-mid-partition chaos regression.
 
 namespace xorbits {
 namespace {
@@ -91,7 +91,6 @@ struct ExchangeHarness {
 
 Config SmallBlockConfig() {
   Config c;
-  c.pipelined_shuffle = true;
   c.shuffle_block_bytes = 4 << 10;  // 4 KB blocks: real multi-block streams
   c.band_memory_limit = 64LL << 20;
   return c;
@@ -210,7 +209,6 @@ TEST(ExchangeServiceTest, DictKeysCompressOnTheWire) {
 
 TEST(ExchangeServiceTest, BackpressureUnderTinyBudgetMakesProgress) {
   Config c;
-  c.pipelined_shuffle = true;
   c.shuffle_block_bytes = 4 << 10;
   c.band_memory_limit = 192LL << 10;  // far smaller than the total stream
   c.exchange_backpressure_watermark = 0.5;
@@ -340,7 +338,6 @@ TEST(ExchangeRecoveryTest, LostBlockRebuiltByRerunningMapper) {
   c.num_workers = 1;
   c.bands_per_worker = 2;
   ExecHarness h(c);
-  ASSERT_TRUE(h.executor.exchange()->enabled());
 
   // Baseline: full pipeline with no loss, remember reducer fingerprints.
   auto base = MakeShuffleGraph(2);
@@ -445,10 +442,10 @@ TEST(ExchangeRecoveryTest, RetriedMapperLeavesNoStaleBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end checksum identity: threads x encodings x eager-vs-pipelined
+// End-to-end checksum identity: threads x encodings vs the kPandasLike oracle
 // ---------------------------------------------------------------------------
 
-Config SweepConfig(int cpus, bool pipelined) {
+Config SweepConfig(int cpus) {
   Config c;
   c.num_workers = 2;
   c.bands_per_worker = 2;
@@ -456,7 +453,6 @@ Config SweepConfig(int cpus, bool pipelined) {
   c.band_memory_limit = 256LL << 20;
   c.chunk_store_limit = 64LL << 10;  // many chunks -> real shuffles
   c.shuffle_block_bytes = 8 << 10;   // many blocks per partition
-  c.pipelined_shuffle = pipelined;
   c.reduce_policy = ReducePolicy::kShuffle;  // force shuffle-reduce
   c.task_deadline_ms = 60000;
   return c;
@@ -517,22 +513,29 @@ std::string RunGroupByJoin(const Config& c, bool dict) {
 
 class ExchangeSweepTest : public ::testing::TestWithParam<int> {};
 
+/// The oracle: one band, no tiling, so no shuffle at all.
+Config OracleConfig() {
+  Config c = Config::Preset(EngineKind::kPandasLike);
+  c.task_deadline_ms = 60000;
+  return c;
+}
+
 TEST_P(ExchangeSweepTest, FilterSortChecksumInvariant) {
-  // Eager single-threaded run is the reference; the pipelined exchange at
-  // this thread count must match it under both string encodings.
+  // The single-band run is the reference; the exchange at this thread
+  // count must match it under both string encodings.
   static const std::string baseline =
-      RunFilterSort(SweepConfig(1, /*pipelined=*/false), /*dict=*/false);
+      RunFilterSort(OracleConfig(), /*dict=*/false);
   for (bool dict : {false, true}) {
-    EXPECT_EQ(RunFilterSort(SweepConfig(GetParam(), true), dict), baseline)
+    EXPECT_EQ(RunFilterSort(SweepConfig(GetParam()), dict), baseline)
         << "threads=" << GetParam() << " dict=" << dict;
   }
 }
 
 TEST_P(ExchangeSweepTest, GroupByJoinChecksumInvariant) {
   static const std::string baseline =
-      RunGroupByJoin(SweepConfig(1, /*pipelined=*/false), /*dict=*/false);
+      RunGroupByJoin(OracleConfig(), /*dict=*/false);
   for (bool dict : {false, true}) {
-    EXPECT_EQ(RunGroupByJoin(SweepConfig(GetParam(), true), dict), baseline)
+    EXPECT_EQ(RunGroupByJoin(SweepConfig(GetParam()), dict), baseline)
         << "threads=" << GetParam() << " dict=" << dict;
   }
 }

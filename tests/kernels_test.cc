@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -282,6 +283,15 @@ TEST(RangePartitionTest, RoutingMatchesScalarScanWithTiesAndDirections) {
   }
 }
 
+/// Collects what a shuffle mapper emits, keyed by partition.
+struct CapturingSink final : operators::ExecutionContext::ShuffleSink {
+  std::map<int, services::ChunkDataPtr> partitions;
+  Status Emit(int partition, services::ChunkDataPtr data) override {
+    partitions[partition] = std::move(data);
+    return Status::OK();
+  }
+};
+
 TEST(RangePartitionTest, ChunkOpEmitsTheScalarScanPartitions) {
   const DataFrame df = SortFrame(3000).Select({"i", "f"}).MoveValue();
   const Column& key = *df.GetColumn("i").ValueOrDie();
@@ -289,7 +299,9 @@ TEST(RangePartitionTest, ChunkOpEmitsTheScalarScanPartitions) {
     const Column bounds = PickBounds(key, ascending, 700);
     const int partitions = static_cast<int>(bounds.length()) + 1;
     operators::RangePartitionChunkOp op("i", partitions, ascending);
+    CapturingSink sink;
     operators::ExecutionContext ctx;
+    ctx.shuffle_sink = &sink;
     ctx.inputs = {services::MakeChunk(df),
                   services::MakeChunk(
                       DataFrame::Make({"i"}, {bounds}).MoveValue())};
@@ -300,8 +312,8 @@ TEST(RangePartitionTest, ChunkOpEmitsTheScalarScanPartitions) {
       for (int64_t i = 0; i < df.num_rows(); ++i) {
         if (want[i] == p) rows.push_back(i);
       }
-      ASSERT_TRUE(ctx.shuffle_outputs.count(p));
-      EXPECT_EQ(Bytes(ctx.shuffle_outputs[p]->dataframe()),
+      ASSERT_TRUE(sink.partitions.count(p));
+      EXPECT_EQ(Bytes(sink.partitions[p]->dataframe()),
                 Bytes(df.TakeRows(rows)))
           << "partition " << p << " ascending=" << ascending;
     }

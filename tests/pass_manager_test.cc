@@ -1,5 +1,5 @@
 // Tests of the optimizer pass framework (src/optimizer/pass.h): pipeline
-// resolution from the config spec and the legacy toggle aliases, the graph
+// resolution from the explicit config spec, the graph
 // invariant verifier, the new predicate-pushdown / CSE / dead-node-elim
 // passes (including byte-identity of the optimized plans), column-pruning
 // edge cases expressed through the framework, and the per-pass gauges that
@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/tracing.h"
@@ -52,10 +54,12 @@ std::string WriteTestTable(const char* name) {
 }
 
 /// Small chunks so one source tiles to several chunks and per-chunk
-/// predicate evaluation actually skips payload reads.
+/// predicate evaluation actually skips payload reads: the test table's
+/// `a` + `b` columns (a little over 3200 bytes) tile to four chunks of 50
+/// rows.
 Config SmallChunkConfig() {
   Config c;
-  c.default_chunk_rows = 50;
+  c.chunk_store_limit = 1000;
   return c;
 }
 
@@ -120,41 +124,48 @@ TEST(PassPipelineTest, ExplicitEmptyPipelineMatchesFullPipeline) {
   std::remove(path.c_str());
 }
 
-TEST(PassPipelineTest, LegacyBoolsDriveAutoPipelines) {
-  const std::string path = WriteTestTable("legacy");
+TEST(PassPipelineTest, BoundResultCacheLeadsChunkPipelineOnce) {
+  const std::string path = WriteTestTable("cache_once");
   auto run = [&](Config cfg) {
     core::Session session(std::move(cfg));
     auto ref = ReadParquet(&session, path);
     auto f = ref->Filter(CompareExpr(Col("a"), CmpOp::kGt, Lit(int64_t{50})));
     EXPECT_TRUE(f->Fetch().ok());
-    return session.metrics().Snapshot();
-  };
-  // Defaults: every level's auto pipeline is active and each pass records
-  // its per-slot run gauge.
-  MetricsSnapshot on = run(Config{});
-  auto has_gauge = [](const MetricsSnapshot& s, const std::string& name) {
-    for (const auto& [k, v] : s.gauges) {
-      if (k == name) return v > 0;
+    std::vector<std::pair<std::string, int64_t>> slots;
+    for (const auto& [k, v] : session.metrics().Snapshot().gauges) {
+      const std::string prefix = "optimizer_pass_runs/c";
+      if (k.rfind(prefix, 0) == 0 && v > 0) {
+        slots.emplace_back(k.substr(prefix.size() - 1), v);
+      }
     }
-    return false;
+    std::sort(slots.begin(), slots.end());
+    return slots;
   };
-  EXPECT_TRUE(has_gauge(on, "optimizer_pass_runs/t0_predicate_pushdown"));
-  EXPECT_TRUE(has_gauge(on, "optimizer_pass_runs/t1_column_pruning"));
-  EXPECT_TRUE(has_gauge(on, "optimizer_pass_runs/t2_dead_node_elim"));
-  EXPECT_TRUE(has_gauge(on, "optimizer_pass_runs/c0_op_fusion"));
-  EXPECT_TRUE(has_gauge(on, "optimizer_pass_runs/c1_cse"));
-  EXPECT_TRUE(has_gauge(on, "optimizer_pass_runs/s0_graph_fusion"));
-  // Deprecated toggles still empty the corresponding auto pipeline.
-  Config legacy_off;
-  legacy_off.column_pruning = false;
-  legacy_off.op_fusion = false;
-  legacy_off.graph_fusion = false;
-  legacy_off.late_materialization = false;
-  MetricsSnapshot off = run(std::move(legacy_off));
-  for (const auto& [k, v] : off.gauges) {
-    EXPECT_EQ(k.rfind("optimizer_pass_runs/", 0), std::string::npos)
-        << "pass ran with all toggles off: " << k;
-  }
+  // The spec names result_cache in the middle; a bound cache still runs it
+  // once, at the head, and every listed pass runs as often as it does.
+  Config cached;
+  cached.enable_result_cache = true;
+  cached.optimizer.chunk = {kPassOpFusion, kPassResultCache, kPassCse};
+  const auto with_cache = run(cached);
+  ASSERT_EQ(with_cache.size(), 3u);
+  EXPECT_EQ(with_cache[0].first, "c0_result_cache");
+  EXPECT_EQ(with_cache[1].first, "c1_op_fusion");
+  EXPECT_EQ(with_cache[2].first, "c2_cse");
+  EXPECT_EQ(with_cache[0].second, with_cache[1].second);
+  // The default spec gains the cache pass the same way.
+  Config cached_default;
+  cached_default.enable_result_cache = true;
+  const auto defaults = run(cached_default);
+  ASSERT_EQ(defaults.size(), 4u);
+  EXPECT_EQ(defaults[0].first, "c0_result_cache");
+  EXPECT_EQ(defaults[3].first, "c3_late_materialization");
+  // Without a cache the name is dropped from the pipeline.
+  Config uncached = cached;
+  uncached.enable_result_cache = false;
+  const auto without = run(uncached);
+  ASSERT_EQ(without.size(), 2u);
+  EXPECT_EQ(without[0].first, "c0_op_fusion");
+  EXPECT_EQ(without[1].first, "c1_cse");
   std::remove(path.c_str());
 }
 
@@ -223,6 +234,8 @@ TEST(PredicatePushdownTest, PushesFilterAndReducesBytesRead) {
         CompareExpr(Col("a"), CmpOp::kGt, Lit(int64_t{160})));
     auto sel = f->Select({"a", "b"});
     DataFrame out = sel->Fetch().MoveValue();
+    // The premise below: the source really tiled to chunks of 50 rows.
+    EXPECT_EQ(sel->node()->chunks.size(), 4u);
     *bytes = session.metrics().source_bytes_read.load();
     *pushed = session.metrics().predicates_pushed.load();
     return out;
@@ -236,9 +249,9 @@ TEST(PredicatePushdownTest, PushesFilterAndReducesBytesRead) {
   // (DESIGN.md §10).
   Config pruned_only = SmallChunkConfig();
   pruned_only.optimizer.tileable = {kPassColumnPruning};
-  pruned_only.late_materialization = false;
+  pruned_only.optimizer.chunk = {kPassOpFusion, kPassCse};
   Config push_cfg = SmallChunkConfig();
-  push_cfg.late_materialization = false;
+  push_cfg.optimizer.chunk = {kPassOpFusion, kPassCse};
   int64_t base_bytes = 0, base_pushed = 0, push_bytes = 0, pushed = 0;
   DataFrame base = query(std::move(pruned_only), &base_bytes, &base_pushed);
   DataFrame opt = query(std::move(push_cfg), &push_bytes, &pushed);
