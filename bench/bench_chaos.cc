@@ -74,13 +74,13 @@ ChaosRun RunScenario(const std::string& name, const Config& config) {
   run.stats.status = result.status();
   run.stats.wall_s = std::chrono::duration<double>(t1 - t0).count();
   const Metrics& m = session.metrics();
-  run.stats.sim_s = static_cast<double>(m.simulated_us.load()) / 1e6;
-  run.stats.subtasks = m.subtasks_executed.load();
-  run.retried = m.subtasks_retried.load();
-  run.recovered = m.chunks_recovered.load();
-  run.blacklisted = m.bands_blacklisted.load();
-  run.injected = m.faults_injected.load();
-  run.recovery_ms = static_cast<double>(m.recovery_us.load()) / 1e3;
+  run.stats.sim_s = static_cast<double>(m.Get(CounterId::kSimulatedUs)) / 1e6;
+  run.stats.subtasks = m.Get(CounterId::kSubtasksExecuted);
+  run.retried = m.Get(CounterId::kSubtasksRetried);
+  run.recovered = m.Get(CounterId::kChunksRecovered);
+  run.blacklisted = m.Get(CounterId::kBandsBlacklisted);
+  run.injected = m.Get(CounterId::kFaultsInjected);
+  run.recovery_ms = static_cast<double>(m.Get(CounterId::kRecoveryUs)) / 1e3;
   if (result.ok()) run.checksum = Checksum(*result);
   std::printf(
       "%-22s %-5s wall %6.2fs sim %7.3fs subtasks %4lld retried %3lld "

@@ -16,8 +16,6 @@
 
 #include "bench_util.h"
 #include "common/buffer.h"
-#include "common/exchange_stats.h"
-#include "common/late_stats.h"
 #include "core/xorbits.h"
 #include "io/xparquet.h"
 #include "optimizer/pass.h"
@@ -332,7 +330,7 @@ struct SharingSample {
   int partitions = 0;
   int64_t peak_eager = 0;
   int64_t peak_shared = 0;
-  int64_t bytes_shared = 0;  // BufferStats delta during the shared build
+  int64_t bytes_shared = 0;  // buffer_bytes_shared of the shared build
   double wall_us_eager = 0;
   double wall_us_shared = 0;
 };
@@ -347,10 +345,13 @@ SharingSample MeasureSharing(
   s.rows = rows;
   s.partitions = partitions;
   for (bool share : {false, true}) {
-    const int64_t shared0 =
-        common::BufferStats::Get().bytes_shared.load();
+    Metrics metrics;
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<services::ChunkDataPtr> chunks = build(share);
+    std::vector<services::ChunkDataPtr> chunks;
+    {
+      MetricsScope scope(&metrics);
+      chunks = build(share);
+    }
     const auto t1 = std::chrono::steady_clock::now();
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -358,8 +359,7 @@ SharingSample MeasureSharing(
     if (share) {
       s.wall_us_shared = us;
       s.peak_shared = peak;
-      s.bytes_shared =
-          common::BufferStats::Get().bytes_shared.load() - shared0;
+      s.bytes_shared = metrics.Get(CounterId::kBufferBytesShared);
     } else {
       s.wall_us_eager = us;
       s.peak_eager = peak;
@@ -534,10 +534,10 @@ void WriteOptimizerJson(FILE* f) {
     DataFrame out = sorted->Fetch().ValueOrDie();
     OptimizerSample s;
     s.mode = mode;
-    s.subtasks = session.metrics().subtasks_executed.load();
-    s.source_bytes = session.metrics().source_bytes_read.load();
-    s.cse_hits = session.metrics().cse_hits.load();
-    s.predicates_pushed = session.metrics().predicates_pushed.load();
+    s.subtasks = session.metrics().Get(CounterId::kSubtasksExecuted);
+    s.source_bytes = session.metrics().Get(CounterId::kSourceBytesRead);
+    s.cse_hits = session.metrics().Get(CounterId::kCseHits);
+    s.predicates_pushed = session.metrics().Get(CounterId::kPredicatesPushed);
     s.checksum = FingerprintFrame(out);
     return s;
   };
@@ -602,7 +602,6 @@ bool SweepSelectivity(FILE* f, const char* dataset, const std::string& path,
                       const std::string& pred_col, int64_t pred_max,
                       bool last) {
   using dataframe::CmpOp;
-  auto& ls = common::LateStats::Get();
   const double selectivities[] = {0.001, 0.01, 0.1, 0.5, 1.0};
   std::vector<SelectivitySample> samples;
   bool ok = true;
@@ -617,23 +616,31 @@ bool SweepSelectivity(FILE* f, const char* dataset, const std::string& path,
     s.selectivity = sel;
 
     // Eager: decode every column at scan time, compact at the filter.
-    const int64_t e0 = ls.bytes_materialized.load();
-    DataFrame eager_df = io::ReadXpq(path).ValueOrDie();
-    Column eager_mask = operators::EvalExpr(eager_df, *pred).ValueOrDie();
-    DataFrame eager_out = dataframe::Filter(eager_df, eager_mask).ValueOrDie();
-    s.eager_bytes = ls.bytes_materialized.load() - e0;
+    Metrics eager;
+    DataFrame eager_out;
+    {
+      MetricsScope scope(&eager);
+      DataFrame eager_df = io::ReadXpq(path).ValueOrDie();
+      Column eager_mask = operators::EvalExpr(eager_df, *pred).ValueOrDie();
+      eager_out = dataframe::Filter(eager_df, eager_mask).ValueOrDie();
+    }
+    s.eager_bytes = eager.Get(CounterId::kBytesMaterialized);
 
     // Late: footer-only read, predicate column decodes to build the mask,
     // everything else resolves through the selection when the consumer
     // (the fingerprint, standing in for fetch/serialize) reads it.
-    const int64_t l0 = ls.bytes_materialized.load();
-    const int64_t d0 = ls.lazy_columns_decoded.load();
-    DataFrame late_df = io::ReadXpqLazy(path).ValueOrDie();
-    Column late_mask = operators::EvalExpr(late_df, *pred).ValueOrDie();
-    DataFrame late_out = dataframe::FilterLate(late_df, late_mask).ValueOrDie();
-    const std::string late_fp = FingerprintFrame(late_out);
-    s.late_bytes = ls.bytes_materialized.load() - l0;
-    s.lazy_decodes = ls.lazy_columns_decoded.load() - d0;
+    Metrics late;
+    std::string late_fp;
+    {
+      MetricsScope scope(&late);
+      DataFrame late_df = io::ReadXpqLazy(path).ValueOrDie();
+      Column late_mask = operators::EvalExpr(late_df, *pred).ValueOrDie();
+      DataFrame late_out =
+          dataframe::FilterLate(late_df, late_mask).ValueOrDie();
+      late_fp = FingerprintFrame(late_out);
+    }
+    s.late_bytes = late.Get(CounterId::kBytesMaterialized);
+    s.lazy_decodes = late.Get(CounterId::kLazyColumnsDecoded);
 
     s.rows_kept = eager_out.num_rows();
     s.identical = late_fp == FingerprintFrame(eager_out);
@@ -806,11 +813,6 @@ Config ShuffleClusterConfig(int64_t band_budget) {
 /// and is the reference the cluster run must match.
 ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
                              const Config& c, const char* label) {
-  auto& stats = common::ExchangeStats::Get();
-  const int64_t w0 = stats.shuffle_wire_bytes.load();
-  const int64_t m0 = stats.shuffle_memory_bytes.load();
-  const int64_t s0 = stats.shuffle_blocks_spilled.load();
-
   // Materialize a tight copy of the head `rows`: a zero-copy slice would
   // keep the full generated buffers alive and be charged at their whole
   // size, OOMing every probe regardless of `rows`.
@@ -846,6 +848,11 @@ ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
     } else {
       st = df.status();
     }
+    // The session charged its exchange counters to its own metrics.
+    const Metrics& m = session.metrics();
+    p.wire = m.Get(CounterId::kShuffleWireBytes);
+    p.mem = m.Get(CounterId::kShuffleMemoryBytes);
+    p.spilled = m.Get(CounterId::kShuffleBlocksSpilled);
   }
   p.oom = !p.completed && st.IsOutOfMemory();
   if (!p.completed && !p.oom) {
@@ -858,9 +865,6 @@ ShuffleProbe RunShuffleProbe(const DataFrame& keys, int64_t rows,
   p.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
                  .count();
-  p.wire = stats.shuffle_wire_bytes.load() - w0;
-  p.mem = stats.shuffle_memory_bytes.load() - m0;
-  p.spilled = stats.shuffle_blocks_spilled.load() - s0;
   return p;
 }
 

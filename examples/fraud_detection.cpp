@@ -31,12 +31,13 @@ double RunOnce(EngineKind kind) {
                 features.status().ToString().c_str());
     return -1;
   }
-  const double sim_s = session.metrics().simulated_us.load() / 1e6;
+  const double sim_s = session.metrics().Get(CounterId::kSimulatedUs) / 1e6;
   std::printf("[%s] %lld customers scored, modeled cluster time %.3fs, "
               "dynamic yields %lld\n",
               EngineKindName(kind),
               static_cast<long long>(features->num_rows()), sim_s,
-              static_cast<long long>(session.metrics().dynamic_yields.load()));
+              static_cast<long long>(
+                  session.metrics().Get(CounterId::kDynamicYields)));
   if (kind == EngineKind::kXorbits) {
     std::printf("top of the feature table:\n%s\n",
                 features->ToString(6).c_str());

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       continue;
     }
     std::printf("\n--- Q%d (modeled cluster time %.3fs) ---\n%s\n", q,
-                session.metrics().simulated_us.load() / 1e6,
+                session.metrics().Get(CounterId::kSimulatedUs) / 1e6,
                 result->ToString(8).c_str());
   }
   return 0;

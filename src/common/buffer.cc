@@ -35,11 +35,6 @@ std::vector<std::pair<uint64_t, int64_t>> UniqueBuffers(
   return out;
 }
 
-BufferStats& BufferStats::Get() {
-  static BufferStats stats;
-  return stats;
-}
-
 namespace buffer_detail {
 
 uint64_t NextBufferId() {

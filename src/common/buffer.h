@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace xorbits::common {
 
 /// Fixed per-item byte widths, the single source of truth for dtype sizes.
@@ -21,29 +23,6 @@ inline constexpr int64_t kItemSizeInt64 = 8;
 inline constexpr int64_t kItemSizeFloat64 = 8;
 inline constexpr int64_t kItemSizeString = 16;
 inline constexpr int64_t kItemSizeBool = 1;
-
-/// Process-global counters for the copy-on-write buffer layer. They are
-/// deliberately global (the buffer layer sits below Metrics/Session);
-/// `Metrics::Snapshot` surfaces them as gauges. All updates are relaxed
-/// atomics — exact cross-thread ordering is irrelevant for monotone totals.
-struct BufferStats {
-  /// Payload bytes that were aliased instead of copied (cumulative, counted
-  /// at each zero-copy slice/concat/take; strings are counted at their
-  /// container width, the O(1) path never walks the heap).
-  std::atomic<int64_t> bytes_shared{0};
-  /// Zero-copy share events (slices, adjacent concats, contiguous takes)
-  /// that a plain-vector payload would have materialized.
-  std::atomic<int64_t> copies_avoided{0};
-  /// Private copies forced by a mutation of a shared (or sliced) buffer.
-  std::atomic<int64_t> cow_copies{0};
-
-  static BufferStats& Get();
-  void Reset() {
-    bytes_shared.store(0, std::memory_order_relaxed);
-    copies_avoided.store(0, std::memory_order_relaxed);
-    cow_copies.store(0, std::memory_order_relaxed);
-  }
-};
 
 /// One underlying buffer referenced by a view, for unique-byte accounting:
 /// storage charges `buffer_bytes` once per distinct `id` per band, while
@@ -148,10 +127,9 @@ class BufferView {
     out.offset_ = offset_ + offset;
     out.length_ = count;
     if (buf_ && count > 0) {
-      auto& stats = BufferStats::Get();
-      stats.copies_avoided.fetch_add(1, std::memory_order_relaxed);
-      stats.bytes_shared.fetch_add(count * static_cast<int64_t>(sizeof(T)),
-                                   std::memory_order_relaxed);
+      ChargeScoped(CounterId::kChunkCopiesAvoided);
+      ChargeScoped(CounterId::kBufferBytesShared,
+                   count * static_cast<int64_t>(sizeof(T)));
     }
     return out;
   }
@@ -187,7 +165,7 @@ class BufferView {
       length_ = -1;
       return buf_->vec;
     }
-    BufferStats::Get().cow_copies.fetch_add(1, std::memory_order_relaxed);
+    ChargeScoped(CounterId::kBufferCowCopies);
     auto copy = std::make_shared<buffer_detail::Buffer<T>>(ToVector());
     buf_ = std::move(copy);
     offset_ = 0;

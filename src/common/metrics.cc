@@ -1,13 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "common/buffer.h"
-#include "common/exchange_stats.h"
-#include "common/kernel_stats.h"
-#include "common/late_stats.h"
-#include "common/trace_names.h"
 
 namespace xorbits {
 
@@ -125,12 +118,6 @@ std::vector<HistogramSnapshot> MetricsRegistry::SnapshotHistograms() const {
   return SnapshotHistogramsLocked();
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, g] : gauges_) g->Set(0);
-  for (auto& [name, h] : histograms_) h->Reset();
-}
-
 int64_t MetricsSnapshot::Counter(const std::string& name) const {
   for (const auto& [n, v] : counters) {
     if (n == name) return v;
@@ -138,174 +125,62 @@ int64_t MetricsSnapshot::Counter(const std::string& name) const {
   return 0;
 }
 
-Metrics::Metrics()
+Metrics::Metrics(Metrics* parent)
     : subtask_latency_us(registry.GetHistogram(trace::kHistSubtaskLatencyUs,
                                                "us", DefaultBuckets())),
       chunk_bytes(registry.GetHistogram(trace::kHistChunkBytes, "bytes",
                                         DefaultBuckets())),
       queue_wait_us(registry.GetHistogram(trace::kHistQueueWaitUs, "us",
-                                          DefaultBuckets())) {}
-
-void Metrics::Reset() {
-  subtasks_executed = 0;
-  subtasks_failed = 0;
-  subtasks_retried = 0;
-  chunks_recovered = 0;
-  bands_blacklisted = 0;
-  faults_injected = 0;
-  recovery_us = 0;
-  chunks_stored = 0;
-  bytes_stored = 0;
-  bytes_transferred = 0;
-  bytes_spilled = 0;
-  spill_events = 0;
-  oom_events = 0;
-  peak_band_bytes = 0;
-  dynamic_yields = 0;
-  simulated_us = 0;
-  kernel_cpu_us = 0;
-  fused_subtasks = 0;
-  op_fusion_hits = 0;
-  pruned_columns = 0;
-  predicates_pushed = 0;
-  cse_hits = 0;
-  dead_nodes_eliminated = 0;
-  late_rewrites = 0;
-  source_bytes_read = 0;
-  cache_hits = 0;
-  cache_misses = 0;
-  cache_publishes = 0;
-  cache_evictions = 0;
-  cache_invalidations = 0;
-  registry.Reset();
-}
+                                          DefaultBuckets())),
+      parent_(parent) {}
 
 MetricsSnapshot Metrics::Snapshot() const {
   // The registry lock makes the snapshot consistent with registration and
   // with other snapshotters; individual values are atomics.
   std::lock_guard<std::mutex> lock(registry.mutex());
   MetricsSnapshot s;
-  s.counters = {
-      {"subtasks_executed", subtasks_executed.load()},
-      {"subtasks_failed", subtasks_failed.load()},
-      {"subtasks_retried", subtasks_retried.load()},
-      {"chunks_recovered", chunks_recovered.load()},
-      {"bands_blacklisted", bands_blacklisted.load()},
-      {"faults_injected", faults_injected.load()},
-      {"recovery_us", recovery_us.load()},
-      {"chunks_stored", chunks_stored.load()},
-      {"bytes_stored", bytes_stored.load()},
-      {"bytes_transferred", bytes_transferred.load()},
-      {"bytes_spilled", bytes_spilled.load()},
-      {"spill_events", spill_events.load()},
-      {"oom_events", oom_events.load()},
-      {"peak_band_bytes", peak_band_bytes.load()},
-      {"dynamic_yields", dynamic_yields.load()},
-      {"simulated_us", simulated_us.load()},
-      {"kernel_cpu_us", kernel_cpu_us.load()},
-      {"fused_subtasks", fused_subtasks.load()},
-      {"op_fusion_hits", op_fusion_hits.load()},
-      {"pruned_columns", pruned_columns.load()},
-      {"predicates_pushed", predicates_pushed.load()},
-      {"cse_hits", cse_hits.load()},
-      {"dead_nodes_eliminated", dead_nodes_eliminated.load()},
-      {"late_rewrites", late_rewrites.load()},
-      {"source_bytes_read", source_bytes_read.load()},
-      {"cache_hits", cache_hits.load()},
-      {"cache_misses", cache_misses.load()},
-      {"cache_publishes", cache_publishes.load()},
-      {"cache_evictions", cache_evictions.load()},
-      {"cache_invalidations", cache_invalidations.load()},
-  };
   s.gauges = registry.SnapshotGaugesLocked();
-  // The copy-on-write buffer layer sits below the session, so its counters
-  // are process-global; surface them as gauges so run reports and tests see
-  // sharing behaviour next to the band gauges.
-  const auto& bs = common::BufferStats::Get();
-  s.gauges.emplace_back(trace::kGaugeBufferBytesShared,
-                        bs.bytes_shared.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(trace::kGaugeChunkCopiesAvoided,
-                        bs.copies_avoided.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(trace::kGaugeBufferCowCopies,
-                        bs.cow_copies.load(std::memory_order_relaxed));
-  // Same arrangement for the dictionary/radix kernel counters: global
-  // because the kernels run below the session, surfaced here as gauges.
-  const auto& ks = common::KernelStats::Get();
-  s.gauges.emplace_back(
-      trace::kGaugeDictEncodedColumns,
-      ks.dict_encoded_columns.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeDictFallbackDecodes,
-      ks.dict_fallback_decodes.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeJoinRadixPartitions,
-      ks.join_radix_partitions.load(std::memory_order_relaxed));
-  // Late-materialization counters (DESIGN.md §10), also process-global:
-  // lazy frames outlive any one run, so their resolution costs cannot be
-  // attributed to a per-run Metrics instance.
-  const auto& ls = common::LateStats::Get();
-  s.gauges.emplace_back(
-      trace::kGaugeBytesMaterialized,
-      ls.bytes_materialized.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeSelectionsForced,
-      ls.selections_forced.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeLazyColumnsDecoded,
-      ls.lazy_columns_decoded.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeDeferredTransforms,
-      ls.deferred_transforms.load(std::memory_order_relaxed));
-  // Pipelined-exchange counters (DESIGN.md §11), also process-global:
-  // blocks are produced in operator kernels and consumed by the executor,
-  // neither of which holds a per-run Metrics instance at push time.
-  const auto& xs = common::ExchangeStats::Get();
-  s.gauges.emplace_back(
-      trace::kGaugeShuffleWireBytes,
-      xs.shuffle_wire_bytes.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeShuffleMemoryBytes,
-      xs.shuffle_memory_bytes.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeShuffleBlocksProduced,
-      xs.shuffle_blocks_produced.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeShuffleBlocksConsumed,
-      xs.shuffle_blocks_consumed.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeShuffleBlocksSpilled,
-      xs.shuffle_blocks_spilled.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeShuffleBlocksRecovered,
-      xs.shuffle_blocks_recovered.load(std::memory_order_relaxed));
-  s.gauges.emplace_back(
-      trace::kGaugeExchangeBackpressureUs,
-      xs.exchange_backpressure_us.load(std::memory_order_relaxed));
+  for (int i = 0; i < kNumCounters; ++i) {
+    const CounterInfo& c = kCounterTable[i];
+    auto& section = c.section == CounterSection::kCounters ? s.counters
+                                                           : s.gauges;
+    section.emplace_back(c.name, values_[i].load(std::memory_order_relaxed));
+  }
   std::sort(s.gauges.begin(), s.gauges.end());
   s.histograms = registry.SnapshotHistogramsLocked();
   return s;
 }
 
 std::string Metrics::ToString() const {
-  std::ostringstream os;
-  os << "subtasks=" << subtasks_executed.load()
-     << " failed=" << subtasks_failed.load()
-     << " retried=" << subtasks_retried.load()
-     << " recovered_chunks=" << chunks_recovered.load()
-     << " bands_lost=" << bands_blacklisted.load()
-     << " stored_bytes=" << bytes_stored.load()
-     << " transfer_bytes=" << bytes_transferred.load()
-     << " spill_bytes=" << bytes_spilled.load()
-     << " oom=" << oom_events.load()
-     << " peak_band_bytes=" << peak_band_bytes.load()
-     << " yields=" << dynamic_yields.load()
-     << " kernel_cpu_us=" << kernel_cpu_us.load()
-     << " fused_subtasks=" << fused_subtasks.load()
-     << " buffer_bytes_shared="
-     << common::BufferStats::Get().bytes_shared.load()
-     << " chunk_copies_avoided="
-     << common::BufferStats::Get().copies_avoided.load();
-  return os.str();
+  std::string out;
+  for (int i = 0; i < kNumCounters; ++i) {
+    const int64_t v = values_[i].load(std::memory_order_relaxed);
+    if (v == 0) continue;
+    if (!out.empty()) out += ' ';
+    out += kCounterTable[i].name;
+    out += '=';
+    out += std::to_string(v);
+  }
+  return out;
+}
+
+namespace {
+thread_local Metrics* t_metrics_scope = nullptr;
+}  // namespace
+
+MetricsScope::MetricsScope(Metrics* target) : prev_(t_metrics_scope) {
+  t_metrics_scope = target;
+}
+
+MetricsScope::~MetricsScope() { t_metrics_scope = prev_; }
+
+Metrics* MetricsScope::Current() { return t_metrics_scope; }
+
+void ChargeScoped(CounterId id, int64_t n) {
+  Metrics* m = t_metrics_scope;
+  if (m == nullptr) return;
+  m->Add(id, n);
+  if (m->parent() != nullptr) m->parent()->Add(id, n);
 }
 
 }  // namespace xorbits

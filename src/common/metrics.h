@@ -1,6 +1,7 @@
 #ifndef XORBITS_COMMON_METRICS_H_
 #define XORBITS_COMMON_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -10,6 +11,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/trace_names.h"
 
 namespace xorbits {
 
@@ -101,7 +104,6 @@ class MetricsRegistry {
 
   std::vector<std::pair<std::string, int64_t>> SnapshotGauges() const;
   std::vector<HistogramSnapshot> SnapshotHistograms() const;
-  void Reset();
 
   /// Variants for callers that already hold `mutex()` (Metrics::Snapshot
   /// takes one consistent snapshot of counters + registry under it).
@@ -124,76 +126,69 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<HistogramSnapshot> histograms;
 
-  /// Value of a legacy counter by name (0 when absent).
+  /// Value of a `counters`-section entry by name (0 when absent).
   int64_t Counter(const std::string& name) const;
 };
 
-/// Counters collected during a run. One instance is owned by each simulated
-/// cluster; benches read these to report transfer/spill/OOM behaviour
-/// alongside wall-clock time. The embedded `registry` adds named gauges and
-/// fixed-bucket histograms on top of the flat counters; take `Snapshot()`
-/// instead of reading fields one by one when band workers may still run.
+/// Where a counter is reported in a MetricsSnapshot (see common/counters.def).
+enum class CounterSection { kCounters, kGauges };
+
+/// Index of one counter in the counter table.
+enum class CounterId : int {
+#define XORBITS_COUNTER(id, name, section) id,
+#include "common/counters.def"
+  kNumCounters
+};
+
+inline constexpr int kNumCounters = static_cast<int>(CounterId::kNumCounters);
+
+struct CounterInfo {
+  const char* name;
+  CounterSection section;
+};
+
+/// The counter table, indexed by CounterId.
+inline constexpr CounterInfo kCounterTable[kNumCounters] = {
+#define XORBITS_COUNTER(id, name, section) {name, CounterSection::section},
+#include "common/counters.def"
+};
+
+/// Counters, gauges and histograms of one session or cluster. Benches read
+/// these to report transfer/spill/OOM behaviour alongside wall-clock time.
+/// Counters are one fixed array indexed by the counter table; increments
+/// are relaxed atomics (no lock, no lookup). The embedded `registry` adds
+/// named gauges and fixed-bucket histograms; take `Snapshot()` instead of
+/// reading counters one by one when band workers may still run.
 struct Metrics {
-  std::atomic<int64_t> subtasks_executed{0};
-  std::atomic<int64_t> subtasks_failed{0};
-  /// Subtask attempts re-queued after a retryable failure (injected
-  /// transient fault, lost band, per-subtask timeout).
-  std::atomic<int64_t> subtasks_retried{0};
-  /// Chunk nodes recomputed from lineage after their stored payload was
-  /// lost (band death, chunk-loss event, missing spill file).
-  std::atomic<int64_t> chunks_recovered{0};
-  /// Bands permanently removed from scheduling after an injected kill.
-  std::atomic<int64_t> bands_blacklisted{0};
-  /// Transient faults the injector fired (denominator for retry rates).
-  std::atomic<int64_t> faults_injected{0};
-  /// Wall time spent inside lineage recovery (recompute of lost chunks).
-  std::atomic<int64_t> recovery_us{0};
-  std::atomic<int64_t> chunks_stored{0};
-  std::atomic<int64_t> bytes_stored{0};
-  std::atomic<int64_t> bytes_transferred{0};  // cross-band chunk reads
-  std::atomic<int64_t> bytes_spilled{0};
-  std::atomic<int64_t> spill_events{0};
-  std::atomic<int64_t> oom_events{0};
-  std::atomic<int64_t> peak_band_bytes{0};
-  std::atomic<int64_t> dynamic_yields{0};   // tile()->execution switches
-  /// Modeled cluster time: sum of schedule makespans over all executed
-  /// subtask graphs, from per-subtask thread-CPU cost + transfer penalties
-  /// with one serial slot per band. This is what benches report — on a
-  /// single-core host, wall-clock cannot show parallelism or skew effects.
-  std::atomic<int64_t> simulated_us{0};
-  /// Total kernel CPU burned by subtasks (band thread + pool threads),
-  /// before the division by cpus_per_band that models parallel slots.
-  /// Serial and parallel runs of the same graph report comparable values
-  /// here — the invariant that keeps the parallel cost model honest.
-  std::atomic<int64_t> kernel_cpu_us{0};
-  std::atomic<int64_t> fused_subtasks{0};
-  std::atomic<int64_t> op_fusion_hits{0};
-  std::atomic<int64_t> pruned_columns{0};
-  /// Filter predicates the optimizer pushed into parquet/CSV source reads.
-  std::atomic<int64_t> predicates_pushed{0};
-  /// Duplicate pure chunk nodes deduplicated by common-subexpression
-  /// elimination before subtask building.
-  std::atomic<int64_t> cse_hits{0};
-  /// Tileable nodes dropped from the work list because no sink needs them.
-  std::atomic<int64_t> dead_nodes_eliminated{0};
-  /// Chunk nodes the late-materialization pass swapped to their late
-  /// variant (selection vectors + lazy column decode, DESIGN.md §10).
-  std::atomic<int64_t> late_rewrites{0};
-  /// Bytes of xparquet column blocks actually read by source kernels; the
-  /// denominator predicate pushdown and column pruning shrink.
-  std::atomic<int64_t> source_bytes_read{0};
-  /// Result-cache probes (DESIGN.md §9). A hit rewrites a whole pending
-  /// sub-plan into a fetch of a `cache/` chunk; a miss marks the chunk for
-  /// publication when the executor materializes it.
-  std::atomic<int64_t> cache_hits{0};
-  std::atomic<int64_t> cache_misses{0};
-  /// Chunks the executor published into the `cache/` namespace on
-  /// successful completion.
-  std::atomic<int64_t> cache_publishes{0};
-  /// Cache entries dropped LRU to fit result_cache_budget_bytes.
-  std::atomic<int64_t> cache_evictions{0};
-  /// Cache entries dropped because a source they derive from changed.
-  std::atomic<int64_t> cache_invalidations{0};
+  /// `parent` (a tenant session's cluster) also receives every counter
+  /// charged to this instance through a MetricsScope.
+  explicit Metrics(Metrics* parent = nullptr);
+  Metrics(const Metrics&) = delete;
+  Metrics& operator=(const Metrics&) = delete;
+
+  /// Adds `n` to this instance only: the path for code holding a Metrics*.
+  void Add(CounterId id, int64_t n = 1) {
+    values_[static_cast<int>(id)].fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Atomically raises a watermark counter to at least `value`.
+  void RaiseTo(CounterId id, int64_t value) {
+    std::atomic<int64_t>& v = values_[static_cast<int>(id)];
+    int64_t prev = v.load(std::memory_order_relaxed);
+    while (value > prev && !v.compare_exchange_weak(prev, value)) {
+    }
+  }
+  int64_t Get(CounterId id) const {
+    return values_[static_cast<int>(id)].load(std::memory_order_relaxed);
+  }
+  Metrics* parent() const { return parent_; }
+
+  /// Consistent snapshot of counters + registry, taken under the registry
+  /// lock. Reading the counters one by one races band workers that are
+  /// still updating them; snapshot once, then read the copy.
+  MetricsSnapshot Snapshot() const;
+
+  /// One line of the non-zero counters, `name=value` in table order.
+  std::string ToString() const;
 
   /// Named gauges + histograms registered by subsystems; the three
   /// histograms below are pre-registered for the executor and storage.
@@ -202,25 +197,35 @@ struct Metrics {
   Histogram* chunk_bytes;         // payload size at each storage Put (bytes)
   Histogram* queue_wait_us;       // modeled inputs-ready -> band-slot wait
 
-  Metrics();
-
-  void Reset();
-
-  /// Atomically raises `peak_band_bytes` to at least `value`.
-  void UpdatePeak(int64_t value) {
-    int64_t prev = peak_band_bytes.load();
-    while (value > prev &&
-           !peak_band_bytes.compare_exchange_weak(prev, value)) {
-    }
-  }
-
-  /// Consistent snapshot of counters + registry, taken under the registry
-  /// lock. Reading the fields one by one races band workers that are still
-  /// updating them; snapshot once, then read the copy.
-  MetricsSnapshot Snapshot() const;
-
-  std::string ToString() const;
+ private:
+  std::array<std::atomic<int64_t>, kNumCounters> values_{};
+  Metrics* const parent_;
 };
+
+/// Names the Metrics that receives counters raised below the session, by
+/// kernels, readers and services that hold no Metrics* (RAII; scopes nest
+/// per thread and a nested scope restores its outer one on exit). The
+/// executor installs one per subtask attempt and per run, the session one
+/// around Materialize and Fetch; ParallelFor morsels inherit the scope of
+/// the thread that entered the loop. A null target counts nothing.
+class MetricsScope {
+ public:
+  explicit MetricsScope(Metrics* target);
+  ~MetricsScope();
+
+  MetricsScope(const MetricsScope&) = delete;
+  MetricsScope& operator=(const MetricsScope&) = delete;
+
+  /// The current thread's innermost target (null outside any scope).
+  static Metrics* Current();
+
+ private:
+  Metrics* prev_;
+};
+
+/// Adds `n` to the current scope's Metrics and to its parent. Outside any
+/// scope the increment is dropped.
+void ChargeScoped(CounterId id, int64_t n = 1);
 
 }  // namespace xorbits
 

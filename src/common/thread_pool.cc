@@ -4,6 +4,8 @@
 #include <exception>
 #include <memory>
 
+#include "common/metrics.h"
+
 namespace xorbits {
 
 namespace {
@@ -25,6 +27,7 @@ struct MorselState {
   int64_t morsels = 0;
   const MorselFn* fn = nullptr;
   ParallelCpuScope* cpu = nullptr;  // caller's scope; may be null
+  Metrics* metrics = nullptr;       // caller's MetricsScope target
 
   std::atomic<int64_t> next{0};  // morsel claim ticket
   std::mutex mu;
@@ -36,6 +39,7 @@ struct MorselState {
   /// morsel *before* the morsel is marked done, so once the caller observes
   /// completion no runner touches the (stack-owned) CpuScope again.
   void RunLoop(bool is_owner) {
+    MetricsScope scope(metrics);
     for (;;) {
       const int64_t m = next.fetch_add(1, std::memory_order_relaxed);
       if (m >= morsels) return;
@@ -174,6 +178,7 @@ void ThreadPool::RunParallelFor(int64_t begin, int64_t end, int64_t grain,
   state->morsels = NumMorsels(begin, end, grain);
   state->fn = &fn;
   state->cpu = t_cpu_scope;
+  state->metrics = MetricsScope::Current();
   // One runner per pool thread (capped by morsel count); the caller is an
   // extra runner, so progress never depends on pool threads being free —
   // that is what makes nested/fan-in use deadlock-proof.

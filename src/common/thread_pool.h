@@ -110,7 +110,8 @@ int64_t ThreadCpuMicros();
 /// back to running the same morsel sequence inline otherwise (including
 /// when already inside a morsel — nested calls serialize, which keeps the
 /// decomposition identical and cannot deadlock). CPU time is charged to the
-/// innermost ParallelCpuScope of the thread that entered the loop.
+/// innermost ParallelCpuScope of the thread that entered the loop, and
+/// counters raised by morsels to that thread's MetricsScope.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const MorselFn& fn);
 

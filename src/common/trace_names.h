@@ -100,14 +100,14 @@ XORBITS_METRIC_NAME(kGaugeCacheBytes, "cache_bytes")
 XORBITS_METRIC_NAME(kGaugeCacheEntries, "cache_entries")
 // Late materialization (DESIGN.md §10): bytes turned dense (decoded or
 // gathered through a selection), forced compactions, lazy column decodes,
-// and deferred expression assignments. Process-global like BufferStats.
+// and deferred expression assignments. Session-scoped (counters.def).
 XORBITS_METRIC_NAME(kGaugeBytesMaterialized, "bytes_materialized")
 XORBITS_METRIC_NAME(kGaugeSelectionsForced, "selections_forced")
 XORBITS_METRIC_NAME(kGaugeLazyColumnsDecoded, "lazy_columns_decoded")
 XORBITS_METRIC_NAME(kGaugeDeferredTransforms, "deferred_transforms")
 // Pipelined block exchange (DESIGN.md §11): compressed wire vs logical
 // in-memory shuffle bytes, block lifecycle counts, and producer time lost
-// to flow control. Process-global like BufferStats (ExchangeStats).
+// to flow control. Session-scoped (counters.def).
 XORBITS_METRIC_NAME(kGaugeShuffleWireBytes, "shuffle_wire_bytes")
 XORBITS_METRIC_NAME(kGaugeShuffleMemoryBytes, "shuffle_memory_bytes")
 XORBITS_METRIC_NAME(kGaugeShuffleBlocksProduced, "shuffle_blocks_produced")

@@ -568,11 +568,19 @@ std::string Tracer::RenderRunReport(int pid) const {
     }
   }
 
-  // 8. Counters + histograms from the attached metrics snapshot.
+  // 8. Counters (the whole counter table, whichever snapshot section
+  //    holds each) + histograms from the attached metrics snapshot.
   if (p->metrics.has_value()) {
     os << "\n-- counters (non-zero) --\n";
-    for (const auto& [name, value] : p->metrics->counters) {
-      if (value != 0) os << "  " << name << " = " << value << "\n";
+    for (const CounterInfo& c : kCounterTable) {
+      const auto& section = c.section == CounterSection::kCounters
+                                ? p->metrics->counters
+                                : p->metrics->gauges;
+      for (const auto& [name, value] : section) {
+        if (name != c.name) continue;
+        if (value != 0) os << "  " << name << " = " << value << "\n";
+        break;
+      }
     }
     os << "\n-- histograms --\n";
     for (const HistogramSnapshot& h : p->metrics->histograms) {

@@ -51,6 +51,7 @@ Session::Session(Config config)
 
 Session::Session(SessionManager* manager, Config config, int64_t session_id)
     : config_(RegisterTraceProcess(std::move(config))),
+      metrics_(&manager->metrics()),
       manager_(manager),
       session_id_(session_id),
       storage_(&manager->storage()),
@@ -103,6 +104,7 @@ graph::TileableNode* Session::AddTileable(
 
 Status Session::Materialize(
     const std::vector<graph::TileableNode*>& sinks) {
+  MetricsScope metrics_scope(&metrics_);
   std::vector<graph::TileableNode*> topo = tileable_graph_.TopologicalOrder();
   Tracer* tr = config_.trace.sink;
   TraceSpan mat_span(tr, config_.trace.pid, kTrackSupervisor,
@@ -142,6 +144,7 @@ int64_t Session::EstimatePendingBytes(
 
 Result<dataframe::DataFrame> Session::FetchDataFrame(
     graph::TileableNode* node) {
+  MetricsScope metrics_scope(&metrics_);
   // Materialize is incremental (tiled nodes and executed chunks are
   // skipped), so always run it: a tiled multi-output sibling may still have
   // unexecuted chunks.
@@ -179,6 +182,7 @@ Result<dataframe::DataFrame> Session::FetchDataFrame(
 }
 
 Result<tensor::NDArray> Session::FetchTensor(graph::TileableNode* node) {
+  MetricsScope metrics_scope(&metrics_);
   XORBITS_RETURN_NOT_OK(Materialize({node}));
   XORBITS_ASSIGN_OR_RETURN(auto chunks, driver_->FetchChunks(node));
   std::vector<const tensor::NDArray*> pieces;

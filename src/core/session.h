@@ -43,6 +43,9 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   const Config& config() const { return config_; }
+  /// This session's counters. A tenant session's Metrics has the cluster's
+  /// as parent: counters raised below the session (under the MetricsScope
+  /// that Materialize and Fetch* install) land here and on the cluster.
   Metrics& metrics() { return metrics_; }
   graph::TileableGraph& tileable_graph() { return tileable_graph_; }
   services::StorageService& storage() { return *storage_; }

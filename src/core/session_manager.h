@@ -62,7 +62,9 @@ class SessionManager {
 
   const Config& config() const { return config_; }
   /// Cluster-level metrics: storage/spill/recovery counters shared by all
-  /// tenants. Per-session latency lives in each Session's own Metrics.
+  /// tenants, plus the cluster-wide totals of the scoped counters every
+  /// tenant session rolls up here. Per-session latency and each session's
+  /// own scoped counters live in that Session's Metrics.
   Metrics& metrics() { return metrics_; }
   services::StorageService& storage() { return *storage_; }
   services::MetaService& meta() { return meta_; }

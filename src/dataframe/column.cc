@@ -4,7 +4,6 @@
 #include <cstring>
 #include <optional>
 
-#include "common/kernel_stats.h"
 #include "common/thread_pool.h"
 
 namespace xorbits::dataframe {
@@ -278,8 +277,7 @@ Column Column::DictEncode() const {
   for (int64_t i = 0; i < n; ++i) {
     if (IsValid(i)) codes[i] = builder.GetOrAdd(vals[i]);
   }
-  common::KernelStats::Get().dict_encoded_columns.fetch_add(
-      1, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kDictEncodedColumns);
   return Dictionary(BufferView<int32_t>(std::move(codes)), builder.Finish(),
                     validity_);
 }
@@ -300,8 +298,7 @@ Column Column::DictDecode() const {
 
 Column Column::DecodedFallback() const {
   if (!is_dict()) return *this;
-  common::KernelStats::Get().dict_fallback_decodes.fetch_add(
-      1, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kDictFallbackDecodes);
   return DictDecode();
 }
 
@@ -501,8 +498,7 @@ Result<Column> ConcatStrings(const std::vector<const Column*>& pieces,
     const int64_t n = c->length();
     if (n == 0) continue;
     if (c->is_dict()) {
-      common::KernelStats::Get().dict_fallback_decodes.fetch_add(
-          1, std::memory_order_relaxed);
+      ChargeScoped(CounterId::kDictFallbackDecodes);
       const auto& codes = c->dict_codes();
       for (int64_t i = 0; i < n; ++i) {
         out.push_back(c->IsValid(i) ? c->dict()->value(codes[i])

@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/late_stats.h"
 
 namespace xorbits::dataframe {
 
@@ -97,7 +96,6 @@ const Column& DataFrame::ResolveColumn(int i) const {
   LazyCell& cell = *cells_[i];
   std::lock_guard<std::mutex> lock(cell.mu);
   if (cell.ready) return cell.value;
-  auto& stats = common::LateStats::Get();
   ColumnSourcePtr src =
       static_cast<size_t>(i) < sources_.size() ? sources_[i] : nullptr;
   if (src) {
@@ -117,9 +115,8 @@ const Column& DataFrame::ResolveColumn(int i) const {
       std::abort();
     }
     cell.value = std::move(loaded).MoveValue();
-    stats.lazy_columns_decoded.fetch_add(1, std::memory_order_relaxed);
-    stats.bytes_materialized.fetch_add(cell.value.nbytes(),
-                                       std::memory_order_relaxed);
+    ChargeScoped(CounterId::kLazyColumnsDecoded);
+    ChargeScoped(CounterId::kBytesMaterialized, cell.value.nbytes());
   } else {
     const Column& base = columns_[i];
     if (!selection_.active()) {
@@ -128,8 +125,7 @@ const Column& DataFrame::ResolveColumn(int i) const {
       cell.value = base.Slice(0, 0);  // O(1), avoids a pointless gather
     } else {
       cell.value = base.Take(selection_.rows().data(), selection_.length());
-      stats.bytes_materialized.fetch_add(cell.value.nbytes(),
-                                         std::memory_order_relaxed);
+      ChargeScoped(CounterId::kBytesMaterialized, cell.value.nbytes());
     }
   }
   cell.ready = true;
@@ -157,8 +153,7 @@ bool DataFrame::IsSlotPending(int i) const {
 
 void DataFrame::Compact() {
   if (cells_.empty()) return;
-  common::LateStats::Get().selections_forced.fetch_add(
-      1, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kSelectionsForced);
   std::vector<Column> dense;
   dense.reserve(columns_.size());
   for (size_t i = 0; i < columns_.size(); ++i) {
@@ -312,8 +307,7 @@ DataFrame DataFrame::FilterRows(const std::vector<uint8_t>& mask) const {
     made_dense += out.columns_.back().nbytes();
   }
   out.index_ = index_.Filter(mask);
-  common::LateStats::Get().bytes_materialized.fetch_add(
-      made_dense, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kBytesMaterialized, made_dense);
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/kernel_stats.h"
 #include "common/thread_pool.h"
 #include "dataframe/kernels.h"
 #include "dataframe/key_hash.h"
@@ -243,8 +242,7 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
 
   const int bits = RadixBits(rn);
   const int64_t P = int64_t{1} << bits;
-  common::KernelStats::Get().join_radix_partitions.fetch_add(
-      P, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kJoinRadixPartitions, P);
   // With a single partition and no right-outer bookkeeping the join runs a
   // fused probe (below) that never materializes the partition layout.
   const bool fused = bits == 0 && !keep_right;

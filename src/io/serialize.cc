@@ -8,7 +8,6 @@
 #include <sstream>
 #include <variant>
 
-#include "common/late_stats.h"
 #include "dataframe/dict.h"
 
 namespace xorbits::io {
@@ -503,8 +502,7 @@ Status WriteDataFrame(std::ostream& os, const DataFrame& df) {
   // (the per-column reads) — meter the event. The frame itself stays lazy;
   // resolved cells are cached for other consumers.
   if (df.is_lazy()) {
-    common::LateStats::Get().selections_forced.fetch_add(
-        1, std::memory_order_relaxed);
+    ChargeScoped(CounterId::kSelectionsForced);
   }
   WritePod(os, kDfMagic);
   WritePod<uint32_t>(os, static_cast<uint32_t>(df.num_columns()));

@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/kernel_stats.h"
-#include "common/late_stats.h"
 #include "dataframe/dict.h"
 
 namespace xorbits::io {
@@ -181,8 +179,7 @@ Result<Column> DecodeColumn(const std::string& block, DType dtype, int64_t n,
             dataframe::StringDict::Make(std::move(values)),
             common::BufferView<uint8_t>(std::move(validity)));
         if (!dict_encode) return col.DictDecode();
-        common::KernelStats::Get().dict_encoded_columns.fetch_add(
-            1, std::memory_order_relaxed);
+        ChargeScoped(CounterId::kDictEncodedColumns);
         return col;
       }
       if (encoding != kEncodingPlain) {
@@ -285,8 +282,7 @@ Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
           return Status::IOError("dictionary code out of range");
         }
         if (dict_encode) {
-          common::KernelStats::Get().dict_encoded_columns.fetch_add(
-              1, std::memory_order_relaxed);
+          ChargeScoped(CounterId::kDictEncodedColumns);
           return Column::Dictionary(
               common::BufferView<int32_t>(std::move(codes)),
               dataframe::StringDict::Make(std::move(values)),
@@ -461,8 +457,7 @@ Result<DataFrame> ReadXpq(const std::string& path,
     // Eager decode makes the full column dense regardless of what the
     // query later touches — the denominator the lazy path is measured
     // against (DESIGN.md §10).
-    common::LateStats::Get().bytes_materialized.fetch_add(
-        col.nbytes(), std::memory_order_relaxed);
+    ChargeScoped(CounterId::kBytesMaterialized, col.nbytes());
     names.push_back(ci->name);
     cols.push_back(std::move(col));
   }

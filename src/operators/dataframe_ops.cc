@@ -360,7 +360,7 @@ TileTask HeadOp::Tile(TileContext& ctx, TileableNode* node) {
         co_return fallback.result();
       }
       // Iterative tiling: execute this chunk, then read its real shape.
-      ctx.metrics()->dynamic_yields++;
+      ctx.metrics()->Add(CounterId::kDynamicYields);
       std::vector<ChunkNode*> to_run{chunk};
       co_yield to_run;
       est = EstimateChunk(ctx, chunk);
@@ -412,7 +412,7 @@ TileTask ILocOp::Tile(TileContext& ctx, TileableNode* node) {
         }
         co_return fallback.result();
       }
-      ctx.metrics()->dynamic_yields++;
+      ctx.metrics()->Add(CounterId::kDynamicYields);
       std::vector<ChunkNode*> to_run{chunk};
       co_yield to_run;
       est = EstimateChunk(ctx, chunk);
@@ -453,7 +453,7 @@ TileTask SortValuesOp::Tile(TileContext& ctx, TileableNode* node) {
   std::vector<ChunkNode*> chunks = in->chunks;
   SizeEstimate est = EstimateChunks(ctx, chunks);
   if (ctx.dynamic() && est.nbytes < 0 && !chunks.empty()) {
-    ctx.metrics()->dynamic_yields++;
+    ctx.metrics()->Add(CounterId::kDynamicYields);
     std::vector<ChunkNode*> to_run{chunks[0]};
     co_yield to_run;
     est = EstimateChunks(ctx, chunks);
@@ -507,7 +507,7 @@ TileTask DropDuplicatesOp::Tile(TileContext& ctx, TileableNode* node) {
   if (ctx.dynamic() && !partials.empty()) {
     // Auto reduce selection needs the deduplicated size, not the raw size;
     // executing the head chunk measures it.
-    ctx.metrics()->dynamic_yields++;
+    ctx.metrics()->Add(CounterId::kDynamicYields);
     std::vector<ChunkNode*> sample{partials.front()};
     co_yield sample;
     SizeEstimate est = EstimateChunk(ctx, partials[0]);

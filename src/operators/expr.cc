@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/late_stats.h"
 #include "common/thread_pool.h"
 
 namespace xorbits::operators {
@@ -444,8 +443,7 @@ Result<dataframe::ColumnSourcePtr> MakeDeferredExprSource(
   // Probe the output dtype on a zero-row frame — no decode, no compute.
   XORBITS_ASSIGN_OR_RETURN(Column probe,
                            EvalExpr(DataFrame::EmptyLike(snapshot), *expr));
-  common::LateStats::Get().deferred_transforms.fetch_add(
-      1, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kDeferredTransforms);
   // Base length comes from the consumer frame, not the snapshot: a
   // column-less snapshot (constant expression) has no base of its own.
   return dataframe::ColumnSourcePtr(std::make_shared<ExprSource>(

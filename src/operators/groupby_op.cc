@@ -122,7 +122,7 @@ TileTask GroupByAggOp::Tile(TileContext& ctx, TileableNode* node) {
   if (!decomposable) {
     SizeEstimate raw_est = EstimateChunks(ctx, raw_chunks);
     if (ctx.dynamic() && raw_est.nbytes < 0 && !raw_chunks.empty()) {
-      ctx.metrics()->dynamic_yields++;
+      ctx.metrics()->Add(CounterId::kDynamicYields);
       std::vector<ChunkNode*> to_run{raw_chunks[0]};
       co_yield to_run;
       raw_est = EstimateChunks(ctx, raw_chunks);
@@ -165,7 +165,7 @@ TileTask GroupByAggOp::Tile(TileContext& ctx, TileableNode* node) {
   int64_t est_total_agg = -1;
   if (policy == ReducePolicy::kAuto) {
     if (ctx.dynamic() && !map_nodes.empty()) {
-      ctx.metrics()->dynamic_yields++;
+      ctx.metrics()->Add(CounterId::kDynamicYields);
       std::vector<ChunkNode*> sample{map_nodes.front()};
       co_yield sample;
       SizeEstimate agg_est = EstimateChunks(ctx, map_nodes);

@@ -77,7 +77,7 @@ TileTask MergeOp::Tile(TileContext& ctx, TileableNode* node) {
     if (lest.nbytes < 0 && !lchunks.empty()) sample.push_back(lchunks[0]);
     if (rest.nbytes < 0 && !rchunks.empty()) sample.push_back(rchunks[0]);
     if (!sample.empty()) {
-      ctx.metrics()->dynamic_yields++;
+      ctx.metrics()->Add(CounterId::kDynamicYields);
       co_yield sample;
       lest = EstimateChunks(ctx, lchunks);
       rest = EstimateChunks(ctx, rchunks);

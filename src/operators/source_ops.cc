@@ -83,7 +83,9 @@ Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
     XORBITS_ASSIGN_OR_RETURN(
         DataFrame df, io::ReadXpq(path_, columns_, row_offset_, row_count_,
                                   &bytes, dict_encode_));
-    if (ctx.metrics != nullptr) ctx.metrics->source_bytes_read += bytes;
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->Add(CounterId::kSourceBytesRead, bytes);
+    }
     ctx.outputs[0] = services::MakeChunk(std::move(df));
     return Status::OK();
   }
@@ -167,7 +169,9 @@ Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
     full.set_index(probe.index());
     XORBITS_ASSIGN_OR_RETURN(out, dataframe::Filter(full, mask));
   }
-  if (ctx.metrics != nullptr) ctx.metrics->source_bytes_read += bytes;
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->Add(CounterId::kSourceBytesRead, bytes);
+  }
   ctx.outputs[0] = services::MakeChunk(std::move(out));
   return Status::OK();
 }
@@ -243,7 +247,9 @@ Status ReadXpqChunkOp::ExecuteLate(ExecutionContext& ctx) const {
   // `full` is lazy, so Filter composes the mask into its selection instead
   // of compacting (FilterRowsLate under dataframe::Filter).
   XORBITS_ASSIGN_OR_RETURN(DataFrame out, dataframe::Filter(full, mask));
-  if (ctx.metrics != nullptr) ctx.metrics->source_bytes_read += bytes;
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->Add(CounterId::kSourceBytesRead, bytes);
+  }
   ctx.outputs[0] = services::MakeChunk(std::move(out));
   return Status::OK();
 }
@@ -422,8 +428,9 @@ TileTask ReadXpqOp::Tile(TileContext& ctx, TileableNode* node) {
     }
   }
   if (!pruned_columns_.empty()) {
-    ctx.metrics()->pruned_columns +=
-        static_cast<int64_t>(info.columns.size() - pruned_columns_.size());
+    ctx.metrics()->Add(
+        CounterId::kPrunedColumns,
+        static_cast<int64_t>(info.columns.size() - pruned_columns_.size()));
   }
   int64_t nchunks = ChooseChunkCount(ctx.config(), bytes);
   if (info.num_rows >= 2 * ctx.config().total_bands()) {

@@ -171,7 +171,7 @@ TileTask RollingMeanOp::Tile(TileContext& ctx, TileableNode* node) {
       node->tiled = true;
       co_return Status::OK();
     }
-    ctx.metrics()->dynamic_yields++;
+    ctx.metrics()->Add(CounterId::kDynamicYields);
     co_yield chunks;
   }
   for (size_t i = 0; i < chunks.size(); ++i) {

@@ -155,7 +155,7 @@ class GraphFusionPass : public SubtaskPass {
     SubtaskGraph fused = BuildImpl(closure, must_persist, true);
     stats.nodes_removed = before - static_cast<int64_t>(fused.subtasks.size());
     if (ctx.metrics != nullptr) {
-      ctx.metrics->fused_subtasks += stats.nodes_removed;
+      ctx.metrics->Add(CounterId::kFusedSubtasks, stats.nodes_removed);
     }
     *graph = std::move(fused);
     return stats;
@@ -169,8 +169,9 @@ SubtaskGraph BuildSubtaskGraph(const std::vector<ChunkNode*>& pending,
                                bool enable_fusion, Metrics* metrics) {
   SubtaskGraph out = BuildImpl(pending, must_persist, enable_fusion);
   if (metrics != nullptr) {
-    metrics->fused_subtasks += static_cast<int64_t>(pending.size()) -
-                               static_cast<int64_t>(out.subtasks.size());
+    metrics->Add(CounterId::kFusedSubtasks,
+                 static_cast<int64_t>(pending.size()) -
+                     static_cast<int64_t>(out.subtasks.size()));
   }
   return out;
 }
@@ -183,8 +184,9 @@ SubtaskGraph BuildUnfusedSubtaskGraph(
   // delta below plus GraphFusionPass's delta equals what the one-shot
   // BuildSubtaskGraph used to report.
   if (metrics != nullptr) {
-    metrics->fused_subtasks += static_cast<int64_t>(pending.size()) -
-                               static_cast<int64_t>(out.subtasks.size());
+    metrics->Add(CounterId::kFusedSubtasks,
+                 static_cast<int64_t>(pending.size()) -
+                     static_cast<int64_t>(out.subtasks.size()));
   }
   return out;
 }

@@ -75,7 +75,7 @@ std::vector<ChunkNode*> FuseElementwiseChains(
       for (ChunkNode* grand : n->inputs) {
         if (in_set.count(grand)) consumers[grand]++;  // rewired consumer
       }
-      if (metrics != nullptr) metrics->op_fusion_hits++;
+      if (metrics != nullptr) metrics->Add(CounterId::kOpFusionHits);
       changed = true;
     }
   }

@@ -84,7 +84,7 @@ class CsePass : public ChunkPass {
       }
       canonical[n] = it->second;
       stats.nodes_removed++;
-      if (ctx.metrics != nullptr) ctx.metrics->cse_hits++;
+      if (ctx.metrics != nullptr) ctx.metrics->Add(CounterId::kCseHits);
     }
     *closure = std::move(kept);
     return stats;
@@ -311,7 +311,7 @@ class LateMaterializationPass : public ChunkPass {
       }
       n->op = std::move(late);
       stats.nodes_rewritten++;
-      if (ctx.metrics != nullptr) ctx.metrics->late_rewrites++;
+      if (ctx.metrics != nullptr) ctx.metrics->Add(CounterId::kLateRewrites);
     }
     return stats;
   }

@@ -106,7 +106,9 @@ class PredicatePushdownPass : public TileablePass {
         topo->erase(std::remove(topo->begin(), topo->end(), filter_node),
                     topo->end());
         stats.nodes_removed += 2;
-        if (ctx.metrics != nullptr) ctx.metrics->predicates_pushed++;
+        if (ctx.metrics != nullptr) {
+          ctx.metrics->Add(CounterId::kPredicatesPushed);
+        }
         changed = true;
         break;
       }
@@ -163,7 +165,9 @@ class DeadNodeElimPass : public TileablePass {
         kept.push_back(n);
       } else if (!n->tiled) {
         stats.nodes_removed++;
-        if (ctx.metrics != nullptr) ctx.metrics->dead_nodes_eliminated++;
+        if (ctx.metrics != nullptr) {
+          ctx.metrics->Add(CounterId::kDeadNodesEliminated);
+        }
       }
     }
     *topo = std::move(kept);

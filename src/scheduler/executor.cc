@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/exchange_stats.h"
 #include "common/logging.h"
 #include "common/trace_names.h"
 #include "common/tracing.h"
@@ -169,7 +168,7 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
   // after lineage recovery passes identically.
   Status injected = injector_.MaybeInjectSubtaskFault(uid, attempt);
   if (!injected.ok()) {
-    metrics->faults_injected++;
+    metrics->Add(CounterId::kFaultsInjected);
     if (Tracer* tr = trace.sink) {
       tr->Instant(trace.pid, kTrackBandBase + band,
                   trace::kEventFaultTransient,
@@ -183,7 +182,10 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
   // (with the band thread's own morsel share flagged inline so it is not
   // counted twice). The modeled cost then charges serial CPU at full price
   // and parallel CPU divided across the band's cpus_per_band slots.
+  // Counters raised below (kernels, readers, the exchange) and in pool
+  // morsels are charged to the same metrics as the attempt.
   ParallelCpuScope par_cpu;
+  MetricsScope metrics_scope(metrics);
   const int64_t cpu_start = ThreadCpuMicros();
   int64_t transfer_us = 0;
   int64_t store_us = 0;
@@ -390,7 +392,7 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
   int64_t serial_cpu = band_cpu - par_cpu.inline_us();
   if (serial_cpu < 0) serial_cpu = 0;
   const int64_t slots = std::max(1, config_.cpus_per_band);
-  metrics->kernel_cpu_us += serial_cpu + par_total;
+  metrics->Add(CounterId::kKernelCpuUs, serial_cpu + par_total);
   subtask.cost.serial_us = serial_cpu;
   subtask.cost.parallel_us = (par_total + slots - 1) / slots;
   subtask.cost.dispatch_us = kDispatchUs;
@@ -479,7 +481,7 @@ Status Executor::EnsureChunkAvailable(const std::string& key) {
   }
   int64_t sim_us = 0;
   Status st = RecoverLostChunk(key, band, &sim_us);
-  metrics_->simulated_us += sim_us;
+  metrics_->Add(CounterId::kSimulatedUs, sim_us);
   // Supervisor-side recovery (a fetch found the chunk gone outside any
   // run): the recompute advances this session's simulated clock and is
   // charged to the recovery stage in full.
@@ -503,10 +505,10 @@ Status Executor::RecoverLostChunk(const std::string& key, int band,
   if (!storage_->Has(key)) {  // a racing recovery may have rebuilt it
     out = RecoverKey(key, band, /*depth=*/0, sim_us);
   }
-  metrics_->recovery_us +=
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  metrics_->Add(CounterId::kRecoveryUs,
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count());
   return out;
 }
 
@@ -587,7 +589,7 @@ Status Executor::RecoverKey(const std::string& key, int band, int depth,
       continue;
     }
     if (result.IsRetryable() && attempt + 1 < max_attempts) {
-      metrics_->subtasks_retried++;
+      metrics_->Add(CounterId::kSubtasksRetried);
       const int64_t delay =
           std::max(BackoffMs(attempt + 1), result.backoff_hint_ms());
       if (delay > 0) {
@@ -602,15 +604,14 @@ Status Executor::RecoverKey(const std::string& key, int band, int depth,
   }
   for (graph::ChunkNode* n : lineage->nodes) n->band = band;
   *sim_us += recompute.sim_us;
-  metrics_->chunks_recovered +=
-      static_cast<int64_t>(lineage->outputs.size());
+  metrics_->Add(CounterId::kChunksRecovered,
+                static_cast<int64_t>(lineage->outputs.size()));
   // Block-range lineage at work: a lost exchange block re-ran only its
   // producing mapper group, whose deterministic re-emission resealed the
   // same block range with identical bytes.
   if (key.find('#') != std::string::npos &&
       key.find('@') != std::string::npos) {
-    common::ExchangeStats::Get().shuffle_blocks_recovered.fetch_add(
-        1, std::memory_order_relaxed);
+    metrics_->Add(CounterId::kShuffleBlocksRecovered);
   }
   XORBITS_LOG(Info) << "recovered chunk " << base << " on band " << band
                     << " (group of " << lineage->nodes.size()
@@ -690,7 +691,7 @@ void Executor::KillBandLocked(int band) {
     return;
   }
   blacklisted_[band] = 1;
-  metrics_->bands_blacklisted++;
+  metrics_->Add(CounterId::kBandsBlacklisted);
   const std::vector<std::string> lost = storage_->MarkBandDead(band);
   if (Tracer* tr = config_.trace.sink) {
     tr->Instant(config_.trace.pid, kTrackBandBase + band,
@@ -810,7 +811,7 @@ void Executor::BandWorkerLoop(int band) {
     }
 
     lock.lock();
-    state->metrics->subtasks_executed++;
+    state->metrics->Add(CounterId::kSubtasksExecuted);
     if (result.ok() && blacklisted_[band]) {
       // The band died while this subtask ran; whatever it published went
       // down with the band's storage.
@@ -841,7 +842,7 @@ void Executor::BandWorkerLoop(int band) {
       // delay honours a server-supplied backoff hint (overload shedding)
       // when it exceeds the capped exponential schedule.
       state->attempts[task_id]++;
-      state->metrics->subtasks_retried++;
+      state->metrics->Add(CounterId::kSubtasksRetried);
       const int next_attempt = state->attempts[task_id];
       const int64_t delay_ms =
           std::max(BackoffMs(next_attempt), result.backoff_hint_ms());
@@ -863,7 +864,7 @@ void Executor::BandWorkerLoop(int band) {
         EnqueueLocked(state, task_id);
       }
     } else {
-      state->metrics->subtasks_failed++;
+      state->metrics->Add(CounterId::kSubtasksFailed);
       state->cancelled = true;
       if (state->failure.ok()) state->failure = result;
     }
@@ -881,13 +882,14 @@ Status Executor::Run(graph::SubtaskGraph* st_graph,
   // Resolve the run's context: solo callers fall back to the executor's
   // cluster-level metrics and trace identity.
   Metrics* run_metrics = opts.metrics != nullptr ? opts.metrics : metrics_;
+  MetricsScope metrics_scope(run_metrics);
   const TraceConfig run_trace =
       opts.trace.enabled() ? opts.trace : config_.trace;
   // Spill bytes are metered on the storage service's (cluster) metrics;
   // the delta across this run charges shared-disk backpressure to whoever
   // ran while the disk was busy — co-tenant interference is part of the
   // model, not an accounting bug.
-  const int64_t spilled_before = metrics_->bytes_spilled.load();
+  const int64_t spilled_before = metrics_->Get(CounterId::kBytesSpilled);
   const int num_bands = config_.total_bands();
 
   std::vector<char> dead;
@@ -1086,9 +1088,9 @@ Status Executor::Run(graph::SubtaskGraph* st_graph,
     // (write + eventual fault-back), the cost that turns static engines'
     // over-materialization into the paper's slowdowns and hangs.
     const int64_t spilled =
-        metrics_->bytes_spilled.load() - spilled_before;
+        metrics_->Get(CounterId::kBytesSpilled) - spilled_before;
     const int64_t spill_us = 2 * spilled / 500;  // bytes / (500 B/us)
-    run_metrics->simulated_us += makespan + spill_us;
+    run_metrics->Add(CounterId::kSimulatedUs, makespan + spill_us);
 
     if (Tracer* tr = run_trace.sink) {
       const int pid = run_trace.pid;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/exchange_stats.h"
 #include "common/trace_names.h"
 #include "common/tracing.h"
 #include "dataframe/kernels.h"
@@ -42,8 +41,6 @@ Status ExchangeService::PushPartition(const std::string& partition_key,
                                       int64_t* wire_bytes) {
   TraceSpan span(trace_.sink, trace_.pid, kTrackStorage,
                  trace::kSpanExchangePush);
-  auto& stats = common::ExchangeStats::Get();
-
   // Deterministic row split: block boundaries depend only on the partition
   // payload and the configured block size, never on thread timing — the
   // bedrock of byte-identical re-runs and recovery re-publication.
@@ -89,8 +86,7 @@ Status ExchangeService::PushPartition(const std::string& partition_key,
       const int64_t freed = storage_->SpillByPrefix(
           stream_prefix, band, used + logical - high_water);
       const int64_t stall_us = WallUsSince(t0);
-      stats.exchange_backpressure_us.fetch_add(stall_us,
-                                               std::memory_order_relaxed);
+      ChargeScoped(CounterId::kExchangeBackpressureUs, stall_us);
       if (trace_.sink != nullptr) {
         trace_.sink->Instant(trace_.pid, kTrackStorage,
                              trace::kEventExchangeBackpressure,
@@ -120,9 +116,9 @@ Status ExchangeService::PushPartition(const std::string& partition_key,
       std::lock_guard<std::mutex> lock(mu_);
       wire_bytes_[block_key] = wire;
     }
-    stats.shuffle_blocks_produced.fetch_add(1, std::memory_order_relaxed);
-    stats.shuffle_memory_bytes.fetch_add(logical, std::memory_order_relaxed);
-    stats.shuffle_wire_bytes.fetch_add(wire, std::memory_order_relaxed);
+    ChargeScoped(CounterId::kShuffleBlocksProduced);
+    ChargeScoped(CounterId::kShuffleMemoryBytes, logical);
+    ChargeScoped(CounterId::kShuffleWireBytes, wire);
     if (published_keys != nullptr) published_keys->push_back(block_key);
     if (memory_bytes != nullptr) *memory_bytes += logical;
     if (wire_bytes != nullptr) *wire_bytes += wire;
@@ -169,8 +165,6 @@ Result<ChunkDataPtr> ExchangeService::FetchPartition(
                  trace::kSpanExchangeFetch);
   XORBITS_ASSIGN_OR_RETURN(int64_t blocks,
                            meta_->GetBlockRange(partition_key));
-  auto& stats = common::ExchangeStats::Get();
-
   std::vector<ChunkDataPtr> parts;
   parts.reserve(static_cast<size_t>(blocks));
   for (int64_t seq = 0; seq < blocks; ++seq) {
@@ -191,7 +185,7 @@ Result<ChunkDataPtr> ExchangeService::FetchPartition(
     }
     parts.push_back(std::move(*block));
   }
-  stats.shuffle_blocks_consumed.fetch_add(blocks, std::memory_order_relaxed);
+  ChargeScoped(CounterId::kShuffleBlocksConsumed, blocks);
 
   if (parts.size() == 1) return parts[0];
   std::vector<const dataframe::DataFrame*> frames;

@@ -49,13 +49,13 @@ std::optional<ResultCache::Hit> ResultCache::LookupAndPin(
   // whose chunk was lost (band death) and not yet recovered still counts
   // as a hit — lineage recovery recomputes the bytes on first read.
   if (it == entries_.end() || it->second.doomed) {
-    metrics_->cache_misses.fetch_add(1, std::memory_order_relaxed);
+    metrics_->Add(CounterId::kCacheMisses);
     return std::nullopt;
   }
   Entry& e = it->second;
   ++e.pins;
   e.lru_tick = ++tick_;
-  metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+  metrics_->Add(CounterId::kCacheHits);
   return Hit{e.key, e.meta};
 }
 
@@ -97,7 +97,7 @@ void ResultCache::Publish(const std::string& sig, const ChunkDataPtr& data,
   e.tags = tags;
   bytes_ += e.nbytes;
   entries_.emplace(sig, std::move(e));
-  metrics_->cache_publishes.fetch_add(1, std::memory_order_relaxed);
+  metrics_->Add(CounterId::kCachePublishes);
   EvictToBudgetLocked();
   UpdateGaugesLocked();
 }
@@ -119,7 +119,7 @@ int64_t ResultCache::Invalidate(const std::string& tag) {
       continue;
     }
     ++dropped;
-    metrics_->cache_invalidations.fetch_add(1, std::memory_order_relaxed);
+    metrics_->Add(CounterId::kCacheInvalidations);
     if (trace_.sink != nullptr) {
       trace_.sink->Instant(trace_.pid, kTrackStorage,
                            trace::kEventCacheInvalidate,
@@ -176,7 +176,7 @@ void ResultCache::EvictToBudgetLocked() {
       }
     }
     if (victim == entries_.end()) return;  // everything pinned; over-budget
-    metrics_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
+    metrics_->Add(CounterId::kCacheEvictions);
     if (trace_.sink != nullptr) {
       trace_.sink->Instant(trace_.pid, kTrackStorage, trace::kEventCacheEvict,
                            {Arg("key", victim->second.key),

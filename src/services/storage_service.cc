@@ -1,15 +1,39 @@
 #include "services/storage_service.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
-#include "common/exchange_stats.h"
 #include "common/logging.h"
 #include "common/trace_names.h"
 #include "common/tracing.h"
+#include "dataframe/dict.h"
 
 namespace xorbits::services {
+
+namespace {
+
+// A spill file is the serialized chunk plus an 8-byte FNV-1a trailer over
+// it, so a torn write or a flipped byte reads back as corrupt instead of
+// decoding into different values.
+void AppendSpillTrailer(std::string* buf) {
+  const uint64_t h = dataframe::HashBytes(buf->data(), buf->size());
+  buf->append(reinterpret_cast<const char*>(&h), sizeof(h));
+}
+
+/// Verifies and strips the trailer; false when the file is corrupt.
+bool CheckSpillTrailer(std::string* buf) {
+  if (buf->size() < sizeof(uint64_t)) return false;
+  const size_t n = buf->size() - sizeof(uint64_t);
+  uint64_t stored = 0;
+  std::memcpy(&stored, buf->data() + n, sizeof(stored));
+  if (stored != dataframe::HashBytes(buf->data(), n)) return false;
+  buf->resize(n);
+  return true;
+}
+
+}  // namespace
 
 StorageService::StorageService(const Config& config, Metrics* metrics)
     : num_bands_(config.total_bands()),
@@ -93,7 +117,7 @@ Status StorageService::EnsureSessionQuotaLocked(
            " of quota " + std::to_string(session_quota_) + " bytes";
   };
   if (incoming > session_quota_) {
-    metrics_->oom_events++;
+    metrics_->Add(CounterId::kOomEvents);
     return Status::QuotaExceeded(
         quota_detail("single chunk exceeds whole quota"));
   }
@@ -104,7 +128,7 @@ Status StorageService::EnsureSessionQuotaLocked(
     Status s = SpillSessionOneLocked(session_id, incoming_key,
                                      /*forced_only=*/!enable_spill_);
     if (!s.ok()) {
-      metrics_->oom_events++;
+      metrics_->Add(CounterId::kOomEvents);
       if (!enable_spill_) {
         return Status::QuotaExceeded(quota_detail("spill disabled"));
       }
@@ -194,9 +218,9 @@ Status StorageService::Put(const std::string& key, ChunkDataPtr data,
   ChargeLocked(band, e);
   AddSessionBytesLocked(e.session, bytes);
   entries_.emplace(key, std::move(e));
-  metrics_->chunks_stored++;
-  metrics_->bytes_stored += bytes;
-  metrics_->UpdatePeak(band_used_[band]);
+  metrics_->Add(CounterId::kChunksStored);
+  metrics_->Add(CounterId::kBytesStored, bytes);
+  metrics_->RaiseTo(CounterId::kPeakBandBytes, band_used_[band]);
   metrics_->chunk_bytes->Observe(bytes);
   peak_gauges_[band]->SetMax(band_used_[band]);
   return Status::OK();
@@ -219,21 +243,30 @@ Result<ChunkDataPtr> StorageService::Get(const std::string& key,
   Entry& e = it->second;
   e.lru_tick = ++tick_;
   if (e.level == StorageLevel::kDisk) {
-    // Fault back into memory on the owning band.
-    std::ifstream in(e.spill_path, std::ios::binary);
-    if (!in) {
-      // The spill file is gone (worker disk fault): the payload is
-      // unrecoverable from storage alone — tombstone it so the executor's
-      // lineage recovery can recompute it.
+    // Fault back into memory on the owning band. A spill file that is gone
+    // (worker disk fault) or no longer decodes (torn write, bit rot) leaves the payload unrecoverable from storage
+    // alone: tombstone it, drop the bad file so no retry re-reads it, and
+    // let the executor's lineage recovery recompute it.
+    const auto lose = [&](const std::string& why) {
       lost_.insert(key);
       const std::string path = e.spill_path;
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
       entries_.erase(it);
       return Status::ChunkLost("spill file " + path + " for chunk '" + key +
-                               "' is gone; lineage recompute required");
-    }
+                               "' " + why + "; lineage recompute required");
+    };
+    std::ifstream in(e.spill_path, std::ios::binary);
+    if (!in) return lose("is gone");
     std::string buf((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-    XORBITS_ASSIGN_OR_RETURN(ChunkDataPtr data, DeserializeChunk(buf));
+    in.close();
+    if (!CheckSpillTrailer(&buf)) return lose("fails its checksum");
+    Result<ChunkDataPtr> decoded = DeserializeChunk(buf);
+    if (!decoded.ok()) {
+      return lose("is corrupt (" + decoded.status().message() + ")");
+    }
+    ChunkDataPtr data = decoded.MoveValue();
     // Deserialization minted fresh buffers (identical windows inside the
     // chunk were reunified by the v2 back-references) — rebuild the
     // accounting fields before recharging the band.
@@ -253,7 +286,7 @@ Result<ChunkDataPtr> StorageService::Get(const std::string& key,
              SpillSessionOneLocked(e.session, key).ok()) {
       }
     }
-    metrics_->UpdatePeak(band_used_[e.band]);
+    metrics_->RaiseTo(CounterId::kPeakBandBytes, band_used_[e.band]);
     peak_gauges_[e.band]->SetMax(band_used_[e.band]);
   }
   if (requesting_band >= 0 && requesting_band != e.band) {
@@ -265,7 +298,7 @@ Result<ChunkDataPtr> StorageService::Get(const std::string& key,
       }
     }
     if (!cached) {
-      metrics_->bytes_transferred += e.nbytes;
+      metrics_->Add(CounterId::kBytesTransferred, e.nbytes);
       e.replicas.push_back(requesting_band);
       band_replica_bytes_[requesting_band] += e.nbytes;
       replica_gauges_[requesting_band]->Set(
@@ -439,7 +472,7 @@ Status StorageService::ReserveTransient(int band, int64_t bytes) {
   }
   XORBITS_RETURN_NOT_OK(EnsureCapacityLocked(band, bytes));
   band_used_[band] += bytes;
-  metrics_->UpdatePeak(band_used_[band]);
+  metrics_->RaiseTo(CounterId::kPeakBandBytes, band_used_[band]);
   return Status::OK();
 }
 
@@ -481,7 +514,7 @@ Status StorageService::EnsureCapacityLocked(int band, int64_t bytes) {
            std::to_string(band_limit_) + " bytes";
   };
   if (bytes > band_limit_) {
-    metrics_->oom_events++;
+    metrics_->Add(CounterId::kOomEvents);
     return Status::OutOfMemory(oom_detail("chunk exceeds whole band budget"));
   }
   while (band_used_[band] + bytes > band_limit_) {
@@ -489,7 +522,7 @@ Status StorageService::EnsureCapacityLocked(int band, int64_t bytes) {
     // may leave memory; when none remain this is a genuine OOM.
     Status s = SpillOneLocked(band, /*forced_only=*/!enable_spill_);
     if (!s.ok()) {
-      metrics_->oom_events++;
+      metrics_->Add(CounterId::kOomEvents);
       if (!enable_spill_) {
         return Status::OutOfMemory(
             oom_detail("over budget (spill disabled)"));
@@ -516,14 +549,14 @@ Status StorageService::EnsureEntryCapacityLocked(int band, const Entry& e) {
   };
   int64_t delta = ChargeDeltaLocked(band, e);
   if (delta > band_limit_) {
-    metrics_->oom_events++;
+    metrics_->Add(CounterId::kOomEvents);
     return Status::OutOfMemory(
         oom_detail("chunk exceeds whole band budget", delta));
   }
   while (band_used_[band] + delta > band_limit_) {
     Status s = SpillOneLocked(band, /*forced_only=*/!enable_spill_);
     if (!s.ok()) {
-      metrics_->oom_events++;
+      metrics_->Add(CounterId::kOomEvents);
       if (!enable_spill_) {
         return Status::OutOfMemory(
             oom_detail("over budget (spill disabled)", delta));
@@ -605,6 +638,7 @@ Status StorageService::SpillSessionOneLocked(int64_t session_id,
 Status StorageService::SpillEntryLocked(const std::string& key,
                                         Entry* victim) {
   XORBITS_ASSIGN_OR_RETURN(std::string buf, SerializeChunk(*victim->data));
+  AppendSpillTrailer(&buf);
   // Lazily created: force-spillable entries (exchange blocks) can spill
   // even when enable_spill is off, in which case the constructor made no
   // directory. Idempotent and cheap next to the file write.
@@ -623,8 +657,8 @@ Status StorageService::SpillEntryLocked(const std::string& key,
   const int band = victim->band;
   UnchargeLocked(band, *victim);
   AddSessionBytesLocked(victim->session, -victim->nbytes);
-  metrics_->bytes_spilled += victim->nbytes;
-  metrics_->spill_events++;
+  metrics_->Add(CounterId::kBytesSpilled, victim->nbytes);
+  metrics_->Add(CounterId::kSpillEvents);
   spill_gauges_[band]->Add(victim->nbytes);
   if (trace_.sink != nullptr) {
     trace_.sink->Instant(trace_.pid, kTrackStorage, trace::kEventSpill,
@@ -638,8 +672,7 @@ Status StorageService::SpillEntryLocked(const std::string& key,
   if (victim->force_spillable) {
     // Only exchange blocks are force-spillable; count every one that
     // leaves memory, whether backpressure or band capacity pushed it out.
-    common::ExchangeStats::Get().shuffle_blocks_spilled.fetch_add(
-        1, std::memory_order_relaxed);
+    ChargeScoped(CounterId::kShuffleBlocksSpilled);
   }
   XORBITS_LOG(Debug) << "spilled " << key << " (" << victim->nbytes
                      << " bytes) from band " << band;

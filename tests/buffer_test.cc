@@ -141,13 +141,12 @@ TEST(BufferViewTest, AppendIsAmortizedConstant) {
 
   // A shared view pays exactly one CoW copy, then keeps growing in place.
   BufferView<int64_t> shared = v;
-  const int64_t cow_before =
-      common::BufferStats::Get().cow_copies.load(std::memory_order_relaxed);
-  for (int64_t i = 0; i < 1000; ++i) shared.AppendValue(i);
-  EXPECT_EQ(
-      common::BufferStats::Get().cow_copies.load(std::memory_order_relaxed) -
-          cow_before,
-      1);
+  Metrics metrics;
+  {
+    MetricsScope scope(&metrics);
+    for (int64_t i = 0; i < 1000; ++i) shared.AppendValue(i);
+  }
+  EXPECT_EQ(metrics.Get(CounterId::kBufferCowCopies), 1);
   EXPECT_EQ(v.ssize(), kN);  // original untouched
   EXPECT_EQ(shared.ssize(), kN + 1000);
 }
@@ -321,7 +320,7 @@ TEST(StorageSharingTest, SpillRoundTripOfSlicedViewPreservesValues) {
       DataFrame::Make({"v"}, {Column::Int64(Iota(kRows))}).MoveValue());
   ASSERT_TRUE(store.Put("victim", c1, 0).ok());
   ASSERT_TRUE(store.Put("filler", filler, 0).ok());
-  EXPECT_GT(metrics.spill_events.load(), 0);
+  EXPECT_GT(metrics.Get(CounterId::kSpillEvents), 0);
   auto got = store.Get("victim", 0);  // faults the spilled chunk back
   ASSERT_TRUE(got.ok()) << got.status();
   const auto& back = (*got)->dataframe().column(0).int64_data();
@@ -432,17 +431,15 @@ TEST(BufferAccountingTest, ConcurrentAppendRefIsRaceFree) {
 
 // --- stats & concurrency ---------------------------------------------------
 
-TEST(BufferStatsTest, SharingAndCowEventsAreCounted) {
-  auto& stats = common::BufferStats::Get();
-  const int64_t shared0 = stats.bytes_shared.load();
-  const int64_t avoided0 = stats.copies_avoided.load();
-  const int64_t cow0 = stats.cow_copies.load();
+TEST(BufferCountersTest, SharingAndCowEventsAreCounted) {
+  Metrics metrics;
+  MetricsScope scope(&metrics);
   BufferView<int64_t> base(Iota(1024));
   BufferView<int64_t> win = base.Slice(0, 512);
-  EXPECT_EQ(stats.copies_avoided.load() - avoided0, 1);
-  EXPECT_EQ(stats.bytes_shared.load() - shared0, 512 * 8);
+  EXPECT_EQ(metrics.Get(CounterId::kChunkCopiesAvoided), 1);
+  EXPECT_EQ(metrics.Get(CounterId::kBufferBytesShared), 512 * 8);
   win.MutableVec()[0] = 1;
-  EXPECT_EQ(stats.cow_copies.load() - cow0, 1);
+  EXPECT_EQ(metrics.Get(CounterId::kBufferCowCopies), 1);
 }
 
 TEST(BufferConcurrencyTest, ConcurrentReadersAndCowWritersAreIsolated) {

@@ -228,8 +228,8 @@ TEST(RetryTest, TransientFailureRetriedToSuccess) {
   SubtaskGraph g = SingleSubtask(n);
   ASSERT_TRUE(h.Run(&g).ok());
   EXPECT_EQ(op->runs(), 3);  // two flaky attempts + one success
-  EXPECT_EQ(h.metrics.subtasks_retried.load(), 2);
-  EXPECT_EQ(h.metrics.subtasks_failed.load(), 0);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksRetried), 2);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksFailed), 0);
   EXPECT_TRUE(h.storage.Has(n->key));
 }
 
@@ -245,8 +245,8 @@ TEST(RetryTest, RetryBudgetExhaustedSurfacesOriginalError) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
   EXPECT_EQ(op->runs(), 3);  // initial + 2 retries
-  EXPECT_EQ(h.metrics.subtasks_retried.load(), 2);
-  EXPECT_GT(h.metrics.subtasks_failed.load(), 0);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksRetried), 2);
+  EXPECT_GT(h.metrics.Get(CounterId::kSubtasksFailed), 0);
 }
 
 TEST(RetryTest, FatalErrorFailsFastWithoutRetry) {
@@ -259,7 +259,7 @@ TEST(RetryTest, FatalErrorFailsFastWithoutRetry) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kExecutionError);  // original class
   EXPECT_EQ(op->runs(), 1);                           // no retry
-  EXPECT_EQ(h.metrics.subtasks_retried.load(), 0);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksRetried), 0);
 }
 
 TEST(RetryTest, InjectedTransientFaultsAreInvisibleToCaller) {
@@ -284,9 +284,9 @@ TEST(RetryTest, InjectedTransientFaultsAreInvisibleToCaller) {
   ASSERT_TRUE(h.Run(&g).ok());
   // At p=0.4 over 16 subtasks some attempts must have been hit, yet every
   // output materialized.
-  EXPECT_GT(h.metrics.faults_injected.load(), 0);
-  EXPECT_EQ(h.metrics.subtasks_retried.load(),
-            h.metrics.faults_injected.load());
+  EXPECT_GT(h.metrics.Get(CounterId::kFaultsInjected), 0);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksRetried),
+            h.metrics.Get(CounterId::kFaultsInjected));
   for (ChunkNode* n : nodes) EXPECT_TRUE(h.storage.Has(n->key));
 }
 
@@ -299,7 +299,7 @@ TEST(RetryTest, StragglerTimesOutAndSucceedsOnRetry) {
   ChunkNode* n = cg.AddNode(op, {});
   SubtaskGraph g = SingleSubtask(n);
   ASSERT_TRUE(h.Run(&g).ok());
-  EXPECT_GE(h.metrics.subtasks_retried.load(), 1);
+  EXPECT_GE(h.metrics.Get(CounterId::kSubtasksRetried), 1);
   EXPECT_TRUE(h.storage.Has(n->key));
 }
 
@@ -316,7 +316,7 @@ TEST(RecoveryTest, BandKillBlacklistsAndLineageRecoversChunk) {
   SubtaskGraph g1 = SingleSubtask(a);
   ASSERT_TRUE(h.Run(&g1).ok());
   EXPECT_EQ(a->band, 0);  // breadth-first placement starts at band 0
-  EXPECT_EQ(h.metrics.bands_blacklisted.load(), 1);
+  EXPECT_EQ(h.metrics.Get(CounterId::kBandsBlacklisted), 1);
   // The chunk went down with the band: tombstoned, not merely absent.
   EXPECT_FALSE(h.storage.Has(a->key));
   EXPECT_TRUE(h.storage.IsLost(a->key));
@@ -326,9 +326,9 @@ TEST(RecoveryTest, BandKillBlacklistsAndLineageRecoversChunk) {
   SubtaskGraph g2 = SingleSubtask(b, a);
   ASSERT_TRUE(h.Run(&g2).ok());
   EXPECT_NE(b->band, 0);  // never placed on the dead band
-  EXPECT_EQ(h.metrics.chunks_recovered.load(), 1);
+  EXPECT_EQ(h.metrics.Get(CounterId::kChunksRecovered), 1);
   EXPECT_EQ(producer_runs.load(), 2);  // original + lineage recompute
-  EXPECT_GT(h.metrics.recovery_us.load(), 0);
+  EXPECT_GT(h.metrics.Get(CounterId::kRecoveryUs), 0);
   // The recovered chunk carries the original payload.
   auto got = h.storage.Get(a->key, b->band);
   ASSERT_TRUE(got.ok()) << got.status();
@@ -352,9 +352,9 @@ TEST(RecoveryTest, ScheduledChunkLossRecoveredTransparently) {
   ChunkNode* b = cg.AddNode(consume, {a});
   SubtaskGraph g2 = SingleSubtask(b, a);
   ASSERT_TRUE(h.Run(&g2).ok());
-  EXPECT_EQ(h.metrics.chunks_recovered.load(), 1);
+  EXPECT_EQ(h.metrics.Get(CounterId::kChunksRecovered), 1);
   EXPECT_EQ(producer_runs.load(), 2);
-  EXPECT_EQ(h.metrics.bands_blacklisted.load(), 0);  // no band died
+  EXPECT_EQ(h.metrics.Get(CounterId::kBandsBlacklisted), 0);  // no band died
 }
 
 TEST(RecoveryTest, MultiHopLineageRebuildsAncestors) {
@@ -390,7 +390,8 @@ TEST(RecoveryTest, MultiHopLineageRebuildsAncestors) {
   ChunkNode* d = cg.AddNode(op_c, {b});
   SubtaskGraph g2 = SingleSubtask(d, b);
   ASSERT_TRUE(h.Run(&g2).ok());
-  EXPECT_EQ(h.metrics.chunks_recovered.load(), 2);  // b and its ancestor a
+  // b and its ancestor a
+  EXPECT_EQ(h.metrics.Get(CounterId::kChunksRecovered), 2);
   EXPECT_EQ(a_runs.load(), 2);
   EXPECT_EQ(b_runs.load(), 2);
 }
@@ -411,7 +412,7 @@ TEST(RecoveryTest, LostChunkWithoutLineageIsFatal) {
   Status st = h.Run(&g);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsChunkLost());
-  EXPECT_EQ(h.metrics.chunks_recovered.load(), 0);
+  EXPECT_EQ(h.metrics.Get(CounterId::kChunksRecovered), 0);
 }
 
 TEST(RecoveryTest, AllBandsDeadFailsFast) {
@@ -424,7 +425,7 @@ TEST(RecoveryTest, AllBandsDeadFailsFast) {
   ChunkNode* a = cg.AddNode(op, {});
   SubtaskGraph g1 = SingleSubtask(a);
   ASSERT_TRUE(h.Run(&g1).ok());  // completes before the kills land
-  EXPECT_EQ(h.metrics.bands_blacklisted.load(), 4);
+  EXPECT_EQ(h.metrics.Get(CounterId::kBandsBlacklisted), 4);
 
   ChunkNode* b = cg.AddNode(op, {});
   SubtaskGraph g2 = SingleSubtask(b);
@@ -483,10 +484,10 @@ std::string RunCensus(const Config& config, ChaosCounters* out = nullptr) {
   auto r = workloads::pipelines::Census(&session, kCensusRows, 44);
   if (out != nullptr) {
     const Metrics& m = session.metrics();
-    out->retried = m.subtasks_retried.load();
-    out->recovered = m.chunks_recovered.load();
-    out->blacklisted = m.bands_blacklisted.load();
-    out->injected = m.faults_injected.load();
+    out->retried = m.Get(CounterId::kSubtasksRetried);
+    out->recovered = m.Get(CounterId::kChunksRecovered);
+    out->blacklisted = m.Get(CounterId::kBandsBlacklisted);
+    out->injected = m.Get(CounterId::kFaultsInjected);
   }
   EXPECT_TRUE(r.ok()) << r.status();
   if (!r.ok()) return "<failed>";
@@ -589,8 +590,8 @@ TEST_P(MultiTenantChaosTest, BandKillAndChunkLossInvisibleToEveryTenant) {
   // Cluster-level accounting on the shared services: the kill fired once,
   // and at least one lost chunk was rebuilt from lineage (a band dying at
   // step 4 under three concurrent pipelines always strands needed data).
-  EXPECT_EQ((*mgr)->metrics().bands_blacklisted.load(), 1);
-  EXPECT_GT((*mgr)->metrics().chunks_recovered.load(), 0);
+  EXPECT_EQ((*mgr)->metrics().Get(CounterId::kBandsBlacklisted), 1);
+  EXPECT_GT((*mgr)->metrics().Get(CounterId::kChunksRecovered), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiTenantChaosTest,

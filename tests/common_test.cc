@@ -143,12 +143,10 @@ TEST(ConfigTest, PresetsMatchDocumentedPolicies) {
 
 TEST(MetricsTest, PeakUpdatesMonotonically) {
   Metrics m;
-  m.UpdatePeak(100);
-  m.UpdatePeak(50);
-  m.UpdatePeak(200);
-  EXPECT_EQ(m.peak_band_bytes.load(), 200);
-  m.Reset();
-  EXPECT_EQ(m.peak_band_bytes.load(), 0);
+  m.RaiseTo(CounterId::kPeakBandBytes, 100);
+  m.RaiseTo(CounterId::kPeakBandBytes, 50);
+  m.RaiseTo(CounterId::kPeakBandBytes, 200);
+  EXPECT_EQ(m.Get(CounterId::kPeakBandBytes), 200);
 }
 
 TEST(RngTest, Deterministic) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/kernel_stats.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "dataframe/compute.h"
 #include "dataframe/groupby.h"
@@ -313,13 +313,11 @@ INSTANTIATE_TEST_SUITE_P(Threads, DictDeterminismTest,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(DictColumnTest, FallbackCounterTicks) {
-  auto& stats = common::KernelStats::Get();
-  const int64_t before =
-      stats.dict_fallback_decodes.load(std::memory_order_relaxed);
+  Metrics metrics;
+  MetricsScope scope(&metrics);
   Column dict = SampleStrings().DictEncode();
   (void)dict.DecodedFallback();
-  EXPECT_GT(stats.dict_fallback_decodes.load(std::memory_order_relaxed),
-            before);
+  EXPECT_GT(metrics.Get(CounterId::kDictFallbackDecodes), 0);
 }
 
 }  // namespace

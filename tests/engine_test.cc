@@ -58,7 +58,7 @@ TEST(EngineTest, FromPandasRoundTrip) {
   EXPECT_EQ(out->GetColumn("v").ValueOrDie()->int64_data()[999], 999);
   // Multi-chunk plan actually happened, by size rather than band count.
   EXPECT_GT(df->node()->chunks.size(), 4u);
-  EXPECT_GT(session.metrics().subtasks_executed.load(), 1);
+  EXPECT_GT(session.metrics().Get(CounterId::kSubtasksExecuted), 1);
 }
 
 TEST(EngineTest, FilterMatchesSingleNode) {
@@ -95,7 +95,7 @@ TEST(EngineTest, FilterThenIlocDynamic) {
   ASSERT_EQ(out->num_rows(), 1);
   // Rows with k==3 are v = 3, 10, 17, ...; the 10th (0-based) is 73.
   EXPECT_EQ(out->GetColumn("v").ValueOrDie()->int64_data()[0], 73);
-  EXPECT_GT(session.metrics().dynamic_yields.load(), 0);
+  EXPECT_GT(session.metrics().Get(CounterId::kDynamicYields), 0);
 }
 
 TEST(EngineTest, FilterThenIlocFailsOnDaskLike) {
@@ -334,7 +334,7 @@ TEST(EngineTest, OomWhenBandBudgetTiny) {
   auto out = joined->Fetch();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kOutOfMemory);
-  EXPECT_GT(session.metrics().oom_events.load(), 0);
+  EXPECT_GT(session.metrics().Get(CounterId::kOomEvents), 0);
 }
 
 TEST(EngineTest, SpillAvoidsOom) {
@@ -430,8 +430,8 @@ TEST(EngineTest, MetricsRecordFusion) {
                                               Lit(2.0)));
   auto out = step2->Fetch();
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_GT(session.metrics().op_fusion_hits.load(), 0);
-  EXPECT_GT(session.metrics().fused_subtasks.load(), 0);
+  EXPECT_GT(session.metrics().Get(CounterId::kOpFusionHits), 0);
+  EXPECT_GT(session.metrics().Get(CounterId::kFusedSubtasks), 0);
   EXPECT_DOUBLE_EQ(out->GetColumn("a2").ValueOrDie()->float64_data()[3],
                    (1.5 + 1.0) * 2.0);
 }

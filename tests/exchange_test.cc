@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/exchange_stats.h"
 #include "core/xorbits.h"
 #include "dataframe/kernels.h"
 #include "operators/groupby_op.h"
@@ -34,8 +33,6 @@ using graph::Subtask;
 using graph::SubtaskGraph;
 using scheduler::Executor;
 using services::ExchangeService;
-
-common::ExchangeStats& Stats() { return common::ExchangeStats::Get(); }
 
 /// Exact fingerprint of a frame: column names, dtypes, validity and raw
 /// value bytes (same scheme as chaos_test.cc / parallel_test.cc).
@@ -79,6 +76,9 @@ DataFrame KeyedFrame(int64_t n, bool encoded) {
 struct ExchangeHarness {
   Config config;
   Metrics metrics;
+  // The test thread pushes and fetches directly: charge its exchange
+  // counters to `metrics`.
+  MetricsScope scope{&metrics};
   services::StorageService storage;
   services::MetaService meta;
   ExchangeService exchange;
@@ -156,7 +156,6 @@ TEST(ExchangeServiceTest, SpilledBlocksRoundTripByteIdentical) {
   ExchangeHarness h(c);
   DataFrame df = KeyedFrame(4000, /*encoded=*/true);
   const std::string fp = Fingerprint(df);
-  const int64_t spilled_before = Stats().shuffle_blocks_spilled.load();
 
   ASSERT_TRUE(h.exchange
                   .PushPartition("m3@0", services::MakeChunk(df), 0, nullptr,
@@ -165,7 +164,7 @@ TEST(ExchangeServiceTest, SpilledBlocksRoundTripByteIdentical) {
   // Push the whole stream to disk, then read it back.
   const int64_t freed = h.storage.SpillByPrefix("m3@", 0, 1LL << 40);
   EXPECT_GT(freed, 0);
-  EXPECT_GT(Stats().shuffle_blocks_spilled.load(), spilled_before);
+  EXPECT_GT(h.metrics.Get(CounterId::kShuffleBlocksSpilled), 0);
   EXPECT_TRUE(h.exchange.PartitionIntact("m3@0"));
 
   auto back = h.exchange.FetchPartition("m3@0", 0, nullptr, nullptr);
@@ -213,8 +212,6 @@ TEST(ExchangeServiceTest, BackpressureUnderTinyBudgetMakesProgress) {
   c.band_memory_limit = 192LL << 10;  // far smaller than the total stream
   c.exchange_backpressure_watermark = 0.5;
   ExchangeHarness h(c);
-  const int64_t stall_before = Stats().exchange_backpressure_us.load();
-  const int64_t spilled_before = Stats().shuffle_blocks_spilled.load();
 
   // Total pushed payload is several times the band budget; every push must
   // still succeed (flow control spills cold blocks, never deadlocks).
@@ -229,8 +226,8 @@ TEST(ExchangeServiceTest, BackpressureUnderTinyBudgetMakesProgress) {
                     .ok())
         << "partition " << p;
   }
-  EXPECT_GT(Stats().shuffle_blocks_spilled.load(), spilled_before);
-  EXPECT_GT(Stats().exchange_backpressure_us.load(), stall_before);
+  EXPECT_GT(h.metrics.Get(CounterId::kShuffleBlocksSpilled), 0);
+  EXPECT_GT(h.metrics.Get(CounterId::kExchangeBackpressureUs), 0);
 
   // Everything is still readable — memory-resident or from disk.
   for (int p = 0; p < 8; ++p) {
@@ -369,11 +366,10 @@ TEST(ExchangeRecoveryTest, LostBlockRebuiltByRerunningMapper) {
   ASSERT_TRUE(h2.storage.Has(victim));
   ASSERT_TRUE(h2.storage.DropChunk(victim).ok());
 
-  const int64_t recovered_before = Stats().shuffle_blocks_recovered.load();
   SubtaskGraph r = sg->ReducersOnly();
   ASSERT_TRUE(h2.Run(&r).ok());
-  EXPECT_GT(h2.metrics.chunks_recovered.load(), 0);
-  EXPECT_GT(Stats().shuffle_blocks_recovered.load(), recovered_before);
+  EXPECT_GT(h2.metrics.Get(CounterId::kChunksRecovered), 0);
+  EXPECT_GT(h2.metrics.Get(CounterId::kShuffleBlocksRecovered), 0);
   for (size_t i = 0; i < sg->reducers.size(); ++i) {
     auto chunk = h2.storage.Get(sg->reducers[i]->key, 0);
     ASSERT_TRUE(chunk.ok());
@@ -428,7 +424,7 @@ TEST(ExchangeRecoveryTest, RetriedMapperLeavesNoStaleBlocks) {
   st.outputs = {mapper};
   g.subtasks = {st};
   ASSERT_TRUE(h.Run(&g).ok());
-  EXPECT_EQ(h.metrics.subtasks_retried.load(), 1);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksRetried), 1);
 
   // The retry's stream is complete, intact and readable; both partitions
   // carry exactly the rows the fault-free mapper would have produced.
@@ -585,7 +581,7 @@ TEST_P(ExchangeChaosTest, ChunkLossWithBlockStreamsIsInvisible) {
   auto r = workloads::pipelines::Census(&session, 20000, 44);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(Fingerprint(*r), BaselineCensus());
-  EXPECT_GT(session.metrics().chunks_recovered.load(), 0);
+  EXPECT_GT(session.metrics().Get(CounterId::kChunksRecovered), 0);
 }
 
 TEST_P(ExchangeChaosTest, MapperDeathMidPartitionIsInvisible) {
@@ -600,7 +596,7 @@ TEST_P(ExchangeChaosTest, MapperDeathMidPartitionIsInvisible) {
   auto r = workloads::pipelines::Census(&session, 20000, 44);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(Fingerprint(*r), BaselineCensus());
-  EXPECT_EQ(session.metrics().bands_blacklisted.load(), 1);
+  EXPECT_EQ(session.metrics().Get(CounterId::kBandsBlacklisted), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExchangeChaosTest,

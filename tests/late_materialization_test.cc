@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/buffer.h"
-#include "common/late_stats.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "dataframe/dataframe.h"
 #include "dataframe/dict.h"
@@ -31,7 +31,6 @@
 namespace xorbits::dataframe {
 namespace {
 
-using common::LateStats;
 
 /// Order-sensitive value checksum over every cell (AppendKeyBytes is
 /// documented byte-identical across encodings and materialization states).
@@ -105,12 +104,13 @@ TEST(LateMaterializationTest, SelectionSerializeRoundTrip) {
 
   // Serialization is a forcing point: the writer resolves the selection
   // internally and the stream must be readable as a plain dense frame.
-  const int64_t forced_before =
-      LateStats::Get().selections_forced.load(std::memory_order_relaxed);
+  Metrics metrics;
   std::ostringstream os;
-  ASSERT_TRUE(io::WriteDataFrame(os, lazy).ok());
-  EXPECT_GT(LateStats::Get().selections_forced.load(std::memory_order_relaxed),
-            forced_before);
+  {
+    MetricsScope scope(&metrics);
+    ASSERT_TRUE(io::WriteDataFrame(os, lazy).ok());
+  }
+  EXPECT_GT(metrics.Get(CounterId::kSelectionsForced), 0);
 
   std::istringstream is(os.str());
   auto back = io::ReadDataFrame(is);
@@ -162,21 +162,21 @@ TEST(LateMaterializationTest, LazyDecodeTouchesOnlyReadColumns) {
   const std::string path = TempPath("decode");
   ASSERT_TRUE(io::WriteXpq(path, SampleFrame(kRows)).ok());
 
-  auto& ls = LateStats::Get();
-  const int64_t decoded0 = ls.lazy_columns_decoded.load();
+  Metrics metrics;
+  MetricsScope scope(&metrics);
 
   auto lazy_r = io::ReadXpqLazy(path);
   ASSERT_TRUE(lazy_r.ok());
   DataFrame lazy = lazy_r.MoveValue();
   // Reading the footer decodes nothing.
-  EXPECT_EQ(ls.lazy_columns_decoded.load(), decoded0);
+  EXPECT_EQ(metrics.Get(CounterId::kLazyColumnsDecoded), 0);
   for (int i = 0; i < lazy.num_columns(); ++i) {
     EXPECT_TRUE(lazy.IsSlotPending(i));
   }
 
   // Touch one column: exactly one slot resolves.
   EXPECT_EQ(lazy.column(1).length(), kRows);
-  EXPECT_EQ(ls.lazy_columns_decoded.load(), decoded0 + 1);
+  EXPECT_EQ(metrics.Get(CounterId::kLazyColumnsDecoded), 1);
   EXPECT_FALSE(lazy.IsSlotPending(1));
   EXPECT_TRUE(lazy.IsSlotPending(0));
   std::filesystem::remove(path);
@@ -186,17 +186,19 @@ TEST(LateMaterializationTest, LowSelectivityMaterializesFewerBytes) {
   const int64_t kRows = 20000;
   const std::string path = TempPath("bytes");
   ASSERT_TRUE(io::WriteXpq(path, SampleFrame(kRows)).ok());
-  auto& ls = LateStats::Get();
 
   // Eager: read everything dense, then compact-filter to 1%.
   int64_t eager_bytes = 0;
   {
     auto r = io::ReadXpq(path);
     ASSERT_TRUE(r.ok());
-    const int64_t b0 = ls.bytes_materialized.load();
-    DataFrame out = r.ValueOrDie().FilterRows(ModMask(kRows, 100));
-    (void)Fingerprint(out);
-    eager_bytes = ls.bytes_materialized.load() - b0;
+    Metrics metrics;
+    {
+      MetricsScope scope(&metrics);
+      DataFrame out = r.ValueOrDie().FilterRows(ModMask(kRows, 100));
+      (void)Fingerprint(out);
+    }
+    eager_bytes = metrics.Get(CounterId::kBytesMaterialized);
     // ReadXpq itself is the bulk of eager work; fold it in via nbytes.
     eager_bytes += r.ValueOrDie().nbytes();
   }
@@ -212,10 +214,13 @@ TEST(LateMaterializationTest, LowSelectivityMaterializesFewerBytes) {
 
     auto r = io::ReadXpqLazy(path);
     ASSERT_TRUE(r.ok());
-    const int64_t b0 = ls.bytes_materialized.load();
-    DataFrame out = r.MoveValue().FilterRowsLate(ModMask(kRows, 100));
-    late_fp = Fingerprint(out);
-    late_bytes = ls.bytes_materialized.load() - b0;
+    Metrics metrics;
+    {
+      MetricsScope scope(&metrics);
+      DataFrame out = r.MoveValue().FilterRowsLate(ModMask(kRows, 100));
+      late_fp = Fingerprint(out);
+    }
+    late_bytes = metrics.Get(CounterId::kBytesMaterialized);
   }
   EXPECT_EQ(late_fp, eager_fp);
   // The acceptance bar is <= 0.25x at 1%; in-process we comfortably beat it.
@@ -246,14 +251,14 @@ TEST(LateMaterializationTest, DeferredExprSourceMatchesEager) {
 
   // Deferred: the transform hangs behind a lazy slot and is evaluated only
   // at the rows the selection keeps.
-  auto& ls = LateStats::Get();
-  const int64_t deferred0 = ls.deferred_transforms.load();
+  Metrics metrics;
   DataFrame late = df;
   {
+    MetricsScope scope(&metrics);
     auto src = operators::MakeDeferredExprSource(late, expr);
     ASSERT_TRUE(src.ok());
     ASSERT_TRUE(late.SetColumnSource("flag", src.MoveValue()).ok());
-    EXPECT_EQ(ls.deferred_transforms.load(), deferred0 + 1);
+    EXPECT_EQ(metrics.Get(CounterId::kDeferredTransforms), 1);
     late = late.FilterRowsLate(ModMask(kRows, 3));
     ASSERT_TRUE(late.is_lazy());
   }
@@ -364,12 +369,12 @@ TEST(LateMaterializationTest, EmptyWindowMutableVecNoCowCopy) {
   common::BufferView<int64_t> empty = shared.Slice(128, 0);
   ASSERT_EQ(empty.size(), 0);
 
-  auto& bs = common::BufferStats::Get();
-  const int64_t cow0 = bs.cow_copies.load(std::memory_order_relaxed);
+  Metrics metrics;
+  MetricsScope scope(&metrics);
   std::vector<int64_t>& vec = empty.MutableVec();
   // A zero-row selection's unshare copies nothing: no CoW copy is counted
   // and the shared payload buffer is released, not pinned.
-  EXPECT_EQ(bs.cow_copies.load(std::memory_order_relaxed), cow0);
+  EXPECT_EQ(metrics.Get(CounterId::kBufferCowCopies), 0);
   EXPECT_TRUE(vec.empty());
   EXPECT_FALSE(empty.SharesBufferWith(base));
 

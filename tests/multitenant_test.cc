@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -299,6 +300,112 @@ TEST(MultiTenantTest, PrioritiesAndInflightCapsStillProduceExactResults) {
 }
 
 // ---------------------------------------------------------------------------
+// Counter attribution: scoped counters land on the session that caused them
+// ---------------------------------------------------------------------------
+
+/// The counters raised below the session (the table's gauges section),
+/// minus the three that depend on timing: backpressure stalls and the
+/// spills and recoveries they cause.
+std::vector<CounterId> AttributedCounters() {
+  std::vector<CounterId> out;
+  for (int i = 0; i < kNumCounters; ++i) {
+    const auto id = static_cast<CounterId>(i);
+    if (kCounterTable[i].section != CounterSection::kGauges ||
+        id == CounterId::kShuffleBlocksSpilled ||
+        id == CounterId::kShuffleBlocksRecovered ||
+        id == CounterId::kExchangeBackpressureUs) {
+      continue;
+    }
+    out.push_back(id);
+  }
+  return out;
+}
+
+using CounterValues = std::vector<int64_t>;
+
+CounterValues ReadCounters(const Metrics& m) {
+  CounterValues out;
+  for (CounterId id : AttributedCounters()) out.push_back(m.Get(id));
+  return out;
+}
+
+TEST(AttributionTest, ConcurrentTenantsMatchSequentialAndSumToCluster) {
+  Config c = SmallCluster();  // result cache and spill stay off
+  const std::vector<std::function<Status(core::Session*)>> pipelines = {
+      [](core::Session* s) {
+        return workloads::pipelines::TpcxAiUC10(s, 20000, 200, 42).status();
+      },
+      [](core::Session* s) {
+        return workloads::pipelines::Census(s, 4000, 44).status();
+      },
+      [](core::Session* s) {
+        // A multi-chunk global sort: a range shuffle through the exchange.
+        auto df = FromPandas(s, workloads::pipelines::MakePlasticc(20000, 60));
+        if (!df.ok()) return df.status();
+        auto sorted = df->SortValues({"flux"});
+        if (!sorted.ok()) return sorted.status();
+        return sorted->Fetch().status();
+      },
+  };
+  const size_t n = pipelines.size();
+
+  // One after another on a fresh manager.
+  std::vector<CounterValues> sequential(n);
+  {
+    auto mgr = core::SessionManager::Create(c);
+    ASSERT_TRUE(mgr.ok());
+    for (size_t i = 0; i < n; ++i) {
+      auto s = (*mgr)->CreateSession();
+      Status st = pipelines[i](s.get());
+      ASSERT_TRUE(st.ok()) << "pipeline " << i << ": " << st;
+      sequential[i] = ReadCounters(s->metrics());
+    }
+  }
+
+  // All at once on another fresh manager.
+  auto mgr = core::SessionManager::Create(c);
+  ASSERT_TRUE(mgr.ok());
+  std::vector<std::unique_ptr<core::Session>> sessions;
+  for (size_t i = 0; i < n; ++i) sessions.push_back((*mgr)->CreateSession());
+  std::vector<Status> statuses(n, Status::OK());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < n; ++i) {
+    threads.emplace_back(
+        [&, i] { statuses[i] = pipelines[i](sessions[i].get()); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const std::vector<CounterId> ids = AttributedCounters();
+  const CounterValues cluster = ReadCounters((*mgr)->metrics());
+  CounterValues sum(ids.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << "pipeline " << i << ": " << statuses[i];
+    const CounterValues mine = ReadCounters(sessions[i]->metrics());
+    for (size_t k = 0; k < ids.size(); ++k) {
+      const char* name = kCounterTable[static_cast<int>(ids[k])].name;
+      EXPECT_EQ(mine[k], sequential[i][k])
+          << "pipeline " << i << " counter " << name;
+      sum[k] += mine[k];
+    }
+  }
+  for (size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(sum[k], cluster[k])
+        << "counter " << kCounterTable[static_cast<int>(ids[k])].name;
+  }
+  // Not vacuous: the runs materialized bytes and shuffled through the
+  // exchange.
+  auto at = [&](CounterId id) {
+    for (size_t k = 0; k < ids.size(); ++k) {
+      if (ids[k] == id) return cluster[k];
+    }
+    return int64_t{0};
+  };
+  EXPECT_GT(at(CounterId::kBytesMaterialized), 0);
+  EXPECT_GT(at(CounterId::kShuffleWireBytes), 0);
+  EXPECT_GT(at(CounterId::kBufferBytesShared), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Per-session quotas: spill-first, fail-only-the-tenant
 // ---------------------------------------------------------------------------
 
@@ -353,7 +460,7 @@ TEST(QuotaTest, SpillAbsorbsQuotaPressureInsteadOfFailing) {
   EXPECT_EQ(Fingerprint(*r), SoloFingerprint(SmallCluster(), 60000, 44));
   // The quota actually bit: chunks were spilled, and the session's
   // in-memory footprint stayed at or below its quota.
-  EXPECT_GT((*mgr)->metrics().spill_events.load(), 0);
+  EXPECT_GT((*mgr)->metrics().Get(CounterId::kSpillEvents), 0);
   EXPECT_LE((*mgr)->storage().session_bytes(s->session_id()),
             c.session_memory_quota_bytes);
 }

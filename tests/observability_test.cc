@@ -122,7 +122,7 @@ TEST(MetricsRegistryTest, IdempotentRegistrationAndSnapshot) {
 
 TEST(MetricsTest, SnapshotIsOneConsistentCopy) {
   Metrics m;
-  m.subtasks_executed = 3;
+  m.Add(CounterId::kSubtasksExecuted, 3);
   m.subtask_latency_us->Observe(500);
   m.registry.GetGauge("band_peak_bytes/0", "bytes")->Set(1234);
   const MetricsSnapshot s = m.Snapshot();
@@ -365,7 +365,7 @@ TEST(TracedSessionTest, SpanNestingAcrossTileYield) {
         df->Filter(CompareExpr(Col("v"), CmpOp::kGe, Lit(int64_t{500})));
     auto row = f->Iloc(123);
     ASSERT_TRUE(row->Fetch().ok());
-    ASSERT_GE(session.metrics().dynamic_yields.load(), 1);
+    ASSERT_GE(session.metrics().Get(CounterId::kDynamicYields), 1);
   }
   const auto events = tracer.SnapshotEvents();
   // Find a tile span that contains a tile:yield instant, and a schedule:run
@@ -409,7 +409,7 @@ TEST(TracedSessionTest, StageTotalsSumToSimulatedTime) {
     auto df = FromPandas(&session, Numbers(4000));
     auto g = df->GroupByAgg({"v"}, {{"", dataframe::AggFunc::kSize, "n"}});
     ASSERT_TRUE(g->Fetch().ok());
-    simulated_us = session.metrics().simulated_us.load();
+    simulated_us = session.metrics().Get(CounterId::kSimulatedUs);
   }
   ASSERT_GT(simulated_us, 0);
   const auto pids = tracer.process_ids();

@@ -41,7 +41,7 @@ TEST(OpFusionTest, MergesAssignmentChain) {
   const auto* op = dynamic_cast<const EvalChunkOp*>(out->op.get());
   ASSERT_NE(op, nullptr);
   EXPECT_EQ(op->assignments().size(), 3u);
-  EXPECT_EQ(metrics.op_fusion_hits.load(), 2);
+  EXPECT_EQ(metrics.Get(CounterId::kOpFusionHits), 2);
   EXPECT_TRUE(out->inputs.empty());
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "dataframe/dataframe.h"
 #include "dataframe/groupby.h"
@@ -135,6 +136,75 @@ TEST(ThreadPoolStressTest, CpuScopeSeesPoolThreadWork) {
   EXPECT_GT(scope.total_us(), 0);
   EXPECT_LE(scope.inline_us(), scope.total_us());
   SetCurrentThreadPool(prev);
+}
+
+// ---------------------------------------------------------------------------
+// MetricsScope: which Metrics a counter raised below the session lands on
+// ---------------------------------------------------------------------------
+
+/// Charges one unit per row of [0, n) in 4-thread pool morsels.
+void ChargeRowsInParallel(int64_t n) {
+  ThreadPool pool(4);
+  ThreadPool* prev = SetCurrentThreadPool(&pool);
+  ParallelFor(0, n, 1000, [](int64_t lo, int64_t hi) {
+    ChargeScoped(CounterId::kBytesMaterialized, hi - lo);
+  });
+  SetCurrentThreadPool(prev);
+}
+
+TEST(MetricsScopeTest, PoolMorselsChargeTheCallersScope) {
+  Metrics metrics;
+  {
+    MetricsScope scope(&metrics);
+    ChargeRowsInParallel(100000);
+  }
+  // Every morsel counted once, wherever it ran.
+  EXPECT_EQ(metrics.Get(CounterId::kBytesMaterialized), 100000);
+}
+
+TEST(MetricsScopeTest, NestedScopeRestoresItsOuterScope) {
+  Metrics outer, inner;
+  MetricsScope outer_scope(&outer);
+  EXPECT_EQ(MetricsScope::Current(), &outer);
+  {
+    MetricsScope inner_scope(&inner);
+    EXPECT_EQ(MetricsScope::Current(), &inner);
+    ChargeRowsInParallel(5000);
+  }
+  EXPECT_EQ(MetricsScope::Current(), &outer);
+  ChargeScoped(CounterId::kBytesMaterialized, 7);
+  EXPECT_EQ(inner.Get(CounterId::kBytesMaterialized), 5000);
+  EXPECT_EQ(outer.Get(CounterId::kBytesMaterialized), 7);
+}
+
+TEST(MetricsScopeTest, NothingIsCountedOutsideAnyScope) {
+  ASSERT_EQ(MetricsScope::Current(), nullptr);
+  Metrics metrics;
+  ChargeRowsInParallel(5000);  // no scope: dropped
+  {
+    MetricsScope scope(&metrics);
+  }
+  ChargeScoped(CounterId::kBytesMaterialized, 1);
+  EXPECT_EQ(metrics.Get(CounterId::kBytesMaterialized), 0);
+}
+
+TEST(MetricsScopeTest, ScopedChargesRollUpToTheParent) {
+  Metrics cluster;
+  Metrics a(&cluster), b(&cluster);
+  {
+    MetricsScope scope(&a);
+    ChargeRowsInParallel(3000);
+  }
+  {
+    MetricsScope scope(&b);
+    ChargeRowsInParallel(2000);
+  }
+  EXPECT_EQ(a.Get(CounterId::kBytesMaterialized), 3000);
+  EXPECT_EQ(b.Get(CounterId::kBytesMaterialized), 2000);
+  EXPECT_EQ(cluster.Get(CounterId::kBytesMaterialized), 5000);
+  // A direct Add stays on the instance it names.
+  a.Add(CounterId::kSubtasksExecuted);
+  EXPECT_EQ(cluster.Get(CounterId::kSubtasksExecuted), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -236,8 +236,8 @@ TEST(PredicatePushdownTest, PushesFilterAndReducesBytesRead) {
     DataFrame out = sel->Fetch().MoveValue();
     // The premise below: the source really tiled to chunks of 50 rows.
     EXPECT_EQ(sel->node()->chunks.size(), 4u);
-    *bytes = session.metrics().source_bytes_read.load();
-    *pushed = session.metrics().predicates_pushed.load();
+    *bytes = session.metrics().Get(CounterId::kSourceBytesRead);
+    *pushed = session.metrics().Get(CounterId::kPredicatesPushed);
     return out;
   };
   // Baseline: pruning only. Pushdown run reads predicate columns first and
@@ -277,7 +277,7 @@ TEST(PredicatePushdownTest, StackedFiltersCollapseIntoSource) {
   EXPECT_EQ(out.num_rows(), 19);
   // Both predicates reached the source: two pushdown rewrites, and the
   // chain collapsed so no Eval filter remains between source and sink.
-  EXPECT_EQ(session.metrics().predicates_pushed.load(), 2);
+  EXPECT_EQ(session.metrics().Get(CounterId::kPredicatesPushed), 2);
   std::remove(path.c_str());
 }
 
@@ -291,7 +291,7 @@ TEST(PredicatePushdownTest, SharedSourceIsNotRewritten) {
   auto sibling = ref->Select({"b"});
   DataFrame filtered = f->Fetch().MoveValue();
   EXPECT_EQ(filtered.num_rows(), 49);
-  EXPECT_EQ(session.metrics().predicates_pushed.load(), 0);
+  EXPECT_EQ(session.metrics().Get(CounterId::kPredicatesPushed), 0);
   DataFrame all = sibling->Fetch().MoveValue();
   EXPECT_EQ(all.num_rows(), 200);
   std::remove(path.c_str());
@@ -310,8 +310,8 @@ TEST(CsePassTest, DeduplicatesIdenticalSourceReads) {
     auto right = r2->Select({"a", "d"});
     auto m = r1->Select({"a", "b"})->Merge(*right, on);
     DataFrame out = m->Fetch().MoveValue();
-    *hits = session.metrics().cse_hits.load();
-    *executed = session.metrics().subtasks_executed.load();
+    *hits = session.metrics().Get(CounterId::kCseHits);
+    *executed = session.metrics().Get(CounterId::kSubtasksExecuted);
     return out;
   };
   Config no_cse = SmallChunkConfig();
@@ -340,7 +340,7 @@ TEST(DeadNodeElimTest, AbandonedBranchIsNeitherTiledNorExecuted) {
   auto live = ref->Select({"a"});
   DataFrame out = live->Fetch().MoveValue();
   EXPECT_EQ(out.num_columns(), 1);
-  EXPECT_GE(session.metrics().dead_nodes_eliminated.load(), 1);
+  EXPECT_GE(session.metrics().Get(CounterId::kDeadNodesEliminated), 1);
   EXPECT_FALSE(dead->node()->tiled);
   // Fetching the branch later revives it (incremental Materialize).
   DataFrame dead_out = dead->Fetch().MoveValue();

@@ -120,12 +120,12 @@ TEST(ResultCacheUnitTest, HitMissRoundTripAndCounters) {
             Fingerprint(data->dataframe()));
   cache.Unpin({"s1"});
 
-  EXPECT_EQ(m.cache_hits.load(), 1);
-  EXPECT_EQ(m.cache_misses.load(), 1);
-  EXPECT_EQ(m.cache_publishes.load(), 1);
+  EXPECT_EQ(m.Get(CounterId::kCacheHits), 1);
+  EXPECT_EQ(m.Get(CounterId::kCacheMisses), 1);
+  EXPECT_EQ(m.Get(CounterId::kCachePublishes), 1);
   // A duplicate publish (two tenants racing the same miss) is a no-op.
   cache.Publish("s1", data, 0, meta, {"src_a"});
-  EXPECT_EQ(m.cache_publishes.load(), 1);
+  EXPECT_EQ(m.Get(CounterId::kCachePublishes), 1);
   EXPECT_EQ(cache.entries(), 1);
 }
 
@@ -148,7 +148,7 @@ TEST(ResultCacheUnitTest, LruEvictionUnderBudgetPressureSkipsPinned) {
     cache.Publish("bulk" + std::to_string(i), MakeFrameChunk(1000, i + 1), 0,
                   meta, {});
   }
-  EXPECT_GT(m.cache_evictions.load(), 0);
+  EXPECT_GT(m.Get(CounterId::kCacheEvictions), 0);
   EXPECT_LE(cache.bytes(), c.result_cache_budget_bytes);
   // The pinned entry survived every eviction round; the oldest unpinned
   // bulk entries did not, and their chunks were tombstoned in storage.
@@ -174,7 +174,7 @@ TEST(ResultCacheUnitTest, InvalidateDropsByTagAndDoomsPinnedEntries) {
   ASSERT_TRUE(cache.LookupAndPin("b").has_value());  // mid-consumption
 
   EXPECT_EQ(cache.Invalidate("file1.csv"), 2);
-  EXPECT_EQ(m.cache_invalidations.load(), 2);
+  EXPECT_EQ(m.Get(CounterId::kCacheInvalidations), 2);
   EXPECT_FALSE(cache.Contains("a"));
   EXPECT_TRUE(cache.Contains("keep"));
   // The pinned entry is doomed: invisible to new probes, but its consumer
@@ -369,8 +369,8 @@ TEST(ResultCacheChaosTest, LostCachedChunkRecoversViaLineageByteIdentical) {
   EXPECT_GT(CounterOf(after, "cache_hits"), CounterOf(before, "cache_hits"));
   // ...and recovery actually ran somewhere (cluster or session metrics,
   // depending on which path — fetch or subtask input — tripped first).
-  const int64_t recovered = (*mgr)->metrics().chunks_recovered.load() +
-                            b->metrics().chunks_recovered.load();
+  const int64_t recovered = (*mgr)->metrics().Get(CounterId::kChunksRecovered) +
+                            b->metrics().Get(CounterId::kChunksRecovered);
   EXPECT_GT(recovered, 0);
 }
 

@@ -192,7 +192,7 @@ TEST(ExecutorTest, RunsDagAndPersistsOutputs) {
   EXPECT_TRUE(b->executed);
   EXPECT_TRUE(h.storage.Has(a->key));
   EXPECT_TRUE(h.meta.Has(b->key));
-  EXPECT_GT(h.metrics.simulated_us.load(), 0);
+  EXPECT_GT(h.metrics.Get(CounterId::kSimulatedUs), 0);
 }
 
 TEST(ExecutorTest, FailurePropagatesAndCancels) {
@@ -218,7 +218,7 @@ TEST(ExecutorTest, FailurePropagatesAndCancels) {
   EXPECT_EQ(st.code(), StatusCode::kExecutionError);
   EXPECT_EQ(count.load(), 0);  // dependent never ran
   EXPECT_FALSE(dependent->executed);
-  EXPECT_GT(h.metrics.subtasks_failed.load(), 0);
+  EXPECT_GT(h.metrics.Get(CounterId::kSubtasksFailed), 0);
 }
 
 TEST(ExecutorTest, DeadlineReportsHang) {
@@ -265,7 +265,7 @@ TEST(ExecutorTest, SequentialRunsReusePersistentWorkers) {
     ASSERT_TRUE(h.Run(&g).ok()) << "round " << round;
   }
   EXPECT_EQ(count.load(), 3);
-  EXPECT_EQ(h.metrics.subtasks_executed.load(), 3);
+  EXPECT_EQ(h.metrics.Get(CounterId::kSubtasksExecuted), 3);
 }
 
 // Burns kernel CPU through the morsel loop, the shape whose cost used to
@@ -346,9 +346,9 @@ TEST(ExecutorTest, ParallelKernelCpuIsNotFree) {
   }
 
   const double serial_cpu =
-      static_cast<double>(serial.metrics.kernel_cpu_us.load());
+      static_cast<double>(serial.metrics.Get(CounterId::kKernelCpuUs));
   const double parallel_cpu =
-      static_cast<double>(parallel.metrics.kernel_cpu_us.load());
+      static_cast<double>(parallel.metrics.Get(CounterId::kKernelCpuUs));
   ASSERT_GT(serial_cpu, 0);
   ASSERT_GT(parallel_cpu, 0);
   // Identical work; generous bounds absorb scheduler/timer noise.
@@ -356,8 +356,8 @@ TEST(ExecutorTest, ParallelKernelCpuIsNotFree) {
   EXPECT_LT(parallel_cpu, serial_cpu * 6.0);
 
   // Dividing parallel CPU across modeled slots must shrink modeled time.
-  EXPECT_LT(parallel.metrics.simulated_us.load(),
-            serial.metrics.simulated_us.load());
+  EXPECT_LT(parallel.metrics.Get(CounterId::kSimulatedUs),
+            serial.metrics.Get(CounterId::kSimulatedUs));
 }
 
 TEST(ExecutorTest, KernelPoolsAreCappedAtTheHardware) {
@@ -400,7 +400,7 @@ TEST(ExecutorTest, KernelPoolsAreCappedAtTheHardware) {
     rebuilt += st.cost.serial_us + st.cost.parallel_us * slots;
     parallel_us += st.cost.parallel_us;
   }
-  const int64_t kernel_cpu = wide.metrics.kernel_cpu_us.load();
+  const int64_t kernel_cpu = wide.metrics.Get(CounterId::kKernelCpuUs);
   EXPECT_GT(parallel_us, 0);
   EXPECT_GE(rebuilt, kernel_cpu);
   EXPECT_LT(rebuilt,

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
+#include "core/session.h"
+#include "core/xorbits.h"
 #include "services/chunk_data.h"
 #include "services/meta_service.h"
 #include "services/storage_service.h"
@@ -95,7 +98,7 @@ TEST(StorageTest, PutGetSameBand) {
   auto got = store.Get("a", 0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ((*got)->rows(), 10);
-  EXPECT_EQ(metrics.bytes_transferred.load(), 0);
+  EXPECT_EQ(metrics.Get(CounterId::kBytesTransferred), 0);
   EXPECT_EQ(*store.BandOf("a"), 0);
   EXPECT_GT(store.band_used_bytes(0), 0);
 }
@@ -106,7 +109,7 @@ TEST(StorageTest, CrossBandGetMetersTransfer) {
   ChunkDataPtr c = DfChunk(10);
   ASSERT_TRUE(store.Put("a", c, 0).ok());
   ASSERT_TRUE(store.Get("a", 1).ok());
-  EXPECT_EQ(metrics.bytes_transferred.load(), c->nbytes());
+  EXPECT_EQ(metrics.Get(CounterId::kBytesTransferred), c->nbytes());
 }
 
 TEST(StorageTest, DuplicateKeyRejected) {
@@ -125,7 +128,7 @@ TEST(StorageTest, OomWithoutSpill) {
     last = store.Put("k" + std::to_string(i), DfChunk(50), 0);
   }
   EXPECT_TRUE(last.IsOutOfMemory());
-  EXPECT_GT(metrics.oom_events.load(), 0);
+  EXPECT_GT(metrics.Get(CounterId::kOomEvents), 0);
   // The other band is unaffected.
   EXPECT_TRUE(store.Put("other", DfChunk(50), 1).ok());
 }
@@ -138,8 +141,8 @@ TEST(StorageTest, SpillThenFaultBack) {
     ASSERT_TRUE(store.Put("k" + std::to_string(i), DfChunk(40), 0).ok())
         << i;
   }
-  EXPECT_GT(metrics.spill_events.load(), 0);
-  EXPECT_GT(metrics.bytes_spilled.load(), 0);
+  EXPECT_GT(metrics.Get(CounterId::kSpillEvents), 0);
+  EXPECT_GT(metrics.Get(CounterId::kBytesSpilled), 0);
   // Oldest chunk was spilled; Get faults it back with identical content.
   auto got = store.Get("k0", 0);
   ASSERT_TRUE(got.ok()) << got.status();
@@ -205,13 +208,14 @@ TEST(StorageTest, SpillFaultBackChargesTransferExactlyOnce) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(store.Put("k" + std::to_string(i), DfChunk(40), 0).ok());
   }
-  ASSERT_GT(metrics.spill_events.load(), 0);
+  ASSERT_GT(metrics.Get(CounterId::kSpillEvents), 0);
   // Cross-band read of a spilled chunk: fault back from disk, then one
   // metered transfer — the bytes must not be double-charged.
-  const int64_t before = metrics.bytes_transferred.load();
+  const int64_t before = metrics.Get(CounterId::kBytesTransferred);
   auto got = store.Get("k0", 1);
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(metrics.bytes_transferred.load() - before, (*got)->nbytes());
+  EXPECT_EQ(metrics.Get(CounterId::kBytesTransferred) - before,
+            (*got)->nbytes());
 }
 
 TEST(StorageTest, MissingSpillFileSurfacesChunkLost) {
@@ -223,7 +227,7 @@ TEST(StorageTest, MissingSpillFileSurfacesChunkLost) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(store.Put("k" + std::to_string(i), DfChunk(40), 0).ok());
   }
-  ASSERT_GT(metrics.spill_events.load(), 0);
+  ASSERT_GT(metrics.Get(CounterId::kSpillEvents), 0);
   // Simulate disk loss: every spill file vanishes.
   for (const auto& e :
        std::filesystem::directory_iterator(cfg.spill_dir)) {
@@ -241,6 +245,141 @@ TEST(StorageTest, MissingSpillFileSurfacesChunkLost) {
   EXPECT_TRUE(store.Get("k0", 1).ok());
   EXPECT_FALSE(store.IsLost("k0"));
 }
+
+// --- corrupt spill files ----------------------------------------------------
+
+enum class Damage { kTruncate, kFlipByte };
+
+/// Damages every spill file under `dir`: cut to half its length, or one
+/// byte in the middle inverted.
+int DamageSpillFiles(const std::string& dir, Damage damage) {
+  int damaged = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const auto size = std::filesystem::file_size(e.path());
+    if (damage == Damage::kTruncate) {
+      std::filesystem::resize_file(e.path(), size / 2);
+    } else {
+      std::fstream f(e.path(), std::ios::in | std::ios::out |
+                                   std::ios::binary);
+      f.seekg(static_cast<std::streamoff>(size / 2));
+      const char c = static_cast<char>(~f.get());
+      f.seekp(static_cast<std::streamoff>(size / 2));
+      f.put(c);
+    }
+    ++damaged;
+  }
+  return damaged;
+}
+
+class CorruptSpillTest : public ::testing::TestWithParam<Damage> {};
+
+TEST_P(CorruptSpillTest, GetTombstonesTheChunkAndDropsTheFile) {
+  Metrics metrics;
+  Config cfg = SmallConfig(true);
+  cfg.spill_dir = "/tmp/xorbits_test_spill_corrupt";
+  std::filesystem::remove_all(cfg.spill_dir);
+  StorageService store(cfg, &metrics);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(store.Put("k" + std::to_string(i), DfChunk(40), 0).ok());
+  }
+  ASSERT_GT(metrics.Get(CounterId::kSpillEvents), 0);
+  const int damaged = DamageSpillFiles(cfg.spill_dir, GetParam());
+  ASSERT_GT(damaged, 0);
+  // The oldest chunk was spilled first; its file no longer reads back.
+  Status st = store.Get("k0", 0).status();
+  EXPECT_TRUE(st.IsChunkLost()) << st;
+  EXPECT_TRUE(store.IsLost("k0"));
+  // The bad file is gone, so no retry re-reads the same bytes.
+  int left = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator(cfg.spill_dir)) {
+    ++left;
+  }
+  EXPECT_EQ(left, damaged - 1);
+  EXPECT_TRUE(store.Get("k0", 0).status().IsChunkLost());
+}
+
+/// Exact fingerprint of a frame: column names, dtypes, validity and values.
+std::string Fingerprint(const DataFrame& df) {
+  std::string out;
+  for (int ci = 0; ci < df.num_columns(); ++ci) {
+    out += df.column_name(ci);
+    out += '|';
+    const Column& c = df.column(ci);
+    out += static_cast<char>(c.dtype());
+    for (int64_t i = 0; i < c.length(); ++i) {
+      out += c.IsValid(i) ? 'v' : 'n';
+      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+DataFrame KeyedFrame(int64_t n) {
+  std::vector<int64_t> k(n), v(n);
+  for (int64_t i = 0; i < n; ++i) {
+    k[i] = (i * 7919) % 37;
+    v[i] = (i * 40503) % 1000;
+  }
+  return DataFrame::Make({"k", "v"}, {Column::Int64(k), Column::Int64(v)})
+      .MoveValue();
+}
+
+/// w = v * 2, filtered to k < 30, then grouped and sorted by k. With
+/// `corrupt_between`, the filter output is materialized first (the part
+/// that spills) and every spill file is damaged before the aggregation
+/// reads it back.
+Result<DataFrame> RunPipeline(core::Session* session, bool corrupt_between,
+                              Damage damage) {
+  using operators::Col;
+  using operators::Lit;
+  XORBITS_ASSIGN_OR_RETURN(auto df, FromPandas(session, KeyedFrame(4000)));
+  XORBITS_ASSIGN_OR_RETURN(
+      auto doubled,
+      df.Assign("w", operators::BinaryExpr(Col("v"), dataframe::BinOp::kMul,
+                                           Lit(int64_t{2}))));
+  XORBITS_ASSIGN_OR_RETURN(
+      auto kept, doubled.Filter(operators::CompareExpr(
+                     Col("k"), dataframe::CmpOp::kLt, Lit(int64_t{30}))));
+  if (corrupt_between) {
+    XORBITS_RETURN_NOT_OK(session->Materialize({kept.node()}));
+    if (DamageSpillFiles(session->config().spill_dir, damage) == 0) {
+      return Status::Invalid("nothing was spilled");
+    }
+  }
+  XORBITS_ASSIGN_OR_RETURN(
+      auto g, kept.GroupByAgg({"k"}, {{"w", dataframe::AggFunc::kSum, "s"},
+                                      {"v", dataframe::AggFunc::kMax, "m"}}));
+  // Group order depends on the partitioning; sort so engines compare.
+  XORBITS_ASSIGN_OR_RETURN(auto sorted, g.SortValues({"k"}));
+  return sorted.Fetch();
+}
+
+TEST_P(CorruptSpillTest, MaterializeRecoversFromLineage) {
+  Config c;
+  c.num_workers = 1;
+  c.bands_per_worker = 2;
+  c.chunk_store_limit = 4 << 10;
+  c.band_memory_limit = 80 << 10;  // holds a few chunks: the rest spill
+  c.enable_spill = true;
+  c.spill_dir = "/tmp/xorbits_test_spill_recover";
+  std::filesystem::remove_all(c.spill_dir);
+  core::Session session(c);
+  auto out = RunPipeline(&session, /*corrupt_between=*/true, GetParam());
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_GT(session.metrics().Get(CounterId::kChunksRecovered), 0);
+
+  core::Session oracle(Config::Preset(EngineKind::kPandasLike));
+  auto expected = RunPipeline(&oracle, /*corrupt_between=*/false,
+                              GetParam());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(Fingerprint(*out), Fingerprint(*expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(Damage, CorruptSpillTest,
+                         ::testing::Values(Damage::kTruncate,
+                                           Damage::kFlipByte));
 
 TEST(StorageTest, MarkBandDeadTombstonesItsChunks) {
   Metrics metrics;

@@ -71,7 +71,7 @@ TEST(TilingDriverTest, ChainedUnknownShapesYieldIteratively) {
   auto out = row->Fetch();
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->GetColumn("v").ValueOrDie()->int64_data()[0], 623);
-  EXPECT_GE(session.metrics().dynamic_yields.load(), 1);
+  EXPECT_GE(session.metrics().Get(CounterId::kDynamicYields), 1);
 }
 
 TEST(TilingDriverTest, IncrementalMaterializeReusesExecutedChunks) {
@@ -79,14 +79,15 @@ TEST(TilingDriverTest, IncrementalMaterializeReusesExecutedChunks) {
   auto df = FromPandas(&session, Numbers(1000));
   auto f = df->Filter(CompareExpr(Col("v"), CmpOp::kLt, Lit(int64_t{600})));
   ASSERT_TRUE(f->Fetch().ok());
-  const int64_t after_first = session.metrics().subtasks_executed.load();
+  const int64_t after_first =
+      session.metrics().Get(CounterId::kSubtasksExecuted);
   // A second fetch of the same handle re-runs nothing.
   ASSERT_TRUE(f->Fetch().ok());
-  EXPECT_EQ(session.metrics().subtasks_executed.load(), after_first);
+  EXPECT_EQ(session.metrics().Get(CounterId::kSubtasksExecuted), after_first);
   // Extending the pipeline only executes the new stage.
   auto g = f->GroupByAgg({"v"}, {{"", dataframe::AggFunc::kSize, "n"}});
   ASSERT_TRUE(g->Fetch().ok());
-  EXPECT_GT(session.metrics().subtasks_executed.load(), after_first);
+  EXPECT_GT(session.metrics().Get(CounterId::kSubtasksExecuted), after_first);
 }
 
 TEST(TilingDriverTest, StaticModeNeverYields) {
@@ -95,7 +96,7 @@ TEST(TilingDriverTest, StaticModeNeverYields) {
   auto f = df->Filter(CompareExpr(Col("v"), CmpOp::kLt, Lit(int64_t{300})));
   auto g = f->GroupByAgg({"v"}, {{"", dataframe::AggFunc::kSize, "n"}});
   ASSERT_TRUE(g->Fetch().ok());
-  EXPECT_EQ(session.metrics().dynamic_yields.load(), 0);
+  EXPECT_EQ(session.metrics().Get(CounterId::kDynamicYields), 0);
 }
 
 TEST(TilingDriverTest, DynamicPicksTreeForSmallAggregations) {
@@ -164,10 +165,10 @@ TEST(TilingDriverTest, SampleExecutionIsNarrow) {
   ASSERT_TRUE(g->Fetch().ok());
   // Yields happened, and the total subtask count stays near one pass over
   // the data (sampling reuses, not repeats, the sampled chunks).
-  const int64_t subtasks = session.metrics().subtasks_executed.load();
+  const int64_t subtasks = session.metrics().Get(CounterId::kSubtasksExecuted);
   const int64_t chunks =
       static_cast<int64_t>(df->node()->chunks.size());
-  EXPECT_GE(session.metrics().dynamic_yields.load(), 1);
+  EXPECT_GE(session.metrics().Get(CounterId::kDynamicYields), 1);
   EXPECT_LE(subtasks, chunks * 6);
 }
 

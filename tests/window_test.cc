@@ -153,7 +153,7 @@ TEST(WindowOpTest, RollingAfterFilterUsesDynamicTiling) {
   auto out = rolled->Fetch();
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->num_rows(), 320);
-  EXPECT_GT(session.metrics().dynamic_yields.load(), 0);
+  EXPECT_GT(session.metrics().Get(CounterId::kDynamicYields), 0);
 }
 
 TEST(WindowOpTest, DistributedPivotMatchesKernel) {

@@ -9,8 +9,9 @@
 #   - src/common/trace_names.h    span / event / registry-metric constants
 #                                 (XORBITS_SPAN_NAME / _EVENT_NAME /
 #                                  _METRIC_NAME macros)
-#   - src/common/metrics.h        legacy counters, declared exactly as
-#                                 `std::atomic<int64_t> <name>{0};`
+#   - src/common/counters.def     the counter table, one
+#                                 XORBITS_COUNTER(id, name, section) per
+#                                 counter
 #   - DESIGN.md                   `## N.` section headings
 #   - README.md                   the "Documentation map" table
 #
@@ -19,13 +20,13 @@
 set -u
 root="${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}"
 names_h="$root/src/common/trace_names.h"
-metrics_h="$root/src/common/metrics.h"
+counters_def="$root/src/common/counters.def"
 doc="$root/OBSERVABILITY.md"
 design="$root/DESIGN.md"
 readme="$root/README.md"
 
 fail=0
-for f in "$names_h" "$metrics_h" "$doc" "$design" "$readme"; do
+for f in "$names_h" "$counters_def" "$doc" "$design" "$readme"; do
   if [ ! -f "$f" ]; then
     echo "docs_check: missing $f" >&2
     exit 1
@@ -52,35 +53,31 @@ for n in $names; do
   check "$n" "trace_names.h"
 done
 
-# Legacy atomic counters. Trailing-underscore names are private class
-# members (Histogram/Gauge internals), not counters.
-counters=$(sed -n \
-  's/^ *std::atomic<int64_t> \([a-z_][a-z0-9_]*[a-z0-9]\){0};.*/\1/p' \
-  "$metrics_h")
+# The counter table: every XORBITS_COUNTER(id, name, section) entry of
+# counters.def outside comments (entries may wrap lines). A name is a
+# string literal or a trace_names.h constant, resolved to its string here.
+counters=$(sed 's|//.*||' "$counters_def" | tr '\n' ' ' |
+  grep -o 'XORBITS_COUNTER([^)]*)' |
+  sed 's/XORBITS_COUNTER( *[A-Za-z0-9_]*, *\([^,]*\),.*/\1/')
 if [ -z "$counters" ]; then
-  echo "docs_check: no counters parsed from $metrics_h (format changed?)" >&2
+  echo "docs_check: no counters parsed from $counters_def (format changed?)" >&2
   exit 1
 fi
 for n in $counters; do
-  check "$n" "metrics.h counter"
-done
-
-# Process-global stats structs (BufferStats / KernelStats / LateStats):
-# these live below Metrics and are surfaced as gauges by
-# Metrics::Snapshot, so every counter they declare needs a row too. The
-# check is substring-based because several are documented under their
-# gauge name (e.g. `cow_copies` as `buffer_cow_copies`).
-for stats_h in "$root/src/common/buffer.h" \
-               "$root/src/common/kernel_stats.h" \
-               "$root/src/common/late_stats.h" \
-               "$root/src/common/exchange_stats.h"; do
-  [ -f "$stats_h" ] || continue
-  stats=$(sed -n \
-    's/^ *std::atomic<int64_t> \([a-z_][a-z0-9_]*[a-z0-9]\){0};.*/\1/p' \
-    "$stats_h")
-  for n in $stats; do
-    check "$n" "$(basename "$stats_h") stats counter"
-  done
+  case "$n" in
+    \"*\") n=$(printf '%s' "$n" | tr -d '"') ;;
+    trace::*)
+      ident=${n#trace::}
+      n=$(sed -n "s/^XORBITS_METRIC_NAME($ident, *\"\([^\"]*\)\").*/\1/p" \
+        "$names_h")
+      if [ -z "$n" ]; then
+        echo "docs_check: counter name trace::$ident is not in $names_h" >&2
+        fail=1
+        continue
+      fi
+      ;;
+  esac
+  check "$n" "counters.def"
 done
 
 # DESIGN.md section anchors. Comments and docs cite sections as
