@@ -73,14 +73,22 @@ ChaosRun RunScenario(const std::string& name, const Config& config) {
   auto t1 = std::chrono::steady_clock::now();
   run.stats.status = result.status();
   run.stats.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  // Run counters live on the session; recovery and band counters on its
+  // cluster, which also takes the retries and injected faults of lineage
+  // recompute. The cluster serves this session alone, so the sums below
+  // count each of the session's retries and faults once.
   const Metrics& m = session.metrics();
+  const Metrics& cluster = *m.parent();
   run.stats.sim_s = static_cast<double>(m.Get(CounterId::kSimulatedUs)) / 1e6;
   run.stats.subtasks = m.Get(CounterId::kSubtasksExecuted);
-  run.retried = m.Get(CounterId::kSubtasksRetried);
-  run.recovered = m.Get(CounterId::kChunksRecovered);
-  run.blacklisted = m.Get(CounterId::kBandsBlacklisted);
-  run.injected = m.Get(CounterId::kFaultsInjected);
-  run.recovery_ms = static_cast<double>(m.Get(CounterId::kRecoveryUs)) / 1e3;
+  run.retried = m.Get(CounterId::kSubtasksRetried) +
+                cluster.Get(CounterId::kSubtasksRetried);
+  run.recovered = cluster.Get(CounterId::kChunksRecovered);
+  run.blacklisted = cluster.Get(CounterId::kBandsBlacklisted);
+  run.injected = m.Get(CounterId::kFaultsInjected) +
+                 cluster.Get(CounterId::kFaultsInjected);
+  run.recovery_ms =
+      static_cast<double>(cluster.Get(CounterId::kRecoveryUs)) / 1e3;
   if (result.ok()) run.checksum = Checksum(*result);
   std::printf(
       "%-22s %-5s wall %6.2fs sim %7.3fs subtasks %4lld retried %3lld "
@@ -197,6 +205,26 @@ int main(int argc, char** argv) {
         r.stats.wall_s > 2.5 * baseline.stats.wall_s) {
       std::printf("FAIL: %s slowdown %.2fx exceeds 2.5x\n", r.name.c_str(),
                   r.stats.wall_s / baseline.stats.wall_s);
+      ok = false;
+    }
+    // The fault counters must show the faults the scenario scheduled, so a
+    // counter read from the wrong Metrics fails here instead of printing 0.
+    // Recovery counts under a band kill vary between runs; only their
+    // presence is checked.
+    if (r.name == "band_kill_step10" && r.blacklisted != 1) {
+      std::printf("FAIL: %s lost %lld bands, expected 1\n", r.name.c_str(),
+                  static_cast<long long>(r.blacklisted));
+      ok = false;
+    }
+    if ((r.name == "chunk_loss_x2" || r.name == "combined") &&
+        r.recovered == 0) {
+      std::printf("FAIL: %s recovered no chunks\n", r.name.c_str());
+      ok = false;
+    }
+    if (r.name.rfind("transient_", 0) == 0 && r.retried != r.injected) {
+      std::printf("FAIL: %s retried %lld subtasks for %lld injected faults\n",
+                  r.name.c_str(), static_cast<long long>(r.retried),
+                  static_cast<long long>(r.injected));
       ok = false;
     }
   }

@@ -130,11 +130,13 @@ inline RunStats TimedRun(Config config,
   stats.wall_s = std::chrono::duration<double>(t1 - t0).count();
   // One consistent snapshot instead of per-field reads: band workers (and
   // their kernel pools) may still be running when a body bails out early.
+  // Run counters live on the session, storage counters on its cluster.
   const MetricsSnapshot m = session.metrics().Snapshot();
+  const MetricsSnapshot cluster = session.metrics().parent()->Snapshot();
   stats.sim_s = static_cast<double>(m.Counter("simulated_us")) / 1e6;
-  stats.transfer_bytes = m.Counter("bytes_transferred");
-  stats.spill_bytes = m.Counter("bytes_spilled");
-  stats.oom_events = m.Counter("oom_events");
+  stats.transfer_bytes = cluster.Counter("bytes_transferred");
+  stats.spill_bytes = cluster.Counter("bytes_spilled");
+  stats.oom_events = cluster.Counter("oom_events");
   stats.subtasks = m.Counter("subtasks_executed");
   stats.yields = m.Counter("dynamic_yields");
   return stats;

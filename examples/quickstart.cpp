@@ -61,6 +61,9 @@ int main() {
   std::printf("10th row of the filtered lineitem:\n%s\n",
               row->Repr().ValueOrDie().c_str());
 
+  // The session's run counters, then its cluster's storage counters.
   std::printf("metrics: %s\n", session.metrics().ToString().c_str());
+  std::printf("cluster metrics: %s\n",
+              session.metrics().parent()->ToString().c_str());
   return 0;
 }

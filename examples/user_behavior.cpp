@@ -116,6 +116,8 @@ Status Run() {
   XORBITS_ASSIGN_OR_RETURN(repr, by_tier.Repr());
   std::printf("\nengagement by tier:\n%s\n", repr.c_str());
   std::printf("\nmetrics: %s\n", session.metrics().ToString().c_str());
+  std::printf("cluster metrics: %s\n",
+              session.metrics().parent()->ToString().c_str());
   return Status::OK();
 }
 

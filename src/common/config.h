@@ -167,8 +167,8 @@ struct Config {
 
   // --- multi-tenancy (see DESIGN.md §8) ---
   /// Sessions the admission controller lets run graphs concurrently;
-  /// 0 = unlimited. The default preserves single-session behaviour: a solo
-  /// session is always admitted without queuing.
+  /// 0 = unlimited. A submission into an idle cluster is always admitted
+  /// without queuing.
   int max_concurrent_sessions = 0;
   /// Per-session cap on *in-memory* stored bytes, enforced by the storage
   /// service with graceful degradation (spill the session's own cold chunks
@@ -197,7 +197,7 @@ struct Config {
   /// (`result_cache`) rewrites sub-plans whose transitive CacheSignature
   /// matches an already-materialized chunk into fetches of that chunk, and
   /// the executor publishes completed cacheable chunks under the shared
-  /// `cache/` key namespace. Off by default: solo single-shot sessions pay
+  /// `cache/` key namespace. Off by default: single-shot sessions pay
   /// signature hashing for no reuse.
   bool enable_result_cache = false;
   /// Cluster-level byte budget for the `cache/` namespace. Cached chunks

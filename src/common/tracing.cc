@@ -518,9 +518,9 @@ std::string Tracer::RenderRunReport(int pid) const {
   }
 
   // 7. Result cache (DESIGN.md §9), rendered for the process that owns the
-  //    cache's metrics (the cluster under a SessionManager, the session in
-  //    solo mode): hit rate, publish/evict/invalidate churn, and the cached
-  //    footprint the cluster budget is enforced against.
+  //    cache's metrics (the cluster): hit rate, publish/evict/invalidate
+  //    churn, and the cached footprint the cluster budget is enforced
+  //    against.
   if (p->metrics.has_value()) {
     int64_t hits = 0, misses = 0, publishes = 0, evictions = 0,
             invalidations = 0;

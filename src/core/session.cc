@@ -10,75 +10,41 @@
 
 namespace xorbits::core {
 
-namespace {
-
-/// Registers the session with the trace sink (when one is configured) and
-/// stores the returned process id back into the config, before the services
-/// copy it. Runs first in the member-init order (config_ precedes storage_
-/// and driver_).
-Config RegisterTraceProcess(Config config) {
-  if (config.trace.sink != nullptr && config.trace.pid == 0) {
-    config.trace.pid = config.trace.sink->RegisterProcess(
-        EngineKindName(config.engine), config.total_bands());
-  }
-  return config;
-}
-
-}  // namespace
-
 Session::Session(Config config)
-    : config_(RegisterTraceProcess(std::move(config))),
-      owned_storage_(std::make_unique<services::StorageService>(config_,
-                                                                &metrics_)),
-      storage_(owned_storage_.get()),
-      owned_meta_(std::make_unique<services::MetaService>()),
-      meta_(owned_meta_.get()),
-      pass_manager_(config_, &metrics_),
-      driver_(std::make_unique<tiling::TilingDriver>(
-          config_, &metrics_, storage_, meta_, &chunk_graph_,
-          &pass_manager_)) {
-  meta_->BindObservability(&metrics_);
-  if (config_.enable_result_cache) {
-    // Solo "cross-session" reuse is within-session across Materialize
-    // calls (the session owns its cluster); the plumbing is identical.
-    owned_result_cache_ = std::make_unique<services::ResultCache>(
-        config_, storage_, &metrics_);
-    pass_manager_.BindResultCache(owned_result_cache_.get(), meta_,
-                                  /*session_id=*/-1);
-    driver_->BindResultCache(owned_result_cache_.get());
-  }
-}
+    : Session(std::unique_ptr<SessionManager>(
+                  new SessionManager(std::move(config))),
+              nullptr, SessionOptions{}) {}
 
-Session::Session(SessionManager* manager, Config config, int64_t session_id)
-    : config_(RegisterTraceProcess(std::move(config))),
-      metrics_(&manager->metrics()),
-      manager_(manager),
-      session_id_(session_id),
-      storage_(&manager->storage()),
-      meta_(&manager->meta()),
+Session::Session(std::unique_ptr<SessionManager> owned,
+                 SessionManager* manager, const SessionOptions& options)
+    : owned_manager_(std::move(owned)),
+      manager_(owned_manager_ != nullptr ? owned_manager_.get() : manager),
+      session_id_(manager_->OpenSession(options)),
+      config_(manager_->SessionConfig(options)),
+      metrics_(&manager_->metrics()),
       pass_manager_(config_, &metrics_) {
-  // Namespace this tenant's chunk keys so co-tenants never collide and the
+  // Namespace this session's chunk keys so co-tenants never collide and the
   // storage service can attribute bytes to the session for its quota.
-  chunk_graph_.set_key_prefix("s" + std::to_string(session_id) + "/");
+  chunk_graph_.set_key_prefix("s" + std::to_string(session_id_) + "/");
   scheduler::RunOptions opts;
-  opts.session_id = session_id;
+  opts.session_id = session_id_;
   opts.priority = config_.session_priority;
   opts.max_inflight = config_.session_max_inflight;
   opts.metrics = &metrics_;
   opts.trace = config_.trace;
   driver_ = std::make_unique<tiling::TilingDriver>(
-      config_, &metrics_, storage_, meta_, &chunk_graph_, &pass_manager_,
-      &manager->executor(), opts);
-  if (services::ResultCache* cache = manager->result_cache()) {
-    pass_manager_.BindResultCache(cache, meta_, session_id);
+      config_, &metrics_, &manager_->storage(), &manager_->meta(),
+      &chunk_graph_, &pass_manager_, &manager_->executor(), opts);
+  if (services::ResultCache* cache = manager_->result_cache()) {
+    pass_manager_.BindResultCache(cache, &manager_->meta(), session_id_);
     driver_->BindResultCache(cache);
   }
 }
 
 Session::~Session() {
-  // A closed tenant's chunks and meta must not linger in the shared
+  // A closed session's chunks and meta must not linger in the shared
   // cluster: free its key namespace (also releasing its quota bytes).
-  if (manager_ != nullptr) manager_->OnSessionClose(session_id_);
+  manager_->OnSessionClose(session_id_);
   // Hand the final metrics to the trace sink so run reports (rendered after
   // every session is gone) still see this session's counters/histograms.
   if (config_.trace.sink != nullptr) {
@@ -112,9 +78,8 @@ Status Session::Materialize(
   mat_span.AddArg(Arg("tileables", static_cast<int64_t>(topo.size())));
   XORBITS_RETURN_NOT_OK(
       pass_manager_.RunTileablePipeline(&tileable_graph_, &topo, sinks));
-  if (manager_ == nullptr) return driver_->TileAndRun(topo, sinks);
-  // Tenant submission: reserve projected memory through admission control
-  // (queue / shed under load; see DESIGN.md §8), run, release.
+  // Reserve projected memory through admission control (queue / shed
+  // under load; see DESIGN.md §8), run, release.
   TraceSpan submit_span(tr, config_.trace.pid, kTrackSupervisor,
                         trace::kSpanSessionSubmit);
   const int64_t estimate = EstimatePendingBytes(topo);

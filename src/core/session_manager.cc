@@ -13,8 +13,8 @@ namespace xorbits::core {
 namespace {
 
 /// Registers the shared cluster with the trace sink (when configured) so
-/// cluster-level services emit under one process; tenant sessions register
-/// their own processes on top (see Session's constructor).
+/// cluster-level services emit under one process; sessions register their
+/// own processes on top (see SessionConfig).
 Config RegisterClusterTraceProcess(Config config) {
   if (config.trace.sink != nullptr && config.trace.pid == 0) {
     config.trace.pid = config.trace.sink->RegisterProcess(
@@ -62,6 +62,10 @@ SessionManager::~SessionManager() {
 
 std::unique_ptr<Session> SessionManager::CreateSession(
     SessionOptions options) {
+  return std::unique_ptr<Session>(new Session(nullptr, this, options));
+}
+
+int64_t SessionManager::OpenSession(const SessionOptions& options) {
   int64_t id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -69,21 +73,29 @@ std::unique_ptr<Session> SessionManager::CreateSession(
     ++open_sessions_;
     sessions_active_->Set(open_sessions_);
   }
+  if (Tracer* tr = config_.trace.sink) {
+    const int priority =
+        options.priority > 0 ? options.priority : config_.session_priority;
+    tr->Instant(config_.trace.pid, kTrackSupervisor, trace::kEventSessionCreate,
+                {Arg("session", id),
+                 Arg("priority", static_cast<int64_t>(priority))});
+  }
+  return id;
+}
+
+Config SessionManager::SessionConfig(const SessionOptions& options) {
   Config session_config = config_;
-  // Each session registers its own trace process, so run reports render
-  // per-tenant latency next to the shared cluster's storage counters.
-  session_config.trace.pid = 0;
   if (options.priority > 0) session_config.session_priority = options.priority;
   if (options.max_inflight > 0) {
     session_config.session_max_inflight = options.max_inflight;
   }
-  if (Tracer* tr = config_.trace.sink) {
-    tr->Instant(config_.trace.pid, kTrackSupervisor, trace::kEventSessionCreate,
-                {Arg("session", id),
-                 Arg("priority",
-                     static_cast<int64_t>(session_config.session_priority))});
+  // Each session registers its own trace process, so run reports render
+  // per-session latency next to the shared cluster's storage counters.
+  if (Tracer* tr = session_config.trace.sink) {
+    session_config.trace.pid = tr->RegisterProcess(
+        EngineKindName(session_config.engine), session_config.total_bands());
   }
-  return std::make_unique<Session>(this, std::move(session_config), id);
+  return session_config;
 }
 
 Status SessionManager::Admit(int64_t session_id, int64_t estimated_bytes) {

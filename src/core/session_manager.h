@@ -56,8 +56,8 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Opens a tenant session submitting into the shared cluster. The session
-  /// keeps pointers into the manager, so it must not outlive it.
+  /// Opens a session submitting into the shared cluster. The session keeps
+  /// pointers into the manager, so it must not outlive it.
   std::unique_ptr<Session> CreateSession(SessionOptions options = {});
 
   const Config& config() const { return config_; }
@@ -86,12 +86,19 @@ class SessionManager {
   /// Returns the submission's reservation and wakes one queued waiter.
   void Release(int64_t session_id);
 
-  /// Session-destructor hook: frees the tenant's stored chunks and meta
+ private:
+  friend class Session;
+
+  explicit SessionManager(Config config);
+
+  /// Session-constructor hooks: allocates the next session id (updating
+  /// the live-session gauge), and derives the session's config — this
+  /// manager's with `options` applied and its own trace process.
+  int64_t OpenSession(const SessionOptions& options);
+  Config SessionConfig(const SessionOptions& options);
+  /// Session-destructor hook: frees the session's stored chunks and meta
   /// entries (key prefix "s<id>/") and updates the live-session gauge.
   void OnSessionClose(int64_t session_id);
-
- private:
-  explicit SessionManager(Config config);
 
   Config config_;
   Metrics metrics_;

@@ -116,8 +116,8 @@ class ChunkGraph {
   /// Namespace prepended to every subsequently created node's storage key.
   /// Sessions sharing one storage service set "s<session_id>/" so their
   /// chunk keys (and shuffle-partition keys derived from them) can never
-  /// collide across tenants. Empty (the default) keeps the historical
-  /// solo-session keys byte-identical.
+  /// collide across tenants. Empty (the default) leaves keys un-prefixed,
+  /// for graphs built without a session.
   void set_key_prefix(std::string prefix) { key_prefix_ = std::move(prefix); }
   const std::string& key_prefix() const { return key_prefix_; }
 

@@ -44,8 +44,8 @@ struct PassContext {
   /// Meta service the consuming run reads chunk metadata from; a cache hit
   /// registers the cached chunk's meta (and recovery lineage) here.
   services::MetaService* meta = nullptr;
-  /// Session the rewritten plan belongs to (-1 solo); stamps hit lineage so
-  /// session close can purge pointers into the closing graph arena.
+  /// Session the rewritten plan belongs to; stamps hit lineage so session
+  /// close can purge pointers into the closing graph arena.
   int64_t session_id = -1;
   /// Out-param: signatures pinned by cache hits this pipeline run. The
   /// driver unpins them in its epilogue; null disables probing (publish

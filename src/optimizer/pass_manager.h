@@ -46,7 +46,7 @@ class PassManager {
   /// Binds the cross-session result cache (DESIGN.md §9) so the
   /// `result_cache` chunk pass can probe and rewrite. `meta` is where hit
   /// metadata/lineage land (the service the consuming run reads);
-  /// `session_id` stamps hit lineage (-1 solo). All must outlive the
+  /// `session_id` stamps hit lineage. All must outlive the
   /// manager. Binding puts `result_cache` at the head of the chunk
   /// pipeline; call it before the first Run*Pipeline.
   void BindResultCache(services::ResultCache* cache,

@@ -879,8 +879,8 @@ Status Executor::Run(graph::SubtaskGraph* st_graph,
                      std::chrono::steady_clock::time_point deadline,
                      const RunOptions& opts) {
   if (st_graph->subtasks.empty()) return Status::OK();
-  // Resolve the run's context: solo callers fall back to the executor's
-  // cluster-level metrics and trace identity.
+  // Resolve the run's context: callers outside a session fall back to the
+  // executor's cluster-level metrics and trace identity.
   Metrics* run_metrics = opts.metrics != nullptr ? opts.metrics : metrics_;
   MetricsScope metrics_scope(run_metrics);
   const TraceConfig run_trace =

@@ -26,10 +26,10 @@ class ResultCache;
 namespace xorbits::scheduler {
 
 /// Per-run scheduling identity for multi-tenant execution (DESIGN.md §8).
-/// Defaults reproduce historical solo behaviour: cluster-level metrics and
+/// Defaults (used by runs outside any session): cluster-level metrics and
 /// trace, priority 1, no in-flight cap.
 struct RunOptions {
-  /// Session the run belongs to (-1 = unattributed / solo).
+  /// Session the run belongs to (-1 = unattributed).
   int64_t session_id = -1;
   /// Weighted-fair share: a run accrues virtual work inversely to its
   /// priority, so priority-2 gets ~2x the band slots of priority-1 under
@@ -94,7 +94,7 @@ class Executor {
   /// chunk nodes executed. `deadline` is absolute; pass time_point::max()
   /// for no deadline. `opts` attributes the run to a session for
   /// weighted-fair scheduling, per-session metrics and tracing; the default
-  /// reproduces solo behaviour. Thread-safe: concurrent Run calls share
+  /// charges the cluster. Thread-safe: concurrent Run calls share
   /// the band workers fairly.
   Status Run(graph::SubtaskGraph* st_graph,
              std::chrono::steady_clock::time_point deadline,
@@ -136,7 +136,7 @@ class Executor {
   /// deterministic fault injection; `lost_key`, when non-null, receives the
   /// storage key whose read failed with kChunkLost. `metrics`/`trace` are
   /// the owning run's sinks (the executor's own for recovery work).
-  /// `session_id` stamps the lineage this attempt records (-1 solo), so
+  /// `session_id` stamps the lineage this attempt records (-1 for none), so
   /// session close can purge lineages pointing into its graph arena.
   Status RunSubtask(graph::Subtask& subtask, int64_t uid, int attempt,
                     std::string* lost_key, Metrics* metrics,

@@ -44,8 +44,8 @@ class ResultCache {
  public:
   /// `storage` and `metrics` must outlive the cache. Counters
   /// (cache_hits/misses/publishes/evictions/invalidations) and gauges
-  /// (cache_bytes/cache_entries) all land on `metrics` — the cluster
-  /// metrics under a SessionManager, the session's own in solo mode.
+  /// (cache_bytes/cache_entries) all land on `metrics`, the
+  /// SessionManager's cluster metrics.
   ResultCache(const Config& config, StorageService* storage,
               Metrics* metrics);
 

@@ -68,7 +68,7 @@ StorageService::~StorageService() { Clear(); }
 
 int64_t StorageService::SessionOfKey(const std::string& key) {
   // Tenant keys are namespaced "s<digits>/..." by ChunkGraph::set_key_prefix;
-  // anything else (solo sessions, test fixtures) is unattributed. Shuffle
+  // anything else (cache entries, test fixtures) is unattributed. Shuffle
   // partitions "s7/c3_0@2" inherit the prefix, so every byte a session's
   // subtasks publish lands on its own account.
   if (key.size() < 3 || key[0] != 's') return -1;

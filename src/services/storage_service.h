@@ -31,8 +31,8 @@ enum class StorageLevel { kMemory, kDisk };
 /// the quota degrades gracefully: the session's own coldest chunks spill to
 /// disk first, and only when spilling cannot make room does the Put fail —
 /// with kQuotaExceeded against that session alone, never a co-tenant.
-/// Un-prefixed keys (solo sessions) are exempt, preserving historical
-/// behaviour.
+/// Un-prefixed keys (the "cache/" namespace, services used without a
+/// session) are exempt.
 class StorageService {
  public:
   StorageService(const Config& config, Metrics* metrics);

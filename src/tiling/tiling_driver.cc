@@ -28,29 +28,10 @@ TilingDriver::TilingDriver(const Config& config, Metrics* metrics,
       chunk_graph_(chunk_graph),
       pass_manager_(pass_manager),
       executor_(executor),
-      run_options_(run_options) {
-  if (pass_manager_ == nullptr) {
-    owned_pass_manager_ =
-        std::make_unique<optimizer::PassManager>(config_, metrics_);
-    pass_manager_ = owned_pass_manager_.get();
-  }
-  if (executor_ == nullptr) {
-    owned_executor_ = std::make_unique<scheduler::Executor>(config_, metrics_,
-                                                            storage_, meta_);
-    executor_ = owned_executor_.get();
-  }
-  // Every run this driver submits is attributed to its session's metrics
-  // and trace identity (falling back to the session-wide ones).
-  if (run_options_.metrics == nullptr) run_options_.metrics = metrics_;
-  if (!run_options_.trace.enabled()) run_options_.trace = config_.trace;
-}
+      run_options_(run_options) {}
 
 void TilingDriver::BindResultCache(services::ResultCache* cache) {
   result_cache_ = cache;
-  // Solo drivers own their executor, so the session cannot reach it to
-  // hook publishing; under a shared cluster executor this re-sets the same
-  // pointer the manager already installed.
-  executor_->set_result_cache(cache);
 }
 
 Status TilingDriver::ExecutePartial(

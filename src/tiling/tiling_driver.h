@@ -2,7 +2,7 @@
 #define XORBITS_TILING_TILING_DRIVER_H_
 
 #include <chrono>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.h"
@@ -25,19 +25,17 @@ namespace xorbits::tiling {
 /// payloads.
 class TilingDriver {
  public:
-  /// `pass_manager` (optional; owned by the session) supplies the chunk-
-  /// and subtask-level optimizer pipelines run on every partial execution.
-  /// `executor` (optional) is a shared cluster executor — tenant sessions
-  /// under one SessionManager all submit to it, and `run_options` carries
-  /// their scheduling identity (session id, priority, in-flight cap,
-  /// per-session metrics/trace). When null the driver owns a private
-  /// executor, the historical solo behaviour.
+  /// `pass_manager` (owned by the session) supplies the chunk- and
+  /// subtask-level optimizer pipelines run on every partial execution.
+  /// `executor` is the cluster executor every session of a SessionManager
+  /// submits to, and `run_options` carries this session's scheduling
+  /// identity (session id, priority, in-flight cap, metrics and trace).
   TilingDriver(const Config& config, Metrics* metrics,
                services::StorageService* storage,
                services::MetaService* meta, graph::ChunkGraph* chunk_graph,
-               optimizer::PassManager* pass_manager = nullptr,
-               scheduler::Executor* executor = nullptr,
-               scheduler::RunOptions run_options = {});
+               optimizer::PassManager* pass_manager,
+               scheduler::Executor* executor,
+               scheduler::RunOptions run_options);
 
   /// Tiles and executes everything needed by `sinks`. `topo_order` is the
   /// full tileable graph order (already-tiled nodes are skipped, so
@@ -51,7 +49,7 @@ class TilingDriver {
 
   /// Attaches the cross-session result cache (DESIGN.md §9): chunk
   /// pipelines start collecting hit pins (released in TileAndRun's
-  /// epilogue, success or failure) and the executor publishes stamped
+  /// epilogue, success or failure); the cluster executor publishes stamped
   /// misses. The owning session must also BindResultCache on its
   /// PassManager — the driver only manages the pin lifecycle.
   void BindResultCache(services::ResultCache* cache);
@@ -67,10 +65,6 @@ class TilingDriver {
   services::MetaService* meta_;
   graph::ChunkGraph* chunk_graph_;
   optimizer::PassManager* pass_manager_;
-  /// Fallback pipelines for drivers constructed without a session.
-  std::unique_ptr<optimizer::PassManager> owned_pass_manager_;
-  /// Private executor for solo drivers; null when sharing the cluster's.
-  std::unique_ptr<scheduler::Executor> owned_executor_;
   scheduler::Executor* executor_;
   /// Scheduling identity stamped on every Run this driver submits.
   scheduler::RunOptions run_options_;

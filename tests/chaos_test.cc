@@ -483,10 +483,13 @@ std::string RunCensus(const Config& config, ChaosCounters* out = nullptr) {
   core::Session session(config);
   auto r = workloads::pipelines::Census(&session, kCensusRows, 44);
   if (out != nullptr) {
+    // Run counters live on the session, recovery and band counters on its
+    // cluster.
     const Metrics& m = session.metrics();
+    const Metrics& cluster = *m.parent();
     out->retried = m.Get(CounterId::kSubtasksRetried);
-    out->recovered = m.Get(CounterId::kChunksRecovered);
-    out->blacklisted = m.Get(CounterId::kBandsBlacklisted);
+    out->recovered = cluster.Get(CounterId::kChunksRecovered);
+    out->blacklisted = cluster.Get(CounterId::kBandsBlacklisted);
     out->injected = m.Get(CounterId::kFaultsInjected);
   }
   EXPECT_TRUE(r.ok()) << r.status();

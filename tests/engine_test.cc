@@ -334,7 +334,7 @@ TEST(EngineTest, OomWhenBandBudgetTiny) {
   auto out = joined->Fetch();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kOutOfMemory);
-  EXPECT_GT(session.metrics().Get(CounterId::kOomEvents), 0);
+  EXPECT_GT(session.metrics().parent()->Get(CounterId::kOomEvents), 0);
 }
 
 TEST(EngineTest, SpillAvoidsOom) {

@@ -581,7 +581,7 @@ TEST_P(ExchangeChaosTest, ChunkLossWithBlockStreamsIsInvisible) {
   auto r = workloads::pipelines::Census(&session, 20000, 44);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(Fingerprint(*r), BaselineCensus());
-  EXPECT_GT(session.metrics().Get(CounterId::kChunksRecovered), 0);
+  EXPECT_GT(session.metrics().parent()->Get(CounterId::kChunksRecovered), 0);
 }
 
 TEST_P(ExchangeChaosTest, MapperDeathMidPartitionIsInvisible) {
@@ -596,7 +596,8 @@ TEST_P(ExchangeChaosTest, MapperDeathMidPartitionIsInvisible) {
   auto r = workloads::pipelines::Census(&session, 20000, 44);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(Fingerprint(*r), BaselineCensus());
-  EXPECT_EQ(session.metrics().Get(CounterId::kBandsBlacklisted), 1);
+  EXPECT_EQ(session.metrics().parent()->Get(CounterId::kBandsBlacklisted),
+            1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExchangeChaosTest,

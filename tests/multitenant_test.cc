@@ -99,7 +99,7 @@ TEST(SessionKeyTest, SessionOfKeyParsesTenantPrefix) {
   using services::StorageService;
   EXPECT_EQ(StorageService::SessionOfKey("s12/c3_0"), 12);
   EXPECT_EQ(StorageService::SessionOfKey("s1/c0_0@p7"), 1);
-  EXPECT_EQ(StorageService::SessionOfKey("c3_0"), -1);    // solo key
+  EXPECT_EQ(StorageService::SessionOfKey("c3_0"), -1);    // un-namespaced
   EXPECT_EQ(StorageService::SessionOfKey("sx/c3_0"), -1); // not a tenant id
   EXPECT_EQ(StorageService::SessionOfKey("s/c3_0"), -1);  // no digits
   EXPECT_EQ(StorageService::SessionOfKey("s42"), -1);     // no slash
@@ -465,14 +465,17 @@ TEST(QuotaTest, SpillAbsorbsQuotaPressureInsteadOfFailing) {
             c.session_memory_quota_bytes);
 }
 
-TEST(QuotaTest, SoloSessionsAreExemptFromTenantQuotas) {
-  // Un-prefixed keys (solo sessions) carry no session id, so a configured
-  // quota must not apply — preserving pre-multi-tenant behaviour exactly.
+TEST(QuotaTest, ConfigSessionsHonourTheQuotaLikeAnyTenant) {
+  // Session(Config) joins a private one-tenant manager, so its chunk keys
+  // carry a session id and the configured quota binds as for any tenant.
   Config c = SmallCluster();
   c.session_memory_quota_bytes = 1 << 10;  // absurdly small
-  core::Session solo(c);
-  auto r = workloads::pipelines::Census(&solo, 5000, 44);
-  EXPECT_TRUE(r.ok()) << r.status();
+  core::Session session(c);
+  EXPECT_GE(session.session_id(), 1);
+  EXPECT_NE(session.metrics().parent(), nullptr);
+  auto r = workloads::pipelines::Census(&session, 5000, 44);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsQuotaExceeded()) << r.status();
 }
 
 }  // namespace

@@ -404,19 +404,22 @@ TEST(TracedSessionTest, SpanNestingAcrossTileYield) {
 TEST(TracedSessionTest, StageTotalsSumToSimulatedTime) {
   Tracer tracer;
   int64_t simulated_us = 0;
+  int pid = 0;
   {
     core::Session session(TracedConfig(&tracer));
+    pid = session.config().trace.pid;
     auto df = FromPandas(&session, Numbers(4000));
     auto g = df->GroupByAgg({"v"}, {{"", dataframe::AggFunc::kSize, "n"}});
     ASSERT_TRUE(g->Fetch().ok());
     simulated_us = session.metrics().Get(CounterId::kSimulatedUs);
   }
   ASSERT_GT(simulated_us, 0);
+  // The session registers its own process next to its cluster's.
   const auto pids = tracer.process_ids();
-  ASSERT_EQ(pids.size(), 1u);
-  const int pid = pids[0];
-  // The critical-path decomposition is exact: stages sum to the simulated
-  // clock, which matches the session's simulated_us counter.
+  ASSERT_EQ(pids.size(), 2u);
+  const int cluster_pid = pids[0] == pid ? pids[1] : pids[0];
+  // The critical-path decomposition is exact: stages sum to the session's
+  // simulated clock, which matches its simulated_us counter.
   int64_t stage_sum = 0;
   for (int s = 0; s < kTraceStageCount; ++s) {
     stage_sum += tracer.stage_total(pid, static_cast<TraceStage>(s));
@@ -424,12 +427,14 @@ TEST(TracedSessionTest, StageTotalsSumToSimulatedTime) {
   EXPECT_EQ(stage_sum, tracer.sim_now(pid));
   EXPECT_EQ(tracer.sim_now(pid), simulated_us);
 
-  // The session destructor attached its metrics: the run report renders
-  // per-band peaks and the three pre-registered histograms.
+  // The session destructor attached its metrics: its run report renders
+  // the stage breakdown and the subtask latency histogram. The storage
+  // gauges are the cluster's, so the per-band peaks render there.
   const std::string report = tracer.RenderRunReport(pid);
   EXPECT_NE(report.find("stage breakdown"), std::string::npos);
   EXPECT_NE(report.find(trace::kHistSubtaskLatencyUs), std::string::npos);
-  EXPECT_NE(report.find("band 0"), std::string::npos);
+  EXPECT_NE(tracer.RenderRunReport(cluster_pid).find("band 0"),
+            std::string::npos);
 }
 
 TEST(TracedSessionTest, UntracedSessionEmitsNothing) {

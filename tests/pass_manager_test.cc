@@ -408,17 +408,24 @@ TEST(ColumnPruningPassTest, ComposesWithDeadNodeElimInSpecOrder) {
 TEST(PassReportTest, RunReportListsPassesInPipelineOrder) {
   const std::string path = WriteTestTable("report");
   Tracer tracer;
+  int session_pid = 0;
   {
     Config cfg;
     cfg.trace.sink = &tracer;
     core::Session session(std::move(cfg));
+    session_pid = session.config().trace.pid;
     auto ref = ReadParquet(&session, path);
     auto f = ref->Filter(CompareExpr(Col("a"), CmpOp::kGt, Lit(int64_t{10})));
     ASSERT_TRUE(f->Fetch().ok());
   }
+  // A session registers its own process next to its cluster's; the pass
+  // gauges are the session's, the per-band peaks the cluster's.
   const auto pids = tracer.process_ids();
-  ASSERT_EQ(pids.size(), 1u);
-  const std::string report = tracer.RenderRunReport(pids[0]);
+  ASSERT_EQ(pids.size(), 2u);
+  const int cluster_pid = pids[0] == session_pid ? pids[1] : pids[0];
+  EXPECT_NE(tracer.RenderRunReport(cluster_pid).find("band 0"),
+            std::string::npos);
+  const std::string report = tracer.RenderRunReport(session_pid);
   ASSERT_NE(report.find("optimizer passes"), std::string::npos);
   // Tileable slots precede chunk slots precede subtask slots.
   const size_t t0 = report.find("t0_predicate_pushdown");

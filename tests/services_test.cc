@@ -368,7 +368,7 @@ TEST_P(CorruptSpillTest, MaterializeRecoversFromLineage) {
   core::Session session(c);
   auto out = RunPipeline(&session, /*corrupt_between=*/true, GetParam());
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_GT(session.metrics().Get(CounterId::kChunksRecovered), 0);
+  EXPECT_GT(session.metrics().parent()->Get(CounterId::kChunksRecovered), 0);
 
   core::Session oracle(Config::Preset(EngineKind::kPandasLike));
   auto expected = RunPipeline(&oracle, /*corrupt_between=*/false,

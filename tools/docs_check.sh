@@ -1,9 +1,11 @@
 #!/bin/sh
 # Fails when an observability name registered in code is missing from
 # OBSERVABILITY.md, when a "DESIGN.md §N" anchor referenced anywhere in
-# the tree points at a section DESIGN.md does not have, or when README's
-# documentation map drifts from the docs on disk. Runs as the
-# `docs_check` ctest.
+# the tree points at a section DESIGN.md does not have, when README's
+# documentation map drifts from the docs on disk, or when the source tree
+# drifts from the build (an empty file under src/, or a src/ .cc file its
+# directory's CMakeLists.txt does not name). Runs as the `docs_check`
+# ctest.
 #
 # Sources of truth:
 #   - src/common/trace_names.h    span / event / registry-metric constants
@@ -112,12 +114,42 @@ for f in DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md CHANGES.md; do
   fi
 done
 
+# Source tree vs build: every file under src/ (the tracked ones when the
+# tree is a git checkout) has content, and every .cc file is named in its
+# directory's CMakeLists.txt, so a deleted or orphaned source cannot linger.
+if git -C "$root" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  src_files=$(git -C "$root" ls-files src)
+else
+  src_files=$(cd "$root" && find src -type f | sort)
+fi
+nsrc=0
+for f in $src_files; do
+  [ -f "$root/$f" ] || continue
+  nsrc=$((nsrc + 1))
+  if [ ! -s "$root/$f" ]; then
+    echo "docs_check: '$f' is empty" >&2
+    fail=1
+  fi
+  case "$f" in
+    *.cc)
+      cmake="$root/$(dirname "$f")/CMakeLists.txt"
+      base=$(basename "$f" | sed 's/\./\\./g')
+      if ! grep -qE "(^|[^A-Za-z0-9_.])${base}([^A-Za-z0-9_.]|\$)" \
+          "$cmake" 2>/dev/null; then
+        echo "docs_check: '$f' is not named in $(dirname "$f")/CMakeLists.txt" >&2
+        fail=1
+      fi
+      ;;
+  esac
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_check: FAILED — fix the drift above (OBSERVABILITY.md rows," \
-    "DESIGN.md anchors, README doc map)" >&2
+    "DESIGN.md anchors, README doc map, src/ files vs CMakeLists.txt)" >&2
   exit 1
 fi
 echo "docs_check: OK ($(printf '%s\n' $names | wc -l) trace names," \
   "$(printf '%s\n' $counters | wc -l) counters," \
   "$nsections DESIGN.md anchors," \
-  "$(printf '%s\n' $docmap | wc -l) doc-map entries checked)"
+  "$(printf '%s\n' $docmap | wc -l) doc-map entries," \
+  "$nsrc src/ files checked)"
