@@ -512,9 +512,9 @@ void WriteOptimizerJson(FILE* f) {
   };
   const auto run = [&](const char* mode, Config cfg) {
     // This section compares eager-path source I/O across pass specs;
-    // under late materialization payload reads defer to decode time and
-    // `source_bytes_read` stays 0 (the selectivity section covers the
-    // late path with `bytes_materialized`).
+    // under late materialization payload reads defer to decode time,
+    // where what they fetch depends on the consumer's selection (the
+    // selectivity section covers the late path with `bytes_materialized`).
     std::erase(cfg.optimizer.chunk, optimizer::kPassLateMaterialization);
     core::Session session(std::move(cfg));
     // Two branches hand-written against separate reads of the same table —

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <unordered_map>
 
 #include "dataframe/dict.h"
 
 namespace xorbits::io {
+
+const int64_t kXpqRowsPerGroup = 8192;
 
 namespace {
 
@@ -15,28 +17,32 @@ using dataframe::Column;
 using dataframe::DataFrame;
 using dataframe::DType;
 
-// "XPQ2": string column blocks carry a physical-encoding byte — 0 for
-// plain length-prefixed strings, 1 for a dictionary page (deduplicated
-// values + int32 codes). "XPQ1" files (no encoding byte) remain readable.
-constexpr uint32_t kMagicV1 = 0x58505131;  // "XPQ1"
-constexpr uint32_t kMagic = 0x58505132;    // "XPQ2"
+// "XPQ3": row groups of independently encoded column chunks. String chunks
+// carry a physical-encoding byte — 0 for plain length-prefixed strings, 1
+// for a dictionary page (the group's deduplicated values + int32 codes).
+constexpr uint32_t kMagic = 0x58505133;  // "XPQ3"
 
 constexpr uint8_t kEncodingPlain = 0;
 constexpr uint8_t kEncodingDict = 1;
 
 template <typename T>
-void WritePod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void PutPod(std::string* out, const T& v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteStr(std::ostream& os, const std::string& s) {
-  WritePod<uint32_t>(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+void PutStr(std::string* out, const std::string& s) {
+  PutPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
 }
 
-/// Bounds-checked reader over an in-memory block or footer: every length
-/// prefix and row count is checked against the bytes left before anything
-/// is allocated or copied, so corrupt files fail with IOError.
+template <typename T>
+void PutRaw(std::string* out, const T* data, int64_t n) {
+  out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
+}
+
+/// Bounds-checked reader over an in-memory column chunk or footer: every
+/// length prefix and row count is checked against the bytes left before
+/// anything is allocated or copied, so corrupt files fail with IOError.
 struct Cursor {
   const char* p;
   const char* end;
@@ -65,15 +71,6 @@ struct Cursor {
     return Status::OK();
   }
 
-  /// `n` fixed-width values, allocated only once they are known to fit.
-  template <typename T>
-  Result<std::vector<T>> Vec(int64_t n, const char* what) {
-    XORBITS_ASSIGN_OR_RETURN(const char* at, Take(n, sizeof(T), what));
-    std::vector<T> out(n);
-    if (n > 0) std::memcpy(out.data(), at, n * sizeof(T));
-    return out;
-  }
-
   Result<std::string> Str() {
     uint32_t len = 0;
     XORBITS_RETURN_NOT_OK(Pod(&len));
@@ -98,259 +95,350 @@ struct Cursor {
   }
 };
 
-/// Encodes one column into a standalone block.
-std::string EncodeColumn(const Column& c) {
-  std::ostringstream os;
+/// Appends one row group's slice of a column as a standalone chunk.
+void EncodeColumn(const Column& c, std::string* out) {
   const int64_t n = c.length();
-  WritePod<uint8_t>(os, c.has_validity() ? 1 : 0);
-  if (c.has_validity()) {
-    os.write(reinterpret_cast<const char*>(c.validity().data()), n);
-  }
+  PutPod<uint8_t>(out, c.has_validity() ? 1 : 0);
+  if (c.has_validity()) PutRaw(out, c.validity().data(), n);
   switch (c.dtype()) {
     case DType::kInt64:
-      os.write(reinterpret_cast<const char*>(c.int64_data().data()), n * 8);
+      PutRaw(out, c.int64_data().data(), n);
       break;
     case DType::kFloat64:
-      os.write(reinterpret_cast<const char*>(c.float64_data().data()), n * 8);
+      PutRaw(out, c.float64_data().data(), n);
       break;
     case DType::kBool:
-      os.write(reinterpret_cast<const char*>(c.bool_data().data()), n);
+      PutRaw(out, c.bool_data().data(), n);
       break;
     case DType::kString:
       if (c.is_dict()) {
-        // Dictionary page: the values are already deduplicated (StringDict
-        // invariant), so they round-trip without a rebuild.
-        WritePod<uint8_t>(os, kEncodingDict);
+        // Dictionary page holding only the values this group uses, in
+        // first-use order, so the group decodes without the rest of the
+        // file. Null rows keep code 0.
         const dataframe::StringDict& d = *c.dict();
-        WritePod<uint32_t>(os, static_cast<uint32_t>(d.size()));
-        for (int64_t k = 0; k < d.size(); ++k) {
-          WriteStr(os, d.value(static_cast<int32_t>(k)));
+        const int32_t* codes = c.dict_codes().data();
+        std::unordered_map<int32_t, int32_t> local;
+        std::vector<int32_t> used;
+        std::vector<int32_t> local_codes(n, 0);
+        for (int64_t i = 0; i < n; ++i) {
+          if (!c.IsValid(i)) continue;
+          auto [it, fresh] =
+              local.emplace(codes[i], static_cast<int32_t>(used.size()));
+          if (fresh) used.push_back(codes[i]);
+          local_codes[i] = it->second;
         }
-        os.write(reinterpret_cast<const char*>(c.dict_codes().data()), n * 4);
+        PutPod<uint8_t>(out, kEncodingDict);
+        PutPod<uint32_t>(out, static_cast<uint32_t>(used.size()));
+        for (int32_t code : used) PutStr(out, d.value(code));
+        PutRaw(out, local_codes.data(), n);
       } else {
-        WritePod<uint8_t>(os, kEncodingPlain);
-        for (const auto& s : c.string_data()) WriteStr(os, s);
+        PutPod<uint8_t>(out, kEncodingPlain);
+        for (const auto& s : c.string_data()) PutStr(out, s);
       }
       break;
   }
-  return os.str();
 }
 
-Result<Column> DecodeColumn(const std::string& block, DType dtype, int64_t n,
-                            bool has_encoding_byte, bool dict_encode) {
-  Cursor in(block);
-  uint8_t has_validity = 0;
-  XORBITS_RETURN_NOT_OK(in.Pod(&has_validity));
-  std::vector<uint8_t> validity;
-  if (has_validity) {
-    XORBITS_ASSIGN_OR_RETURN(validity,
-                             in.Vec<uint8_t>(n, "truncated validity"));
+/// The rows of one row group to decode: the group-local range [lo, hi)
+/// when `rows` is null, else the `m` ascending rows `rows[k] + shift`.
+struct GroupRows {
+  int64_t lo = 0;
+  int64_t hi = 0;
+  const int64_t* rows = nullptr;
+  int64_t m = 0;
+  int64_t shift = 0;
+
+  int64_t count() const { return rows != nullptr ? m : hi - lo; }
+  int64_t row(int64_t k) const {
+    return rows != nullptr ? rows[k] + shift : lo + k;
   }
-  switch (dtype) {
-    case DType::kInt64: {
-      XORBITS_ASSIGN_OR_RETURN(auto data,
-                               in.Vec<int64_t>(n, "truncated int64 block"));
-      return Column::Int64(std::move(data), std::move(validity));
-    }
-    case DType::kFloat64: {
-      XORBITS_ASSIGN_OR_RETURN(auto data,
-                               in.Vec<double>(n, "truncated float64 block"));
-      return Column::Float64(std::move(data), std::move(validity));
-    }
-    case DType::kBool: {
-      XORBITS_ASSIGN_OR_RETURN(auto data,
-                               in.Vec<uint8_t>(n, "truncated bool block"));
-      return Column::Bool(std::move(data), std::move(validity));
-    }
-    case DType::kString: {
-      uint8_t encoding = kEncodingPlain;
-      if (has_encoding_byte) XORBITS_RETURN_NOT_OK(in.Pod(&encoding));
-      if (encoding == kEncodingDict) {
-        XORBITS_ASSIGN_OR_RETURN(auto values, in.DictValues());
-        XORBITS_ASSIGN_OR_RETURN(auto codes,
-                                 in.Vec<int32_t>(n, "truncated dict codes"));
-        if (!dataframe::DictCodesInRange(
-                codes.data(), n, validity.empty() ? nullptr : validity.data(),
-                static_cast<int64_t>(values.size()))) {
-          return Status::IOError("dictionary code out of range");
-        }
-        Column col = Column::Dictionary(
-            common::BufferView<int32_t>(std::move(codes)),
-            dataframe::StringDict::Make(std::move(values)),
-            common::BufferView<uint8_t>(std::move(validity)));
-        if (!dict_encode) return col.DictDecode();
-        ChargeScoped(CounterId::kDictEncodedColumns);
-        return col;
-      }
-      if (encoding != kEncodingPlain) {
-        return Status::IOError("bad string encoding tag");
-      }
-      if (!in.Fits(n, sizeof(uint32_t))) {
-        return Status::IOError("truncated string block");
-      }
-      std::vector<std::string> data;
-      data.reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        XORBITS_ASSIGN_OR_RETURN(std::string s, in.Str());
-        data.push_back(std::move(s));
-      }
-      Column col = Column::String(std::move(data), std::move(validity));
-      return dict_encode ? col.DictEncode() : col;
-    }
+};
+
+/// Copies the selected `W`-byte values of a raw payload to `out`: one
+/// memcpy for a range, one per row for a row list (the payload is
+/// unaligned behind the validity prefix).
+template <size_t W>
+void Gather(const char* src, const GroupRows& sel, void* out) {
+  char* dst = static_cast<char*>(out);
+  if (sel.rows == nullptr) {
+    std::memcpy(dst, src + sel.lo * W, (sel.hi - sel.lo) * W);
+    return;
   }
-  return Status::IOError("bad dtype");
+  for (int64_t k = 0; k < sel.m; ++k) {
+    std::memcpy(dst + k * W, src + sel.row(k) * W, W);
+  }
 }
 
-/// Selective decode: produces only `rows` (strictly ascending positions in
-/// [0, n)) of a column block, without materializing the rest. Fixed-width
-/// payloads gather straight out of the raw bytes (memcpy per value — the
-/// payload is unaligned behind the validity prefix); plain string blocks
-/// walk the length prefixes once and copy only selected strings; dictionary
-/// pages decode the dictionary fully (it is shared and deduplicated) and
-/// gather the int32 codes. Value-identical to DecodeColumn + row gather.
-Result<Column> DecodeColumnRows(const std::string& block, DType dtype,
-                                int64_t n, bool has_encoding_byte,
-                                bool dict_encode,
-                                const std::vector<int64_t>& rows) {
-  Cursor in(block);
-  uint8_t has_validity = 0;
-  XORBITS_RETURN_NOT_OK(in.Pod(&has_validity));
-  const char* validity_base = nullptr;
-  if (has_validity) {
-    XORBITS_ASSIGN_OR_RETURN(validity_base,
-                             in.Take(n, 1, "truncated validity"));
-  }
-  const int64_t m = static_cast<int64_t>(rows.size());
-  for (int64_t i = 0; i < m; ++i) {
-    if (rows[i] < 0 || rows[i] >= n || (i > 0 && rows[i] <= rows[i - 1])) {
-      return Status::Invalid("DecodeColumnRows: rows not ascending/in range");
-    }
-  }
-  std::vector<uint8_t> validity;
-  if (has_validity) {
-    validity.resize(m);
-    for (int64_t i = 0; i < m; ++i) {
-      validity[i] = static_cast<uint8_t>(validity_base[rows[i]]);
-    }
-  }
-  switch (dtype) {
-    case DType::kInt64: {
-      XORBITS_ASSIGN_OR_RETURN(const char* p,
-                               in.Take(n, 8, "truncated int64 block"));
-      std::vector<int64_t> data(m);
-      for (int64_t i = 0; i < m; ++i) {
-        std::memcpy(&data[i], p + rows[i] * 8, 8);
-      }
-      return Column::Int64(std::move(data), std::move(validity));
-    }
-    case DType::kFloat64: {
-      XORBITS_ASSIGN_OR_RETURN(const char* p,
-                               in.Take(n, 8, "truncated float64 block"));
-      std::vector<double> data(m);
-      for (int64_t i = 0; i < m; ++i) {
-        std::memcpy(&data[i], p + rows[i] * 8, 8);
-      }
-      return Column::Float64(std::move(data), std::move(validity));
-    }
-    case DType::kBool: {
-      XORBITS_ASSIGN_OR_RETURN(const char* p,
-                               in.Take(n, 1, "truncated bool block"));
-      std::vector<uint8_t> data(m);
-      for (int64_t i = 0; i < m; ++i) {
-        data[i] = static_cast<uint8_t>(p[rows[i]]);
-      }
-      return Column::Bool(std::move(data), std::move(validity));
-    }
-    case DType::kString: {
-      uint8_t encoding = kEncodingPlain;
-      if (has_encoding_byte) XORBITS_RETURN_NOT_OK(in.Pod(&encoding));
-      if (encoding == kEncodingDict) {
-        XORBITS_ASSIGN_OR_RETURN(auto values, in.DictValues());
-        XORBITS_ASSIGN_OR_RETURN(const char* p,
-                                 in.Take(n, 4, "truncated dict codes"));
-        const int64_t dict_size = static_cast<int64_t>(values.size());
-        std::vector<int32_t> codes(m);
-        uint32_t max_code = 0;  // as unsigned: a negative code reads huge
-        for (int64_t i = 0; i < m; ++i) {
-          std::memcpy(&codes[i], p + rows[i] * 4, 4);
-          max_code = std::max(max_code, static_cast<uint32_t>(codes[i]));
-        }
-        if (max_code >= dict_size &&
-            !dataframe::DictCodesInRange(
-                codes.data(), m, validity.empty() ? nullptr : validity.data(),
-                dict_size)) {
-          return Status::IOError("dictionary code out of range");
-        }
+/// Decodes the selected rows of consecutive row groups straight into one
+/// preallocated output column, so a multi-group read costs no per-group
+/// column and no concatenation copy. String output is either plain or —
+/// with `dict_encode` — codes over one dictionary unified across groups in
+/// first-seen order (the dictionary `Column::DictEncode` would build).
+class ColumnAssembler {
+ public:
+  ColumnAssembler(DType dtype, int64_t n, bool dict_encode)
+      : dtype_(dtype), n_(n), dict_encode_(dict_encode) {
+    switch (dtype) {
+      case DType::kInt64:
+        int64_.resize(n);
+        break;
+      case DType::kFloat64:
+        float64_.resize(n);
+        break;
+      case DType::kBool:
+        bool_.resize(n);
+        break;
+      case DType::kString:
         if (dict_encode) {
-          ChargeScoped(CounterId::kDictEncodedColumns);
-          return Column::Dictionary(
-              common::BufferView<int32_t>(std::move(codes)),
-              dataframe::StringDict::Make(std::move(values)),
-              common::BufferView<uint8_t>(std::move(validity)));
+          codes_.resize(n, 0);
+        } else {
+          strings_.resize(n);
         }
-        std::vector<std::string> data(m);
-        for (int64_t i = 0; i < m; ++i) {
-          if (validity.empty() || validity[i]) data[i] = values[codes[i]];
-        }
-        return Column::String(std::move(data), std::move(validity));
-      }
-      if (encoding != kEncodingPlain) {
-        return Status::IOError("bad string encoding tag");
-      }
-      std::vector<std::string> data(m);
-      int64_t next = 0;
-      for (int64_t r = 0; r < n && next < m; ++r) {
-        uint32_t len = 0;
-        XORBITS_RETURN_NOT_OK(in.Pod(&len));
-        XORBITS_ASSIGN_OR_RETURN(const char* s,
-                                 in.Take(len, 1, "truncated string block"));
-        if (rows[next] == r) data[next++].assign(s, len);
-      }
-      if (next < m) return Status::IOError("string block shorter than rows");
-      Column col = Column::String(std::move(data), std::move(validity));
-      return dict_encode ? col.DictEncode() : col;
+        break;
     }
   }
-  return Status::IOError("bad dtype");
+
+  /// Decodes `sel` of a chunk holding `group_rows` rows into output rows
+  /// [at, at + sel.count()).
+  Status Add(const std::string& chunk, int64_t group_rows,
+             const GroupRows& sel, int64_t at) {
+    Cursor in(chunk);
+    uint8_t has_validity = 0;
+    XORBITS_RETURN_NOT_OK(in.Pod(&has_validity));
+    const uint8_t* valid = nullptr;
+    if (has_validity) {
+      XORBITS_ASSIGN_OR_RETURN(const char* v,
+                               in.Take(group_rows, 1, "truncated validity"));
+      valid = reinterpret_cast<const uint8_t*>(v);
+      // Groups without a validity prefix leave their rows valid.
+      if (validity_.empty()) validity_.assign(n_, 1);
+      Gather<1>(v, sel, validity_.data() + at);
+    }
+    switch (dtype_) {
+      case DType::kInt64: {
+        XORBITS_ASSIGN_OR_RETURN(
+            const char* p, in.Take(group_rows, 8, "truncated int64 chunk"));
+        Gather<8>(p, sel, int64_.data() + at);
+        return Status::OK();
+      }
+      case DType::kFloat64: {
+        XORBITS_ASSIGN_OR_RETURN(
+            const char* p, in.Take(group_rows, 8, "truncated float64 chunk"));
+        Gather<8>(p, sel, float64_.data() + at);
+        return Status::OK();
+      }
+      case DType::kBool: {
+        XORBITS_ASSIGN_OR_RETURN(
+            const char* p, in.Take(group_rows, 1, "truncated bool chunk"));
+        Gather<1>(p, sel, bool_.data() + at);
+        return Status::OK();
+      }
+      case DType::kString:
+        return AddStrings(&in, group_rows, sel, at, valid);
+    }
+    return Status::IOError("bad dtype");
+  }
+
+  Column Finish() {
+    switch (dtype_) {
+      case DType::kInt64:
+        return Column::Int64(std::move(int64_), std::move(validity_));
+      case DType::kFloat64:
+        return Column::Float64(std::move(float64_), std::move(validity_));
+      case DType::kBool:
+        return Column::Bool(std::move(bool_), std::move(validity_));
+      case DType::kString:
+        if (!dict_encode_) {
+          return Column::String(std::move(strings_), std::move(validity_));
+        }
+        ChargeScoped(CounterId::kDictEncodedColumns);
+        return Column::Dictionary(
+            common::BufferView<int32_t>(std::move(codes_)), dict_.Finish(),
+            common::BufferView<uint8_t>(std::move(validity_)));
+    }
+    return Column::Int64({});
+  }
+
+ private:
+  Status AddStrings(Cursor* in, int64_t group_rows, const GroupRows& sel,
+                    int64_t at, const uint8_t* valid) {
+    const int64_t m = sel.count();
+    uint8_t encoding = kEncodingPlain;
+    XORBITS_RETURN_NOT_OK(in->Pod(&encoding));
+    if (encoding == kEncodingDict) {
+      XORBITS_ASSIGN_OR_RETURN(auto values, in->DictValues());
+      XORBITS_ASSIGN_OR_RETURN(
+          const char* p, in->Take(group_rows, 4, "truncated dict codes"));
+      const int64_t dict_size = static_cast<int64_t>(values.size());
+      std::vector<int32_t> remap;  // group code -> output code
+      if (dict_encode_) {
+        remap.resize(dict_size);
+        for (int64_t v = 0; v < dict_size; ++v) {
+          remap[v] = dict_.GetOrAdd(values[v]);
+        }
+      }
+      for (int64_t k = 0; k < m; ++k) {
+        const int64_t r = sel.row(k);
+        if (valid != nullptr && valid[r] == 0) continue;  // null: never read
+        int32_t code = 0;
+        std::memcpy(&code, p + r * 4, 4);
+        if (code < 0 || code >= dict_size) {
+          return Status::IOError("dictionary code out of range");
+        }
+        if (dict_encode_) {
+          codes_[at + k] = remap[code];
+        } else {
+          strings_[at + k] = values[code];
+        }
+      }
+      return Status::OK();
+    }
+    if (encoding != kEncodingPlain) {
+      return Status::IOError("bad string encoding tag");
+    }
+    // Plain chunk: walk the length prefixes up to the last selected row and
+    // copy (or dictionary-encode) only the selected strings.
+    int64_t k = 0;
+    for (int64_t r = 0; k < m; ++r) {
+      uint32_t len = 0;
+      XORBITS_RETURN_NOT_OK(in->Pod(&len));
+      XORBITS_ASSIGN_OR_RETURN(const char* s,
+                               in->Take(len, 1, "truncated string chunk"));
+      if (r != sel.row(k)) continue;
+      if (!dict_encode_) {
+        strings_[at + k].assign(s, len);
+      } else if (valid == nullptr || valid[r] != 0) {
+        codes_[at + k] = dict_.GetOrAdd(std::string_view(s, len));
+      }
+      ++k;
+    }
+    return Status::OK();
+  }
+
+  DType dtype_;
+  int64_t n_;
+  bool dict_encode_;
+  std::vector<uint8_t> validity_;  // empty until a group carries validity
+  std::vector<int64_t> int64_;
+  std::vector<double> float64_;
+  std::vector<uint8_t> bool_;
+  std::vector<std::string> strings_;
+  std::vector<int32_t> codes_;
+  dataframe::DictBuilder dict_;
+};
+
+/// Reads one column's file rows [begin, end) when `rows` is null, else the
+/// rows `begin + (*rows)[k]` (ascending, below `end`). Fetches only the row
+/// groups that hold a wanted row, adding each fetched chunk's size to
+/// `*bytes_read`, and decodes them into one output column.
+Result<Column> ReadColumn(std::ifstream& in, const XpqFileInfo& info,
+                          const XpqColumnInfo& ci, int64_t begin, int64_t end,
+                          const std::vector<int64_t>* rows, bool dict_encode,
+                          int64_t* bytes_read) {
+  // A window planned against an older version of the file may overhang it.
+  if (begin < 0 || begin > end || end > info.num_rows) {
+    return Status::Invalid("xparquet row window outside the file");
+  }
+  const int64_t n =
+      rows != nullptr ? static_cast<int64_t>(rows->size()) : end - begin;
+  ColumnAssembler out(ci.dtype, n, dict_encode);
+  std::string chunk;
+  for (int64_t at = 0; at < n;) {
+    const int64_t first = begin + (rows != nullptr ? (*rows)[at] : at);
+    const int64_t g =
+        std::upper_bound(info.group_starts.begin(), info.group_starts.end(),
+                         first) -
+        info.group_starts.begin() - 1;
+    const int64_t group_start = info.group_starts[g];
+    const int64_t group_end = info.group_starts[g + 1];
+    GroupRows sel;
+    if (rows != nullptr) {
+      int64_t stop = at;
+      while (stop < n && begin + (*rows)[stop] < group_end) ++stop;
+      sel.rows = rows->data() + at;
+      sel.m = stop - at;
+      sel.shift = begin - group_start;
+    } else {
+      sel.lo = first - group_start;
+      sel.hi = std::min(end, group_end) - group_start;
+    }
+    const XpqColumnChunk& loc = ci.chunks[g];
+    chunk.resize(loc.nbytes);
+    in.seekg(loc.offset);
+    in.read(chunk.data(), loc.nbytes);
+    if (!in) return Status::IOError("truncated column chunk: " + ci.name);
+    *bytes_read += loc.nbytes;
+    XORBITS_RETURN_NOT_OK(
+        out.Add(chunk, group_end - group_start, sel, at));
+    at += sel.count();
+  }
+  return out.Finish();
+}
+
+/// Indices into `info.columns` of `names`, or of every column when empty.
+Result<std::vector<int>> ResolveColumns(const XpqFileInfo& info,
+                                        const std::vector<std::string>& names) {
+  std::vector<int> out;
+  if (names.empty()) {
+    for (size_t c = 0; c < info.columns.size(); ++c) {
+      out.push_back(static_cast<int>(c));
+    }
+    return out;
+  }
+  for (const auto& name : names) {
+    const int c = info.ColumnIndex(name);
+    if (c < 0) return Status::KeyError("xparquet column not found: " + name);
+    out.push_back(c);
+  }
+  return out;
 }
 
 }  // namespace
 
-bool XpqFileInfo::HasColumn(const std::string& name) const {
-  for (const auto& c : columns) {
-    if (c.name == name) return true;
+int XpqFileInfo::ColumnIndex(const std::string& name) const {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (columns[c].name == name) return static_cast<int>(c);
   }
-  return false;
+  return -1;
 }
 
-Status WriteXpq(const std::string& path, const DataFrame& df) {
+Status WriteXpq(const std::string& path, const DataFrame& df,
+                int64_t rows_per_group) {
+  if (rows_per_group < 1) {
+    return Status::Invalid("WriteXpq: rows_per_group must be positive");
+  }
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
-  WritePod(out, kMagic);
-  std::vector<XpqColumnInfo> infos;
-  for (int c = 0; c < df.num_columns(); ++c) {
-    XpqColumnInfo info;
-    info.name = df.column_name(c);
-    info.dtype = df.column(c).dtype();
-    info.offset = static_cast<int64_t>(out.tellp());
-    std::string block = EncodeColumn(df.column(c));
-    info.nbytes = static_cast<int64_t>(block.size());
-    out.write(block.data(), static_cast<std::streamsize>(block.size()));
-    infos.push_back(std::move(info));
+  const int ncols = df.num_columns();
+  const int64_t num_rows = ncols > 0 ? df.num_rows() : 0;
+  std::string footer;
+  PutPod<int64_t>(&footer, num_rows);
+  PutPod<uint32_t>(&footer, static_cast<uint32_t>(ncols));
+  for (int c = 0; c < ncols; ++c) {
+    PutStr(&footer, df.column_name(c));
+    PutPod<uint8_t>(&footer, static_cast<uint8_t>(df.column(c).dtype()));
   }
-  const int64_t footer_start = static_cast<int64_t>(out.tellp());
-  WritePod<int64_t>(out, df.num_rows());
-  WritePod<uint32_t>(out, static_cast<uint32_t>(infos.size()));
-  for (const auto& info : infos) {
-    WriteStr(out, info.name);
-    WritePod<uint8_t>(out, static_cast<uint8_t>(info.dtype));
-    WritePod<int64_t>(out, info.offset);
-    WritePod<int64_t>(out, info.nbytes);
+  const int64_t num_groups = (num_rows + rows_per_group - 1) / rows_per_group;
+  PutPod<uint32_t>(&footer, static_cast<uint32_t>(num_groups));
+  std::string chunk;
+  PutPod(&chunk, kMagic);
+  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+  int64_t offset = static_cast<int64_t>(chunk.size());
+  for (int64_t start = 0; start < num_rows; start += rows_per_group) {
+    const int64_t rows = std::min(rows_per_group, num_rows - start);
+    PutPod<int64_t>(&footer, rows);
+    for (int c = 0; c < ncols; ++c) {
+      chunk.clear();
+      EncodeColumn(df.column(c).Slice(start, rows), &chunk);
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      PutPod<int64_t>(&footer, offset);
+      PutPod<int64_t>(&footer, static_cast<int64_t>(chunk.size()));
+      offset += static_cast<int64_t>(chunk.size());
+    }
   }
-  const int64_t footer_size =
-      static_cast<int64_t>(out.tellp()) - footer_start;
-  WritePod<int64_t>(out, footer_size);
-  WritePod(out, kMagic);
+  PutPod<int64_t>(&footer, static_cast<int64_t>(footer.size()));
+  PutPod(&footer, kMagic);
+  out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }
@@ -367,12 +455,10 @@ Result<XpqFileInfo> ReadXpqInfo(const std::string& path) {
   in.read(reinterpret_cast<char*>(&footer_size), sizeof(footer_size));
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (!in) return Status::IOError("truncated xparquet trailer: " + path);
-  if (magic != kMagic && magic != kMagicV1) {
-    return Status::IOError("bad xparquet magic: " + path);
-  }
-  // Layout: leading magic, column blocks, footer, footer size, magic. The
-  // footer holds at least the row and column counts.
-  if (footer_size < 12 || footer_size > file_size - 16) {
+  if (magic != kMagic) return Status::IOError("bad xparquet magic: " + path);
+  // Layout: leading magic, row groups, footer, footer size, magic. The
+  // footer holds at least the row, column and group counts.
+  if (footer_size < 16 || footer_size > file_size - 16) {
     return Status::IOError("bad xparquet footer size: " + path);
   }
   const int64_t footer_start = file_size - 12 - footer_size;
@@ -382,12 +468,13 @@ Result<XpqFileInfo> ReadXpqInfo(const std::string& path) {
   if (!in) return Status::IOError("truncated xparquet footer: " + path);
   Cursor c(footer);
   XpqFileInfo info;
-  info.version = magic == kMagic ? 2 : 1;
   XORBITS_RETURN_NOT_OK(c.Pod(&info.num_rows));
   uint32_t ncols = 0;
   XORBITS_RETURN_NOT_OK(c.Pod(&ncols));
-  // Each entry: name length, dtype, offset, nbytes.
-  if (info.num_rows < 0 || !c.Fits(ncols, 4 + 1 + 8 + 8)) {
+  // Each column entry: name length, dtype. A file without columns has no
+  // rows (nothing could bound the count).
+  if (info.num_rows < 0 || !c.Fits(ncols, 4 + 1) ||
+      (ncols == 0 && info.num_rows != 0)) {
     return Status::IOError("bad xparquet footer: " + path);
   }
   for (uint32_t k = 0; k < ncols; ++k) {
@@ -399,20 +486,55 @@ Result<XpqFileInfo> ReadXpqInfo(const std::string& path) {
       return Status::IOError("bad xparquet dtype: " + path);
     }
     ci.dtype = static_cast<DType>(dt);
-    XORBITS_RETURN_NOT_OK(c.Pod(&ci.offset));
-    XORBITS_RETURN_NOT_OK(c.Pod(&ci.nbytes));
-    if (ci.offset < 4 || ci.nbytes < 1 ||
-        ci.offset > footer_start - ci.nbytes) {
-      return Status::IOError("xparquet column block outside the file: " +
-                             path);
-    }
-    // Every encoding spends at least one byte per row past the block's
-    // validity flag, so a row count the block cannot hold is corrupt.
-    if (info.num_rows >= ci.nbytes) {
-      return Status::IOError("xparquet row count exceeds column block: " +
-                             path);
-    }
     info.columns.push_back(std::move(ci));
+  }
+  uint32_t ngroups = 0;
+  XORBITS_RETURN_NOT_OK(c.Pod(&ngroups));
+  // Each group entry: row count, then offset and size per column.
+  if (!c.Fits(ngroups, 8 + 16 * static_cast<int64_t>(ncols))) {
+    return Status::IOError("bad xparquet footer: " + path);
+  }
+  info.group_starts.reserve(ngroups + 1);
+  for (auto& ci : info.columns) ci.chunks.reserve(ngroups);
+  // Column chunks tile the bytes between the leading magic and the footer
+  // exactly, in group-then-column order: anything else overlaps, leaves a
+  // gap or falls outside the file.
+  int64_t next_offset = sizeof(kMagic);
+  for (uint32_t g = 0; g < ngroups; ++g) {
+    int64_t rows = 0;
+    XORBITS_RETURN_NOT_OK(c.Pod(&rows));
+    if (rows < 1 || rows > info.num_rows - info.group_starts.back()) {
+      return Status::IOError("xparquet row groups exceed the row count: " +
+                             path);
+    }
+    info.group_starts.push_back(info.group_starts.back() + rows);
+    for (auto& ci : info.columns) {
+      XpqColumnChunk chunk;
+      XORBITS_RETURN_NOT_OK(c.Pod(&chunk.offset));
+      XORBITS_RETURN_NOT_OK(c.Pod(&chunk.nbytes));
+      if (chunk.offset != next_offset || chunk.nbytes < 1 ||
+          chunk.nbytes > footer_start - chunk.offset) {
+        return Status::IOError("xparquet column chunks do not tile the file: " +
+                               path);
+      }
+      // Every encoding spends at least one byte per row past the chunk's
+      // validity flag, so a row count the chunk cannot hold is corrupt.
+      if (rows >= chunk.nbytes) {
+        return Status::IOError("xparquet row count exceeds column chunk: " +
+                               path);
+      }
+      next_offset += chunk.nbytes;
+      ci.nbytes += chunk.nbytes;
+      ci.chunks.push_back(chunk);
+    }
+  }
+  if (info.group_starts.back() != info.num_rows) {
+    return Status::IOError("xparquet row groups do not sum to the row count: " +
+                           path);
+  }
+  if (next_offset != footer_start || c.p != c.end) {
+    return Status::IOError("xparquet column chunks do not tile the file: " +
+                           path);
   }
   return info;
 }
@@ -422,90 +544,70 @@ Result<DataFrame> ReadXpq(const std::string& path,
                           int64_t row_offset, int64_t row_count,
                           int64_t* bytes_read, bool dict_encode) {
   XORBITS_ASSIGN_OR_RETURN(XpqFileInfo info, ReadXpqInfo(path));
+  XORBITS_ASSIGN_OR_RETURN(std::vector<int> wanted,
+                           ResolveColumns(info, columns));
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-
-  std::vector<const XpqColumnInfo*> wanted;
-  if (columns.empty()) {
-    for (const auto& c : info.columns) wanted.push_back(&c);
-  } else {
-    for (const auto& name : columns) {
-      const XpqColumnInfo* found = nullptr;
-      for (const auto& c : info.columns) {
-        if (c.name == name) {
-          found = &c;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::KeyError("xparquet column not found: " + name);
-      }
-      wanted.push_back(found);
-    }
-  }
+  const int64_t begin = std::clamp<int64_t>(row_offset, 0, info.num_rows);
+  const int64_t end = row_count < 0 || row_count > info.num_rows - begin
+                          ? info.num_rows
+                          : begin + row_count;
+  int64_t fetched = 0;
   std::vector<std::string> names;
   std::vector<Column> cols;
-  for (const XpqColumnInfo* ci : wanted) {
-    in.seekg(ci->offset);
-    std::string block(ci->nbytes, '\0');
-    in.read(block.data(), ci->nbytes);
-    if (!in) return Status::IOError("truncated column block: " + ci->name);
-    if (bytes_read != nullptr) *bytes_read += ci->nbytes;
-    XORBITS_ASSIGN_OR_RETURN(
-        Column col, DecodeColumn(block, ci->dtype, info.num_rows,
-                                 info.version >= 2, dict_encode));
-    // Eager decode makes the full column dense regardless of what the
-    // query later touches — the denominator the lazy path is measured
-    // against (DESIGN.md §10).
+  for (int c : wanted) {
+    const XpqColumnInfo& ci = info.columns[c];
+    XORBITS_ASSIGN_OR_RETURN(Column col,
+                             ReadColumn(in, info, ci, begin, end, nullptr,
+                                        dict_encode, &fetched));
+    // Eager decode makes the window dense regardless of what the query
+    // later touches — the denominator the lazy path is measured against
+    // (DESIGN.md §10).
     ChargeScoped(CounterId::kBytesMaterialized, col.nbytes());
-    names.push_back(ci->name);
+    names.push_back(ci.name);
     cols.push_back(std::move(col));
   }
+  if (bytes_read != nullptr) *bytes_read += fetched;
   XORBITS_ASSIGN_OR_RETURN(DataFrame df,
                            DataFrame::Make(std::move(names), std::move(cols)));
-  if (row_offset != 0 || row_count >= 0) {
-    const int64_t count = row_count < 0 ? info.num_rows - row_offset
-                                        : row_count;
-    df = df.SliceRows(row_offset, count);
-    df.set_index(dataframe::Index::Range(row_offset,
-                                         row_offset + df.num_rows()));
-  }
+  df.set_index(dataframe::Index::Range(begin, begin + df.num_rows()));
   return df;
 }
 
+dataframe::DType XpqColumnSource::dtype() const {
+  return info_->columns[column_].dtype;
+}
+
 int64_t XpqColumnSource::nbytes_hint() const {
-  if (file_rows_ <= 0) return 0;
-  // Encoded block size scaled to the window — a fine estimate: payloads
+  if (info_->num_rows <= 0) return 0;
+  // Encoded column size scaled to the window — a fine estimate: payloads
   // are stored uncompressed, so encoded ~= dense.
-  return info_.nbytes * row_count_ / file_rows_;
+  return info_->columns[column_].nbytes * row_count_ / info_->num_rows;
 }
 
 std::string XpqColumnSource::describe() const {
-  return "xpq:" + path_ + ":" + info_.name;
+  return "xpq:" + path_ + ":" + info_->columns[column_].name;
 }
 
 Result<Column> XpqColumnSource::LoadRows(
     const std::vector<int64_t>* rows) const {
+  if (rows != nullptr) {
+    const int64_t m = static_cast<int64_t>(rows->size());
+    for (int64_t i = 0; i < m; ++i) {
+      if ((*rows)[i] < 0 || (*rows)[i] >= row_count_ ||
+          (i > 0 && (*rows)[i] <= (*rows)[i - 1])) {
+        return Status::Invalid("XpqColumnSource: rows not ascending/in range");
+      }
+    }
+  }
   std::ifstream in(path_, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path_);
-  in.seekg(info_.offset);
-  std::string block(info_.nbytes, '\0');
-  in.read(block.data(), info_.nbytes);
-  if (!in) return Status::IOError("truncated column block: " + info_.name);
-  if (rows == nullptr && row_offset_ == 0 && row_count_ == file_rows_) {
-    return DecodeColumn(block, info_.dtype, file_rows_, has_encoding_byte_,
-                        dict_encode_);
-  }
-  std::vector<int64_t> abs;
-  if (rows != nullptr) {
-    abs.reserve(rows->size());
-    for (int64_t r : *rows) abs.push_back(row_offset_ + r);
-  } else {
-    abs.reserve(row_count_);
-    for (int64_t r = 0; r < row_count_; ++r) abs.push_back(row_offset_ + r);
-  }
-  return DecodeColumnRows(block, info_.dtype, file_rows_, has_encoding_byte_,
-                          dict_encode_, abs);
+  int64_t fetched = 0;
+  Result<Column> col =
+      ReadColumn(in, *info_, info_->columns[column_], row_offset_,
+                 row_offset_ + row_count_, rows, dict_encode_, &fetched);
+  ChargeScoped(CounterId::kSourceBytesRead, fetched);
+  return col;
 }
 
 Result<Column> XpqColumnSource::Load(const std::vector<int64_t>& rows) const {
@@ -518,38 +620,22 @@ Result<DataFrame> ReadXpqLazy(const std::string& path,
                               const std::vector<std::string>& columns,
                               int64_t row_offset, int64_t row_count,
                               bool dict_encode) {
-  XORBITS_ASSIGN_OR_RETURN(XpqFileInfo info, ReadXpqInfo(path));
-  std::vector<const XpqColumnInfo*> wanted;
-  if (columns.empty()) {
-    for (const auto& c : info.columns) wanted.push_back(&c);
-  } else {
-    for (const auto& name : columns) {
-      const XpqColumnInfo* found = nullptr;
-      for (const auto& c : info.columns) {
-        if (c.name == name) {
-          found = &c;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::KeyError("xparquet column not found: " + name);
-      }
-      wanted.push_back(found);
-    }
-  }
-  if (row_offset < 0 || row_offset > info.num_rows) {
+  XORBITS_ASSIGN_OR_RETURN(XpqFileInfo read, ReadXpqInfo(path));
+  auto info = std::make_shared<const XpqFileInfo>(std::move(read));
+  XORBITS_ASSIGN_OR_RETURN(std::vector<int> wanted,
+                           ResolveColumns(*info, columns));
+  if (row_offset < 0 || row_offset > info->num_rows) {
     return Status::Invalid("ReadXpqLazy: row_offset out of range");
   }
-  const int64_t count = row_count < 0 ? info.num_rows - row_offset
+  const int64_t count = row_count < 0 ? info->num_rows - row_offset
                                       : std::min(row_count,
-                                                 info.num_rows - row_offset);
+                                                 info->num_rows - row_offset);
   DataFrame df;
-  for (const XpqColumnInfo* ci : wanted) {
+  for (int c : wanted) {
     XORBITS_RETURN_NOT_OK(df.SetColumnSource(
-        ci->name,
-        std::make_shared<XpqColumnSource>(path, *ci, info.num_rows,
-                                          row_offset, count,
-                                          info.version >= 2, dict_encode)));
+        info->columns[c].name,
+        std::make_shared<XpqColumnSource>(path, info, c, row_offset, count,
+                                          dict_encode)));
   }
   df.set_index(dataframe::Index::Range(row_offset, row_offset + count));
   return df;

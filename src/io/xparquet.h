@@ -1,6 +1,7 @@
 #ifndef XORBITS_IO_XPARQUET_H_
 #define XORBITS_IO_XPARQUET_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,42 +11,66 @@
 
 namespace xorbits::io {
 
+/// One column's bytes within one row group.
+struct XpqColumnChunk {
+  int64_t offset = 0;  // byte offset in the file
+  int64_t nbytes = 0;  // encoded size
+};
+
 /// Column metadata from an xparquet footer.
 struct XpqColumnInfo {
   std::string name;
   dataframe::DType dtype;
-  int64_t offset = 0;  // byte offset of the column block
-  int64_t nbytes = 0;  // encoded size of the column block
+  int64_t nbytes = 0;  // encoded size summed over every row group
+  std::vector<XpqColumnChunk> chunks;  // one per row group
 };
 
 /// File-level metadata (cheap to read: footer only).
 struct XpqFileInfo {
   int64_t num_rows = 0;
-  /// Format version: 2 = string blocks carry an encoding byte (plain vs
-  /// dictionary page); 1 = legacy plain-only string blocks.
-  uint32_t version = 2;
+  /// First row of each row group, then `num_rows`: group g holds rows
+  /// [group_starts[g], group_starts[g + 1]). An empty file has no groups.
+  std::vector<int64_t> group_starts = {0};
   std::vector<XpqColumnInfo> columns;
 
-  bool HasColumn(const std::string& name) const;
+  int64_t num_groups() const {
+    return static_cast<int64_t>(group_starts.size()) - 1;
+  }
+  /// Index into `columns` of the column called `name`, or -1.
+  int ColumnIndex(const std::string& name) const;
+  bool HasColumn(const std::string& name) const {
+    return ColumnIndex(name) >= 0;
+  }
 };
 
-/// "xparquet": this repo's columnar file format standing in for Parquet.
-/// Layout: [magic][column blocks...][footer][footer_size][magic]. Each
-/// column is an independent block, so readers fetch only the columns they
-/// need — the property the paper's column-pruning optimization relies on.
-Status WriteXpq(const std::string& path, const dataframe::DataFrame& df);
+/// Rows per row group `WriteXpq` writes unless a test asks for another size.
+extern const int64_t kXpqRowsPerGroup;
 
-/// Reads footer metadata only.
+/// "xparquet": this repo's columnar file format standing in for Parquet.
+/// Layout: [magic][row group 0][row group 1]...[footer][footer_size][magic].
+/// A row group holds `rows_per_group` consecutive rows (the last one may
+/// hold fewer) as one independently encoded chunk per column, in column
+/// order. The footer lists the column names and dtypes, then each group's
+/// row count and the offset and size of each of its column chunks. A
+/// reader therefore fetches only the columns it needs (column pruning) and,
+/// within them, only the groups its row window overlaps.
+Status WriteXpq(const std::string& path, const dataframe::DataFrame& df,
+                int64_t rows_per_group = kXpqRowsPerGroup);
+
+/// Reads footer metadata only. Rejects a footer whose column chunks
+/// overlap, leave a gap, fall outside the file, or whose group row counts
+/// do not sum to the file's.
 Result<XpqFileInfo> ReadXpqInfo(const std::string& path);
 
 /// Reads the whole file, or only `columns` when non-empty (column pruning),
 /// or only rows [row_offset, row_offset+row_count) of those columns when
-/// row_count >= 0 (chunked reads decode the block then slice). When
-/// `bytes_read` is non-null it is incremented by the encoded size of every
-/// column block fetched — the I/O denominator that column pruning and
-/// predicate pushdown shrink. When `dict_encode` is true, string columns
-/// come back dictionary-encoded (dict pages load codes directly, plain
-/// blocks are encoded after decode); when false, everything is plain.
+/// row_count >= 0; only the row groups the window overlaps are fetched and
+/// decoded. When `bytes_read` is non-null it is incremented by the encoded
+/// size of every column chunk fetched — the I/O denominator that column
+/// pruning and predicate pushdown shrink. When `dict_encode` is true,
+/// string columns come back dictionary-encoded (dict pages load codes
+/// directly, plain chunks are encoded as they decode); when false,
+/// everything is plain.
 Result<dataframe::DataFrame> ReadXpq(const std::string& path,
                                      const std::vector<std::string>& columns = {},
                                      int64_t row_offset = 0,
@@ -53,29 +78,30 @@ Result<dataframe::DataFrame> ReadXpq(const std::string& path,
                                      int64_t* bytes_read = nullptr,
                                      bool dict_encode = false);
 
-/// Lazy per-column thunk over one xparquet column block (DESIGN.md §10).
-/// Nothing is read at construction; `Load(rows)` fetches the block and
-/// decodes only the selected rows of the op's row window — fixed-width
-/// payloads gather directly from the raw bytes, plain string blocks scan
-/// length prefixes and materialize only the selected strings, dictionary
-/// pages decode the (shared) dictionary once and gather codes.
+/// Lazy per-column thunk over one xparquet column (DESIGN.md §10). Nothing
+/// is read at construction; `Load(rows)` fetches only the row groups that
+/// hold a selected row of the op's window and decodes only those rows —
+/// fixed-width payloads gather directly from the raw bytes, plain string
+/// chunks scan length prefixes and materialize only the selected strings,
+/// dictionary pages decode the group's dictionary and gather codes. Every
+/// fetched group is charged to `source_bytes_read` on the calling thread's
+/// MetricsScope.
 class XpqColumnSource : public dataframe::ColumnSource {
  public:
-  /// `info` names one column block of `path`; [row_offset, row_offset +
+  /// `column` indexes `info->columns` of `path`; [row_offset, row_offset +
   /// row_count) is the window of the file this source exposes as rows
   /// 0..row_count-1 (the chunk split).
-  XpqColumnSource(std::string path, XpqColumnInfo info, int64_t file_rows,
-                  int64_t row_offset, int64_t row_count,
-                  bool has_encoding_byte, bool dict_encode)
+  XpqColumnSource(std::string path, std::shared_ptr<const XpqFileInfo> info,
+                  int column, int64_t row_offset, int64_t row_count,
+                  bool dict_encode)
       : path_(std::move(path)),
         info_(std::move(info)),
-        file_rows_(file_rows),
+        column_(column),
         row_offset_(row_offset),
         row_count_(row_count),
-        has_encoding_byte_(has_encoding_byte),
         dict_encode_(dict_encode) {}
 
-  dataframe::DType dtype() const override { return info_.dtype; }
+  dataframe::DType dtype() const override;
   int64_t length() const override { return row_count_; }
   int64_t nbytes_hint() const override;
   std::string describe() const override;
@@ -87,18 +113,18 @@ class XpqColumnSource : public dataframe::ColumnSource {
   Result<dataframe::Column> LoadRows(const std::vector<int64_t>* rows) const;
 
   std::string path_;
-  XpqColumnInfo info_;
-  int64_t file_rows_;
+  std::shared_ptr<const XpqFileInfo> info_;
+  int column_;
   int64_t row_offset_;
   int64_t row_count_;
-  bool has_encoding_byte_;
   bool dict_encode_;
 };
 
 /// Like ReadXpq but returns a frame whose columns are XpqColumnSource
-/// thunks: only the footer is read here, and a column's block is fetched
-/// and decoded the first time something reads it — through the frame's
-/// pending selection, so a filtered consumer decodes only matching rows.
+/// thunks: only the footer is read here, and a column's row groups are
+/// fetched and decoded the first time something reads it — through the
+/// frame's pending selection, so a filtered consumer decodes only matching
+/// rows.
 Result<dataframe::DataFrame> ReadXpqLazy(
     const std::string& path, const std::vector<std::string>& columns = {},
     int64_t row_offset = 0, int64_t row_count = -1, bool dict_encode = false);

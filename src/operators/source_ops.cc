@@ -1,6 +1,7 @@
 #include "operators/source_ops.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 
@@ -74,6 +75,35 @@ int64_t CountMatches(const dataframe::Column& mask) {
   return matches;
 }
 
+/// SplitRows spans with each boundary moved to the nearest row-group start,
+/// so a chunk reads and decodes whole groups. A boundary stays put when
+/// the nearest start is more than half a chunk away, i.e. when the groups
+/// are larger than the chunks: the file still splits to the store limit.
+std::vector<std::pair<int64_t, int64_t>> SplitRowsAtGroups(
+    const io::XpqFileInfo& info, int64_t target_chunks) {
+  std::vector<std::pair<int64_t, int64_t>> spans =
+      SplitRows(info.num_rows, target_chunks);
+  if (spans.size() < 2) return spans;
+  const std::vector<int64_t>& starts = info.group_starts;
+  std::vector<int64_t> cuts = {0};
+  for (size_t i = 1; i < spans.size(); ++i) {
+    int64_t cut = spans[i].first;
+    auto next = std::lower_bound(starts.begin(), starts.end(), cut);
+    int64_t nearest = *next;  // group_starts ends with num_rows >= cut
+    if (next != starts.begin() && cut - *(next - 1) < nearest - cut) {
+      nearest = *(next - 1);
+    }
+    if (2 * std::abs(nearest - cut) <= spans[i - 1].second) cut = nearest;
+    if (cut > cuts.back() && cut < info.num_rows) cuts.push_back(cut);
+  }
+  cuts.push_back(info.num_rows);
+  std::vector<std::pair<int64_t, int64_t>> aligned;
+  for (size_t i = 1; i < cuts.size(); ++i) {
+    aligned.emplace_back(cuts[i - 1], cuts[i] - cuts[i - 1]);
+  }
+  return aligned;
+}
+
 }  // namespace
 
 Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
@@ -83,9 +113,7 @@ Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
     XORBITS_ASSIGN_OR_RETURN(
         DataFrame df, io::ReadXpq(path_, columns_, row_offset_, row_count_,
                                   &bytes, dict_encode_));
-    if (ctx.metrics != nullptr) {
-      ctx.metrics->Add(CounterId::kSourceBytesRead, bytes);
-    }
+    ChargeScoped(CounterId::kSourceBytesRead, bytes);
     ctx.outputs[0] = services::MakeChunk(std::move(df));
     return Status::OK();
   }
@@ -134,17 +162,12 @@ Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
                                  empty_probe.GetColumn(name));
         XORBITS_RETURN_NOT_OK(out.SetColumn(name, *col));
       } else {
-        const io::XpqColumnInfo* ci = nullptr;
-        for (const auto& c : info.columns) {
-          if (c.name == name) {
-            ci = &c;
-            break;
-          }
-        }
-        if (ci == nullptr) {
+        const int column = info.ColumnIndex(name);
+        if (column < 0) {
           return Status::KeyError("xparquet column not found: " + name);
         }
-        XORBITS_RETURN_NOT_OK(out.SetColumn(name, EmptyColumn(ci->dtype)));
+        XORBITS_RETURN_NOT_OK(out.SetColumn(
+            name, EmptyColumn(info.columns[column].dtype)));
       }
     }
     out.set_index(empty_probe.index());
@@ -169,9 +192,7 @@ Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
     full.set_index(probe.index());
     XORBITS_ASSIGN_OR_RETURN(out, dataframe::Filter(full, mask));
   }
-  if (ctx.metrics != nullptr) {
-    ctx.metrics->Add(CounterId::kSourceBytesRead, bytes);
-  }
+  ChargeScoped(CounterId::kSourceBytesRead, bytes);
   ctx.outputs[0] = services::MakeChunk(std::move(out));
   return Status::OK();
 }
@@ -192,17 +213,18 @@ Status ReadXpqChunkOp::ExecuteLate(ExecutionContext& ctx) const {
     return Status::OK();
   }
   int64_t bytes = 0;
-  XORBITS_ASSIGN_OR_RETURN(io::XpqFileInfo info, io::ReadXpqInfo(path_));
+  XORBITS_ASSIGN_OR_RETURN(io::XpqFileInfo read, io::ReadXpqInfo(path_));
+  auto info = std::make_shared<const io::XpqFileInfo>(std::move(read));
   std::vector<std::string> out_names = columns_;
   if (out_names.empty()) {
-    for (const auto& c : info.columns) out_names.push_back(c.name);
+    for (const auto& c : info->columns) out_names.push_back(c.name);
   }
   std::set<std::string> fset;
   filter_->CollectColumns(&fset);
   std::vector<std::string> fcols(fset.begin(), fset.end());
   if (fcols.empty() && !out_names.empty()) {
     const io::XpqColumnInfo* cheapest = nullptr;
-    for (const auto& c : info.columns) {
+    for (const auto& c : info->columns) {
       const bool wanted = std::find(out_names.begin(), out_names.end(),
                                     c.name) != out_names.end();
       if (wanted && (cheapest == nullptr || c.nbytes < cheapest->nbytes)) {
@@ -218,7 +240,7 @@ Status ReadXpqChunkOp::ExecuteLate(ExecutionContext& ctx) const {
   if (mask.dtype() != DType::kBool) {
     return Status::TypeError("pushed filter predicate must be boolean");
   }
-  const int64_t count = row_count_ < 0 ? info.num_rows - row_offset_
+  const int64_t count = row_count_ < 0 ? info->num_rows - row_offset_
                                        : row_count_;
   DataFrame full;
   for (const auto& name : out_names) {
@@ -228,28 +250,19 @@ Status ReadXpqChunkOp::ExecuteLate(ExecutionContext& ctx) const {
       XORBITS_RETURN_NOT_OK(full.SetColumn(name, *col));
       continue;
     }
-    const io::XpqColumnInfo* ci = nullptr;
-    for (const auto& c : info.columns) {
-      if (c.name == name) {
-        ci = &c;
-        break;
-      }
-    }
-    if (ci == nullptr) {
+    const int column = info->ColumnIndex(name);
+    if (column < 0) {
       return Status::KeyError("xparquet column not found: " + name);
     }
     XORBITS_RETURN_NOT_OK(full.SetColumnSource(
         name, std::make_shared<io::XpqColumnSource>(
-                  path_, *ci, info.num_rows, row_offset_, count,
-                  info.version >= 2, dict_encode_)));
+                  path_, info, column, row_offset_, count, dict_encode_)));
   }
   full.set_index(probe.index());
   // `full` is lazy, so Filter composes the mask into its selection instead
   // of compacting (FilterRowsLate under dataframe::Filter).
   XORBITS_ASSIGN_OR_RETURN(DataFrame out, dataframe::Filter(full, mask));
-  if (ctx.metrics != nullptr) {
-    ctx.metrics->Add(CounterId::kSourceBytesRead, bytes);
-  }
+  ChargeScoped(CounterId::kSourceBytesRead, bytes);
   ctx.outputs[0] = services::MakeChunk(std::move(out));
   return Status::OK();
 }
@@ -439,7 +452,7 @@ TileTask ReadXpqOp::Tile(TileContext& ctx, TileableNode* node) {
   const int64_t ncols = pruned_columns_.empty()
                             ? static_cast<int64_t>(info.columns.size())
                             : static_cast<int64_t>(pruned_columns_.size());
-  for (const auto& [off, count] : SplitRows(info.num_rows, nchunks)) {
+  for (const auto& [off, count] : SplitRowsAtGroups(info, nchunks)) {
     auto op = std::make_shared<ReadXpqChunkOp>(path_, pruned_columns_, off,
                                                count, pushed_filter_,
                                                ctx.config().dict_encode);

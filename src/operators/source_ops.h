@@ -150,7 +150,9 @@ class FromDataFrameOp : public TileableOp {
 };
 
 /// Tileable source over an xparquet file. The optimizer installs the pruned
-/// column set before tiling.
+/// column set before tiling. Chunks are cut on row-group starts where the
+/// groups are no larger than the chunks, so each chunk reads only its own
+/// groups.
 class ReadXpqOp : public TileableOp {
  public:
   explicit ReadXpqOp(std::string path) : path_(std::move(path)) {}

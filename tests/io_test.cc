@@ -7,12 +7,16 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+#include "core/session.h"
+#include "core/xorbits.h"
 #include "dataframe/compute.h"
 #include "dataframe/kernels.h"
 #include "io/csv.h"
 #include "io/serialize.h"
 #include "io/tpch_gen.h"
 #include "io/xparquet.h"
+#include "workloads/tpch_queries.h"
 
 namespace xorbits::io {
 namespace {
@@ -190,6 +194,242 @@ TEST(XpqTest, RowRangeRead) {
   std::remove(path.c_str());
 }
 
+// --- row groups ----------------------------------------------------------
+
+/// `n` rows over every physical encoding, each nullable column with nulls
+/// scattered across groups: int, float, bool, plain and dictionary strings.
+DataFrame RowGroupFrame(int64_t n) {
+  std::vector<int64_t> ints(n);
+  std::vector<double> floats(n);
+  std::vector<uint8_t> bools(n), valid(n);
+  std::vector<std::string> plain(n), dict(n);
+  for (int64_t i = 0; i < n; ++i) {
+    ints[i] = i * 3 - 7;
+    floats[i] = static_cast<double>(i) / 4;
+    bools[i] = static_cast<uint8_t>(i % 3 == 0);
+    valid[i] = static_cast<uint8_t>(i % 5 != 2);
+    plain[i] = std::string(static_cast<size_t>(i % 4), 'a' + i % 26);
+    dict[i] = "k" + std::to_string(i % 6);
+  }
+  return DataFrame::Make({"i", "f", "b", "s", "d"},
+                         {Column::Int64(ints, valid), Column::Float64(floats),
+                          Column::Bool(bools, valid),
+                          Column::String(plain, valid),
+                          Column::String(dict, valid).DictEncode()})
+      .MoveValue();
+}
+
+/// Exact comparison: dtype, encoding, every value (nulls compare as null
+/// scalars) and index label.
+void ExpectSameWindow(const DataFrame& got, const DataFrame& want) {
+  ExpectFramesEqual(got, want);
+  for (int c = 0; c < got.num_columns() && c < want.num_columns(); ++c) {
+    EXPECT_EQ(got.column(c).is_dict(), want.column(c).is_dict()) << c;
+  }
+}
+
+TEST(XpqRowGroupTest, WindowsMatchWholeReadSliced) {
+  const int64_t kRows = 50;
+  const std::string path = TmpPath("xorbits_groups.xpq");
+  ASSERT_TRUE(WriteXpq(path, RowGroupFrame(kRows), 8).ok());
+  auto info = ReadXpqInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  ASSERT_EQ(info->num_groups(), 7);  // six of 8 rows, one of 2
+  EXPECT_EQ(info->group_starts.back(), kRows);
+  // (offset, count): inside one group, exactly one group, straddling one
+  // and several boundaries, the tail group clamped, the whole file, one
+  // row, and empty windows.
+  const std::vector<std::pair<int64_t, int64_t>> windows = {
+      {3, 4},  {8, 8},   {5, 10}, {7, 30}, {45, 100}, {0, kRows},
+      {0, -1}, {21, 1},  {49, 1}, {16, 0}, {kRows, 5}};
+  for (bool dict : {false, true}) {
+    auto whole = ReadXpq(path, {}, 0, -1, nullptr, dict);
+    ASSERT_TRUE(whole.ok()) << whole.status();
+    ExpectFramesEqual(*whole, RowGroupFrame(kRows));
+    for (const auto& [off, count] : windows) {
+      SCOPED_TRACE("window " + std::to_string(off) + "+" +
+                   std::to_string(count) + " dict=" + std::to_string(dict));
+      const DataFrame want = whole->SliceRows(off, count);
+      auto eager = ReadXpq(path, {}, off, count, nullptr, dict);
+      ASSERT_TRUE(eager.ok()) << eager.status();
+      ExpectSameWindow(*eager, want);
+      auto lazy = ReadXpqLazy(path, {}, off, count, dict);
+      ASSERT_TRUE(lazy.ok()) << lazy.status();
+      ExpectSameWindow(*lazy, want);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(XpqRowGroupTest, WindowReadsOnlyItsGroups) {
+  const std::string path = TmpPath("xorbits_group_bytes.xpq");
+  ASSERT_TRUE(WriteXpq(path, RowGroupFrame(40), 10).ok());
+  auto info = ReadXpqInfo(path);
+  ASSERT_TRUE(info.ok());
+  const XpqColumnInfo& ci = info->columns[0];
+  int64_t whole = 0, window = 0;
+  ASSERT_TRUE(ReadXpq(path, {"i"}, 0, -1, &whole).ok());
+  EXPECT_EQ(whole, ci.nbytes);
+  // Rows 15..24 touch groups 1 and 2 only.
+  ASSERT_TRUE(ReadXpq(path, {"i"}, 15, 10, &window).ok());
+  EXPECT_EQ(window, ci.chunks[1].nbytes + ci.chunks[2].nbytes);
+  // Eager decode charges the dense window, not the column.
+  Metrics metrics;
+  {
+    MetricsScope scope(&metrics);
+    auto df = ReadXpq(path, {"i"}, 15, 10);
+    ASSERT_TRUE(df.ok());
+    EXPECT_EQ(metrics.Get(CounterId::kBytesMaterialized),
+              df->column(0).nbytes());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(XpqRowGroupTest, EmptyAndOneRowFrames) {
+  const std::string path = TmpPath("xorbits_group_small.xpq");
+  for (int64_t rows : {0, 1}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    const DataFrame df = RowGroupFrame(rows);
+    ASSERT_TRUE(WriteXpq(path, df).ok());
+    auto info = ReadXpqInfo(path);
+    ASSERT_TRUE(info.ok()) << info.status();
+    EXPECT_EQ(info->num_rows, rows);
+    EXPECT_EQ(info->num_groups(), rows);
+    for (bool dict : {false, true}) {
+      auto back = ReadXpq(path, {}, 0, -1, nullptr, dict);
+      ASSERT_TRUE(back.ok()) << back.status();
+      ExpectFramesEqual(*back, df);
+      for (int c = 0; c < back->num_columns(); ++c) {
+        EXPECT_EQ(back->column(c).dtype(), df.column(c).dtype());
+      }
+      auto lazy = ReadXpqLazy(path, {}, 0, -1, dict);
+      ASSERT_TRUE(lazy.ok()) << lazy.status();
+      ExpectFramesEqual(*lazy, df);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// Overwrites the int64 at `pos` of the file at `path` with `value`.
+void PatchInt64(const std::string& path, int64_t pos, int64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(pos);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+int64_t ReadInt64At(const std::string& path, int64_t pos) {
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(pos);
+  int64_t v = 0;
+  f.read(reinterpret_cast<char*>(&v), sizeof(v));
+  return v;
+}
+
+TEST(XpqRowGroupTest, FooterRejectsInconsistentGroups) {
+  const std::string path = TmpPath("xorbits_group_footer.xpq");
+  auto df = DataFrame::Make({"v"}, {Column::Int64({1, 2, 3, 4, 5, 6})})
+                .MoveValue();
+  // One column "v", three groups of two rows. Footer: num_rows (8),
+  // ncols (4), name (4 + 1), dtype (1), ngroups (4), then per group its
+  // row count (8), chunk offset (8) and chunk size (8).
+  const int64_t kGroups = 8 + 4 + 5 + 1 + 4;
+  auto footer_start = [&] {
+    const int64_t size = static_cast<int64_t>(std::filesystem::file_size(path));
+    return size - 12 - ReadInt64At(path, size - 12);
+  };
+  struct Case {
+    const char* what;
+    int64_t field;  // byte offset of the int64 within the footer
+    int64_t delta;
+  };
+  const std::vector<Case> cases = {
+      {"groups overlap", kGroups + 24 + 8, -1},
+      {"groups leave a gap", kGroups + 24 + 8, +1},
+      {"last group short of the footer", kGroups + 48 + 16, -1},
+      {"group outside the file", kGroups + 48 + 16, +1000},
+      {"group rows short of num_rows", kGroups, -1},
+      {"group rows beyond num_rows", kGroups + 24, +1},
+      {"num_rows beyond the groups", 0, +1},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(WriteXpq(path, df, 2).ok());
+    ASSERT_TRUE(ReadXpqInfo(path).ok());
+    const int64_t pos = footer_start() + c.field;
+    PatchInt64(path, pos, ReadInt64At(path, pos) + c.delta);
+    EXPECT_FALSE(ReadXpqInfo(path).ok()) << c.what;
+  }
+  std::remove(path.c_str());
+}
+
+/// Row offsets where the tiled chunks of `path` start.
+std::vector<int64_t> ChunkStarts(const std::string& path,
+                                 int64_t chunk_store_limit) {
+  Config cfg = Config::Preset(EngineKind::kXorbits);
+  cfg.num_workers = 2;
+  cfg.bands_per_worker = 2;
+  cfg.chunk_store_limit = chunk_store_limit;
+  core::Session session(std::move(cfg));
+  auto ref = ReadParquet(&session, path);
+  EXPECT_TRUE(ref.ok());
+  EXPECT_TRUE(ref->Fetch().ok());
+  std::vector<int64_t> starts;
+  int64_t row = 0;
+  for (const graph::ChunkNode* chunk : ref->node()->chunks) {
+    starts.push_back(row);
+    row += chunk->meta.rows;
+  }
+  EXPECT_EQ(row, 1000);
+  return starts;
+}
+
+TEST(XpqRowGroupTest, TileSplitsOnGroupStarts) {
+  std::vector<int64_t> v(1000);
+  for (int64_t i = 0; i < 1000; ++i) v[i] = i;
+  auto df = DataFrame::Make({"v"}, {Column::Int64(v)}).MoveValue();
+  const std::string path = TmpPath("xorbits_group_tile.xpq");
+  // 8 KB over a 3 KB limit is three chunks, raised to the four bands:
+  // SplitRows cuts at 250, 500 and 750, which move to the group starts
+  // 256, 512 and 768.
+  ASSERT_TRUE(WriteXpq(path, df, 128).ok());
+  EXPECT_EQ(ChunkStarts(path, 3000),
+            (std::vector<int64_t>{0, 256, 512, 768}));
+  // Groups larger than the chunks: the file still splits to the limit.
+  ASSERT_TRUE(WriteXpq(path, df, 1000).ok());
+  EXPECT_EQ(ChunkStarts(path, 3000),
+            (std::vector<int64_t>{0, 250, 500, 750}));
+  std::remove(path.c_str());
+}
+
+/// `source_bytes_read` summed over Q1, Q6 and Q12, each on a fresh session
+/// of a 2 x 2-band Xorbits cluster with the given chunk limit.
+int64_t TpchSourceBytes(const std::string& dir, int64_t chunk_store_limit) {
+  int64_t bytes = 0;
+  for (int q : {1, 6, 12}) {
+    Config cfg = Config::Preset(EngineKind::kXorbits);
+    cfg.num_workers = 2;
+    cfg.bands_per_worker = 2;
+    cfg.chunk_store_limit = chunk_store_limit;
+    core::Session session(std::move(cfg));
+    auto result = workloads::tpch::RunQuery(q, &session, dir);
+    EXPECT_TRUE(result.ok()) << "Q" << q << ": " << result.status();
+    bytes += session.metrics().Get(CounterId::kSourceBytesRead);
+  }
+  return bytes;
+}
+
+TEST(XpqRowGroupTest, SmallChunksReadNoMoreThanLargeChunks) {
+  const std::string dir = TmpPath("xorbits_group_tpch");
+  ASSERT_TRUE(tpch::GenerateFiles(0.01, dir).ok());
+  // 1 MiB splits lineitem into several chunks; 64 MiB reads each table in
+  // as few chunks as there are bands. Aligned to row groups, the small
+  // chunks still read each group about once.
+  const int64_t small = TpchSourceBytes(dir, 1LL << 20);
+  const int64_t large = TpchSourceBytes(dir, 64LL << 20);
+  EXPECT_GT(large, 0);
+  EXPECT_LE(small, large * 6 / 5) << "small=" << small << " large=" << large;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(XpqTest, CorruptFileFails) {
   std::string path = TmpPath("xorbits_corrupt.xpq");
   FILE* f = fopen(path.c_str(), "w");
@@ -266,8 +506,15 @@ TEST(CorruptInputTest, SerializedFrameNeverAborts) {
 }
 
 TEST(CorruptInputTest, XpqFileNeverAborts) {
+  // Two-row groups: the six-row frame spans three groups, so the sweep
+  // covers a multi-group footer and reads that cross group boundaries.
   const std::string good_path = TmpPath("xorbits_corrupt_sweep_good.xpq");
-  ASSERT_TRUE(WriteXpq(good_path, CorruptionFrame()).ok());
+  ASSERT_TRUE(WriteXpq(good_path, CorruptionFrame(), 2).ok());
+  {
+    auto info = ReadXpqInfo(good_path);
+    ASSERT_TRUE(info.ok()) << info.status();
+    ASSERT_EQ(info->num_groups(), 3);
+  }
   std::string good;
   {
     std::ifstream in(good_path, std::ios::binary);
@@ -283,20 +530,22 @@ TEST(CorruptInputTest, XpqFileNeverAborts) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    auto info = ReadXpqInfo(path);
-    if (!info.ok()) {
+    auto read = ReadXpqInfo(path);
+    if (!read.ok()) {
       ++rejected;
       continue;
     }
+    auto info = std::make_shared<const XpqFileInfo>(read.MoveValue());
     for (bool dict : {true, false}) {
       auto whole = ReadXpq(path, {}, 0, -1, nullptr, dict);
       if (whole.ok()) TouchAll(*whole);
+      auto window = ReadXpq(path, {}, 1, 3, nullptr, dict);
+      if (window.ok()) TouchAll(*window);
       // The lazy path decodes through each column's source; exercise both
       // the whole-window and the selected-rows decoders directly, since a
       // lazy frame has no error channel on its read path.
-      for (const XpqColumnInfo& ci : info->columns) {
-        XpqColumnSource src(path, ci, info->num_rows, 0, info->num_rows,
-                            info->version >= 2, dict);
+      for (int c = 0; c < static_cast<int>(info->columns.size()); ++c) {
+        XpqColumnSource src(path, info, c, 0, info->num_rows, dict);
         auto all = src.LoadAll();
         if (all.ok()) {
           for (int64_t i = 0; i < all->length(); ++i) {

@@ -230,6 +230,89 @@ TEST(LateMaterializationTest, LowSelectivityMaterializesFewerBytes) {
   std::filesystem::remove(path);
 }
 
+// --- row groups: a lazy column fetches only the groups it selects ---------
+
+TEST(LateMaterializationTest, LoadFetchesOnlySelectedGroups) {
+  const int64_t kRows = 1000;
+  const std::string path = TempPath("groups");
+  ASSERT_TRUE(io::WriteXpq(path, SampleFrame(kRows), 100).ok());
+  auto read = io::ReadXpqInfo(path);
+  ASSERT_TRUE(read.ok());
+  auto info = std::make_shared<const io::XpqFileInfo>(read.MoveValue());
+  ASSERT_EQ(info->num_groups(), 10);
+  const auto dense = io::ReadXpq(path);
+  ASSERT_TRUE(dense.ok());
+
+  for (int c = 0; c < static_cast<int>(info->columns.size()); ++c) {
+    for (bool dict : {false, true}) {
+      SCOPED_TRACE(info->columns[c].name + " dict=" + std::to_string(dict));
+      const auto& chunks = info->columns[c].chunks;
+      // Window [150, 850) spans groups 1..8. Rows 10, 60, 340 and 690 of it
+      // are file rows 160, 210, 490 and 840: groups 1, 2, 4 and 8.
+      io::XpqColumnSource src(path, info, c, 150, 700, dict);
+      const std::vector<int64_t> rows = {10, 60, 340, 690};
+      Metrics metrics;
+      MetricsScope scope(&metrics);
+      auto some = src.Load(rows);
+      ASSERT_TRUE(some.ok()) << some.status();
+      EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead),
+                chunks[1].nbytes + chunks[2].nbytes + chunks[4].nbytes +
+                    chunks[8].nbytes);
+      const Column& whole = dense->column(c);
+      ASSERT_EQ(some->length(), 4);
+      for (int64_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(some->GetScalar(k), whole.GetScalar(150 + rows[k]));
+      }
+
+      // A selection inside one group fetches that group alone; an empty
+      // selection fetches nothing.
+      const int64_t before = metrics.Get(CounterId::kSourceBytesRead);
+      ASSERT_TRUE(src.Load({455, 460}).ok());  // file rows 605, 610
+      EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead) - before,
+                chunks[6].nbytes);
+      ASSERT_TRUE(src.Load({}).ok());
+      EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead) - before,
+                chunks[6].nbytes);
+
+      // LoadAll reads the window's groups once each.
+      const int64_t again = metrics.Get(CounterId::kSourceBytesRead);
+      ASSERT_TRUE(src.LoadAll().ok());
+      int64_t window_bytes = 0;
+      for (int g = 1; g <= 8; ++g) window_bytes += chunks[g].nbytes;
+      EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead) - again,
+                window_bytes);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(LateMaterializationTest, FilteredLazyFrameSkipsUnselectedGroups) {
+  const int64_t kRows = 1000;
+  const std::string path = TempPath("group_filter");
+  const DataFrame base = SampleFrame(kRows);
+  ASSERT_TRUE(io::WriteXpq(path, base, 100).ok());
+  auto info = io::ReadXpqInfo(path);
+  ASSERT_TRUE(info.ok());
+  // Keep rows 30..59 (group 0) and 520..529 (group 5).
+  std::vector<uint8_t> mask(kRows, 0);
+  for (int64_t i = 30; i < 60; ++i) mask[i] = 1;
+  for (int64_t i = 520; i < 530; ++i) mask[i] = 1;
+
+  Metrics metrics;
+  MetricsScope scope(&metrics);
+  auto lazy = io::ReadXpqLazy(path);
+  ASSERT_TRUE(lazy.ok());
+  DataFrame late = lazy.MoveValue().FilterRowsLate(mask);
+  EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead), 0);
+  EXPECT_EQ(Fingerprint(late), Fingerprint(base.FilterRows(mask)));
+  int64_t expected = 0;
+  for (const auto& ci : info->columns) {
+    expected += ci.chunks[0].nbytes + ci.chunks[5].nbytes;
+  }
+  EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead), expected);
+  std::filesystem::remove(path);
+}
+
 // --- deferred transforms ---------------------------------------------------
 
 TEST(LateMaterializationTest, DeferredExprSourceMatchesEager) {
