@@ -100,10 +100,13 @@ struct Config {
   double exchange_backpressure_watermark = 0.8;
 
   // --- physical encoding ---
-  /// Dictionary-encode string columns at xparquet read time (int32 codes
-  /// over a shared deduplicated dictionary). Keyed kernels (groupby, join,
-  /// shuffle partitioning) and string predicates then work on codes; the
-  /// encoding never changes results — fetched frames decode on the way out.
+  /// Return xparquet dictionary-page string columns as int32 codes over one
+  /// deduplicated dictionary per read; when false they decode to plain
+  /// strings. The writer picks each column's pages (dictionary pages for
+  /// repeated values), so plain-page columns are plain either way. Keyed
+  /// kernels (groupby, join, shuffle partitioning) and string predicates
+  /// then work on codes; the encoding never changes results — fetched
+  /// frames decode on the way out.
   bool dict_encode = true;
 
   // --- tiling ---

@@ -121,9 +121,10 @@ class StringDict {
 using StringDictPtr = std::shared_ptr<const StringDict>;
 
 /// Builds a deduplicated dictionary in first-seen order. Used by the
-/// xparquet reader (encode at read time), Concat across different
-/// dictionaries (unify + remap), and the string kernels that map distinct
-/// values (the mapped values may collide, so they re-dedup here).
+/// xparquet reader (unifying the row groups' dictionary pages), Concat
+/// across different dictionaries (unify + remap), and the string kernels
+/// that map distinct values (the mapped values may collide, so they
+/// re-dedup here).
 class DictBuilder {
  public:
   /// Returns the code for `s`, inserting it on first sight.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "dataframe/dict.h"
 
@@ -16,21 +18,21 @@ namespace {
 using dataframe::Column;
 using dataframe::DataFrame;
 using dataframe::DType;
+// "XPQ4": row groups of independently encoded column chunks. The footer
+// records each column's encoding; a string chunk repeats it as a tag byte
+// after its validity prefix.
+constexpr uint32_t kMagic = 0x58505134;  // "XPQ4"
 
-// "XPQ3": row groups of independently encoded column chunks. String chunks
-// carry a physical-encoding byte — 0 for plain length-prefixed strings, 1
-// for a dictionary page (the group's deduplicated values + int32 codes).
-constexpr uint32_t kMagic = 0x58505133;  // "XPQ3"
-
-constexpr uint8_t kEncodingPlain = 0;
-constexpr uint8_t kEncodingDict = 1;
+/// A string column is written as dictionary pages when its distinct
+/// non-null values number at most 1 / kDictRowsPerValue of its rows.
+constexpr int64_t kDictRowsPerValue = 2;
 
 template <typename T>
 void PutPod(std::string* out, const T& v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void PutStr(std::string* out, const std::string& s) {
+void PutStr(std::string* out, std::string_view s) {
   PutPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
@@ -38,6 +40,12 @@ void PutStr(std::string* out, const std::string& s) {
 template <typename T>
 void PutRaw(std::string* out, const T* data, int64_t n) {
   out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 /// Bounds-checked reader over an in-memory column chunk or footer: every
@@ -71,32 +79,77 @@ struct Cursor {
     return Status::OK();
   }
 
-  Result<std::string> Str() {
+  /// A length-prefixed string, viewed in place.
+  Result<std::string_view> Str() {
     uint32_t len = 0;
     XORBITS_RETURN_NOT_OK(Pod(&len));
     XORBITS_ASSIGN_OR_RETURN(const char* at, Take(len, 1, "truncated string"));
-    return std::string(at, len);
-  }
-
-  /// A dictionary page's values: a count, then length-prefixed strings.
-  Result<std::vector<std::string>> DictValues() {
-    uint32_t dict_size = 0;
-    XORBITS_RETURN_NOT_OK(Pod(&dict_size));
-    if (!Fits(dict_size, sizeof(uint32_t))) {
-      return Status::IOError("truncated dict values");
-    }
-    std::vector<std::string> values;
-    values.reserve(dict_size);
-    for (uint32_t k = 0; k < dict_size; ++k) {
-      XORBITS_ASSIGN_OR_RETURN(std::string s, Str());
-      values.push_back(std::move(s));
-    }
-    return values;
+    return std::string_view(at, len);
   }
 };
 
+/// The encoding `WriteXpq` gives column `c`: dictionary pages for a string
+/// column with few distinct non-null values, plain pages otherwise.
+XpqEncoding ChooseEncoding(const Column& c) {
+  if (c.dtype() != DType::kString) return XpqEncoding::kPlain;
+  const int64_t n = c.length();
+  const int64_t max_distinct = n / kDictRowsPerValue;
+  std::unordered_set<std::string_view> seen;
+  for (int64_t i = 0; i < n; ++i) {
+    if (c.IsValid(i) && seen.insert(c.string_at(i)).second &&
+        static_cast<int64_t>(seen.size()) > max_distinct) {
+      return XpqEncoding::kPlain;
+    }
+  }
+  return XpqEncoding::kDict;
+}
+
+/// Dictionary page: the group's distinct values in first-use order, so the
+/// group decodes without the rest of the file, then one int32 code per row.
+/// Null rows keep code 0.
+void PutDictPage(const Column& c, std::string* out) {
+  const int64_t n = c.length();
+  std::vector<int32_t> codes(n, 0);
+  std::vector<std::string_view> used;
+  std::unordered_map<std::string_view, int32_t> local;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!c.IsValid(i)) continue;
+    auto [it, fresh] = local.emplace(c.string_at(i),
+                                     static_cast<int32_t>(used.size()));
+    if (fresh) used.push_back(it->first);
+    codes[i] = it->second;
+  }
+  PutPod<uint32_t>(out, static_cast<uint32_t>(used.size()));
+  for (std::string_view v : used) PutStr(out, v);
+  PutRaw(out, codes.data(), n);
+}
+
+/// Plain page: each row's uint32 end offset, then every row's bytes back
+/// to back. Null rows store an empty string.
+Status PutPlainPage(const Column& c, std::string* out) {
+  const int64_t n = c.length();
+  auto value = [&](int64_t i) {
+    return c.IsValid(i) ? std::string_view(c.string_at(i))
+                        : std::string_view();
+  };
+  std::vector<uint32_t> ends(n);
+  uint64_t total = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    total += value(i).size();
+    if (total > UINT32_MAX) {
+      return Status::Invalid(
+          "WriteXpq: a row group's strings overflow 4 GiB; use smaller "
+          "row groups");
+    }
+    ends[i] = static_cast<uint32_t>(total);
+  }
+  PutRaw(out, ends.data(), n);
+  for (int64_t i = 0; i < n; ++i) out->append(value(i));
+  return Status::OK();
+}
+
 /// Appends one row group's slice of a column as a standalone chunk.
-void EncodeColumn(const Column& c, std::string* out) {
+Status EncodeColumn(const Column& c, XpqEncoding encoding, std::string* out) {
   const int64_t n = c.length();
   PutPod<uint8_t>(out, c.has_validity() ? 1 : 0);
   if (c.has_validity()) PutRaw(out, c.validity().data(), n);
@@ -111,32 +164,15 @@ void EncodeColumn(const Column& c, std::string* out) {
       PutRaw(out, c.bool_data().data(), n);
       break;
     case DType::kString:
-      if (c.is_dict()) {
-        // Dictionary page holding only the values this group uses, in
-        // first-use order, so the group decodes without the rest of the
-        // file. Null rows keep code 0.
-        const dataframe::StringDict& d = *c.dict();
-        const int32_t* codes = c.dict_codes().data();
-        std::unordered_map<int32_t, int32_t> local;
-        std::vector<int32_t> used;
-        std::vector<int32_t> local_codes(n, 0);
-        for (int64_t i = 0; i < n; ++i) {
-          if (!c.IsValid(i)) continue;
-          auto [it, fresh] =
-              local.emplace(codes[i], static_cast<int32_t>(used.size()));
-          if (fresh) used.push_back(codes[i]);
-          local_codes[i] = it->second;
-        }
-        PutPod<uint8_t>(out, kEncodingDict);
-        PutPod<uint32_t>(out, static_cast<uint32_t>(used.size()));
-        for (int32_t code : used) PutStr(out, d.value(code));
-        PutRaw(out, local_codes.data(), n);
+      PutPod<uint8_t>(out, static_cast<uint8_t>(encoding));
+      if (encoding == XpqEncoding::kDict) {
+        PutDictPage(c, out);
       } else {
-        PutPod<uint8_t>(out, kEncodingPlain);
-        for (const auto& s : c.string_data()) PutStr(out, s);
+        XORBITS_RETURN_NOT_OK(PutPlainPage(c, out));
       }
       break;
   }
+  return Status::OK();
 }
 
 /// The rows of one row group to decode: the group-local range [lo, hi)
@@ -171,13 +207,18 @@ void Gather(const char* src, const GroupRows& sel, void* out) {
 
 /// Decodes the selected rows of consecutive row groups straight into one
 /// preallocated output column, so a multi-group read costs no per-group
-/// column and no concatenation copy. String output is either plain or —
-/// with `dict_encode` — codes over one dictionary unified across groups in
-/// first-seen order (the dictionary `Column::DictEncode` would build).
+/// column and no concatenation copy. A dictionary-page column read with
+/// `dict_encode` comes back as codes over one dictionary unified across
+/// the groups, in first-seen order; every other string column comes back
+/// plain. Either way no row is hashed.
 class ColumnAssembler {
  public:
-  ColumnAssembler(DType dtype, int64_t n, bool dict_encode)
-      : dtype_(dtype), n_(n), dict_encode_(dict_encode) {
+  ColumnAssembler(DType dtype, XpqEncoding encoding, int64_t n,
+                  bool dict_encode)
+      : dtype_(dtype),
+        encoding_(encoding),
+        n_(n),
+        codes_out_(dict_encode && encoding == XpqEncoding::kDict) {
     switch (dtype) {
       case DType::kInt64:
         int64_.resize(n);
@@ -189,7 +230,7 @@ class ColumnAssembler {
         bool_.resize(n);
         break;
       case DType::kString:
-        if (dict_encode) {
+        if (codes_out_) {
           codes_.resize(n, 0);
         } else {
           strings_.resize(n);
@@ -248,7 +289,7 @@ class ColumnAssembler {
       case DType::kBool:
         return Column::Bool(std::move(bool_), std::move(validity_));
       case DType::kString:
-        if (!dict_encode_) {
+        if (!codes_out_) {
           return Column::String(std::move(strings_), std::move(validity_));
         }
         ChargeScoped(CounterId::kDictEncodedColumns);
@@ -262,62 +303,88 @@ class ColumnAssembler {
  private:
   Status AddStrings(Cursor* in, int64_t group_rows, const GroupRows& sel,
                     int64_t at, const uint8_t* valid) {
+    uint8_t tag = 0;
+    XORBITS_RETURN_NOT_OK(in->Pod(&tag));
+    if (tag != static_cast<uint8_t>(encoding_)) {
+      return Status::IOError("xparquet string page disagrees with the footer");
+    }
+    if (encoding_ == XpqEncoding::kDict) {
+      return AddDictPage(in, group_rows, sel, at, valid);
+    }
+    return AddPlainPage(in, group_rows, sel, at);
+  }
+
+  /// Dictionary page: one GetOrAdd per group value (codes output), then a
+  /// range-checked code per selected row.
+  Status AddDictPage(Cursor* in, int64_t group_rows, const GroupRows& sel,
+                     int64_t at, const uint8_t* valid) {
+    uint32_t dict_size = 0;
+    XORBITS_RETURN_NOT_OK(in->Pod(&dict_size));
+    if (!in->Fits(dict_size, sizeof(uint32_t))) {
+      return Status::IOError("truncated dict values");
+    }
+    values_.clear();
+    for (uint32_t v = 0; v < dict_size; ++v) {
+      XORBITS_ASSIGN_OR_RETURN(std::string_view value, in->Str());
+      values_.push_back(value);
+    }
+    XORBITS_ASSIGN_OR_RETURN(
+        const char* p, in->Take(group_rows, 4, "truncated dict codes"));
+    if (codes_out_) {
+      remap_.resize(dict_size);
+      for (uint32_t v = 0; v < dict_size; ++v) {
+        remap_[v] = dict_.GetOrAdd(values_[v]);
+      }
+    }
     const int64_t m = sel.count();
-    uint8_t encoding = kEncodingPlain;
-    XORBITS_RETURN_NOT_OK(in->Pod(&encoding));
-    if (encoding == kEncodingDict) {
-      XORBITS_ASSIGN_OR_RETURN(auto values, in->DictValues());
-      XORBITS_ASSIGN_OR_RETURN(
-          const char* p, in->Take(group_rows, 4, "truncated dict codes"));
-      const int64_t dict_size = static_cast<int64_t>(values.size());
-      std::vector<int32_t> remap;  // group code -> output code
-      if (dict_encode_) {
-        remap.resize(dict_size);
-        for (int64_t v = 0; v < dict_size; ++v) {
-          remap[v] = dict_.GetOrAdd(values[v]);
-        }
+    for (int64_t k = 0; k < m; ++k) {
+      const int64_t r = sel.row(k);
+      if (valid != nullptr && valid[r] == 0) continue;  // null: never read
+      int32_t code = 0;
+      std::memcpy(&code, p + r * 4, 4);
+      if (code < 0 || code >= static_cast<int64_t>(dict_size)) {
+        return Status::IOError("dictionary code out of range");
       }
-      for (int64_t k = 0; k < m; ++k) {
-        const int64_t r = sel.row(k);
-        if (valid != nullptr && valid[r] == 0) continue;  // null: never read
-        int32_t code = 0;
-        std::memcpy(&code, p + r * 4, 4);
-        if (code < 0 || code >= dict_size) {
-          return Status::IOError("dictionary code out of range");
-        }
-        if (dict_encode_) {
-          codes_[at + k] = remap[code];
-        } else {
-          strings_[at + k] = values[code];
-        }
+      if (codes_out_) {
+        codes_[at + k] = remap_[code];
+      } else {
+        strings_[at + k].assign(values_[code]);
       }
-      return Status::OK();
     }
-    if (encoding != kEncodingPlain) {
-      return Status::IOError("bad string encoding tag");
-    }
-    // Plain chunk: walk the length prefixes up to the last selected row and
-    // copy (or dictionary-encode) only the selected strings.
-    int64_t k = 0;
-    for (int64_t r = 0; k < m; ++r) {
-      uint32_t len = 0;
-      XORBITS_RETURN_NOT_OK(in->Pod(&len));
-      XORBITS_ASSIGN_OR_RETURN(const char* s,
-                               in->Take(len, 1, "truncated string chunk"));
-      if (r != sel.row(k)) continue;
-      if (!dict_encode_) {
-        strings_[at + k].assign(s, len);
-      } else if (valid == nullptr || valid[r] != 0) {
-        codes_[at + k] = dict_.GetOrAdd(std::string_view(s, len));
+    return Status::OK();
+  }
+
+  /// Plain page: the end offsets are checked once, then only the selected
+  /// rows are copied.
+  Status AddPlainPage(Cursor* in, int64_t group_rows, const GroupRows& sel,
+                      int64_t at) {
+    XORBITS_ASSIGN_OR_RETURN(
+        const char* ends, in->Take(group_rows, 4, "truncated string offsets"));
+    uint32_t last = 0;
+    for (int64_t r = 0; r < group_rows; ++r) {
+      const uint32_t end = LoadU32(ends + r * 4);
+      if (end < last) {
+        return Status::IOError("xparquet string offsets descend");
       }
-      ++k;
+      last = end;
+    }
+    if (!in->Fits(last, 1)) {
+      return Status::IOError("xparquet string offsets overrun the page");
+    }
+    const char* bytes = in->p;
+    const int64_t m = sel.count();
+    for (int64_t k = 0; k < m; ++k) {
+      const int64_t r = sel.row(k);
+      const uint32_t begin = r == 0 ? 0 : LoadU32(ends + (r - 1) * 4);
+      strings_[at + k].assign(bytes + begin, LoadU32(ends + r * 4) - begin);
     }
     return Status::OK();
   }
 
   DType dtype_;
+  XpqEncoding encoding_;
   int64_t n_;
-  bool dict_encode_;
+  bool codes_out_;  // string output is dictionary codes
   std::vector<uint8_t> validity_;  // empty until a group carries validity
   std::vector<int64_t> int64_;
   std::vector<double> float64_;
@@ -325,6 +392,8 @@ class ColumnAssembler {
   std::vector<std::string> strings_;
   std::vector<int32_t> codes_;
   dataframe::DictBuilder dict_;
+  std::vector<std::string_view> values_;  // current dict page, in the chunk
+  std::vector<int32_t> remap_;            // dict page code -> output code
 };
 
 /// Reads one column's file rows [begin, end) when `rows` is null, else the
@@ -341,7 +410,7 @@ Result<Column> ReadColumn(std::ifstream& in, const XpqFileInfo& info,
   }
   const int64_t n =
       rows != nullptr ? static_cast<int64_t>(rows->size()) : end - begin;
-  ColumnAssembler out(ci.dtype, n, dict_encode);
+  ColumnAssembler out(ci.dtype, ci.encoding, n, dict_encode);
   std::string chunk;
   for (int64_t at = 0; at < n;) {
     const int64_t first = begin + (rows != nullptr ? (*rows)[at] : at);
@@ -414,9 +483,12 @@ Status WriteXpq(const std::string& path, const DataFrame& df,
   std::string footer;
   PutPod<int64_t>(&footer, num_rows);
   PutPod<uint32_t>(&footer, static_cast<uint32_t>(ncols));
+  std::vector<XpqEncoding> encodings;
   for (int c = 0; c < ncols; ++c) {
+    encodings.push_back(ChooseEncoding(df.column(c)));
     PutStr(&footer, df.column_name(c));
     PutPod<uint8_t>(&footer, static_cast<uint8_t>(df.column(c).dtype()));
+    PutPod<uint8_t>(&footer, static_cast<uint8_t>(encodings[c]));
   }
   const int64_t num_groups = (num_rows + rows_per_group - 1) / rows_per_group;
   PutPod<uint32_t>(&footer, static_cast<uint32_t>(num_groups));
@@ -429,7 +501,8 @@ Status WriteXpq(const std::string& path, const DataFrame& df,
     PutPod<int64_t>(&footer, rows);
     for (int c = 0; c < ncols; ++c) {
       chunk.clear();
-      EncodeColumn(df.column(c).Slice(start, rows), &chunk);
+      XORBITS_RETURN_NOT_OK(
+          EncodeColumn(df.column(c).Slice(start, rows), encodings[c], &chunk));
       out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
       PutPod<int64_t>(&footer, offset);
       PutPod<int64_t>(&footer, static_cast<int64_t>(chunk.size()));
@@ -471,21 +544,30 @@ Result<XpqFileInfo> ReadXpqInfo(const std::string& path) {
   XORBITS_RETURN_NOT_OK(c.Pod(&info.num_rows));
   uint32_t ncols = 0;
   XORBITS_RETURN_NOT_OK(c.Pod(&ncols));
-  // Each column entry: name length, dtype. A file without columns has no
-  // rows (nothing could bound the count).
-  if (info.num_rows < 0 || !c.Fits(ncols, 4 + 1) ||
+  // Each column entry: name length, dtype, encoding. A file without
+  // columns has no rows (nothing could bound the count).
+  if (info.num_rows < 0 || !c.Fits(ncols, 4 + 1 + 1) ||
       (ncols == 0 && info.num_rows != 0)) {
     return Status::IOError("bad xparquet footer: " + path);
   }
   for (uint32_t k = 0; k < ncols; ++k) {
     XpqColumnInfo ci;
-    XORBITS_ASSIGN_OR_RETURN(ci.name, c.Str());
+    XORBITS_ASSIGN_OR_RETURN(std::string_view name, c.Str());
+    ci.name = name;
     uint8_t dt = 0;
     XORBITS_RETURN_NOT_OK(c.Pod(&dt));
     if (dt > static_cast<uint8_t>(DType::kBool)) {
       return Status::IOError("bad xparquet dtype: " + path);
     }
     ci.dtype = static_cast<DType>(dt);
+    uint8_t encoding = 0;
+    XORBITS_RETURN_NOT_OK(c.Pod(&encoding));
+    if (encoding > static_cast<uint8_t>(XpqEncoding::kDict) ||
+        (encoding == static_cast<uint8_t>(XpqEncoding::kDict) &&
+         ci.dtype != DType::kString)) {
+      return Status::IOError("bad xparquet encoding: " + path);
+    }
+    ci.encoding = static_cast<XpqEncoding>(encoding);
     info.columns.push_back(std::move(ci));
   }
   uint32_t ngroups = 0;
@@ -580,8 +662,10 @@ dataframe::DType XpqColumnSource::dtype() const {
 
 int64_t XpqColumnSource::nbytes_hint() const {
   if (info_->num_rows <= 0) return 0;
-  // Encoded column size scaled to the window — a fine estimate: payloads
-  // are stored uncompressed, so encoded ~= dense.
+  // Encoded column size scaled to the window. Payloads are stored
+  // uncompressed, so this is close for fixed-width and plain-page columns,
+  // and for a dictionary-page column read back as codes. It undercounts a
+  // dictionary-page column decoded to plain strings.
   return info_->columns[column_].nbytes * row_count_ / info_->num_rows;
 }
 

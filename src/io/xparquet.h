@@ -17,10 +17,18 @@ struct XpqColumnChunk {
   int64_t nbytes = 0;  // encoded size
 };
 
+/// How a column's pages store its values. Fixed-width columns are always
+/// plain; `WriteXpq` picks a string column's encoding from its values.
+enum class XpqEncoding : uint8_t {
+  kPlain = 0,  // fixed-width payloads, or uint32 end offsets + string bytes
+  kDict = 1,   // the group's distinct strings + one int32 code per row
+};
+
 /// Column metadata from an xparquet footer.
 struct XpqColumnInfo {
   std::string name;
   dataframe::DType dtype;
+  XpqEncoding encoding = XpqEncoding::kPlain;
   int64_t nbytes = 0;  // encoded size summed over every row group
   std::vector<XpqColumnChunk> chunks;  // one per row group
 };
@@ -50,10 +58,15 @@ extern const int64_t kXpqRowsPerGroup;
 /// Layout: [magic][row group 0][row group 1]...[footer][footer_size][magic].
 /// A row group holds `rows_per_group` consecutive rows (the last one may
 /// hold fewer) as one independently encoded chunk per column, in column
-/// order. The footer lists the column names and dtypes, then each group's
-/// row count and the offset and size of each of its column chunks. A
-/// reader therefore fetches only the columns it needs (column pruning) and,
-/// within them, only the groups its row window overlaps.
+/// order. The footer lists the column names, dtypes and encodings, then
+/// each group's row count and the offset and size of each of its column
+/// chunks. A reader therefore fetches only the columns it needs (column
+/// pruning) and, within them, only the groups its row window overlaps.
+///
+/// A string column whose distinct non-null values number at most half its
+/// rows is written as dictionary pages, any other as plain pages, whatever
+/// its in-memory encoding. Returns Invalid when one group's plain string
+/// bytes overflow the uint32 offsets.
 Status WriteXpq(const std::string& path, const dataframe::DataFrame& df,
                 int64_t rows_per_group = kXpqRowsPerGroup);
 
@@ -67,10 +80,10 @@ Result<XpqFileInfo> ReadXpqInfo(const std::string& path);
 /// row_count >= 0; only the row groups the window overlaps are fetched and
 /// decoded. When `bytes_read` is non-null it is incremented by the encoded
 /// size of every column chunk fetched — the I/O denominator that column
-/// pruning and predicate pushdown shrink. When `dict_encode` is true,
-/// string columns come back dictionary-encoded (dict pages load codes
-/// directly, plain chunks are encoded as they decode); when false,
-/// everything is plain.
+/// pruning and predicate pushdown shrink. When `dict_encode` is true, a
+/// dictionary-page column comes back as codes over one dictionary unified
+/// across the fetched groups; plain-page columns, and every column when
+/// `dict_encode` is false, come back as plain strings. No row is hashed.
 Result<dataframe::DataFrame> ReadXpq(const std::string& path,
                                      const std::vector<std::string>& columns = {},
                                      int64_t row_offset = 0,
@@ -82,8 +95,9 @@ Result<dataframe::DataFrame> ReadXpq(const std::string& path,
 /// is read at construction; `Load(rows)` fetches only the row groups that
 /// hold a selected row of the op's window and decodes only those rows —
 /// fixed-width payloads gather directly from the raw bytes, plain string
-/// chunks scan length prefixes and materialize only the selected strings,
-/// dictionary pages decode the group's dictionary and gather codes. Every
+/// pages copy only the selected strings through their offsets, dictionary
+/// pages unify the group's values and gather codes. The column's footer
+/// encoding fixes the output encoding, so every window agrees. Every
 /// fetched group is charged to `source_bytes_read` on the calling thread's
 /// MetricsScope.
 class XpqColumnSource : public dataframe::ColumnSource {

@@ -85,7 +85,7 @@ class ReadXpqChunkOp : public ChunkOp {
   /// evaluates the mask, and skips the remaining column blocks entirely
   /// when no row matches — the I/O saving predicate pushdown buys.
   ExprPtr filter_;  // may be null
-  /// Dictionary-encode string columns as they are read (Config::dict_encode,
+  /// Return dictionary-page string columns as codes (Config::dict_encode,
   /// captured at tile time — ExecutionContext carries no config).
   bool dict_encode_;
   /// Emit a lazy frame (see WithLateMaterialization).

@@ -186,7 +186,9 @@ TEST(DictColumnTest, XparquetDictPageRoundTrip) {
   EXPECT_FALSE(plain->column(0).is_dict());
   EXPECT_EQ(Fingerprint(*plain), Fingerprint(df));
 
-  // Plain-written files encode at read time when asked to.
+  // The writer, not the in-memory encoding, picks the pages: repeated
+  // values held as plain strings are stored as dictionary pages and read
+  // back as codes.
   DataFrame df2;
   ASSERT_TRUE(df2.SetColumn("s", SampleStrings()).ok());
   ASSERT_TRUE(io::WriteXpq(path, df2).ok());
@@ -194,6 +196,19 @@ TEST(DictColumnTest, XparquetDictPageRoundTrip) {
   ASSERT_TRUE(enc2.ok()) << enc2.status();
   EXPECT_TRUE(enc2->column(0).is_dict());
   EXPECT_EQ(Fingerprint(*enc2), Fingerprint(df2));
+
+  // All-distinct values are stored as plain pages and read back plain,
+  // even when asked for codes.
+  DataFrame df3;
+  ASSERT_TRUE(df3.SetColumn("s", Column::String({"ca", "ab", "x", "bd"},
+                                                {1, 1, 0, 1})
+                                     .DictEncode())
+                  .ok());
+  ASSERT_TRUE(io::WriteXpq(path, df3).ok());
+  auto plain3 = io::ReadXpq(path, {}, 0, -1, nullptr, /*dict_encode=*/true);
+  ASSERT_TRUE(plain3.ok()) << plain3.status();
+  EXPECT_FALSE(plain3->column(0).is_dict());
+  EXPECT_EQ(Fingerprint(*plain3), Fingerprint(df3));
   std::filesystem::remove(path);
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -197,12 +198,14 @@ TEST(XpqTest, RowRangeRead) {
 // --- row groups ----------------------------------------------------------
 
 /// `n` rows over every physical encoding, each nullable column with nulls
-/// scattered across groups: int, float, bool, plain and dictionary strings.
+/// scattered across groups: int, float, bool, plain strings, dictionary
+/// strings, and all-distinct strings that are dictionary-encoded in memory
+/// but written as plain pages.
 DataFrame RowGroupFrame(int64_t n) {
   std::vector<int64_t> ints(n);
   std::vector<double> floats(n);
   std::vector<uint8_t> bools(n), valid(n);
-  std::vector<std::string> plain(n), dict(n);
+  std::vector<std::string> plain(n), dict(n), unique(n);
   for (int64_t i = 0; i < n; ++i) {
     ints[i] = i * 3 - 7;
     floats[i] = static_cast<double>(i) / 4;
@@ -210,12 +213,14 @@ DataFrame RowGroupFrame(int64_t n) {
     valid[i] = static_cast<uint8_t>(i % 5 != 2);
     plain[i] = std::string(static_cast<size_t>(i % 4), 'a' + i % 26);
     dict[i] = "k" + std::to_string(i % 6);
+    unique[i] = "u" + std::to_string(i);
   }
-  return DataFrame::Make({"i", "f", "b", "s", "d"},
+  return DataFrame::Make({"i", "f", "b", "s", "d", "u"},
                          {Column::Int64(ints, valid), Column::Float64(floats),
                           Column::Bool(bools, valid),
                           Column::String(plain, valid),
-                          Column::String(dict, valid).DictEncode()})
+                          Column::String(dict, valid).DictEncode(),
+                          Column::String(unique, valid).DictEncode()})
       .MoveValue();
 }
 
@@ -242,10 +247,18 @@ TEST(XpqRowGroupTest, WindowsMatchWholeReadSliced) {
   const std::vector<std::pair<int64_t, int64_t>> windows = {
       {3, 4},  {8, 8},   {5, 10}, {7, 30}, {45, 100}, {0, kRows},
       {0, -1}, {21, 1},  {49, 1}, {16, 0}, {kRows, 5}};
+  EXPECT_EQ(info->columns[3].encoding, XpqEncoding::kPlain);
+  EXPECT_EQ(info->columns[4].encoding, XpqEncoding::kDict);
+  EXPECT_EQ(info->columns[5].encoding, XpqEncoding::kPlain);
   for (bool dict : {false, true}) {
     auto whole = ReadXpq(path, {}, 0, -1, nullptr, dict);
     ASSERT_TRUE(whole.ok()) << whole.status();
     ExpectFramesEqual(*whole, RowGroupFrame(kRows));
+    // Only the dictionary-page column comes back as codes; the windows,
+    // empty ones included, must keep to the whole read's encodings.
+    EXPECT_FALSE(whole->column(3).is_dict());
+    EXPECT_EQ(whole->column(4).is_dict(), dict);
+    EXPECT_FALSE(whole->column(5).is_dict());
     for (const auto& [off, count] : windows) {
       SCOPED_TRACE("window " + std::to_string(off) + "+" +
                    std::to_string(count) + " dict=" + std::to_string(dict));
@@ -310,8 +323,70 @@ TEST(XpqRowGroupTest, EmptyAndOneRowFrames) {
   std::remove(path.c_str());
 }
 
-/// Overwrites the int64 at `pos` of the file at `path` with `value`.
-void PatchInt64(const std::string& path, int64_t pos, int64_t value) {
+// --- string page encoding ----------------------------------------------
+
+TEST(XpqEncodingTest, RepeatedValuesWriteDictPages) {
+  // Plain in memory; three distinct values over eight rows.
+  const Column plain = Column::String({"ca", "ab", "ca", "bd", "ab", "ca",
+                                       "ca", "ab"},
+                                      {1, 1, 0, 1, 1, 1, 1, 1});
+  const auto df = DataFrame::Make({"s"}, {plain}).MoveValue();
+  const std::string path = TmpPath("xorbits_enc_repeated.xpq");
+  ASSERT_TRUE(WriteXpq(path, df, 3).ok());
+  auto info = ReadXpqInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->columns[0].encoding, XpqEncoding::kDict);
+  for (bool dict : {false, true}) {
+    SCOPED_TRACE("dict=" + std::to_string(dict));
+    Metrics metrics;
+    MetricsScope scope(&metrics);
+    auto back = ReadXpq(path, {}, 0, -1, nullptr, dict);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ExpectFramesEqual(*back, df);
+    EXPECT_EQ(back->column(0).is_dict(), dict);
+    EXPECT_EQ(metrics.Get(CounterId::kDictEncodedColumns), dict ? 1 : 0);
+    if (dict) {
+      // One dictionary unified across the three groups.
+      EXPECT_EQ(back->column(0).dict()->size(), 3);
+    }
+    auto lazy = ReadXpqLazy(path, {}, 1, 5, dict);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    ExpectSameWindow(*lazy, back->SliceRows(1, 5));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(XpqEncodingTest, DistinctValuesWritePlainPages) {
+  // Dictionary-encoded in memory, but every value is distinct.
+  const Column dict =
+      Column::String({"a", "bc", "", "def", "g", "hi"}, {1, 1, 1, 0, 1, 1})
+          .DictEncode();
+  ASSERT_TRUE(dict.is_dict());
+  const auto df = DataFrame::Make({"s"}, {dict}).MoveValue();
+  const std::string path = TmpPath("xorbits_enc_distinct.xpq");
+  ASSERT_TRUE(WriteXpq(path, df, 4).ok());
+  auto info = ReadXpqInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->columns[0].encoding, XpqEncoding::kPlain);
+  for (bool dict_encode : {false, true}) {
+    SCOPED_TRACE("dict=" + std::to_string(dict_encode));
+    Metrics metrics;
+    MetricsScope scope(&metrics);
+    auto back = ReadXpq(path, {}, 0, -1, nullptr, dict_encode);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ExpectFramesEqual(*back, df);
+    EXPECT_FALSE(back->column(0).is_dict());
+    auto lazy = ReadXpqLazy(path, {}, 0, -1, dict_encode);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    ExpectSameWindow(*lazy, *back);
+    EXPECT_EQ(metrics.Get(CounterId::kDictEncodedColumns), 0);
+  }
+  std::remove(path.c_str());
+}
+
+/// Overwrites the `T` at `pos` of the file at `path` with `value`.
+template <typename T>
+void Patch(const std::string& path, int64_t pos, T value) {
   std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(pos);
   f.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -330,9 +405,9 @@ TEST(XpqRowGroupTest, FooterRejectsInconsistentGroups) {
   auto df = DataFrame::Make({"v"}, {Column::Int64({1, 2, 3, 4, 5, 6})})
                 .MoveValue();
   // One column "v", three groups of two rows. Footer: num_rows (8),
-  // ncols (4), name (4 + 1), dtype (1), ngroups (4), then per group its
-  // row count (8), chunk offset (8) and chunk size (8).
-  const int64_t kGroups = 8 + 4 + 5 + 1 + 4;
+  // ncols (4), name (4 + 1), dtype (1), encoding (1), ngroups (4), then per
+  // group its row count (8), chunk offset (8) and chunk size (8).
+  const int64_t kGroups = 8 + 4 + 5 + 1 + 1 + 4;
   auto footer_start = [&] {
     const int64_t size = static_cast<int64_t>(std::filesystem::file_size(path));
     return size - 12 - ReadInt64At(path, size - 12);
@@ -355,7 +430,7 @@ TEST(XpqRowGroupTest, FooterRejectsInconsistentGroups) {
     ASSERT_TRUE(WriteXpq(path, df, 2).ok());
     ASSERT_TRUE(ReadXpqInfo(path).ok());
     const int64_t pos = footer_start() + c.field;
-    PatchInt64(path, pos, ReadInt64At(path, pos) + c.delta);
+    Patch<int64_t>(path, pos, ReadInt64At(path, pos) + c.delta);
     EXPECT_FALSE(ReadXpqInfo(path).ok()) << c.what;
   }
   std::remove(path.c_str());
@@ -511,9 +586,13 @@ TEST(CorruptInputTest, XpqFileNeverAborts) {
   const std::string good_path = TmpPath("xorbits_corrupt_sweep_good.xpq");
   ASSERT_TRUE(WriteXpq(good_path, CorruptionFrame(), 2).ok());
   {
+    // The sweep covers both string page layouts: `s` (five distinct of six
+    // rows) is plain, `d` (three distinct) is a dictionary column.
     auto info = ReadXpqInfo(good_path);
     ASSERT_TRUE(info.ok()) << info.status();
     ASSERT_EQ(info->num_groups(), 3);
+    ASSERT_EQ(info->columns[3].encoding, XpqEncoding::kPlain);
+    ASSERT_EQ(info->columns[4].encoding, XpqEncoding::kDict);
   }
   std::string good;
   {
@@ -565,6 +644,68 @@ TEST(CorruptInputTest, XpqFileNeverAborts) {
   }
   std::remove(path.c_str());
   EXPECT_GE(rejected, static_cast<int>(good.size()));
+}
+
+TEST(CorruptInputTest, XpqPageCorruptionsFail) {
+  const std::string path = TmpPath("xorbits_corrupt_pages.xpq");
+  auto info_of = [&] { return ReadXpqInfo(path).MoveValue(); };
+  // Group 0 of `s` holds "a", "bc" with validity: flag (1), validity (2),
+  // tag (1), then the end offsets {1, 3} and the bytes "abc".
+  auto s_ends = [&] { return info_of().columns[3].chunks[0].offset + 4; };
+  // The footer's column entries are one-letter names: name (4 + 1),
+  // dtype (1), encoding (1) after num_rows (8) and ncols (4).
+  auto footer_encoding = [&](int c) {
+    const int64_t size = static_cast<int64_t>(std::filesystem::file_size(path));
+    return size - 12 - ReadInt64At(path, size - 12) + 12 + 7 * c + 6;
+  };
+  struct Case {
+    const char* what;
+    std::function<void()> corrupt;
+    int column;  // the page reader must reject this column; -1: the footer
+  };
+  const std::vector<Case> cases = {
+      {"plain offsets descend",
+       [&] { Patch<uint32_t>(path, s_ends() + 4, 0); }, 3},
+      {"last plain offset past the chunk",
+       [&] { Patch<uint32_t>(path, s_ends() + 4, 1000); }, 3},
+      {"plain page tagged as a dictionary page",
+       [&] { Patch<uint8_t>(path, s_ends() - 1, 1); }, 3},
+      {"dictionary page tagged as a plain page",
+       [&] {
+         const int64_t d = info_of().columns[4].chunks[0].offset;
+         Patch<uint8_t>(path, d + 3, 0);
+       },
+       4},
+      {"unknown footer encoding",
+       [&] { Patch<uint8_t>(path, footer_encoding(3), 7); }, -1},
+      {"dictionary encoding on an int64 column",
+       [&] { Patch<uint8_t>(path, footer_encoding(0), 1); }, -1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ASSERT_TRUE(WriteXpq(path, CorruptionFrame(), 2).ok());
+    c.corrupt();
+    auto read = ReadXpqInfo(path);
+    if (c.column < 0) {
+      ASSERT_FALSE(read.ok());
+      EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+      continue;
+    }
+    ASSERT_TRUE(read.ok()) << read.status();
+    auto info = std::make_shared<const XpqFileInfo>(read.MoveValue());
+    for (bool dict : {true, false}) {
+      auto whole = ReadXpq(path, {}, 0, -1, nullptr, dict);
+      ASSERT_FALSE(whole.ok());
+      EXPECT_EQ(whole.status().code(), StatusCode::kIOError);
+      // Row 0 alone: its own offset is intact, but the page is checked
+      // whole before any row is copied.
+      XpqColumnSource src(path, info, c.column, 0, info->num_rows, dict);
+      auto some = src.Load({0});
+      ASSERT_FALSE(some.ok());
+      EXPECT_EQ(some.status().code(), StatusCode::kIOError);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 class TpchGenTest : public ::testing::Test {

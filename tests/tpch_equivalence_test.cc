@@ -100,15 +100,19 @@ class TpchEquivalenceTest : public ::testing::TestWithParam<int> {
 };
 std::string* TpchEquivalenceTest::dir_ = nullptr;
 
-TEST_P(TpchEquivalenceTest, DistributedMatchesSingleNode) {
-  const int q = GetParam();
-  core::Session reference(EngineConfig(EngineKind::kPandasLike));
-  auto expected = tpch::RunQuery(q, &reference, *dir_);
+/// Runs query `q` on both engines, reading strings with `dict_encode`.
+void ExpectQueryMatches(int q, const std::string& dir, bool dict_encode) {
+  Config ref_cfg = EngineConfig(EngineKind::kPandasLike);
+  ref_cfg.dict_encode = dict_encode;
+  core::Session reference(std::move(ref_cfg));
+  auto expected = tpch::RunQuery(q, &reference, dir);
   ASSERT_TRUE(expected.ok()) << "pandas-like Q" << q << ": "
                              << expected.status();
 
-  core::Session distributed(EngineConfig(EngineKind::kXorbits));
-  auto actual = tpch::RunQuery(q, &distributed, *dir_);
+  Config cfg = EngineConfig(EngineKind::kXorbits);
+  cfg.dict_encode = dict_encode;
+  core::Session distributed(std::move(cfg));
+  auto actual = tpch::RunQuery(q, &distributed, dir);
   ASSERT_TRUE(actual.ok()) << "xorbits Q" << q << ": " << actual.status();
 
   dataframe::DataFrame e = Canonicalize(*expected, OrderSensitive(q));
@@ -116,7 +120,22 @@ TEST_P(TpchEquivalenceTest, DistributedMatchesSingleNode) {
   ExpectTablesEqual(a, e);
 }
 
+TEST_P(TpchEquivalenceTest, DistributedMatchesSingleNode) {
+  ExpectQueryMatches(GetParam(), *dir_, /*dict_encode=*/true);
+}
+
 INSTANTIATE_TEST_SUITE_P(All22, TpchEquivalenceTest, ::testing::Range(1, 23));
+
+// Without dict_encode, dictionary pages decode to plain strings: the
+// queries with string keys or string predicates must still match.
+class TpchPlainStringsTest : public TpchEquivalenceTest {};
+
+TEST_P(TpchPlainStringsTest, DistributedMatchesSingleNode) {
+  ExpectQueryMatches(GetParam(), *dir_, /*dict_encode=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(StringQueries, TpchPlainStringsTest,
+                         ::testing::Values(1, 4, 12, 16, 21, 22));
 
 // The same equivalence must hold for the static baselines (they are slower
 // and OOM-prone, not wrong) — spot-check a representative query mix.
