@@ -212,7 +212,12 @@ class BufferView {
   bool unique() const { return !buf_ || buf_.use_count() == 1; }
 
   /// Measured payload bytes of the window (strings: heap + bookkeeping).
+  /// A window over the whole buffer reads the buffer's cached total, so
+  /// sizing a large string frame does not walk its strings every time.
   int64_t view_nbytes() const {
+    if (buf_ && offset_ == 0 && size() == buf_->vec.size()) {
+      return buf_->nbytes();
+    }
     return buffer_detail::PayloadBytes(data(), ssize());
   }
   /// Measured payload bytes of the whole underlying buffer (cached on the

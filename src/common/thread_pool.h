@@ -37,8 +37,12 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
   /// Runs `fn` over [begin, end) split into grain-sized morsels, blocking
-  /// until all morsels finished. The calling thread participates (it claims
-  /// morsels like a pool worker), so nested use cannot deadlock. The first
+  /// until all morsels finished. Submits `min(threads, morsels - 1, free
+  /// cores)` runners, each holding one core of the budget until its loop
+  /// exits; with no free core the morsels run inline. The calling thread
+  /// participates (it claims morsels like a pool worker), so nested use
+  /// cannot deadlock, and it takes back the cores of runners that had not
+  /// started by the time the morsels ran out. The first
   /// exception thrown by a morsel is rethrown on the caller after all
   /// claimed morsels drain. Morsel decomposition depends only on
   /// (begin, end, grain) — never on thread count — so kernels that write
@@ -105,13 +109,43 @@ ThreadPool* CurrentThreadPool();
 /// CLOCK_THREAD_CPUTIME_ID in microseconds.
 int64_t ThreadCpuMicros();
 
+/// Host-wide core budget (DESIGN.md §2a): one process-wide count of cores
+/// in use, never above `CoreBudget()` = hardware_concurrency(). A band
+/// worker holds one core per subtask (`CoreHold`); `ParallelFor` fans out
+/// only onto the cores left free, so busy bands are not oversubscribed by
+/// each other's morsel runners.
+int CoreBudget();
+int CoresInUse();
+/// Reserves up to `want` cores, fewer when fewer are free, and returns how
+/// many it got. Never blocks; the count never exceeds `CoreBudget()`.
+int ReserveCores(int want);
+/// Gives back `n` cores taken with ReserveCores.
+void ReleaseCores(int n);
+
+/// Holds one core of the budget for its lifetime (RAII) when one is free,
+/// else none: the holder runs either way, it only stops others fanning out
+/// onto its core.
+class CoreHold {
+ public:
+  CoreHold() : held_(ReserveCores(1)) {}
+  ~CoreHold() { ReleaseCores(held_); }
+
+  CoreHold(const CoreHold&) = delete;
+  CoreHold& operator=(const CoreHold&) = delete;
+
+ private:
+  const int held_;
+};
+
 /// Morsel-driven parallel loop over [begin, end). Uses the thread's current
-/// pool when one is installed and the range spans several morsels; falls
-/// back to running the same morsel sequence inline otherwise (including
-/// when already inside a morsel — nested calls serialize, which keeps the
-/// decomposition identical and cannot deadlock). CPU time is charged to the
-/// innermost ParallelCpuScope of the thread that entered the loop, and
-/// counters raised by morsels to that thread's MetricsScope.
+/// pool when one is installed, the range spans several morsels and the core
+/// budget has a free core; falls back to running the same morsel sequence
+/// inline otherwise (including when already inside a morsel — nested calls
+/// serialize, which keeps the decomposition identical and cannot deadlock).
+/// A call that had a pool and several morsels but found no free core counts
+/// `morsel_fanouts_declined`. CPU time is charged to the innermost
+/// ParallelCpuScope of the thread that entered the loop, and counters
+/// raised by morsels to that thread's MetricsScope.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const MorselFn& fn);
 
@@ -141,7 +175,7 @@ T ParallelReduce(int64_t begin, int64_t end, int64_t grain, T identity,
   const int64_t morsels = NumMorsels(begin, end, grain);
   if (morsels == 0) return identity;
   if (grain < 1) grain = 1;
-  std::vector<T> partials(morsels, identity);
+  std::vector<T> partials(morsels);  // each one is assigned by `map`
   ParallelFor(begin, end, grain, [&](int64_t lo, int64_t hi) {
     partials[(lo - begin) / grain] = map(lo, hi);
   });

@@ -115,6 +115,10 @@ XORBITS_METRIC_NAME(kGaugeShuffleBlocksConsumed, "shuffle_blocks_consumed")
 XORBITS_METRIC_NAME(kGaugeShuffleBlocksSpilled, "shuffle_blocks_spilled")
 XORBITS_METRIC_NAME(kGaugeShuffleBlocksRecovered, "shuffle_blocks_recovered")
 XORBITS_METRIC_NAME(kGaugeExchangeBackpressureUs, "exchange_backpressure_us")
+// Host-wide core budget (DESIGN.md §2a): ParallelFor calls with a pool and
+// at least 2 morsels that found every core held and ran inline.
+// Session-scoped (counters.def).
+XORBITS_METRIC_NAME(kGaugeMorselFanoutsDeclined, "morsel_fanouts_declined")
 
 }  // namespace xorbits::trace
 

@@ -60,6 +60,18 @@ namespace {
 /// a pure function of n so results never depend on thread count.
 inline int64_t AggGrain(int64_t n) { return GrainForMorsels(n, 4096, 16); }
 
+/// Grain for aggregates whose result does not depend on how rows are split
+/// into morsels (integer counts and sums, min/max, first/last, any/all):
+/// each morsel also covers at least kRowsPerGroupPerMorsel rows per group,
+/// so a chunk with many groups and few rows per group (plasticc's
+/// per-object map) allocates and folds one G-sized partial, not one per
+/// 4096 rows. Float accumulators keep AggGrain: their bits depend on the
+/// split.
+constexpr int64_t kRowsPerGroupPerMorsel = 8;
+inline int64_t ExactAggGrain(int64_t n, int64_t G) {
+  return std::max(AggGrain(n), kRowsPerGroupPerMorsel * G);
+}
+
 /// Open-addressing (linear probe, power-of-two) map from key-tuple rows to
 /// dense group ids. Keys live in the source columns — a slot stores only
 /// (hash, gid) and each gid remembers one representative row — so no key
@@ -204,6 +216,90 @@ int64_t BuildGroups(const DataFrame& df, const std::vector<const Column*>& key_c
   return run([&hasher](int64_t a, int64_t b) { return hasher.RowsEqual(a, b); });
 }
 
+/// One valid row per group, -1 where the group has none: scanning in row
+/// order, a row replaces the group's pick when `better(row, pick)`. With a
+/// strict order that is the earliest extreme row; with `better` constant
+/// false (true) it is the first (last) valid row. With kNanAware, rows
+/// flagged `is_nan` never compete, but a group whose first valid row is
+/// NaN picks that row — exactly what a serial strict-comparison scan
+/// keeps, since nothing compares better than NaN. Every rule here folds
+/// associatively in morsel order, so the pick does not depend on how rows
+/// are split into morsels.
+template <bool kNanAware, typename Better, typename IsNan>
+std::vector<int64_t> PickExtremeRows(const uint8_t* valid, const int64_t* gid,
+                                     int64_t n, int64_t G, int64_t grain,
+                                     const Better& better,
+                                     const IsNan& is_nan) {
+  struct Picks {
+    std::vector<int64_t> first;  // earliest valid row (kNanAware only)
+    std::vector<int64_t> best;   // earliest extreme non-NaN row
+  };
+  Picks picks = ParallelReduce(
+      0, n, grain, Picks{},
+      [&](int64_t lo, int64_t hi) {
+        Picks p;
+        p.best.assign(G, -1);
+        if constexpr (kNanAware) p.first.assign(G, -1);
+        for (int64_t i = lo; i < hi; ++i) {
+          if (valid != nullptr && !valid[i]) continue;
+          const int64_t g = gid[i];
+          if constexpr (kNanAware) {
+            if (p.first[g] < 0) p.first[g] = i;
+            if (is_nan(i)) continue;
+          }
+          int64_t& b = p.best[g];
+          if (b < 0 || better(i, b)) b = i;
+        }
+        return p;
+      },
+      [&](Picks a, Picks b) {
+        if (a.best.empty()) return b;  // the fold's identity
+        for (int64_t g = 0; g < G; ++g) {
+          if constexpr (kNanAware) {
+            if (a.first[g] < 0) a.first[g] = b.first[g];
+          }
+          const int64_t r = b.best[g];
+          if (r >= 0 && (a.best[g] < 0 || better(r, a.best[g]))) {
+            a.best[g] = r;
+          }
+        }
+        return a;
+      });
+  if (picks.best.empty()) return std::vector<int64_t>(G, -1);
+  if constexpr (kNanAware) {
+    for (int64_t g = 0; g < G; ++g) {
+      const int64_t f = picks.first[g];
+      if (f >= 0 && is_nan(f)) picks.best[g] = f;
+    }
+  }
+  return std::move(picks.best);
+}
+
+/// Gathers the picked row of every group (PickExtremeRows); groups without
+/// one (-1) become null.
+Column TakePicks(const Column& col, const std::vector<int64_t>& pick) {
+  const int64_t G = static_cast<int64_t>(pick.size());
+  if (col.length() == 0) return Column::Nulls(col.dtype(), G);
+  std::vector<int64_t> indices(G, 0);
+  bool any_null = false;
+  for (int64_t g = 0; g < G; ++g) {
+    if (pick[g] < 0) {
+      any_null = true;
+    } else {
+      indices[g] = pick[g];
+    }
+  }
+  Column out = col.Take(indices);
+  if (any_null) {
+    std::vector<uint8_t> merged(G, 1);
+    for (int64_t g = 0; g < G; ++g) {
+      merged[g] = pick[g] >= 0 && out.IsValid(g) ? 1 : 0;
+    }
+    out.mutable_validity() = std::move(merged);
+  }
+  return out;
+}
+
 /// Elementwise-sum combine for per-morsel partial accumulators.
 template <typename T>
 std::vector<T> AddVec(std::vector<T> a, std::vector<T> b) {
@@ -215,8 +311,9 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
                                const std::vector<int64_t>& gids, int64_t G) {
   const int64_t n = static_cast<int64_t>(gids.size());
   // Hot accumulations below run as morsel-local partials (one G-sized
-  // buffer per morsel, morsel count capped by AggGrain) folded in morsel
-  // order — deterministic at any thread count, including float cases.
+  // buffer per morsel, morsel count capped by AggGrain, or by
+  // ExactAggGrain where the split cannot show) folded in morsel order —
+  // deterministic at any thread count, including float cases.
   //
   // The float64 fast paths hoist the validity pointer and read values
   // through a raw pointer instead of the per-row GetDouble switch, giving
@@ -228,10 +325,12 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
   const uint8_t* valid =
       col != nullptr && col->has_validity() ? col->validity().data() : nullptr;
   const int64_t* gid = gids.data();
+  const int64_t exact_grain = ExactAggGrain(n, G);
+  const auto never_nan = [](int64_t) { return false; };
   switch (func) {
     case AggFunc::kSize: {
       std::vector<int64_t> out = ParallelReduce(
-          0, n, AggGrain(n), std::vector<int64_t>(G, 0),
+          0, n, exact_grain, std::vector<int64_t>(G, 0),
           [&](int64_t lo, int64_t hi) {
             std::vector<int64_t> p(G, 0);
             for (int64_t i = lo; i < hi; ++i) p[gids[i]]++;
@@ -243,7 +342,7 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
     case AggFunc::kCount: {
       if (col == nullptr) return Status::Invalid("count needs a column");
       std::vector<int64_t> out = ParallelReduce(
-          0, n, AggGrain(n), std::vector<int64_t>(G, 0),
+          0, n, exact_grain, std::vector<int64_t>(G, 0),
           [&](int64_t lo, int64_t hi) {
             std::vector<int64_t> p(G, 0);
             for (int64_t i = lo; i < hi; ++i) {
@@ -262,7 +361,7 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
       if (col->dtype() == DType::kInt64) {
         const int64_t* data = col->int64_data().data();
         std::vector<int64_t> out = ParallelReduce(
-            0, n, AggGrain(n), std::vector<int64_t>(G, 0),
+            0, n, exact_grain, std::vector<int64_t>(G, 0),
             [&](int64_t lo, int64_t hi) {
               std::vector<int64_t> p(G, 0);
               if (valid == nullptr) {
@@ -423,76 +522,49 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
       return Column::Float64(std::move(out), std::move(validity));
     }
     case AggFunc::kMin:
-    case AggFunc::kMax:
+    case AggFunc::kMax: {
+      if (col == nullptr) return Status::Invalid("agg needs a column");
+      // Typed columns compare through raw pointers; int64 compares exactly
+      // (a Scalar goes through double, where values beyond 2^53 tie).
+      const bool is_min = func == AggFunc::kMin;
+      if (f64 != nullptr) {
+        return TakePicks(
+            *col, PickExtremeRows<true>(
+                      valid, gid, n, G, exact_grain,
+                      [f64, is_min](int64_t a, int64_t b) {
+                        return is_min ? f64[a] < f64[b] : f64[b] < f64[a];
+                      },
+                      [f64](int64_t i) { return std::isnan(f64[i]); }));
+      }
+      if (col->dtype() == DType::kInt64) {
+        const int64_t* i64 = col->int64_data().data();
+        return TakePicks(
+            *col, PickExtremeRows<false>(
+                      valid, gid, n, G, exact_grain,
+                      [i64, is_min](int64_t a, int64_t b) {
+                        return is_min ? i64[a] < i64[b] : i64[b] < i64[a];
+                      },
+                      never_nan));
+      }
+      // Strings and bools compare as Scalars; both orders are total.
+      return TakePicks(
+          *col, PickExtremeRows<false>(
+                    valid, gid, n, G, exact_grain,
+                    [col, is_min](int64_t a, int64_t b) {
+                      const Scalar sa = col->GetScalar(a);
+                      const Scalar sb = col->GetScalar(b);
+                      return is_min ? sa < sb : sb < sa;
+                    },
+                    never_nan));
+    }
     case AggFunc::kFirst:
     case AggFunc::kLast: {
       if (col == nullptr) return Status::Invalid("agg needs a column");
-      // Select one representative row per group, then Take.
-      const bool is_minmax = func == AggFunc::kMin || func == AggFunc::kMax;
-      // Strict comparisons pick the earliest qualifying row within a
-      // morsel; the morsel-order fold extends that tie-break globally, so
-      // the winner matches the serial scan exactly.
-      std::vector<int64_t> pick = ParallelReduce(
-          0, n, AggGrain(n), std::vector<int64_t>(G, -1),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<int64_t> lp(G, -1);
-            for (int64_t i = lo; i < hi; ++i) {
-              if (!col->IsValid(i)) continue;
-              int64_t& p = lp[gids[i]];
-              if (p < 0) {
-                p = i;
-              } else if (is_minmax) {
-                const Scalar cur = col->GetScalar(i);
-                const Scalar best = col->GetScalar(p);
-                const bool better =
-                    func == AggFunc::kMin ? cur < best : best < cur;
-                if (better) p = i;
-              } else if (func == AggFunc::kLast) {
-                p = i;
-              }
-            }
-            return lp;
-          },
-          [&](std::vector<int64_t> a, std::vector<int64_t> b) {
-            for (int64_t g = 0; g < G; ++g) {
-              if (b[g] < 0) continue;
-              if (a[g] < 0) {
-                a[g] = b[g];
-              } else if (is_minmax) {
-                const Scalar cur = col->GetScalar(b[g]);
-                const Scalar best = col->GetScalar(a[g]);
-                const bool better =
-                    func == AggFunc::kMin ? cur < best : best < cur;
-                if (better) a[g] = b[g];
-              } else if (func == AggFunc::kLast) {
-                a[g] = b[g];
-              }
-            }
-            return a;
-          });
-      // Groups with no valid value become null.
-      std::vector<int64_t> indices(G, 0);
-      std::vector<uint8_t> validity(G, 1);
-      bool any_null = false;
-      for (int64_t g = 0; g < G; ++g) {
-        if (pick[g] < 0) {
-          validity[g] = 0;
-          any_null = true;
-          indices[g] = 0;
-        } else {
-          indices[g] = pick[g];
-        }
-      }
-      if (n == 0) return Column::Nulls(col->dtype(), G);
-      Column out = col->Take(indices);
-      if (any_null) {
-        std::vector<uint8_t> merged(G, 1);
-        for (int64_t g = 0; g < G; ++g) {
-          merged[g] = validity[g] && out.IsValid(g) ? 1 : 0;
-        }
-        out.mutable_validity() = std::move(merged);
-      }
-      return out;
+      const bool is_last = func == AggFunc::kLast;
+      return TakePicks(*col, PickExtremeRows<false>(
+                                 valid, gid, n, G, exact_grain,
+                                 [is_last](int64_t, int64_t) { return is_last; },
+                                 never_nan));
     }
     case AggFunc::kProd: {
       if (col == nullptr || (!IsNumeric(col->dtype()) &&
@@ -519,7 +591,7 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
       if (col == nullptr) return Status::Invalid("any/all needs a column");
       const bool is_any = func == AggFunc::kAny;
       std::vector<uint8_t> out = ParallelReduce(
-          0, n, AggGrain(n), std::vector<uint8_t>(G, is_any ? 0 : 1),
+          0, n, exact_grain, std::vector<uint8_t>(G, is_any ? 0 : 1),
           [&](int64_t lo, int64_t hi) {
             std::vector<uint8_t> p(G, is_any ? 0 : 1);
             for (int64_t i = lo; i < hi; ++i) {

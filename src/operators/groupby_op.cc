@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.h"
 #include "dataframe/kernels.h"
 #include "dataframe/key_hash.h"
 #include "operators/dataframe_ops.h"
@@ -70,14 +71,22 @@ Status HashPartitionChunkOp::Execute(ExecutionContext& ctx) const {
     key_cols.push_back(c);
   }
   const int64_t n = in->num_rows();
-  std::vector<std::vector<int64_t>> part_rows(partitions_);
   // Typed value hash — no per-row key-bytes string. The hash is a pure
   // function of the key values (encoding-invariant), so partition routing
   // is identical whether the key columns arrive plain or dict-encoded.
-  dataframe::RowHasher hasher(key_cols);
-  for (int64_t i = 0; i < n; ++i) {
-    part_rows[hasher.Hash(i) % partitions_].push_back(i);
-  }
+  // Hash the whole chunk, then count and scatter: each partition gets its
+  // rows in row order, in one exactly-sized allocation.
+  const dataframe::RowHasher hasher(key_cols);
+  std::vector<uint64_t> part(n);
+  ParallelFor(0, n, 16384, [&](int64_t lo, int64_t hi) {
+    hasher.HashRange(lo, hi, part.data());
+    for (int64_t i = lo; i < hi; ++i) part[i] %= partitions_;
+  });
+  std::vector<int64_t> counts(partitions_, 0);
+  for (int64_t i = 0; i < n; ++i) counts[part[i]]++;
+  std::vector<std::vector<int64_t>> part_rows(partitions_);
+  for (int p = 0; p < partitions_; ++p) part_rows[p].reserve(counts[p]);
+  for (int64_t i = 0; i < n; ++i) part_rows[part[i]].push_back(i);
   for (int p = 0; p < partitions_; ++p) {
     XORBITS_RETURN_NOT_OK(ctx.EmitShufflePartition(
         p, services::MakeChunk(in->TakeRows(part_rows[p]))));

@@ -162,6 +162,9 @@ Status Executor::RunSubtask(graph::Subtask& subtask, int64_t uid,
                             int attempt, std::string* lost_key,
                             Metrics* metrics, const TraceConfig& trace,
                             int64_t session_id) {
+  // This band thread is one busy core for the whole attempt: kernels it
+  // runs fan out only onto the cores other bands and runners leave free.
+  const CoreHold core;
   const int band = subtask.band;
   // Injected transient faults fire before any work: a fated (uid, attempt)
   // pair fails here deterministically, and a re-run of the same attempt

@@ -382,6 +382,24 @@ TEST(BufferAccountingTest, SlicesOfOneStringBufferMeasureItOnce) {
   EXPECT_EQ(col.string_data().buffer_measure_count(), 1);
 }
 
+TEST(BufferAccountingTest, WholeViewSizeIsReadFromTheCache) {
+  const std::vector<std::string> words = Words(1000);
+  const int64_t whole = StringBytes(words.data(), words.data() + words.size());
+  BufferView<std::string> v(words);
+  for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(v.view_nbytes(), whole);
+  EXPECT_EQ(v.buffer_measure_count(), 1);
+  // A copy shares the buffer and its cached total; a partial window is
+  // still measured over its own strings.
+  const BufferView<std::string> copy = v;
+  EXPECT_EQ(copy.view_nbytes(), whole);
+  EXPECT_EQ(v.Slice(10, 5).view_nbytes(),
+            StringBytes(words.data() + 10, words.data() + 15));
+  EXPECT_EQ(v.buffer_measure_count(), 1);
+  // An in-place mutation drops the cached total.
+  v.MutableVec()[0] += "xyz";
+  EXPECT_EQ(v.view_nbytes(), whole + 3);
+}
+
 TEST(BufferAccountingTest, InPlaceMutationRefreshesBufferBytes) {
   BufferView<std::string> v(Words(100));
   const int64_t before = v.buffer_nbytes();

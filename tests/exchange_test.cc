@@ -6,8 +6,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/xorbits.h"
 #include "dataframe/kernels.h"
+#include "dataframe/key_hash.h"
 #include "operators/groupby_op.h"
 #include "operators/operator.h"
 #include "scheduler/executor.h"
@@ -469,6 +471,49 @@ DataFrame SweepFrame(int64_t n, bool dict) {
   EXPECT_TRUE(df.SetColumn("s", std::move(sc)).ok());
   EXPECT_TRUE(df.SetColumn("v", Column::Int64(std::move(v))).ok());
   return df;
+}
+
+TEST(HashPartitionTest, EachPartitionKeepsItsRowsInRowOrder) {
+  // Reference routing: every row goes to RowHasher::Hash(row) % P, and a
+  // partition lists its rows in row order — under either key encoding and
+  // with the hash fanned out over a pool.
+  struct Collect final : operators::ExecutionContext::ShuffleSink {
+    std::vector<services::ChunkDataPtr> parts;
+    Status Emit(int partition, services::ChunkDataPtr data) override {
+      if (partition >= static_cast<int>(parts.size())) {
+        parts.resize(partition + 1);
+      }
+      parts[partition] = std::move(data);
+      return Status::OK();
+    }
+  };
+  constexpr int kPartitions = 5;
+  ThreadPool pool(4);
+  ThreadPool* prev = SetCurrentThreadPool(&pool);
+  for (bool dict : {false, true}) {
+    const DataFrame df = SweepFrame(50000, dict);
+    const dataframe::RowHasher hasher({df.GetColumn("s").ValueOrDie(),
+                                       df.GetColumn("v").ValueOrDie()});
+    std::vector<std::vector<int64_t>> rows(kPartitions);
+    for (int64_t i = 0; i < df.num_rows(); ++i) {
+      rows[hasher.Hash(i) % kPartitions].push_back(i);
+    }
+    const operators::HashPartitionChunkOp op({"s", "v"}, kPartitions);
+    Collect sink;
+    operators::ExecutionContext ctx;
+    ctx.inputs = {services::MakeChunk(df)};
+    ctx.shuffle_sink = &sink;
+    ASSERT_TRUE(op.Execute(ctx).ok());
+    ASSERT_EQ(sink.parts.size(), static_cast<size_t>(kPartitions));
+    for (int p = 0; p < kPartitions; ++p) {
+      EXPECT_FALSE(rows[p].empty());
+      auto got = services::AsDataFrame(sink.parts[p]);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(Fingerprint(**got), Fingerprint(df.TakeRows(rows[p])))
+          << "partition " << p << " dict " << dict;
+    }
+  }
+  SetCurrentThreadPool(prev);
 }
 
 /// filter -> global sort: exercises the range-partition shuffle.

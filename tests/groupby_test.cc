@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "dataframe/groupby.h"
 #include "dataframe/kernels.h"
 
@@ -130,6 +135,220 @@ TEST(GroupByTest, UnsortedKeepsFirstSeenOrder) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->GetColumn("store").ValueOrDie()->string_data(),
             (std::vector<std::string>{"a", "b", "c"}));
+}
+
+// --- Morsel-split independence of the order-insensitive aggregates. ---
+
+/// Exact fingerprint of a frame: names, dtypes, validity and value bytes.
+std::string Fingerprint(const DataFrame& df) {
+  std::string out;
+  for (int ci = 0; ci < df.num_columns(); ++ci) {
+    out += df.column_name(ci);
+    out += '|';
+    const Column& c = df.column(ci);
+    out += static_cast<char>(c.dtype());
+    for (int64_t i = 0; i < c.length(); ++i) {
+      out += c.IsValid(i) ? 'v' : 'n';
+      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// `n` rows over about `groups` int64 keys (an LCG, no global RNG), with a
+/// nullable int column "i" (values beyond 2^53 included) and a nullable
+/// float column "f" holding NaN and ±0.0.
+DataFrame ManyGroups(int64_t n, int64_t groups) {
+  std::vector<int64_t> k(n), iv(n);
+  std::vector<double> fv(n);
+  std::vector<uint8_t> ivalid(n, 1), fvalid(n, 1);
+  uint64_t state = 7;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int64_t r = 0; r < n; ++r) {
+    k[r] = static_cast<int64_t>(next() % groups);
+    iv[r] = static_cast<int64_t>(next() % 2000) - 1000;
+    if (next() % 10 == 0) iv[r] += int64_t{1} << 56;
+    const uint64_t f = next() % 1000;
+    fv[r] = f < 20    ? std::nan("")
+            : f < 40  ? -0.0
+            : f < 60  ? 0.0
+                      : static_cast<double>(f) / 8.0 - 60.0;
+    if (next() % 16 == 0) ivalid[r] = 0;
+    if (next() % 16 == 0) fvalid[r] = 0;
+  }
+  return DataFrame::Make(
+             {"k", "i", "f"},
+             {Column::Int64(std::move(k)),
+              Column::Int64(std::move(iv), std::move(ivalid)),
+              Column::Float64(std::move(fv), std::move(fvalid))})
+      .MoveValue();
+}
+
+/// The value one unsplit scan in row order yields for `func` on `col` over
+/// `rows` (one group's rows, ascending): min/max keep the first valid row
+/// and replace it only on a strictly better value. Returns the output
+/// column's key bytes, or "null".
+std::string SerialScan(const Column& col, AggFunc func,
+                       const std::vector<int64_t>& rows) {
+  int64_t pick = -1;
+  int64_t count = 0;
+  int64_t isum = 0;
+  bool any = false, all = true;
+  for (int64_t r : rows) {
+    if (!col.IsValid(r)) continue;
+    ++count;
+    if (col.dtype() == DType::kInt64) isum += col.int64_data()[r];
+    const bool truthy = col.GetDouble(r) != 0.0;
+    any = any || truthy;
+    all = all && truthy;
+    if (pick < 0 || func == AggFunc::kLast) {
+      pick = r;
+    } else if (func == AggFunc::kMin || func == AggFunc::kMax) {
+      const bool is_min = func == AggFunc::kMin;
+      const bool better =
+          col.dtype() == DType::kInt64
+              ? (is_min ? col.int64_data()[r] < col.int64_data()[pick]
+                        : col.int64_data()[pick] < col.int64_data()[r])
+              : (is_min ? col.float64_data()[r] < col.float64_data()[pick]
+                        : col.float64_data()[pick] < col.float64_data()[r]);
+      if (better) pick = r;
+    }
+  }
+  std::string out;
+  switch (func) {
+    case AggFunc::kCount:
+      Column::Int64({count}).AppendKeyBytes(0, &out);
+      return out;
+    case AggFunc::kSum:
+      Column::Int64({isum}).AppendKeyBytes(0, &out);
+      return out;
+    case AggFunc::kAny:
+    case AggFunc::kAll:
+      Column::Bool({static_cast<uint8_t>(func == AggFunc::kAny ? any : all)})
+          .AppendKeyBytes(0, &out);
+      return out;
+    default:
+      if (pick < 0) return "null";
+      col.AppendKeyBytes(pick, &out);
+      return out;
+  }
+}
+
+TEST(GroupByTest, OrderInsensitiveAggsEqualSerialScanAtAnyThreadCount) {
+  const std::vector<std::pair<std::string, AggFunc>> aggs = {
+      {"i", AggFunc::kCount}, {"f", AggFunc::kCount}, {"i", AggFunc::kSum},
+      {"i", AggFunc::kMin},   {"i", AggFunc::kMax},   {"f", AggFunc::kMin},
+      {"f", AggFunc::kMax},   {"i", AggFunc::kFirst}, {"f", AggFunc::kFirst},
+      {"i", AggFunc::kLast},  {"f", AggFunc::kLast},  {"i", AggFunc::kAny},
+      {"f", AggFunc::kAny},   {"i", AggFunc::kAll},   {"f", AggFunc::kAll},
+  };
+  std::vector<AggSpec> specs = {{"", AggFunc::kSize, "size"}};
+  for (const auto& [input, func] : aggs) {
+    specs.push_back({input, func, input + "_" + AggFuncName(func)});
+  }
+  // ~5k groups: one morsel per aggregate at 8 rows per group. 500 groups:
+  // six morsels whose partials fold in order.
+  for (int64_t groups : {5000, 500}) {
+    const DataFrame df = ManyGroups(21000, groups);
+    ThreadPool* prev = SetCurrentThreadPool(nullptr);
+    auto serial = GroupByAgg(df, {"k"}, specs, /*sort_keys=*/true);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    for (int threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      SetCurrentThreadPool(&pool);
+      auto r = GroupByAgg(df, {"k"}, specs, /*sort_keys=*/true);
+      SetCurrentThreadPool(nullptr);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(Fingerprint(*r), Fingerprint(*serial))
+          << "groups=" << groups << " threads=" << threads;
+    }
+    SetCurrentThreadPool(prev);
+
+    std::map<int64_t, std::vector<int64_t>> rows;  // sorted, like the output
+    const auto& keys = df.GetColumn("k").ValueOrDie()->int64_data();
+    for (int64_t r = 0; r < df.num_rows(); ++r) rows[keys[r]].push_back(r);
+    ASSERT_EQ(serial->num_rows(), static_cast<int64_t>(rows.size()));
+    const Column* size = serial->GetColumn("size").ValueOrDie();
+    int64_t g = 0;
+    for (const auto& [key, group_rows] : rows) {
+      EXPECT_EQ(size->int64_data()[g],
+                static_cast<int64_t>(group_rows.size()));
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        const auto& [input, func] = aggs[a];
+        const Column* in = df.GetColumn(input).ValueOrDie();
+        const Column* out = serial->GetColumn(specs[a + 1].output).ValueOrDie();
+        std::string got = "null";
+        if (out->IsValid(g)) {
+          got.clear();
+          out->AppendKeyBytes(g, &got);
+        }
+        ASSERT_EQ(got, SerialScan(*in, func, group_rows))
+            << specs[a + 1].output << " key " << key << " groups=" << groups;
+      }
+      ++g;
+    }
+  }
+}
+
+TEST(GroupByTest, NanMinMaxMatchesSerialScanAtAnySplit) {
+  const double nan = std::nan("");
+  const std::vector<std::vector<double>> patterns = {
+      {nan, 1.0, 0.0}, {1.0, nan, 0.0}, {1.0, 0.0, nan},
+      {nan, nan, 2.0}, {2.0, nan, nan}, {0.0, -0.0, nan},
+  };
+  // Two groups: 4096-row morsels, so a run of 3 rows starting at 4093..4096
+  // is cut at every position (and not at all).
+  constexpr int64_t kRows = 4 * 4096;
+  for (const auto& pattern : patterns) {
+    for (int64_t start = 4093; start <= 4096; ++start) {
+      std::vector<int64_t> k(kRows, 0);
+      std::vector<double> v(kRows, 5.0);
+      std::vector<int64_t> group_rows;
+      for (int64_t j = 0; j < 3; ++j) {
+        k[start + j] = 1;
+        v[start + j] = pattern[j];
+        group_rows.push_back(start + j);
+      }
+      const DataFrame df =
+          DataFrame::Make({"k", "v"}, {Column::Int64(std::move(k)),
+                                       Column::Float64(std::move(v))})
+              .MoveValue();
+      auto r = GroupByAgg(df, {"k"},
+                          {{"v", AggFunc::kMin, "mn"},
+                           {"v", AggFunc::kMax, "mx"}});
+      ASSERT_TRUE(r.ok()) << r.status();
+      const Column* in = df.GetColumn("v").ValueOrDie();
+      for (const auto& [name, func] :
+           {std::pair{"mn", AggFunc::kMin}, std::pair{"mx", AggFunc::kMax}}) {
+        std::string got;
+        r->GetColumn(name).ValueOrDie()->AppendKeyBytes(1, &got);
+        EXPECT_EQ(got, SerialScan(*in, func, group_rows))
+            << name << " start " << start << " pattern " << pattern[0] << ","
+            << pattern[1] << "," << pattern[2];
+      }
+    }
+  }
+}
+
+TEST(GroupByTest, Int64MinMaxExactBeyond2To53) {
+  // Every value of a group rounds to the same double.
+  const int64_t big = int64_t{1} << 62;
+  auto df = DataFrame::Make({"k", "v"},
+                            {Column::Int64({1, 1, 1, 2, 2, 2}),
+                             Column::Int64({big + 1, big, big + 2, -big - 1,
+                                            -big, -big - 2})})
+                .MoveValue();
+  auto r = GroupByAgg(df, {"k"},
+                      {{"v", AggFunc::kMin, "mn"}, {"v", AggFunc::kMax, "mx"}});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->GetColumn("mn").ValueOrDie()->int64_data()[0], big);
+  EXPECT_EQ(r->GetColumn("mx").ValueOrDie()->int64_data()[0], big + 2);
+  EXPECT_EQ(r->GetColumn("mn").ValueOrDie()->int64_data()[1], -big - 2);
+  EXPECT_EQ(r->GetColumn("mx").ValueOrDie()->int64_data()[1], -big);
 }
 
 TEST(AggFuncTest, NamesRoundTrip) {

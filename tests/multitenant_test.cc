@@ -304,8 +304,9 @@ TEST(MultiTenantTest, PrioritiesAndInflightCapsStillProduceExactResults) {
 // ---------------------------------------------------------------------------
 
 /// The counters raised below the session (the table's gauges section),
-/// minus the three that depend on timing: backpressure stalls and the
-/// spills and recoveries they cause.
+/// minus the four that depend on timing: backpressure stalls, the spills
+/// and recoveries they cause, and fan-outs declined for want of a free
+/// core.
 std::vector<CounterId> AttributedCounters() {
   std::vector<CounterId> out;
   for (int i = 0; i < kNumCounters; ++i) {
@@ -313,7 +314,8 @@ std::vector<CounterId> AttributedCounters() {
     if (kCounterTable[i].section != CounterSection::kGauges ||
         id == CounterId::kShuffleBlocksSpilled ||
         id == CounterId::kShuffleBlocksRecovered ||
-        id == CounterId::kExchangeBackpressureUs) {
+        id == CounterId::kExchangeBackpressureUs ||
+        id == CounterId::kMorselFanoutsDeclined) {
       continue;
     }
     out.push_back(id);

@@ -139,6 +139,129 @@ TEST(ThreadPoolStressTest, CpuScopeSeesPoolThreadWork) {
 }
 
 // ---------------------------------------------------------------------------
+// Core budget: fan out only onto free cores
+// ---------------------------------------------------------------------------
+
+/// A CPU-bound morsel body: sums i * 1e-9 over [lo, hi).
+double Burn(int64_t lo, int64_t hi) {
+  double s = 0;
+  for (int64_t i = lo; i < hi; ++i) s += static_cast<double>(i) * 1e-9;
+  return s;
+}
+
+/// Keeps Burn's work from being optimized away where its sum is unused.
+std::atomic<double> g_burn_sink{0};
+void BurnAndSink(int64_t lo, int64_t hi) {
+  g_burn_sink.fetch_add(Burn(lo, hi), std::memory_order_relaxed);
+}
+
+TEST(CoreBudgetTest, EveryCoreHeldRunsInlineWithTheSameResult) {
+  ASSERT_EQ(CoresInUse(), 0);
+  ThreadPool pool(4);
+  ThreadPool* prev = SetCurrentThreadPool(&pool);
+  constexpr int64_t kN = 1 << 20;
+  constexpr int64_t kGrain = 1 << 14;
+  const auto map = [](int64_t lo, int64_t hi) { return Burn(lo, hi); };
+  const auto add = [](double a, double b) { return a + b; };
+  const double fanned = ParallelReduce(0, kN, kGrain, 0.0, map, add);
+
+  ASSERT_EQ(ReserveCores(CoreBudget()), CoreBudget());
+  EXPECT_EQ(ReserveCores(1), 0);
+  Metrics metrics;
+  MetricsScope metrics_scope(&metrics);
+  ParallelCpuScope cpu;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  ParallelFor(0, kN, kGrain, [&](int64_t lo, int64_t hi) {
+    if (std::this_thread::get_id() != caller) elsewhere++;
+    BurnAndSink(lo, hi);
+  });
+  const double held = ParallelReduce(0, kN, kGrain, 0.0, map, add);
+  ReleaseCores(CoreBudget());
+
+  EXPECT_EQ(elsewhere.load(), 0);
+  EXPECT_EQ(held, fanned);  // same morsels, same fold order: same bits
+  // Inline morsels still count as parallel CPU, all of it on this thread.
+  EXPECT_GT(cpu.total_us(), 0);
+  EXPECT_EQ(cpu.inline_us(), cpu.total_us());
+  EXPECT_EQ(metrics.Get(CounterId::kMorselFanoutsDeclined), 2);
+  // One morsel, or no pool, never counts as a declined fan-out.
+  ParallelFor(0, 10, kGrain, [](int64_t, int64_t) {});
+  SetCurrentThreadPool(nullptr);
+  ParallelFor(0, kN, kGrain, [](int64_t, int64_t) {});
+  EXPECT_EQ(metrics.Get(CounterId::kMorselFanoutsDeclined), 2);
+  SetCurrentThreadPool(prev);
+  EXPECT_EQ(CoresInUse(), 0);
+}
+
+TEST(CoreBudgetTest, CoresComeBackAfterAThrowAndAfterNesting) {
+  ASSERT_EQ(CoresInUse(), 0);
+  ThreadPool pool(4);
+  ThreadPool* prev = SetCurrentThreadPool(&pool);
+  for (int rep = 0; rep < 20; ++rep) {
+    EXPECT_THROW(ParallelFor(0, 1000, 10,
+                             [&](int64_t lo, int64_t hi) {
+                               BurnAndSink(lo, hi);
+                               if (lo == 500) throw std::runtime_error("x");
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(CoresInUse(), 0) << "after throw, rep " << rep;
+  }
+  std::atomic<int64_t> total{0};
+  ParallelFor(0, 64, 4, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      ParallelFor(0, 100, 10, [&](int64_t ilo, int64_t ihi) {
+        total.fetch_add(ihi - ilo);
+      });
+    }
+  });
+  EXPECT_EQ(total.load(), 64 * 100);
+  EXPECT_EQ(CoresInUse(), 0);
+  {
+    const CoreHold hold;
+    EXPECT_EQ(CoresInUse(), 1);
+  }
+  EXPECT_EQ(CoresInUse(), 0);
+  SetCurrentThreadPool(prev);
+}
+
+TEST(CoreBudgetTest, BusyThreadsNeverExceedTheBudget) {
+  ASSERT_EQ(CoresInUse(), 0);
+  ThreadPool pool(4);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 40;
+  constexpr int64_t kN = 20000;
+  std::atomic<int> peak{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      SetCurrentThreadPool(&pool);
+      for (int r = 0; r < kRounds; ++r) {
+        const CoreHold hold;  // like a band worker inside a subtask
+        std::atomic<int64_t> covered{0};
+        ParallelFor(0, kN, 500, [&](int64_t lo, int64_t hi) {
+          const int seen = CoresInUse();
+          int p = peak.load();
+          while (seen > p && !peak.compare_exchange_weak(p, seen)) {
+          }
+          BurnAndSink(lo, hi);
+          covered.fetch_add(hi - lo);
+        });
+        if (covered.load() != kN) wrong++;
+      }
+      SetCurrentThreadPool(nullptr);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), CoreBudget());
+  EXPECT_EQ(CoresInUse(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // MetricsScope: which Metrics a counter raised below the session lands on
 // ---------------------------------------------------------------------------
 
