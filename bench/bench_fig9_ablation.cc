@@ -32,8 +32,7 @@ struct Ablation {
 const Ablation kFull;
 const Ablation kStatic{/*dynamic=*/false};
 const Ablation kNoGraphFusion{true, OptimizerSpec{}.chunk, {}};
-const Ablation kNoOpFusion{true, {"late_materialization"},
-                           OptimizerSpec{}.subtask};
+const Ablation kNoOpFusion{true, {}, OptimizerSpec{}.subtask};
 
 RunStats RunQuery(int q, const std::string& dir, const Ablation& a) {
   Config c = BenchConfig(EngineKind::kXorbits, 2, 2, /*band_mb=*/24,

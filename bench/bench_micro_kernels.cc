@@ -511,11 +511,6 @@ void WriteOptimizerJson(FILE* f) {
                                Lit(int64_t{9950})));
   };
   const auto run = [&](const char* mode, Config cfg) {
-    // This section compares eager-path source I/O across pass specs;
-    // under late materialization payload reads defer to decode time,
-    // where what they fetch depends on the consumer's selection (the
-    // selectivity section covers the late path with `bytes_materialized`).
-    std::erase(cfg.optimizer.chunk, optimizer::kPassLateMaterialization);
     core::Session session(std::move(cfg));
     // Two branches hand-written against separate reads of the same table —
     // the duplicate scan CSE exists to collapse. Both prune to the same

@@ -95,7 +95,7 @@ Config Config::Preset(EngineKind kind) {
       c.cpus_per_band = 1;  // pandas kernels hold the GIL
       c.dynamic_tiling = false;
       c.optimizer.tileable = {};
-      c.optimizer.chunk = {"late_materialization"};
+      c.optimizer.chunk = {};
       c.optimizer.subtask = {};
       c.reduce_policy = ReducePolicy::kTree;
       break;
@@ -103,7 +103,7 @@ Config Config::Preset(EngineKind kind) {
       // Static task graphs built ahead of execution; tree-reduce default
       // aggregations; no runtime metadata; no op fusion.
       c.dynamic_tiling = false;
-      c.optimizer.chunk = {"late_materialization"};
+      c.optimizer.chunk = {};
       c.reduce_policy = ReducePolicy::kTree;
       c.enable_spill = true;  // Dask workers spill to disk
       break;
@@ -114,7 +114,7 @@ Config Config::Preset(EngineKind kind) {
       // fusion stays on; it neither prunes columns nor fuses ops.
       c.dynamic_tiling = false;
       c.optimizer.tileable = {};
-      c.optimizer.chunk = {"late_materialization"};
+      c.optimizer.chunk = {};
       c.reduce_policy = ReducePolicy::kShuffle;
       c.enable_spill = false;
       break;
@@ -123,7 +123,7 @@ Config Config::Preset(EngineKind kind) {
       // pushes down; whole-stage fusion is comparable to graph fusion, so
       // keep it on; no op fusion; spill supported.
       c.dynamic_tiling = false;
-      c.optimizer.chunk = {"late_materialization"};
+      c.optimizer.chunk = {};
       c.reduce_policy = ReducePolicy::kShuffle;
       c.enable_spill = true;
       break;

@@ -55,9 +55,7 @@ enum class ReducePolicy { kAuto, kTree, kShuffle };
 struct OptimizerSpec {
   std::vector<std::string> tileable{"predicate_pushdown", "column_pruning",
                                     "dead_node_elim"};
-  /// Late materialization runs last: it rewrites the post-fusion kernels
-  /// and must see the closure's final consumer wiring.
-  std::vector<std::string> chunk{"op_fusion", "cse", "late_materialization"};
+  std::vector<std::string> chunk{"op_fusion", "cse"};
   std::vector<std::string> subtask{"graph_fusion"};
 };
 

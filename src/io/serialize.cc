@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <limits>
-#include <ostream>
-#include <sstream>
 #include <variant>
 
 #include "dataframe/dict.h"
+#include "io/byte_cursor.h"
 
 namespace xorbits::io {
 
@@ -21,118 +19,73 @@ using dataframe::DType;
 using dataframe::Index;
 using tensor::NDArray;
 
-// "XDF" v3: column payloads are tagged (inline vs back-reference) so that
-// views sharing one buffer window within a frame are written once and the
-// sharing is reconstructed on read (spill/restore keeps memory accounting
-// honest). A frame without internal sharing has exactly one inline payload
-// per column, so its bytes do not depend on how the columns were built.
-// v3 adds a physical-encoding byte to string columns: dictionary-encoded
-// columns persist their int32 codes plus the dictionary values (both as
-// payloads, so a dictionary shared across columns is written once and the
-// sharing — including the StringDict object — survives the round trip).
-// v2 frames (no encoding byte) remain readable.
-// v4 packs dictionary-code payloads to the narrowest of 1/2/4 bytes that
-// covers the code range and RLE-compresses runs when that is smaller —
-// the lightweight wire compression the pipelined exchange meters as
-// `shuffle_wire_bytes` (DESIGN.md §11). v2/v3 frames remain readable.
-constexpr uint32_t kDfMagicV2 = 0x58444602;
-constexpr uint32_t kDfMagicV3 = 0x58444603;
+// "XDF" v4, the only version written or read: frames live as long as the
+// process that spills them or the run that exchanges them, so no older
+// version is ever on disk or on the wire. Column payloads are tagged
+// (inline vs back-reference) so that views sharing one buffer window
+// within a frame are written once and the sharing is reconstructed on read
+// (spill/restore keeps memory accounting honest). A frame without internal
+// sharing has exactly one inline payload per column, so its bytes do not
+// depend on how the columns were built. String columns carry a
+// physical-encoding byte: dictionary-encoded columns persist their codes
+// plus the dictionary values (the values as a payload, so a dictionary
+// shared across columns is written once and the sharing — including the
+// StringDict object — survives the round trip). Code payloads pack to the
+// narrowest of 1/2/4 bytes that covers the code range and RLE-compress
+// runs when that is smaller — the lightweight wire compression the
+// pipelined exchange meters as `shuffle_wire_bytes` (DESIGN.md §11).
 constexpr uint32_t kDfMagic = 0x58444604;
 constexpr uint32_t kArrMagic = 0x58415201;  // "XAR" v1
 
 constexpr uint8_t kPayloadInline = 0;
 constexpr uint8_t kPayloadBackref = 1;
-constexpr uint8_t kPayloadPackedCodes = 2;  // v4, int32 dict codes only
+constexpr uint8_t kPayloadPackedCodes = 2;  // int32 dict codes only
 
 constexpr uint8_t kEncodingPlain = 0;
 constexpr uint8_t kEncodingDict = 1;
 
-template <typename T>
-void WritePod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+constexpr char kOverrun[] = "length prefix exceeds the bytes left";
+
+/// Fails unless `count` items of at least `width` bytes each fit in the
+/// bytes left, so a corrupt length prefix fails with IOError instead of
+/// attempting a huge allocation.
+Status CheckFits(const Cursor& in, uint64_t count, uint64_t width) {
+  if (in.Fits(count, width)) return Status::OK();
+  return Status::IOError(kOverrun);
 }
 
-/// A stream being decoded plus the count of bytes left in it. Every length
-/// prefix and element count is checked against `left` before anything is
-/// allocated, so corrupt input fails with IOError instead of attempting a
-/// huge allocation.
-struct Reader {
-  std::istream& is;
-  uint64_t left;
-
-  explicit Reader(std::istream& stream) : is(stream), left(0) {
-    const std::streampos pos = is.tellg();
-    if (pos < 0) return;  // unseekable: every sized read fails cleanly
-    is.seekg(0, std::ios::end);
-    const std::streampos end = is.tellg();
-    is.seekg(pos);
-    if (end > pos) left = static_cast<uint64_t>(end - pos);
-  }
-
-  /// Reads `n` raw bytes into `dst`.
-  Status Read(void* dst, uint64_t n) {
-    if (n > left) return Status::IOError("truncated stream");
-    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-    if (!is) return Status::IOError("truncated stream");
-    left -= n;
-    return Status::OK();
-  }
-
-  /// Fails unless `count` items of at least `min_bytes` each fit in the
-  /// bytes left.
-  Status CheckFits(uint64_t count, uint64_t min_bytes) const {
-    if (count > left / min_bytes) {
-      return Status::IOError("length prefix exceeds the bytes left");
-    }
-    return Status::OK();
-  }
-};
-
-template <typename T>
-Status ReadPod(Reader& in, T* v) {
-  return in.Read(v, sizeof(*v));
+void WriteString(std::string* out, const std::string& s) {
+  PutPod<uint64_t>(out, s.size());
+  out->append(s);
 }
 
-void WriteString(std::ostream& os, const std::string& s) {
-  WritePod<uint64_t>(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-Result<std::string> ReadString(Reader& in) {
+Result<std::string> ReadString(Cursor& in) {
   uint64_t len = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &len));
-  XORBITS_RETURN_NOT_OK(in.CheckFits(len, 1));
-  std::string s(len, '\0');
-  XORBITS_RETURN_NOT_OK(in.Read(s.data(), len));
-  return s;
+  XORBITS_RETURN_NOT_OK(in.Pod(&len));
+  XORBITS_ASSIGN_OR_RETURN(const char* at, in.Take(len, 1, kOverrun));
+  return std::string(at, len);
 }
 
 /// Writes a length-prefixed POD span directly from view memory — no
 /// intermediate vector materialization for sliced views.
 template <typename T>
-void WriteSpan(std::ostream& os, const T* data, uint64_t n) {
-  WritePod<uint64_t>(os, n);
-  os.write(reinterpret_cast<const char*>(data),
-           static_cast<std::streamsize>(n * sizeof(T)));
+void WriteSpan(std::string* out, const T* data, uint64_t n) {
+  PutPod<uint64_t>(out, n);
+  out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
 
-void WriteSpan(std::ostream& os, const std::string* data, uint64_t n) {
-  WritePod<uint64_t>(os, n);
-  for (uint64_t i = 0; i < n; ++i) WriteString(os, data[i]);
-}
-
-template <typename T>
-void WriteVec(std::ostream& os, const std::vector<T>& v) {
-  WriteSpan(os, v.data(), v.size());
+void WriteSpan(std::string* out, const std::string* data, uint64_t n) {
+  PutPod<uint64_t>(out, n);
+  for (uint64_t i = 0; i < n; ++i) WriteString(out, data[i]);
 }
 
 template <typename T>
-Result<std::vector<T>> ReadVec(Reader& in) {
+Result<std::vector<T>> ReadVec(Cursor& in) {
   uint64_t n = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
-  XORBITS_RETURN_NOT_OK(in.CheckFits(n, sizeof(T)));
+  XORBITS_RETURN_NOT_OK(in.Pod(&n));
+  XORBITS_ASSIGN_OR_RETURN(const char* at, in.Take(n, sizeof(T), kOverrun));
   std::vector<T> v(n);
-  XORBITS_RETURN_NOT_OK(in.Read(v.data(), n * sizeof(T)));
+  if (n > 0) std::memcpy(v.data(), at, n * sizeof(T));
   return v;
 }
 
@@ -179,38 +132,42 @@ struct ReadRegistry {
   }
 };
 
+/// Writes a back-reference when `v`'s buffer window is already in this
+/// frame (and returns true); otherwise registers the window.
 template <typename T>
-Status WritePayload(std::ostream& os, const BufferView<T>& v,
-                    WriteRegistry* reg) {
-  if (v.has_buffer() && !v.empty()) {
-    WriteRegistry::Key key{v.buffer_id(), v.offset(), v.ssize()};
-    const int64_t idx = reg->Find(key);
-    if (idx >= 0) {
-      WritePod<uint8_t>(os, kPayloadBackref);
-      WritePod<uint32_t>(os, static_cast<uint32_t>(idx));
-      return os ? Status::OK() : Status::IOError("write failed");
-    }
+bool WriteBackref(std::string* out, const BufferView<T>& v,
+                  WriteRegistry* reg) {
+  if (!v.has_buffer() || v.empty()) return false;
+  WriteRegistry::Key key{v.buffer_id(), v.offset(), v.ssize()};
+  const int64_t idx = reg->Find(key);
+  if (idx < 0) {
     reg->seen.push_back(key);
-    WritePod<uint8_t>(os, kPayloadInline);
-    WriteSpan(os, v.data(), v.size());
-    return os ? Status::OK() : Status::IOError("write failed");
+    return false;
   }
-  WritePod<uint8_t>(os, kPayloadInline);
-  WriteSpan(os, v.data(), v.size());
-  return os ? Status::OK() : Status::IOError("write failed");
+  PutPod<uint8_t>(out, kPayloadBackref);
+  PutPod<uint32_t>(out, static_cast<uint32_t>(idx));
+  return true;
 }
 
 template <typename T>
-Result<BufferView<T>> ReadInlinePayload(Reader& in) {
+void WritePayload(std::string* out, const BufferView<T>& v,
+                  WriteRegistry* reg) {
+  if (WriteBackref(out, v, reg)) return;
+  PutPod<uint8_t>(out, kPayloadInline);
+  WriteSpan(out, v.data(), v.size());
+}
+
+template <typename T>
+Result<BufferView<T>> ReadInlinePayload(Cursor& in) {
   XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<T>(in));
   return BufferView<T>(std::move(data));
 }
 
 template <>
-Result<BufferView<std::string>> ReadInlinePayload<std::string>(Reader& in) {
+Result<BufferView<std::string>> ReadInlinePayload<std::string>(Cursor& in) {
   uint64_t n = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
-  XORBITS_RETURN_NOT_OK(in.CheckFits(n, sizeof(uint64_t)));
+  XORBITS_RETURN_NOT_OK(in.Pod(&n));
+  XORBITS_RETURN_NOT_OK(CheckFits(in, n, sizeof(uint64_t)));
   std::vector<std::string> data;
   data.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -220,49 +177,45 @@ Result<BufferView<std::string>> ReadInlinePayload<std::string>(Reader& in) {
   return BufferView<std::string>(std::move(data));
 }
 
+/// Resolves a back-reference tag's payload index against this frame's
+/// earlier payloads.
 template <typename T>
-Result<BufferView<T>> ReadPayload(Reader& in, ReadRegistry* reg) {
-  uint8_t tag = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &tag));
-  if (tag == kPayloadBackref) {
-    uint32_t idx = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &idx));
-    if (idx >= reg->payloads.size()) {
-      return Status::IOError("payload back-reference out of range");
-    }
-    const auto* v = std::get_if<BufferView<T>>(&reg->payloads[idx]);
-    if (v == nullptr) {
-      return Status::IOError("payload back-reference type mismatch");
-    }
-    return *v;
+Result<BufferView<T>> ReadBackref(Cursor& in, const ReadRegistry& reg) {
+  uint32_t idx = 0;
+  XORBITS_RETURN_NOT_OK(in.Pod(&idx));
+  if (idx >= reg.payloads.size()) {
+    return Status::IOError("payload back-reference out of range");
   }
+  const auto* v = std::get_if<BufferView<T>>(&reg.payloads[idx]);
+  if (v == nullptr) {
+    return Status::IOError("payload back-reference type mismatch");
+  }
+  return *v;
+}
+
+template <typename T>
+Result<BufferView<T>> ReadPayload(Cursor& in, ReadRegistry* reg) {
+  uint8_t tag = 0;
+  XORBITS_RETURN_NOT_OK(in.Pod(&tag));
+  if (tag == kPayloadBackref) return ReadBackref<T>(in, *reg);
   if (tag != kPayloadInline) return Status::IOError("bad payload tag");
   XORBITS_ASSIGN_OR_RETURN(BufferView<T> v, ReadInlinePayload<T>(in));
   if (!v.empty()) reg->payloads.push_back(v);
   return v;
 }
 
-/// v4 dictionary-code payload: codes pack to the narrowest of 1/2/4 bytes
+/// Dictionary-code payload: codes pack to the narrowest of 1/2/4 bytes
 /// covering their range, plus RLE when `runs * (width + 4)` beats raw
 /// packing. Shares the back-reference registry with WritePayload, so a
 /// code buffer reused across columns is still written once. Negative codes
 /// (no current producer emits them) fall back to raw 4-byte packing so the
 /// format stays total.
-Status WritePackedCodes(std::ostream& os, const BufferView<int32_t>& v,
-                        WriteRegistry* reg) {
-  if (v.has_buffer() && !v.empty()) {
-    WriteRegistry::Key key{v.buffer_id(), v.offset(), v.ssize()};
-    const int64_t idx = reg->Find(key);
-    if (idx >= 0) {
-      WritePod<uint8_t>(os, kPayloadBackref);
-      WritePod<uint32_t>(os, static_cast<uint32_t>(idx));
-      return os ? Status::OK() : Status::IOError("write failed");
-    }
-    reg->seen.push_back(key);
-  }
-  WritePod<uint8_t>(os, kPayloadPackedCodes);
+void WritePackedCodes(std::string* out, const BufferView<int32_t>& v,
+                      WriteRegistry* reg) {
+  if (WriteBackref(out, v, reg)) return;
+  PutPod<uint8_t>(out, kPayloadPackedCodes);
   const int64_t n = v.ssize();
-  WritePod<uint64_t>(os, static_cast<uint64_t>(n));
+  PutPod<uint64_t>(out, static_cast<uint64_t>(n));
   int32_t max_code = 0;
   bool negative = false;
   int64_t run_count = n > 0 ? 1 : 0;
@@ -281,111 +234,83 @@ Status WritePackedCodes(std::ostream& os, const BufferView<int32_t>& v,
   }
   const bool rle =
       n > 0 && run_count * (width + 4) < n * static_cast<int64_t>(width);
-  WritePod<uint8_t>(os, width);
-  WritePod<uint8_t>(os, rle ? 1 : 0);
+  PutPod<uint8_t>(out, width);
+  PutPod<uint8_t>(out, rle ? 1 : 0);
+  // Little-endian: the low `width` bytes of a code are the code.
   auto write_code = [&](int32_t c) {
-    if (width == 1) {
-      WritePod<uint8_t>(os, static_cast<uint8_t>(c));
-    } else if (width == 2) {
-      WritePod<uint16_t>(os, static_cast<uint16_t>(c));
-    } else {
-      WritePod<int32_t>(os, c);
-    }
+    out->append(reinterpret_cast<const char*>(&c), width);
   };
   if (rle) {
-    WritePod<uint64_t>(os, static_cast<uint64_t>(run_count));
+    PutPod<uint64_t>(out, static_cast<uint64_t>(run_count));
     int64_t i = 0;
     while (i < n) {
       int64_t j = i;
       while (j < n && v[j] == v[i]) ++j;
       write_code(v[i]);
-      WritePod<uint32_t>(os, static_cast<uint32_t>(j - i));
+      PutPod<uint32_t>(out, static_cast<uint32_t>(j - i));
       i = j;
     }
   } else {
     for (int64_t i = 0; i < n; ++i) write_code(v[i]);
   }
-  return os ? Status::OK() : Status::IOError("write failed");
 }
 
 /// Reads a dictionary-code payload. `max_code` receives the largest code
 /// read as unsigned (a negative code reads as huge), so the caller can
 /// range-check the codes against their dictionary without another pass;
-/// back-references and inline payloads report UINT32_MAX (unknown).
-Result<BufferView<int32_t>> ReadPackedCodes(Reader& in, ReadRegistry* reg,
+/// a back-reference reports UINT32_MAX (unknown).
+Result<BufferView<int32_t>> ReadPackedCodes(Cursor& in, ReadRegistry* reg,
                                             uint32_t* max_code) {
   *max_code = std::numeric_limits<uint32_t>::max();
   uint8_t tag = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &tag));
-  if (tag == kPayloadBackref) {
-    uint32_t idx = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &idx));
-    if (idx >= reg->payloads.size()) {
-      return Status::IOError("payload back-reference out of range");
-    }
-    const auto* v = std::get_if<BufferView<int32_t>>(&reg->payloads[idx]);
-    if (v == nullptr) {
-      return Status::IOError("payload back-reference type mismatch");
-    }
-    return *v;
-  }
-  if (tag == kPayloadInline) {  // not emitted by the v4 writer; accepted
-    XORBITS_ASSIGN_OR_RETURN(auto v, ReadInlinePayload<int32_t>(in));
-    if (!v.empty()) reg->payloads.push_back(v);
-    return v;
-  }
+  XORBITS_RETURN_NOT_OK(in.Pod(&tag));
+  if (tag == kPayloadBackref) return ReadBackref<int32_t>(in, *reg);
   if (tag != kPayloadPackedCodes) return Status::IOError("bad payload tag");
   uint64_t n = 0;
   uint8_t width = 0, rle = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &width));
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &rle));
+  XORBITS_RETURN_NOT_OK(in.Pod(&n));
+  XORBITS_RETURN_NOT_OK(in.Pod(&width));
+  XORBITS_RETURN_NOT_OK(in.Pod(&rle));
   if (width != 1 && width != 2 && width != 4) {
     return Status::IOError("bad packed-code width");
   }
-  auto read_code = [&](int32_t* c) -> Status {
-    if (width == 1) {
-      uint8_t b = 0;
-      XORBITS_RETURN_NOT_OK(ReadPod(in, &b));
-      *c = b;
-    } else if (width == 2) {
-      uint16_t b = 0;
-      XORBITS_RETURN_NOT_OK(ReadPod(in, &b));
-      *c = b;
-    } else {
-      XORBITS_RETURN_NOT_OK(ReadPod(in, c));
-    }
-    return Status::OK();
+  // Little-endian: a code's `width` bytes are its low bytes.
+  auto code_at = [width](const char* p) {
+    uint32_t c = 0;
+    std::memcpy(&c, p, width);
+    return static_cast<int32_t>(c);
   };
   uint32_t hi = 0;
   BufferView<int32_t> out;
   if (rle) {
-    // Run headers are read (and their lengths summed against `n`) before
-    // the expansion is allocated: RLE output may legitimately exceed the
-    // bytes left, so `n` cannot be checked against them.
+    // Run headers are checked (and their lengths summed against `n`)
+    // before the expansion is allocated: RLE output may legitimately exceed
+    // the bytes left, so `n` cannot be checked against them.
     uint64_t runs = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &runs));
-    XORBITS_RETURN_NOT_OK(in.CheckFits(runs, width + sizeof(uint32_t)));
-    std::vector<std::pair<int32_t, uint32_t>> run_list(runs);
+    XORBITS_RETURN_NOT_OK(in.Pod(&runs));
+    const uint64_t stride = width + sizeof(uint32_t);
+    XORBITS_ASSIGN_OR_RETURN(const char* p, in.Take(runs, stride, kOverrun));
     uint64_t total = 0;
-    for (auto& [c, len] : run_list) {
-      XORBITS_RETURN_NOT_OK(read_code(&c));
-      XORBITS_RETURN_NOT_OK(ReadPod(in, &len));
+    for (uint64_t r = 0; r < runs; ++r) {
+      uint32_t len = 0;
+      std::memcpy(&len, p + r * stride + width, sizeof(len));
       total += len;
       if (total > n) return Status::IOError("packed-code run overflow");
-      hi = std::max(hi, static_cast<uint32_t>(c));
+      hi = std::max(hi, static_cast<uint32_t>(code_at(p + r * stride)));
     }
     if (total != n) return Status::IOError("packed-code run underflow");
     out.Reserve(static_cast<int64_t>(n));
-    for (const auto& [c, len] : run_list) {
+    for (uint64_t r = 0; r < runs; ++r) {
+      const int32_t c = code_at(p + r * stride);
+      uint32_t len = 0;
+      std::memcpy(&len, p + r * stride + width, sizeof(len));
       for (uint32_t k = 0; k < len; ++k) out.AppendValue(c);
     }
   } else {
-    XORBITS_RETURN_NOT_OK(in.CheckFits(n, width));
+    XORBITS_ASSIGN_OR_RETURN(const char* p, in.Take(n, width, kOverrun));
     out.Reserve(static_cast<int64_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
-      int32_t c = 0;
-      XORBITS_RETURN_NOT_OK(read_code(&c));
+      const int32_t c = code_at(p + i * width);
       hi = std::max(hi, static_cast<uint32_t>(c));
       out.AppendValue(c);
     }
@@ -395,41 +320,37 @@ Result<BufferView<int32_t>> ReadPackedCodes(Reader& in, ReadRegistry* reg,
   return out;
 }
 
-Status WriteColumn(std::ostream& os, const Column& c, WriteRegistry* reg) {
-  WritePod<uint8_t>(os, static_cast<uint8_t>(c.dtype()));
-  WritePod<uint8_t>(os, c.has_validity() ? 1 : 0);
-  if (c.has_validity()) {
-    XORBITS_RETURN_NOT_OK(WritePayload(os, c.validity(), reg));
-  }
+void WriteColumn(std::string* out, const Column& c, WriteRegistry* reg) {
+  PutPod<uint8_t>(out, static_cast<uint8_t>(c.dtype()));
+  PutPod<uint8_t>(out, c.has_validity() ? 1 : 0);
+  if (c.has_validity()) WritePayload(out, c.validity(), reg);
   switch (c.dtype()) {
     case DType::kInt64:
-      XORBITS_RETURN_NOT_OK(WritePayload(os, c.int64_data(), reg));
+      WritePayload(out, c.int64_data(), reg);
       break;
     case DType::kFloat64:
-      XORBITS_RETURN_NOT_OK(WritePayload(os, c.float64_data(), reg));
+      WritePayload(out, c.float64_data(), reg);
       break;
     case DType::kBool:
-      XORBITS_RETURN_NOT_OK(WritePayload(os, c.bool_data(), reg));
+      WritePayload(out, c.bool_data(), reg);
       break;
     case DType::kString:
       if (c.is_dict()) {
-        WritePod<uint8_t>(os, kEncodingDict);
-        XORBITS_RETURN_NOT_OK(WritePackedCodes(os, c.dict_codes(), reg));
-        XORBITS_RETURN_NOT_OK(WritePayload(os, c.dict()->values(), reg));
+        PutPod<uint8_t>(out, kEncodingDict);
+        WritePackedCodes(out, c.dict_codes(), reg);
+        WritePayload(out, c.dict()->values(), reg);
       } else {
-        WritePod<uint8_t>(os, kEncodingPlain);
-        XORBITS_RETURN_NOT_OK(WritePayload(os, c.string_data(), reg));
+        PutPod<uint8_t>(out, kEncodingPlain);
+        WritePayload(out, c.string_data(), reg);
       }
       break;
   }
-  if (!os) return Status::IOError("write failed");
-  return Status::OK();
 }
 
-Result<Column> ReadColumn(Reader& in, ReadRegistry* reg, uint32_t version) {
+Result<Column> ReadColumn(Cursor& in, ReadRegistry* reg) {
   uint8_t dtype_raw = 0, has_validity = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &dtype_raw));
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &has_validity));
+  XORBITS_RETURN_NOT_OK(in.Pod(&dtype_raw));
+  XORBITS_RETURN_NOT_OK(in.Pod(&has_validity));
   if (dtype_raw > static_cast<uint8_t>(DType::kBool)) {
     return Status::IOError("bad dtype tag");
   }
@@ -458,15 +379,11 @@ Result<Column> ReadColumn(Reader& in, ReadRegistry* reg, uint32_t version) {
       break;
     }
     case DType::kString: {
-      uint8_t encoding = kEncodingPlain;
-      if (version >= 3) XORBITS_RETURN_NOT_OK(ReadPod(in, &encoding));
+      uint8_t encoding = 0;
+      XORBITS_RETURN_NOT_OK(in.Pod(&encoding));
       if (encoding == kEncodingDict) {
-        BufferView<int32_t> codes;
-        if (version >= 4) {
-          XORBITS_ASSIGN_OR_RETURN(codes, ReadPackedCodes(in, reg, &max_code));
-        } else {
-          XORBITS_ASSIGN_OR_RETURN(codes, ReadPayload<int32_t>(in, reg));
-        }
+        XORBITS_ASSIGN_OR_RETURN(auto codes,
+                                 ReadPackedCodes(in, reg, &max_code));
         XORBITS_ASSIGN_OR_RETURN(auto values,
                                  ReadPayload<std::string>(in, reg));
         col = Column::Dictionary(std::move(codes), reg->DictFor(values),
@@ -496,92 +413,93 @@ Result<Column> ReadColumn(Reader& in, ReadRegistry* reg, uint32_t version) {
 
 }  // namespace
 
-Status WriteDataFrame(std::ostream& os, const DataFrame& df) {
-  // Serialization is a forcing point (DESIGN.md §10): the stream format is
-  // dense, so every lazy slot resolves through the frame's selection below
-  // (the per-column reads) — meter the event. The frame itself stays lazy;
+void AppendDataFrame(const DataFrame& df, std::string* out) {
+  // Serialization is a forcing point (DESIGN.md §10): the format is dense,
+  // so every lazy slot resolves through the frame's selection below (the
+  // per-column reads) — meter the event. The frame itself stays lazy;
   // resolved cells are cached for other consumers.
   if (df.is_lazy()) {
     ChargeScoped(CounterId::kSelectionsForced);
   }
-  WritePod(os, kDfMagic);
-  WritePod<uint32_t>(os, static_cast<uint32_t>(df.num_columns()));
+  PutPod(out, kDfMagic);
+  PutPod<uint32_t>(out, static_cast<uint32_t>(df.num_columns()));
   WriteRegistry reg;
   for (int i = 0; i < df.num_columns(); ++i) {
-    WriteString(os, df.column_name(i));
-    XORBITS_RETURN_NOT_OK(WriteColumn(os, df.column(i), &reg));
+    WriteString(out, df.column_name(i));
+    WriteColumn(out, df.column(i), &reg);
   }
-  // Index: 0 = range(start), 1 = raw int64 labels, 2 = width-packed labels
-  // (v4). Shuffle partitions carry row-position labels whose span is far
+  // Index: 0 = range(start), 1 = raw int64 labels, 2 = width-packed labels.
+  // Shuffle partitions carry row-position labels whose span is far
   // narrower than int64, so pack them as offsets from their minimum in the
   // narrowest of 1/2/4 bytes — this is most of the `shuffle_wire_bytes`
   // saving on frames whose columns are already dictionary-packed.
   const Index& idx = df.index();
   if (idx.is_range()) {
-    WritePod<uint8_t>(os, 0);
-    WritePod<int64_t>(os, idx.range_start());
-    WritePod<int64_t>(os, idx.range_start() + idx.length());
-  } else {
-    std::vector<int64_t> labels(idx.length());
-    for (int64_t i = 0; i < idx.length(); ++i) labels[i] = idx.Label(i);
-    int64_t lo = 0;
-    uint64_t span = 0;
-    if (!labels.empty()) {
-      auto [mn, mx] = std::minmax_element(labels.begin(), labels.end());
-      lo = *mn;
-      span = static_cast<uint64_t>(*mx) - static_cast<uint64_t>(lo);
-    }
-    const uint8_t width = span < (1ull << 8)    ? 1
-                          : span < (1ull << 16) ? 2
-                          : span < (1ull << 32) ? 4
-                                                : 8;
-    if (labels.empty() || width == 8) {
-      WritePod<uint8_t>(os, 1);
-      WriteVec(os, labels);
-    } else {
-      WritePod<uint8_t>(os, 2);
-      WritePod<int64_t>(os, lo);
-      WritePod<uint64_t>(os, labels.size());
-      WritePod<uint8_t>(os, width);
-      for (int64_t v : labels) {
-        const uint64_t d = static_cast<uint64_t>(v) - static_cast<uint64_t>(lo);
-        os.write(reinterpret_cast<const char*>(&d), width);
-      }
-    }
+    PutPod<uint8_t>(out, 0);
+    PutPod<int64_t>(out, idx.range_start());
+    PutPod<int64_t>(out, idx.range_start() + idx.length());
+    return;
   }
-  if (!os) return Status::IOError("write failed");
-  return Status::OK();
+  std::vector<int64_t> labels(idx.length());
+  for (int64_t i = 0; i < idx.length(); ++i) labels[i] = idx.Label(i);
+  int64_t lo = 0;
+  uint64_t span = 0;
+  if (!labels.empty()) {
+    auto [mn, mx] = std::minmax_element(labels.begin(), labels.end());
+    lo = *mn;
+    span = static_cast<uint64_t>(*mx) - static_cast<uint64_t>(lo);
+  }
+  const uint8_t width = span < (1ull << 8)    ? 1
+                        : span < (1ull << 16) ? 2
+                        : span < (1ull << 32) ? 4
+                                              : 8;
+  if (labels.empty() || width == 8) {
+    PutPod<uint8_t>(out, 1);
+    WriteSpan(out, labels.data(), labels.size());
+    return;
+  }
+  PutPod<uint8_t>(out, 2);
+  PutPod<int64_t>(out, lo);
+  PutPod<uint64_t>(out, labels.size());
+  PutPod<uint8_t>(out, width);
+  for (int64_t v : labels) {
+    const uint64_t d = static_cast<uint64_t>(v) - static_cast<uint64_t>(lo);
+    out->append(reinterpret_cast<const char*>(&d), width);
+  }
 }
 
-Result<DataFrame> ReadDataFrame(std::istream& is) {
-  Reader in(is);
+Result<std::string> SerializeDataFrame(const DataFrame& df) {
+  std::string out;
+  AppendDataFrame(df, &out);
+  return out;
+}
+
+Result<DataFrame> DeserializeDataFrame(std::string_view buf) {
+  Cursor in(buf);
   uint32_t magic = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &magic));
-  if (magic != kDfMagic && magic != kDfMagicV3 && magic != kDfMagicV2) {
-    return Status::IOError("bad dataframe magic");
-  }
-  const uint32_t version = magic & 0xff;
+  XORBITS_RETURN_NOT_OK(in.Pod(&magic));
+  if (magic != kDfMagic) return Status::IOError("bad dataframe magic");
   uint32_t ncols = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &ncols));
-  XORBITS_RETURN_NOT_OK(in.CheckFits(ncols, sizeof(uint64_t)));
+  XORBITS_RETURN_NOT_OK(in.Pod(&ncols));
+  XORBITS_RETURN_NOT_OK(CheckFits(in, ncols, sizeof(uint64_t)));
   ReadRegistry reg;
   std::vector<std::string> names;
   std::vector<Column> cols;
   for (uint32_t i = 0; i < ncols; ++i) {
     XORBITS_ASSIGN_OR_RETURN(std::string name, ReadString(in));
-    XORBITS_ASSIGN_OR_RETURN(Column c, ReadColumn(in, &reg, version));
+    XORBITS_ASSIGN_OR_RETURN(Column c, ReadColumn(in, &reg));
     names.push_back(std::move(name));
     cols.push_back(std::move(c));
   }
   XORBITS_ASSIGN_OR_RETURN(DataFrame df,
                            DataFrame::Make(std::move(names), std::move(cols)));
   uint8_t index_kind = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &index_kind));
+  XORBITS_RETURN_NOT_OK(in.Pod(&index_kind));
   Index index;
   if (index_kind == 0) {
     int64_t start = 0, stop = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &start));
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &stop));
+    XORBITS_RETURN_NOT_OK(in.Pod(&start));
+    XORBITS_RETURN_NOT_OK(in.Pod(&stop));
     int64_t length = 0;
     if (__builtin_sub_overflow(stop, start, &length) || length < 0) {
       return Status::IOError("bad range index");
@@ -590,21 +508,21 @@ Result<DataFrame> ReadDataFrame(std::istream& is) {
   } else if (index_kind == 1) {
     XORBITS_ASSIGN_OR_RETURN(auto labels, ReadVec<int64_t>(in));
     index = Index::Labels(std::move(labels));
-  } else if (index_kind == 2 && version >= 4) {
+  } else if (index_kind == 2) {
     int64_t lo = 0;
     uint64_t n = 0;
     uint8_t width = 0;
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &lo));
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &n));
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &width));
+    XORBITS_RETURN_NOT_OK(in.Pod(&lo));
+    XORBITS_RETURN_NOT_OK(in.Pod(&n));
+    XORBITS_RETURN_NOT_OK(in.Pod(&width));
     if (width != 1 && width != 2 && width != 4) {
       return Status::IOError("bad packed-index width");
     }
-    XORBITS_RETURN_NOT_OK(in.CheckFits(n, width));
+    XORBITS_ASSIGN_OR_RETURN(const char* p, in.Take(n, width, kOverrun));
     std::vector<int64_t> labels(n);
     for (uint64_t i = 0; i < n; ++i) {
       uint64_t d = 0;
-      XORBITS_RETURN_NOT_OK(in.Read(&d, width));
+      std::memcpy(&d, p + i * width, width);
       labels[i] = static_cast<int64_t>(static_cast<uint64_t>(lo) + d);
     }
     index = Index::Labels(std::move(labels));
@@ -618,51 +536,33 @@ Result<DataFrame> ReadDataFrame(std::istream& is) {
   return df;
 }
 
-Status WriteNDArray(std::ostream& os, const NDArray& a) {
-  WritePod(os, kArrMagic);
-  WritePod<uint32_t>(os, static_cast<uint32_t>(a.ndim()));
-  for (int64_t d : a.shape()) WritePod<int64_t>(os, d);
-  WriteSpan(os, a.data().data(), a.data().size());
-  if (!os) return Status::IOError("write failed");
-  return Status::OK();
-}
-
-Result<NDArray> ReadNDArray(std::istream& is) {
-  Reader in(is);
-  uint32_t magic = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &magic));
-  if (magic != kArrMagic) return Status::IOError("bad ndarray magic");
-  uint32_t ndim = 0;
-  XORBITS_RETURN_NOT_OK(ReadPod(in, &ndim));
-  XORBITS_RETURN_NOT_OK(in.CheckFits(ndim, sizeof(int64_t)));
-  std::vector<int64_t> shape(ndim);
-  for (uint32_t i = 0; i < ndim; ++i) {
-    XORBITS_RETURN_NOT_OK(ReadPod(in, &shape[i]));
-  }
-  XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<double>(in));
-  return NDArray::Make(std::move(data), std::move(shape));
-}
-
-Result<std::string> SerializeDataFrame(const DataFrame& df) {
-  std::ostringstream os;
-  XORBITS_RETURN_NOT_OK(WriteDataFrame(os, df));
-  return os.str();
-}
-
-Result<DataFrame> DeserializeDataFrame(const std::string& buf) {
-  std::istringstream is(buf);
-  return ReadDataFrame(is);
+void AppendNDArray(const NDArray& a, std::string* out) {
+  PutPod(out, kArrMagic);
+  PutPod<uint32_t>(out, static_cast<uint32_t>(a.ndim()));
+  for (int64_t d : a.shape()) PutPod<int64_t>(out, d);
+  WriteSpan(out, a.data().data(), a.data().size());
 }
 
 Result<std::string> SerializeNDArray(const NDArray& a) {
-  std::ostringstream os;
-  XORBITS_RETURN_NOT_OK(WriteNDArray(os, a));
-  return os.str();
+  std::string out;
+  AppendNDArray(a, &out);
+  return out;
 }
 
-Result<NDArray> DeserializeNDArray(const std::string& buf) {
-  std::istringstream is(buf);
-  return ReadNDArray(is);
+Result<NDArray> DeserializeNDArray(std::string_view buf) {
+  Cursor in(buf);
+  uint32_t magic = 0;
+  XORBITS_RETURN_NOT_OK(in.Pod(&magic));
+  if (magic != kArrMagic) return Status::IOError("bad ndarray magic");
+  uint32_t ndim = 0;
+  XORBITS_RETURN_NOT_OK(in.Pod(&ndim));
+  XORBITS_RETURN_NOT_OK(CheckFits(in, ndim, sizeof(int64_t)));
+  std::vector<int64_t> shape(ndim);
+  for (uint32_t i = 0; i < ndim; ++i) {
+    XORBITS_RETURN_NOT_OK(in.Pod(&shape[i]));
+  }
+  XORBITS_ASSIGN_OR_RETURN(auto data, ReadVec<double>(in));
+  return NDArray::Make(std::move(data), std::move(shape));
 }
 
 }  // namespace xorbits::io

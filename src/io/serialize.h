@@ -1,8 +1,8 @@
 #ifndef XORBITS_IO_SERIALIZE_H_
 #define XORBITS_IO_SERIALIZE_H_
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "dataframe/dataframe.h"
@@ -13,16 +13,16 @@ namespace xorbits::io {
 /// Binary (de)serialization of chunk payloads. Used by the storage service
 /// for disk spill and by the simulated network path (a chunk crossing bands
 /// is serialized, byte-counted, and deserialized on the receiving side).
-Status WriteDataFrame(std::ostream& os, const dataframe::DataFrame& df);
-Result<dataframe::DataFrame> ReadDataFrame(std::istream& is);
-
-Status WriteNDArray(std::ostream& os, const tensor::NDArray& a);
-Result<tensor::NDArray> ReadNDArray(std::istream& is);
-
+/// Readers check every length prefix and range and return IOError on
+/// malformed input.
 Result<std::string> SerializeDataFrame(const dataframe::DataFrame& df);
-Result<dataframe::DataFrame> DeserializeDataFrame(const std::string& buf);
+Result<dataframe::DataFrame> DeserializeDataFrame(std::string_view buf);
 Result<std::string> SerializeNDArray(const tensor::NDArray& a);
-Result<tensor::NDArray> DeserializeNDArray(const std::string& buf);
+Result<tensor::NDArray> DeserializeNDArray(std::string_view buf);
+
+/// The Serialize* bytes appended to `out`, for callers that frame them.
+void AppendDataFrame(const dataframe::DataFrame& df, std::string* out);
+void AppendNDArray(const tensor::NDArray& a, std::string* out);
 
 }  // namespace xorbits::io
 

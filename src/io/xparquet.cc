@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "dataframe/dict.h"
+#include "io/byte_cursor.h"
 
 namespace xorbits::io {
 
@@ -28,16 +29,6 @@ constexpr uint32_t kMagic = 0x58505134;  // "XPQ4"
 constexpr int64_t kDictRowsPerValue = 2;
 
 template <typename T>
-void PutPod(std::string* out, const T& v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  PutPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-template <typename T>
 void PutRaw(std::string* out, const T* data, int64_t n) {
   out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
@@ -47,46 +38,6 @@ uint32_t LoadU32(const char* p) {
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
-
-/// Bounds-checked reader over an in-memory column chunk or footer: every
-/// length prefix and row count is checked against the bytes left before
-/// anything is allocated or copied, so corrupt files fail with IOError.
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  explicit Cursor(const std::string& bytes)
-      : p(bytes.data()), end(bytes.data() + bytes.size()) {}
-
-  /// True when `count` items of `width` bytes each fit in the bytes left.
-  bool Fits(int64_t count, int64_t width) const {
-    return count >= 0 && count <= (end - p) / width;
-  }
-
-  /// Start of the next `count` items of `width` bytes; skips past them.
-  Result<const char*> Take(int64_t count, int64_t width, const char* what) {
-    if (!Fits(count, width)) return Status::IOError(what);
-    const char* at = p;
-    p += count * width;
-    return at;
-  }
-
-  template <typename T>
-  Status Pod(T* v) {
-    XORBITS_ASSIGN_OR_RETURN(const char* at,
-                             Take(1, sizeof(T), "truncated xparquet data"));
-    std::memcpy(v, at, sizeof(T));
-    return Status::OK();
-  }
-
-  /// A length-prefixed string, viewed in place.
-  Result<std::string_view> Str() {
-    uint32_t len = 0;
-    XORBITS_RETURN_NOT_OK(Pod(&len));
-    XORBITS_ASSIGN_OR_RETURN(const char* at, Take(len, 1, "truncated string"));
-    return std::string_view(at, len);
-  }
-};
 
 /// The encoding `WriteXpq` gives column `c`: dictionary pages for a string
 /// column with few distinct non-null values, plain pages otherwise.

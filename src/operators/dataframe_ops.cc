@@ -14,34 +14,6 @@ using graph::TileableNode;
 // --- chunk kernels ---
 
 Status EvalChunkOp::Execute(ExecutionContext& ctx) const {
-  if (late_) return ExecuteLate(ctx);
-  XORBITS_ASSIGN_OR_RETURN(const DataFrame* in,
-                           services::AsDataFrame(ctx.inputs[0]));
-  DataFrame df = *in;
-  for (const auto& a : assignments_) {
-    XORBITS_ASSIGN_OR_RETURN(dataframe::Column col, EvalExpr(df, *a.expr));
-    XORBITS_RETURN_NOT_OK(df.SetColumn(a.name, std::move(col)));
-  }
-  if (filter_) {
-    XORBITS_ASSIGN_OR_RETURN(dataframe::Column mask, EvalExpr(df, *filter_));
-    XORBITS_ASSIGN_OR_RETURN(df, dataframe::Filter(df, mask));
-  }
-  if (!projection_.empty()) {
-    // The projection list is validated against the full schema when the
-    // graph is built; column pruning may since have narrowed what this
-    // chunk's input delivers (a rename projects its whole schema, but only
-    // the pruned subset arrives). Project what the optimized plan provides.
-    std::vector<std::string> cols;
-    for (const auto& c : projection_) {
-      if (df.HasColumn(c)) cols.push_back(c);
-    }
-    XORBITS_ASSIGN_OR_RETURN(df, df.Select(cols));
-  }
-  ctx.outputs[0] = services::MakeChunk(std::move(df));
-  return Status::OK();
-}
-
-Status EvalChunkOp::ExecuteLate(ExecutionContext& ctx) const {
   XORBITS_ASSIGN_OR_RETURN(const DataFrame* in,
                            services::AsDataFrame(ctx.inputs[0]));
   DataFrame df = *in;
@@ -66,6 +38,10 @@ Status EvalChunkOp::ExecuteLate(ExecutionContext& ctx) const {
     XORBITS_ASSIGN_OR_RETURN(df, dataframe::FilterLate(df, mask));
   }
   if (!projection_.empty()) {
+    // The projection list is validated against the full schema when the
+    // graph is built; column pruning may since have narrowed what this
+    // chunk's input delivers (a rename projects its whole schema, but only
+    // the pruned subset arrives). Project what the optimized plan provides.
     std::vector<std::string> cols;
     for (const auto& c : projection_) {
       if (df.HasColumn(c)) cols.push_back(c);
@@ -74,13 +50,6 @@ Status EvalChunkOp::ExecuteLate(ExecutionContext& ctx) const {
   }
   ctx.outputs[0] = services::MakeChunk(std::move(df));
   return Status::OK();
-}
-
-std::shared_ptr<ChunkOp> EvalChunkOp::WithLateMaterialization() const {
-  auto copy =
-      std::make_shared<EvalChunkOp>(assignments_, filter_, projection_);
-  copy->late_ = true;
-  return copy;
 }
 
 std::optional<std::string> EvalChunkOp::CseSignature() const {

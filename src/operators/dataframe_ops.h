@@ -22,7 +22,9 @@ struct Assignment {
 /// Elementwise chunk kernel: applies assignments, then an optional filter
 /// predicate, then an optional projection — one fused pass. Operator-level
 /// fusion merges chains of Eval/Filter/Projection chunk ops into a single
-/// instance of this class (the numexpr analogue).
+/// instance of this class (the numexpr analogue). The output is lazy
+/// (DESIGN.md §10): assignments become deferred ExprSources and the filter
+/// composes a pending selection instead of compacting.
 class EvalChunkOp : public ChunkOp {
  public:
   EvalChunkOp(std::vector<Assignment> assignments, ExprPtr filter,
@@ -37,19 +39,11 @@ class EvalChunkOp : public ChunkOp {
   const ExprPtr& filter() const { return filter_; }
   const std::vector<std::string>& projection() const { return projection_; }
   std::optional<std::string> CseSignature() const override;
-  /// Late variant: assignments become deferred ExprSources and the filter
-  /// composes a pending selection instead of compacting. `late_` is a
-  /// physical flag only — Cse/Cache signatures deliberately ignore it.
-  std::shared_ptr<ChunkOp> WithLateMaterialization() const override;
 
  private:
-  Status ExecuteLate(ExecutionContext& ctx) const;
-
   std::vector<Assignment> assignments_;
   ExprPtr filter_;  // may be null
   std::vector<std::string> projection_;  // empty => keep all
-  /// Emit a lazy frame (see WithLateMaterialization).
-  bool late_ = false;
 };
 
 /// Contiguous row slice of a chunk.
@@ -77,7 +71,6 @@ class ConcatChunkOp : public ChunkOp {
   std::optional<std::string> CseSignature() const override {
     return "concat";
   }
-  bool ForcesDenseInput() const override { return true; }
 };
 
 /// Whole-chunk sort.
@@ -87,7 +80,6 @@ class SortChunkOp : public ChunkOp {
       : by_(std::move(by)), ascending_(std::move(ascending)) {}
   const char* type_name() const override { return "Sort"; }
   Status Execute(ExecutionContext& ctx) const override;
-  bool ForcesDenseInput() const override { return true; }
   std::optional<std::string> CseSignature() const override {
     std::string sig = "sort|";
     for (const auto& k : by_) {
@@ -112,7 +104,6 @@ class DedupChunkOp : public ChunkOp {
       : subset_(std::move(subset)) {}
   const char* type_name() const override { return "DropDuplicates"; }
   Status Execute(ExecutionContext& ctx) const override;
-  bool ForcesDenseInput() const override { return true; }
   std::optional<std::string> CseSignature() const override {
     std::string sig = "dedup|";
     for (const auto& k : subset_) {
@@ -134,7 +125,6 @@ class QuantileBoundariesChunkOp : public ChunkOp {
       : key_(std::move(key)), partitions_(partitions), ascending_(ascending) {}
   const char* type_name() const override { return "SortSample"; }
   Status Execute(ExecutionContext& ctx) const override;
-  bool ForcesDenseInput() const override { return true; }
 
  private:
   std::string key_;
@@ -151,7 +141,6 @@ class RangePartitionChunkOp : public ChunkOp {
   const char* type_name() const override { return "RangePartition"; }
   bool fusible() const override { return false; }
   bool is_shuffle_map() const override { return true; }
-  bool ForcesDenseInput() const override { return true; }
   Status Execute(ExecutionContext& ctx) const override;
 
  private:
@@ -173,7 +162,6 @@ class SortMergeChunkOp : public ChunkOp {
   std::vector<std::string> InputKeys(
       const graph::ChunkNode& node) const override;
   Status Execute(ExecutionContext& ctx) const override;
-  bool ForcesDenseInput() const override { return true; }
 
  private:
   int partition_;

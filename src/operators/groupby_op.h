@@ -64,8 +64,6 @@ class HashPartitionChunkOp : public ChunkOp {
   const char* type_name() const override { return "HashPartition"; }
   bool fusible() const override { return false; }
   bool is_shuffle_map() const override { return true; }
-  /// Partitioning gathers whole rows into per-bucket frames.
-  bool ForcesDenseInput() const override { return true; }
   Status Execute(ExecutionContext& ctx) const override;
 
  private:

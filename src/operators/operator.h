@@ -95,19 +95,6 @@ class ChunkOp : public graph::OperatorBase {
   virtual std::optional<std::string> CacheSourceTag() const {
     return std::nullopt;
   }
-  /// Late-materialization rewrite hook (DESIGN.md §10): a copy of this op
-  /// that emits selection-carrying / lazily-sourced frames instead of dense
-  /// ones, or nullptr when the op has no late variant. The rewrite is
-  /// physical only — the logical output is identical — so Cse/Cache
-  /// signatures of the late copy must not change.
-  virtual std::shared_ptr<ChunkOp> WithLateMaterialization() const {
-    return nullptr;
-  }
-  /// True when this op's kernel genuinely needs dense input frames (it
-  /// reorders or repartitions whole rows: sort, concat, shuffle partition,
-  /// file write). The optimizer keeps producers eager when every consumer
-  /// forces density anyway — the deferral would be pure overhead.
-  virtual bool ForcesDenseInput() const { return false; }
 };
 
 /// What a tile coroutine hands to the driver when it needs metadata: run

@@ -31,23 +31,6 @@ void SetPlannedMeta(ChunkNode* chunk, int64_t rows, int64_t cols,
   chunk->meta.chunk_row = chunk_row;
 }
 
-/// Empty column of the given dtype — what an all-false Filter leaves behind
-/// (no data, no validity), so skipped payload blocks stay byte-identical.
-dataframe::Column EmptyColumn(dataframe::DType dtype) {
-  using dataframe::Column;
-  switch (dtype) {
-    case DType::kInt64:
-      return Column::Int64({});
-    case DType::kFloat64:
-      return Column::Float64({});
-    case DType::kBool:
-      return Column::Bool({});
-    case DType::kString:
-      return Column::String({});
-  }
-  return Column::Int64({});
-}
-
 /// File-version suffix for source cache signatures: mtime + size, so a
 /// rewritten input file hashes to a fresh cache key (DESIGN.md §9).
 /// nullopt when the file cannot be stat'ed — an unverifiable source must
@@ -60,19 +43,6 @@ std::optional<std::string> FileVersionTag(const std::string& path) {
   if (ec) return std::nullopt;
   return "|v=" + std::to_string(mtime.time_since_epoch().count()) + ":" +
          std::to_string(static_cast<int64_t>(size));
-}
-
-/// Rows the mask actually keeps (true and valid), mirroring
-/// dataframe::Filter's effective-mask rule.
-int64_t CountMatches(const dataframe::Column& mask) {
-  const auto& data = mask.bool_data();
-  int64_t matches = 0;
-  for (int64_t i = 0; i < mask.length(); ++i) {
-    if (data[i] != 0 && (!mask.has_validity() || mask.validity()[i])) {
-      ++matches;
-    }
-  }
-  return matches;
 }
 
 /// SplitRows spans with each boundary moved to the nearest row-group start,
@@ -107,172 +77,44 @@ std::vector<std::pair<int64_t, int64_t>> SplitRowsAtGroups(
 }  // namespace
 
 Status ReadXpqChunkOp::Execute(ExecutionContext& ctx) const {
-  if (late_) return ExecuteLate(ctx);
-  int64_t bytes = 0;
-  if (filter_ == nullptr) {
-    XORBITS_ASSIGN_OR_RETURN(
-        DataFrame df, io::ReadXpq(path_, columns_, row_offset_, row_count_,
-                                  &bytes, dict_encode_));
-    ChargeScoped(CounterId::kSourceBytesRead, bytes);
-    ctx.outputs[0] = services::MakeChunk(std::move(df));
-    return Status::OK();
-  }
-  // Pushed predicate: phase 1 reads only the predicate's columns and
-  // evaluates the mask; the remaining payload blocks are fetched only when
-  // at least one row survives. Output is byte-identical to reading every
-  // column and filtering afterwards.
-  XORBITS_ASSIGN_OR_RETURN(io::XpqFileInfo info, io::ReadXpqInfo(path_));
-  std::vector<std::string> out_names = columns_;
-  if (out_names.empty()) {
-    for (const auto& c : info.columns) out_names.push_back(c.name);
-  }
-  std::set<std::string> fset;
-  filter_->CollectColumns(&fset);
-  std::vector<std::string> fcols(fset.begin(), fset.end());
-  if (fcols.empty() && !out_names.empty()) {
-    // Constant predicate: probe the cheapest output column for the row
-    // count the mask must cover.
-    const io::XpqColumnInfo* cheapest = nullptr;
-    for (const auto& c : info.columns) {
-      const bool wanted = std::find(out_names.begin(), out_names.end(),
-                                    c.name) != out_names.end();
-      if (wanted && (cheapest == nullptr || c.nbytes < cheapest->nbytes)) {
-        cheapest = &c;
+  // The window is sourced lazily (DESIGN.md §10): only the footer is read
+  // here, and a column's row groups are fetched the first time a consumer
+  // reads it, through the frame's pending selection. A pushed filter reads
+  // its predicate's columns through the same frame and leaves the mask as
+  // that selection, so an all-false mask fetches no payload block at all.
+  std::vector<std::string> read = columns_;
+  std::set<std::string> fcols;
+  if (filter_ != nullptr) filter_->CollectColumns(&fcols);
+  if (!read.empty()) {
+    for (const auto& name : fcols) {
+      if (std::find(read.begin(), read.end(), name) == read.end()) {
+        read.push_back(name);
       }
     }
-    if (cheapest != nullptr) fcols.push_back(cheapest->name);
   }
   XORBITS_ASSIGN_OR_RETURN(
-      DataFrame probe, io::ReadXpq(path_, fcols, row_offset_, row_count_,
-                                   &bytes, dict_encode_));
-  XORBITS_ASSIGN_OR_RETURN(dataframe::Column mask, EvalExpr(probe, *filter_));
-  if (mask.dtype() != DType::kBool) {
-    return Status::TypeError("pushed filter predicate must be boolean");
-  }
-
-  DataFrame out;
-  if (CountMatches(mask) == 0) {
-    // Nothing survives: skip every remaining payload block and synthesize
-    // the empty frame Filter would have produced.
-    XORBITS_ASSIGN_OR_RETURN(DataFrame empty_probe,
-                             dataframe::Filter(probe, mask));
-    for (const auto& name : out_names) {
-      if (empty_probe.HasColumn(name)) {
-        XORBITS_ASSIGN_OR_RETURN(const dataframe::Column* col,
-                                 empty_probe.GetColumn(name));
-        XORBITS_RETURN_NOT_OK(out.SetColumn(name, *col));
-      } else {
-        const int column = info.ColumnIndex(name);
-        if (column < 0) {
-          return Status::KeyError("xparquet column not found: " + name);
-        }
-        XORBITS_RETURN_NOT_OK(out.SetColumn(
-            name, EmptyColumn(info.columns[column].dtype)));
-      }
+      DataFrame df, io::ReadXpqLazy(path_, read, row_offset_, row_count_,
+                                    dict_encode_));
+  if (filter_ != nullptr) {
+    XORBITS_ASSIGN_OR_RETURN(dataframe::Column mask, EvalExpr(df, *filter_));
+    if (mask.dtype() != DType::kBool) {
+      return Status::TypeError("pushed filter predicate must be boolean");
     }
-    out.set_index(empty_probe.index());
-  } else {
-    std::vector<std::string> rest;
-    for (const auto& name : out_names) {
-      if (!probe.HasColumn(name)) rest.push_back(name);
-    }
-    DataFrame payload;
-    if (!rest.empty()) {
-      XORBITS_ASSIGN_OR_RETURN(
-          payload, io::ReadXpq(path_, rest, row_offset_, row_count_, &bytes,
-                               dict_encode_));
-    }
-    DataFrame full;
-    for (const auto& name : out_names) {
-      const DataFrame& src = probe.HasColumn(name) ? probe : payload;
+    // The mask decoded the predicate's columns whole; keep them as base
+    // columns so the filtered frame gathers them instead of fetching their
+    // groups a second time.
+    for (const auto& name : fcols) {
       XORBITS_ASSIGN_OR_RETURN(const dataframe::Column* col,
-                               src.GetColumn(name));
-      XORBITS_RETURN_NOT_OK(full.SetColumn(name, *col));
+                               df.GetColumn(name));
+      XORBITS_RETURN_NOT_OK(df.SetColumn(name, *col));
     }
-    full.set_index(probe.index());
-    XORBITS_ASSIGN_OR_RETURN(out, dataframe::Filter(full, mask));
+    XORBITS_ASSIGN_OR_RETURN(df, dataframe::FilterLate(df, mask));
+    if (read.size() != columns_.size()) {
+      XORBITS_ASSIGN_OR_RETURN(df, df.Select(columns_));
+    }
   }
-  ChargeScoped(CounterId::kSourceBytesRead, bytes);
-  ctx.outputs[0] = services::MakeChunk(std::move(out));
+  ctx.outputs[0] = services::MakeChunk(std::move(df));
   return Status::OK();
-}
-
-Status ReadXpqChunkOp::ExecuteLate(ExecutionContext& ctx) const {
-  // Late variant (DESIGN.md §10). Without a filter the whole frame is
-  // sourced lazily: only the footer is read here. With a pushed filter,
-  // the predicate's columns are probed eagerly (that I/O is unavoidable —
-  // the mask needs their values), every other column becomes a thunk, and
-  // the mask is carried as a pending selection instead of compacting. An
-  // all-false mask leaves an empty selection, so payload blocks are never
-  // fetched — the same I/O skip the eager two-phase path special-cases.
-  if (filter_ == nullptr) {
-    XORBITS_ASSIGN_OR_RETURN(
-        DataFrame df, io::ReadXpqLazy(path_, columns_, row_offset_,
-                                      row_count_, dict_encode_));
-    ctx.outputs[0] = services::MakeChunk(std::move(df));
-    return Status::OK();
-  }
-  int64_t bytes = 0;
-  XORBITS_ASSIGN_OR_RETURN(io::XpqFileInfo read, io::ReadXpqInfo(path_));
-  auto info = std::make_shared<const io::XpqFileInfo>(std::move(read));
-  std::vector<std::string> out_names = columns_;
-  if (out_names.empty()) {
-    for (const auto& c : info->columns) out_names.push_back(c.name);
-  }
-  std::set<std::string> fset;
-  filter_->CollectColumns(&fset);
-  std::vector<std::string> fcols(fset.begin(), fset.end());
-  if (fcols.empty() && !out_names.empty()) {
-    const io::XpqColumnInfo* cheapest = nullptr;
-    for (const auto& c : info->columns) {
-      const bool wanted = std::find(out_names.begin(), out_names.end(),
-                                    c.name) != out_names.end();
-      if (wanted && (cheapest == nullptr || c.nbytes < cheapest->nbytes)) {
-        cheapest = &c;
-      }
-    }
-    if (cheapest != nullptr) fcols.push_back(cheapest->name);
-  }
-  XORBITS_ASSIGN_OR_RETURN(
-      DataFrame probe, io::ReadXpq(path_, fcols, row_offset_, row_count_,
-                                   &bytes, dict_encode_));
-  XORBITS_ASSIGN_OR_RETURN(dataframe::Column mask, EvalExpr(probe, *filter_));
-  if (mask.dtype() != DType::kBool) {
-    return Status::TypeError("pushed filter predicate must be boolean");
-  }
-  const int64_t count = row_count_ < 0 ? info->num_rows - row_offset_
-                                       : row_count_;
-  DataFrame full;
-  for (const auto& name : out_names) {
-    if (probe.HasColumn(name)) {
-      XORBITS_ASSIGN_OR_RETURN(const dataframe::Column* col,
-                               probe.GetColumn(name));
-      XORBITS_RETURN_NOT_OK(full.SetColumn(name, *col));
-      continue;
-    }
-    const int column = info->ColumnIndex(name);
-    if (column < 0) {
-      return Status::KeyError("xparquet column not found: " + name);
-    }
-    XORBITS_RETURN_NOT_OK(full.SetColumnSource(
-        name, std::make_shared<io::XpqColumnSource>(
-                  path_, info, column, row_offset_, count, dict_encode_)));
-  }
-  full.set_index(probe.index());
-  // `full` is lazy, so Filter composes the mask into its selection instead
-  // of compacting (FilterRowsLate under dataframe::Filter).
-  XORBITS_ASSIGN_OR_RETURN(DataFrame out, dataframe::Filter(full, mask));
-  ChargeScoped(CounterId::kSourceBytesRead, bytes);
-  ctx.outputs[0] = services::MakeChunk(std::move(out));
-  return Status::OK();
-}
-
-std::shared_ptr<ChunkOp> ReadXpqChunkOp::WithLateMaterialization() const {
-  auto copy = std::make_shared<ReadXpqChunkOp>(path_, columns_, row_offset_,
-                                               row_count_, filter_,
-                                               dict_encode_);
-  copy->late_ = true;
-  return copy;
 }
 
 std::optional<std::string> ReadXpqChunkOp::CseSignature() const {

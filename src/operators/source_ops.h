@@ -49,7 +49,9 @@ class DataChunkOp : public ChunkOp {
 };
 
 /// Chunk kernel that reads a row range of selected columns from an
-/// xparquet file (the fused unit of ReadParquet + pruning).
+/// xparquet file (the fused unit of ReadParquet + pruning). It emits a lazy
+/// frame of XpqColumnSource thunks, so a downstream consumer decodes only
+/// the columns and rows it touches.
 class ReadXpqChunkOp : public ChunkOp {
  public:
   ReadXpqChunkOp(std::string path, std::vector<std::string> columns,
@@ -68,28 +70,20 @@ class ReadXpqChunkOp : public ChunkOp {
   /// fresh cache key instead of serving stale bytes (DESIGN.md §9).
   std::optional<std::string> CacheSignature() const override;
   std::optional<std::string> CacheSourceTag() const override { return path_; }
-  /// Late variant: payload columns become XpqColumnSource thunks and the
-  /// pushed filter becomes a pending selection, so a downstream consumer
-  /// decodes only the columns and rows it touches. `late_` is a physical
-  /// flag only — Cse/Cache signatures deliberately ignore it (same bytes).
-  std::shared_ptr<ChunkOp> WithLateMaterialization() const override;
 
  private:
-  Status ExecuteLate(ExecutionContext& ctx) const;
-
   std::string path_;
   std::vector<std::string> columns_;
   int64_t row_offset_;
   int64_t row_count_;
-  /// Pushed-down row predicate. The kernel reads the filter columns first,
-  /// evaluates the mask, and skips the remaining column blocks entirely
-  /// when no row matches — the I/O saving predicate pushdown buys.
+  /// Pushed-down row predicate. The kernel decodes the filter columns,
+  /// evaluates the mask and carries it as a pending selection, so payload
+  /// blocks holding no matching row are never fetched — the I/O saving
+  /// predicate pushdown buys.
   ExprPtr filter_;  // may be null
   /// Return dictionary-page string columns as codes (Config::dict_encode,
   /// captured at tile time — ExecutionContext carries no config).
   bool dict_encode_;
-  /// Emit a lazy frame (see WithLateMaterialization).
-  bool late_ = false;
 };
 
 /// Chunk kernel reading a CSV row range (dtype inference per chunk; dates
@@ -212,8 +206,6 @@ class WriteXpqChunkOp : public ChunkOp {
       : dir_(std::move(dir)), index_(index) {}
   const char* type_name() const override { return "WriteParquet"; }
   Status Execute(ExecutionContext& ctx) const override;
-  /// The file format is dense; writing resolves every column anyway.
-  bool ForcesDenseInput() const override { return true; }
 
  private:
   std::string dir_;

@@ -96,7 +96,6 @@ inline constexpr char kPassDeadNodeElim[] = "dead_node_elim";
 inline constexpr char kPassOpFusion[] = "op_fusion";
 inline constexpr char kPassCse[] = "cse";
 inline constexpr char kPassResultCache[] = "result_cache";
-inline constexpr char kPassLateMaterialization[] = "late_materialization";
 inline constexpr char kPassGraphFusion[] = "graph_fusion";
 
 /// Factories: one registry per graph level. Return nullptr for names that

@@ -261,71 +261,12 @@ class ResultCachePass : public ChunkPass {
   }
 };
 
-/// Late-materialization rewrite (DESIGN.md §10): swaps chunk ops that offer
-/// a late variant (WithLateMaterialization) so filters flow selection
-/// vectors and payload columns decode lazily. Runs last in the chunk
-/// pipeline, on the post-fusion closure, so fused Eval chains get one late
-/// kernel.
-///
-/// The decision is per node: deferral pays off unless *every* in-closure
-/// consumer forces dense input anyway (sort, concat, shuffle partition,
-/// file write — see ChunkOp::ForcesDenseInput), in which case the eager
-/// kernel is kept and the compaction happens where it always did. A node
-/// with no in-closure consumer is an execution target whose payload crosses
-/// the serialize/fetch boundary; those force density themselves (and meter
-/// it as `selections_forced`), so the rewrite still applies and every byte
-/// skipped between filter and fetch is saved.
-class LateMaterializationPass : public ChunkPass {
- public:
-  const char* name() const override { return kPassLateMaterialization; }
-  Result<PassStats> Run(PassContext& ctx, std::vector<ChunkNode*>* closure,
-                        const std::vector<ChunkNode*>& must_persist) override {
-    (void)must_persist;
-    PassStats stats;
-    std::unordered_set<const ChunkNode*> in_set(closure->begin(),
-                                                closure->end());
-    // Consumers of each pending node, within this closure.
-    std::unordered_map<const ChunkNode*, std::vector<const ChunkNode*>>
-        consumers;
-    for (const ChunkNode* n : *closure) {
-      for (const ChunkNode* in : n->inputs) {
-        if (in_set.count(in)) consumers[in].push_back(n);
-      }
-    }
-    for (ChunkNode* n : *closure) {
-      auto* op = dynamic_cast<const operators::ChunkOp*>(n->op.get());
-      if (op == nullptr) continue;
-      std::shared_ptr<operators::ChunkOp> late = op->WithLateMaterialization();
-      if (late == nullptr) continue;
-      const auto it = consumers.find(n);
-      if (it != consumers.end()) {
-        bool all_dense = true;
-        for (const ChunkNode* c : it->second) {
-          auto* cop = dynamic_cast<const operators::ChunkOp*>(c->op.get());
-          if (cop == nullptr || !cop->ForcesDenseInput()) {
-            all_dense = false;
-            break;
-          }
-        }
-        if (all_dense) continue;
-      }
-      n->op = std::move(late);
-      stats.nodes_rewritten++;
-      if (ctx.metrics != nullptr) ctx.metrics->Add(CounterId::kLateRewrites);
-    }
-    return stats;
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<ChunkPass> MakeChunkPass(const std::string& name) {
   if (name == kPassOpFusion) return std::make_unique<OpFusionPass>();
   if (name == kPassCse) return std::make_unique<CsePass>();
   if (name == kPassResultCache) return std::make_unique<ResultCachePass>();
-  if (name == kPassLateMaterialization) {
-    return std::make_unique<LateMaterializationPass>();
-  }
   return nullptr;
 }
 

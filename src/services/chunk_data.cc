@@ -1,6 +1,6 @@
 #include "services/chunk_data.h"
 
-#include <sstream>
+#include <string_view>
 
 #include "io/serialize.h"
 
@@ -53,16 +53,15 @@ ChunkDataPtr MakeChunk(dataframe::Scalar s) {
 }
 
 Result<std::string> SerializeChunk(const ChunkData& chunk) {
-  std::ostringstream os;
+  std::string out;
   if (chunk.is_dataframe()) {
-    os.put('D');
-    XORBITS_RETURN_NOT_OK(io::WriteDataFrame(os, chunk.dataframe()));
+    out.push_back('D');
+    io::AppendDataFrame(chunk.dataframe(), &out);
   } else if (chunk.is_ndarray()) {
-    os.put('A');
-    XORBITS_RETURN_NOT_OK(io::WriteNDArray(os, chunk.ndarray()));
+    out.push_back('A');
+    io::AppendNDArray(chunk.ndarray(), &out);
   } else {
-    os.put('S');
-    const std::string repr = chunk.scalar().ToString();
+    out.push_back('S');
     // Scalars spill via a single-value dataframe for simplicity.
     dataframe::DataFrame df;
     dataframe::Column col =
@@ -76,27 +75,24 @@ Result<std::string> SerializeChunk(const ChunkData& chunk) {
             ? dataframe::Column::Bool({chunk.scalar().AsBool()})
             : dataframe::Column::Float64({chunk.scalar().AsDouble()});
     XORBITS_RETURN_NOT_OK(df.SetColumn("v", std::move(col)));
-    XORBITS_RETURN_NOT_OK(io::WriteDataFrame(os, df));
-    (void)repr;
+    io::AppendDataFrame(df, &out);
   }
-  return os.str();
+  return out;
 }
 
 Result<ChunkDataPtr> DeserializeChunk(const std::string& buf) {
   if (buf.empty()) return Status::IOError("empty chunk buffer");
-  std::istringstream is(buf);
-  char tag = 0;
-  is.get(tag);
-  if (tag == 'D') {
-    XORBITS_ASSIGN_OR_RETURN(auto df, io::ReadDataFrame(is));
+  const std::string_view body = std::string_view(buf).substr(1);
+  if (buf[0] == 'D') {
+    XORBITS_ASSIGN_OR_RETURN(auto df, io::DeserializeDataFrame(body));
     return MakeChunk(std::move(df));
   }
-  if (tag == 'A') {
-    XORBITS_ASSIGN_OR_RETURN(auto arr, io::ReadNDArray(is));
+  if (buf[0] == 'A') {
+    XORBITS_ASSIGN_OR_RETURN(auto arr, io::DeserializeNDArray(body));
     return MakeChunk(std::move(arr));
   }
-  if (tag == 'S') {
-    XORBITS_ASSIGN_OR_RETURN(auto df, io::ReadDataFrame(is));
+  if (buf[0] == 'S') {
+    XORBITS_ASSIGN_OR_RETURN(auto df, io::DeserializeDataFrame(body));
     if (df.num_rows() != 1 || df.num_columns() != 1) {
       return Status::IOError("bad scalar chunk");
     }

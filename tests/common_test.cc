@@ -104,15 +104,13 @@ TEST(ConfigTest, PresetsMatchDocumentedPolicies) {
   using Passes = std::vector<std::string>;
   const Passes full_tileable = {"predicate_pushdown", "column_pruning",
                                 "dead_node_elim"};
-  const Passes late_only = {"late_materialization"};
   const Passes fusion_only = {"graph_fusion"};
 
   // Config{} and the Xorbits preset run the full pipelines.
   for (const Config& x : {Config{}, Config::Preset(EngineKind::kXorbits)}) {
     EXPECT_TRUE(x.dynamic_tiling);
     EXPECT_EQ(x.optimizer.tileable, full_tileable);
-    EXPECT_EQ(x.optimizer.chunk,
-              (Passes{"op_fusion", "cse", "late_materialization"}));
+    EXPECT_EQ(x.optimizer.chunk, (Passes{"op_fusion", "cse"}));
     EXPECT_EQ(x.optimizer.subtask, fusion_only);
   }
 
@@ -120,14 +118,14 @@ TEST(ConfigTest, PresetsMatchDocumentedPolicies) {
   EXPECT_EQ(p.total_bands(), 1);
   EXPECT_FALSE(p.dynamic_tiling);
   EXPECT_EQ(p.optimizer.tileable, Passes{});
-  EXPECT_EQ(p.optimizer.chunk, late_only);
+  EXPECT_EQ(p.optimizer.chunk, Passes{});
   EXPECT_EQ(p.optimizer.subtask, Passes{});
 
   for (EngineKind k : {EngineKind::kDaskLike, EngineKind::kSparkLike}) {
     Config c = Config::Preset(k);
     EXPECT_FALSE(c.dynamic_tiling) << EngineKindName(k);
     EXPECT_EQ(c.optimizer.tileable, full_tileable) << EngineKindName(k);
-    EXPECT_EQ(c.optimizer.chunk, late_only) << EngineKindName(k);
+    EXPECT_EQ(c.optimizer.chunk, Passes{}) << EngineKindName(k);
     EXPECT_EQ(c.optimizer.subtask, fusion_only) << EngineKindName(k);
   }
   EXPECT_EQ(Config::Preset(EngineKind::kDaskLike).reduce_policy,
@@ -137,7 +135,7 @@ TEST(ConfigTest, PresetsMatchDocumentedPolicies) {
   EXPECT_FALSE(m.enable_spill);
   EXPECT_EQ(m.reduce_policy, ReducePolicy::kShuffle);
   EXPECT_EQ(m.optimizer.tileable, Passes{});
-  EXPECT_EQ(m.optimizer.chunk, late_only);
+  EXPECT_EQ(m.optimizer.chunk, Passes{});
   EXPECT_EQ(m.optimizer.subtask, fusion_only);
 }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -17,6 +18,7 @@
 #include "io/serialize.h"
 #include "io/tpch_gen.h"
 #include "io/xparquet.h"
+#include "services/chunk_data.h"
 #include "workloads/tpch_queries.h"
 
 namespace xorbits::io {
@@ -515,9 +517,9 @@ TEST(XpqTest, CorruptFileFails) {
 }
 
 // --- corrupt input ------------------------------------------------------
-// Every truncation and every byte flip of a serialized frame or an .xpq file
-// must come back as a Status or a frame, never an abort (run under ASan via
-// the `sanitize` label).
+// Every truncation and every byte flip of a serialized frame, tensor or
+// chunk, or of an .xpq file, must come back as a Status or a value, never
+// an abort (run under ASan via the `sanitize` label).
 
 /// Six rows over every physical encoding: int, float and bool with nulls,
 /// plain strings with a null, and dictionary strings with a null.
@@ -578,6 +580,89 @@ TEST(CorruptInputTest, SerializedFrameNeverAborts) {
   }
   // Every truncation is detectably short.
   EXPECT_GE(rejected, static_cast<int>(good->size()));
+}
+
+/// Reads every element, so a corrupt tensor that slipped through the
+/// reader trips ASan here.
+void TouchAll(const tensor::NDArray& a) {
+  double sum = 0;
+  for (int64_t i = 0; i < a.size(); ++i) sum += a.data()[i];
+  (void)sum;
+}
+
+void TouchAll(const services::ChunkData& chunk) {
+  if (chunk.is_dataframe()) {
+    TouchAll(chunk.dataframe());
+  } else if (chunk.is_ndarray()) {
+    TouchAll(chunk.ndarray());
+  } else {
+    (void)chunk.scalar().ToString();
+  }
+}
+
+TEST(CorruptInputTest, SerializedTensorNeverAborts) {
+  const auto good = SerializeNDArray(
+      tensor::NDArray::Make({1.5, -2, 3, 4.25, 5, 6}, {3, 2}).MoveValue());
+  ASSERT_TRUE(good.ok());
+  int rejected = 0;
+  for (const std::string& bytes : Corruptions(*good)) {
+    auto a = DeserializeNDArray(bytes);
+    if (a.ok()) {
+      TouchAll(*a);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GE(rejected, static_cast<int>(good->size()));
+}
+
+TEST(CorruptInputTest, SerializedChunkNeverAborts) {
+  // A row-shuffled copy of the corruption frame carries a label index
+  // (width-packed) and long runs of dictionary codes (run-length packed).
+  const DataFrame runs =
+      CorruptionFrame().TakeRows({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2,
+                                  2, 2, 2, 2, 5, 5, 5, 5, 5, 5, 5});
+  ASSERT_FALSE(runs.index().is_range());
+  ASSERT_TRUE(runs.GetColumn("d").ValueOrDie()->is_dict());
+  const std::vector<std::pair<char, services::ChunkDataPtr>> chunks = {
+      {'D', services::MakeChunk(runs)},
+      {'A', services::MakeChunk(
+                tensor::NDArray::Make({1, 2, 3, 4}, {2, 2}).MoveValue())},
+      {'S', services::MakeChunk(Scalar::Str("scalar"))},
+  };
+  for (const auto& [tag, chunk] : chunks) {
+    SCOPED_TRACE(std::string("tag ") + tag);
+    const auto good = services::SerializeChunk(*chunk);
+    ASSERT_TRUE(good.ok());
+    ASSERT_EQ((*good)[0], tag);
+    int rejected = 0;
+    for (const std::string& bytes : Corruptions(*good)) {
+      auto back = services::DeserializeChunk(bytes);
+      if (back.ok()) {
+        TouchAll(**back);
+      } else {
+        ++rejected;
+      }
+    }
+    EXPECT_GE(rejected, static_cast<int>(good->size()));
+  }
+}
+
+TEST(CorruptInputTest, OlderFrameVersionsAreRejected) {
+  // Frames are v4 only; a v2 or v3 magic is as foreign as any other.
+  const auto good = SerializeDataFrame(CorruptionFrame());
+  ASSERT_TRUE(good.ok());
+  ASSERT_EQ((*good)[0], 0x04);  // little-endian magic 0x58444604
+  for (char version : {0x02, 0x03}) {
+    std::string old = *good;
+    old[0] = version;
+    auto df = DeserializeDataFrame(old);
+    ASSERT_FALSE(df.ok());
+    EXPECT_EQ(df.status().code(), StatusCode::kIOError) << df.status();
+    auto chunk = services::DeserializeChunk("D" + old);
+    ASSERT_FALSE(chunk.ok());
+    EXPECT_EQ(chunk.status().code(), StatusCode::kIOError) << chunk.status();
+  }
 }
 
 TEST(CorruptInputTest, XpqFileNeverAborts) {

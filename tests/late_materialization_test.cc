@@ -1,17 +1,19 @@
 // Late-materialization suite (DESIGN.md §10): selection vectors survive
-// serialize-v2 and spill round trips byte-identical to the eager path,
+// serialize and spill round trips byte-identical to the eager path,
 // lazy xparquet columns decode only when touched (and only the selected
 // rows), deferred expression sources match eager evaluation, filter→groupby
 // and filter→join chains are checksum-identical across 1/2/4/8-thread
-// pools with plain and dictionary-encoded strings, and — the satellite
-// regression — an empty shared BufferView window unshares without a CoW
-// copy. Runs under both the ASan `sanitize` and TSan `concurrency` labels.
+// pools with plain and dictionary-encoded strings, a pushed filter read
+// through the lazy frame feeds dense consumers (sort, hash partition) the
+// same bytes as an eager read, and — the satellite regression — an empty
+// shared BufferView window unshares without a CoW copy. Runs under both
+// the ASan `sanitize` and TSan `concurrency` labels.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -25,7 +27,10 @@
 #include "dataframe/kernels.h"
 #include "io/serialize.h"
 #include "io/xparquet.h"
+#include "operators/dataframe_ops.h"
 #include "operators/expr.h"
+#include "operators/groupby_op.h"
+#include "operators/source_ops.h"
 #include "services/chunk_data.h"
 
 namespace xorbits::dataframe {
@@ -84,7 +89,7 @@ std::string TempPath(const char* tag) {
       .string();
 }
 
-// --- selection vectors survive serialize v2 -------------------------------
+// --- selection vectors survive serialization ------------------------------
 
 TEST(LateMaterializationTest, SelectionSerializeRoundTrip) {
   const int64_t kRows = 600;
@@ -103,26 +108,24 @@ TEST(LateMaterializationTest, SelectionSerializeRoundTrip) {
   ASSERT_TRUE(lazy.selection().active());
 
   // Serialization is a forcing point: the writer resolves the selection
-  // internally and the stream must be readable as a plain dense frame.
+  // internally and the bytes must be readable as a plain dense frame.
   Metrics metrics;
-  std::ostringstream os;
+  std::string bytes;
   {
     MetricsScope scope(&metrics);
-    ASSERT_TRUE(io::WriteDataFrame(os, lazy).ok());
+    bytes = io::SerializeDataFrame(lazy).ValueOrDie();
   }
   EXPECT_GT(metrics.Get(CounterId::kSelectionsForced), 0);
 
-  std::istringstream is(os.str());
-  auto back = io::ReadDataFrame(is);
+  auto back = io::DeserializeDataFrame(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back.ValueOrDie().is_lazy());
   EXPECT_EQ(Fingerprint(back.ValueOrDie()), Fingerprint(eager));
 
-  // Round trip the eager side too: both streams decode to the same bytes.
-  std::ostringstream os2;
-  ASSERT_TRUE(io::WriteDataFrame(os2, eager).ok());
-  std::istringstream is2(os2.str());
-  auto back2 = io::ReadDataFrame(is2);
+  // Round trip the eager side too: both buffers decode to the same bytes.
+  auto bytes2 = io::SerializeDataFrame(eager);
+  ASSERT_TRUE(bytes2.ok());
+  auto back2 = io::DeserializeDataFrame(*bytes2);
   ASSERT_TRUE(back2.ok());
   EXPECT_EQ(Fingerprint(back.ValueOrDie()), Fingerprint(back2.ValueOrDie()));
   std::filesystem::remove(path);
@@ -143,8 +146,8 @@ TEST(LateMaterializationTest, SelectionSpillRoundTrip) {
   DataFrame lazy = lazy_r.MoveValue().FilterRowsLate(ModMask(kRows, 5));
   ASSERT_TRUE(lazy.is_lazy());
 
-  // Spill path: chunks serialize through the same v2 writer; a lazy chunk
-  // must come back as a dense frame with identical bytes.
+  // Spill path: chunks serialize through the same frame writer; a lazy
+  // chunk must come back as a dense frame with identical bytes.
   auto buf = services::SerializeChunk(*services::MakeChunk(lazy));
   ASSERT_TRUE(buf.ok());
   auto chunk = services::DeserializeChunk(buf.ValueOrDie());
@@ -439,6 +442,102 @@ TEST(LateMaterializationTest, FilterGroupByJoinChecksumAcrossThreadsAndDict) {
       SetCurrentThreadPool(prev);
     }
   }
+  std::filesystem::remove(path);
+}
+
+// --- one read path: a pushed filter feeds dense consumers -----------------
+
+/// Runs `op` on one input chunk and returns its output, or a shuffle
+/// mapper's partitions in partition order.
+std::vector<services::ChunkDataPtr> RunOp(const operators::ChunkOp& op,
+                                          services::ChunkDataPtr input) {
+  struct Collect : operators::ExecutionContext::ShuffleSink {
+    std::map<int, services::ChunkDataPtr> parts;
+    Status Emit(int partition, services::ChunkDataPtr data) override {
+      parts[partition] = std::move(data);
+      return Status::OK();
+    }
+  };
+  Collect sink;
+  operators::ExecutionContext ctx;
+  ctx.inputs = {std::move(input)};
+  ctx.outputs.resize(1);
+  ctx.shuffle_sink = &sink;
+  const Status st = op.Execute(ctx);
+  EXPECT_TRUE(st.ok()) << st;
+  if (!op.is_shuffle_map()) return {ctx.outputs[0]};
+  std::vector<services::ChunkDataPtr> out;
+  for (auto& [partition, data] : sink.parts) out.push_back(data);
+  return out;
+}
+
+std::string Bytes(const services::ChunkDataPtr& chunk) {
+  auto bytes = services::SerializeChunk(*chunk);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ValueOrDie();
+}
+
+TEST(LateMaterializationTest, PushedFilterIntoDenseConsumerMatchesEagerRead) {
+  const int64_t kRows = 1000;
+  const std::string path = TempPath("dense_consumer");
+  ASSERT_TRUE(io::WriteXpq(path, SampleFrame(kRows), 100).ok());
+  using operators::Col;
+  using operators::Lit;
+  // The predicate reads `key`, which the output does not keep.
+  const operators::ExprPtr pred =
+      operators::CompareExpr(Col("key"), CmpOp::kLt, Lit(int64_t{5}));
+  const std::vector<std::string> cols = {"city", "val", "id"};
+  const operators::SortChunkOp sort({"city", "val"}, {true, false});
+  const operators::HashPartitionChunkOp partition({"city"}, 3);
+  for (bool dict : {false, true}) {
+    // The chunk window [150, 850) starts and ends inside row groups.
+    auto dense = io::ReadXpq(path, {"city", "val", "id", "key"}, 150, 700,
+                             nullptr, dict);
+    ASSERT_TRUE(dense.ok());
+    auto mask = operators::EvalExpr(*dense, *pred);
+    ASSERT_TRUE(mask.ok());
+    auto filtered = Filter(*dense, *mask);
+    ASSERT_TRUE(filtered.ok());
+    const services::ChunkDataPtr want =
+        services::MakeChunk(filtered->Select(cols).ValueOrDie());
+
+    const operators::ReadXpqChunkOp read(path, cols, 150, 700, pred, dict);
+    const services::ChunkDataPtr got = RunOp(read, nullptr)[0];
+    for (const operators::ChunkOp* op :
+         {static_cast<const operators::ChunkOp*>(&sort),
+          static_cast<const operators::ChunkOp*>(&partition)}) {
+      SCOPED_TRACE(std::string(op->type_name()) + " dict=" +
+                   std::to_string(dict));
+      const auto want_out = RunOp(*op, want);
+      const auto got_out = RunOp(*op, got);
+      ASSERT_EQ(got_out.size(), want_out.size());
+      for (size_t i = 0; i < got_out.size(); ++i) {
+        EXPECT_EQ(Bytes(got_out[i]), Bytes(want_out[i])) << "output " << i;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(LateMaterializationTest, PushedConstantFalseFilterReadsNoBlock) {
+  const std::string path = TempPath("const_false");
+  ASSERT_TRUE(io::WriteXpq(path, SampleFrame(500), 100).ok());
+  const operators::ReadXpqChunkOp read(
+      path, {"id", "city"}, 0, -1,
+      operators::Lit(dataframe::Scalar::Bool(false)));
+  Metrics metrics;
+  {
+    MetricsScope scope(&metrics);
+    const services::ChunkDataPtr out = RunOp(read, nullptr)[0];
+    // Serializing forces every column through the empty selection.
+    auto back = services::DeserializeChunk(Bytes(out));
+    ASSERT_TRUE(back.ok());
+    auto df = services::AsDataFrame(*back);
+    ASSERT_TRUE(df.ok());
+    EXPECT_EQ((*df)->num_rows(), 0);
+    EXPECT_EQ((*df)->num_columns(), 2);
+  }
+  EXPECT_EQ(metrics.Get(CounterId::kSourceBytesRead), 0);
   std::filesystem::remove(path);
 }
 

@@ -105,6 +105,24 @@ TEST(PassPipelineTest, UnknownPassNameFailsMaterialize) {
   std::remove(path.c_str());
 }
 
+TEST(PassPipelineTest, RemovedLateMaterializationPassIsUnknown) {
+  // Late materialization is how reads and filters run, not a pass: a spec
+  // naming it is rejected like any other unknown pass.
+  const std::string path = WriteTestTable("late_pass");
+  Config cfg;
+  cfg.optimizer.chunk = {"op_fusion", "cse", "late_materialization"};
+  core::Session session(cfg);
+  auto ref = ReadParquet(&session, path);
+  ASSERT_TRUE(ref.ok());
+  auto out = ref->Fetch();
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalid) << out.status();
+  EXPECT_NE(out.status().message().find("late_materialization"),
+            std::string::npos)
+      << out.status();
+  std::remove(path.c_str());
+}
+
 TEST(PassPipelineTest, ExplicitEmptyPipelineMatchesFullPipeline) {
   const std::string path = WriteTestTable("identity");
   auto query = [&](Config cfg) {
@@ -156,9 +174,10 @@ TEST(PassPipelineTest, BoundResultCacheLeadsChunkPipelineOnce) {
   Config cached_default;
   cached_default.enable_result_cache = true;
   const auto defaults = run(cached_default);
-  ASSERT_EQ(defaults.size(), 4u);
+  ASSERT_EQ(defaults.size(), 3u);
   EXPECT_EQ(defaults[0].first, "c0_result_cache");
-  EXPECT_EQ(defaults[3].first, "c3_late_materialization");
+  EXPECT_EQ(defaults[1].first, "c1_op_fusion");
+  EXPECT_EQ(defaults[2].first, "c2_cse");
   // Without a cache the name is dropped from the pipeline.
   Config uncached = cached;
   uncached.enable_result_cache = false;
@@ -242,10 +261,8 @@ TEST(PredicatePushdownTest, PushesFilterAndReducesBytesRead) {
   };
   // Baseline: pruning only. Pushdown run reads predicate columns first and
   // skips payload columns for chunks where nothing matches (rows 0..149
-  // live in three all-miss chunks of 50). Both runs pin the eager read
-  // path: `source_bytes_read` counts block fetches at read time, which is
-  // what this test compares — under late materialization payload I/O
-  // happens at decode time and is metered as `bytes_materialized` instead
+  // live in three all-miss chunks of 50). `source_bytes_read` counts every
+  // row group a lazy column fetches, whenever a consumer decodes it
   // (DESIGN.md §10).
   Config pruned_only = SmallChunkConfig();
   pruned_only.optimizer.tileable = {kPassColumnPruning};
