@@ -28,6 +28,7 @@
 #include "io/serialize.h"
 #include "io/tpch_gen.h"
 #include "operators/expr.h"
+#include "operators/merge_op.h"
 #include "services/storage_service.h"
 #include "tensor/ndarray.h"
 #include "workloads/pipelines.h"
@@ -952,6 +953,116 @@ bool WriteShuffleJson(FILE* f, int64_t base_rows, int64_t band_budget,
 
 /// Returns true when every kernel produced byte-identical checksums at all
 /// thread counts and (for the string-keyed kernels) across encodings.
+// ---------------------------------------------------------------------------
+// Broadcast join: one build side probed by many chunks, as the broadcast leg
+// of a tiled merge runs it (DESIGN.md §7). `shared` runs MergeChunkOp, which
+// builds one hash table per broadcast payload; `rebuild` calls Merge per
+// chunk, which builds the table over the whole build side every time. Each
+// rep starts from a fresh payload, so `shared` pays its one build inside
+// the window. Both must give the same bytes.
+// ---------------------------------------------------------------------------
+
+struct BroadcastSample {
+  std::vector<double> wall_ms;
+  int64_t tables_built = 0;
+  size_t checksum = 0;
+};
+
+bool WriteBroadcastJoinJson(FILE* f) {
+  const int64_t kBuildRows = 75000;
+  const int64_t kChunks = 32;
+  const int64_t kChunkRows = 3000;
+  const int kReps = 7;
+  Rng rng(31);
+  std::vector<int64_t> bk(kBuildRows), bv(kBuildRows);
+  for (int64_t i = 0; i < kBuildRows; ++i) {
+    bk[i] = i * 4;  // sparse keys: a hash table, not the direct map
+    bv[i] = rng.UniformInt(0, 1000);
+  }
+  const DataFrame build =
+      DataFrame::Make({"k", "w"}, {Column::Int64(bk), Column::Int64(bv)})
+          .MoveValue();
+  std::vector<DataFrame> probes;
+  for (int64_t c = 0; c < kChunks; ++c) {
+    std::vector<int64_t> k(kChunkRows), v(kChunkRows);
+    for (int64_t i = 0; i < kChunkRows; ++i) {
+      k[i] = rng.UniformInt(0, kBuildRows * 4 - 1);
+      v[i] = c * kChunkRows + i;
+    }
+    probes.push_back(
+        DataFrame::Make({"k", "v"}, {Column::Int64(k), Column::Int64(v)})
+            .MoveValue());
+  }
+  dataframe::MergeOptions opts;
+  opts.on = {"k"};
+  const operators::MergeChunkOp op(opts);
+
+  const auto measure = [&](bool shared) {
+    BroadcastSample s;
+    for (int rep = 0; rep <= kReps; ++rep) {  // rep 0 warms up
+      Metrics metrics;
+      MetricsScope scope(&metrics);
+      std::string fingerprint;
+      const services::ChunkDataPtr payload = services::MakeChunk(build);
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<DataFrame> outs;
+      for (const DataFrame& probe : probes) {
+        if (shared) {
+          operators::ExecutionContext ctx;
+          ctx.inputs = {services::MakeChunk(probe), payload};
+          ctx.outputs.resize(1);
+          if (!op.Execute(ctx).ok()) return BroadcastSample{};
+          outs.push_back(ctx.outputs[0]->dataframe());
+        } else {
+          outs.push_back(dataframe::Merge(probe, build, opts).ValueOrDie());
+        }
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      if (rep == 0) continue;
+      s.wall_ms.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      s.tables_built = metrics.Get(CounterId::kJoinTablesBuilt);
+      for (const DataFrame& out : outs) fingerprint += FingerprintFrame(out);
+      s.checksum = std::hash<std::string>{}(fingerprint);
+    }
+    std::sort(s.wall_ms.begin(), s.wall_ms.end());
+    return s;
+  };
+  const BroadcastSample shared = measure(true);
+  const BroadcastSample rebuild = measure(false);
+  const bool ok = !shared.wall_ms.empty() && shared.tables_built == 1 &&
+                  rebuild.tables_built == kChunks &&
+                  shared.checksum == rebuild.checksum;
+  const auto median = [](const BroadcastSample& s) {
+    return s.wall_ms.empty() ? 0.0 : s.wall_ms[s.wall_ms.size() / 2];
+  };
+  const auto row = [&](const char* mode, const BroadcastSample& s) {
+    const bool any = !s.wall_ms.empty();
+    std::fprintf(f,
+                 "    {\"mode\": \"%s\", \"wall_ms_median\": %.3f, "
+                 "\"wall_ms_min\": %.3f, \"wall_ms_max\": %.3f, "
+                 "\"tables_built\": %" PRId64 ", \"checksum\": \"%zx\"}",
+                 mode, median(s), any ? s.wall_ms.front() : 0.0,
+                 any ? s.wall_ms.back() : 0.0, s.tables_built, s.checksum);
+  };
+  std::fprintf(f,
+               "  \"broadcast_join\": {\"build_rows\": %" PRId64
+               ", \"probe_chunks\": %" PRId64 ", \"chunk_rows\": %" PRId64
+               ", \"reps\": %d, \"host_cpus\": %d, \"identical\": %s, "
+               "\"runs\": [\n",
+               kBuildRows, kChunks, kChunkRows, kReps, CoreBudget(),
+               shared.checksum == rebuild.checksum ? "true" : "false");
+  row("shared", shared);
+  std::fprintf(f, ",\n");
+  row("rebuild", rebuild);
+  std::fprintf(f, "\n  ]},\n");
+  std::printf("broadcast_join: shared %.2f ms (%" PRId64
+              " table) vs rebuild %.2f ms (%" PRId64 " tables) %s\n",
+              median(shared), shared.tables_built, median(rebuild),
+              rebuild.tables_built, ok ? "ok" : "FAIL");
+  return ok;
+}
+
 bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   DataFrame gb_df = MakeFrame(kRows, 500);
   DataFrame join_left = MakeFrame(kRows, 2000);
@@ -1115,6 +1226,7 @@ bool WriteKernelSweepJson(const char* path, int64_t kRows) {
     std::fprintf(f, "    ]}");
   }
   std::fprintf(f, "\n  ],\n");
+  all_identical = WriteBroadcastJoinJson(f) && all_identical;
   WriteSharingJson(f);
   all_identical = WriteSelectivityJson(f, kRows) && all_identical;
   // Shuffle frontier sweep: base 8k rows per SF step, 1 MiB band budget.

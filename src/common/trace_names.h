@@ -79,6 +79,7 @@ XORBITS_METRIC_NAME(kGaugeBufferCowCopies, "buffer_cow_copies")
 XORBITS_METRIC_NAME(kGaugeDictEncodedColumns, "dict_encoded_columns")
 XORBITS_METRIC_NAME(kGaugeDictFallbackDecodes, "dict_fallback_decodes")
 XORBITS_METRIC_NAME(kGaugeJoinRadixPartitions, "join_radix_partitions")
+XORBITS_METRIC_NAME(kGaugeJoinTablesBuilt, "join_tables_built")
 // Per-pass pipeline gauges. The suffix `<l><i>_<pass>` encodes the level
 // (t/c/s for tileable/chunk/subtask), the position in that level's
 // pipeline, and the pass name — e.g. `optimizer_pass_us/t1_column_pruning`

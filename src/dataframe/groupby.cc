@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <unordered_map>
@@ -305,6 +306,54 @@ template <typename T>
 std::vector<T> AddVec(std::vector<T> a, std::vector<T> b) {
   for (size_t g = 0; g < a.size(); ++g) a[g] += b[g];
   return a;
+}
+
+/// Distinct values per group of a fixed-width column, where `bits(i)` is
+/// row i's value as raw bits — the equality `AppendKeyBytes` gives, so
+/// +0.0 and -0.0 differ and so do NaN payloads. One open-addressing set of
+/// (group, bits) pairs serves every group: no per-row string and no
+/// per-group set. Null rows (`valid[i] == 0`) are not counted.
+template <typename Bits>
+std::vector<int64_t> CountDistinctBits(const uint8_t* valid,
+                                       const int64_t* gid, int64_t n,
+                                       int64_t G, const Bits& bits) {
+  struct Slot {
+    int64_t gid;  // -1 = empty
+    uint64_t bits;
+  };
+  const auto slot_of = [](int64_t g, uint64_t b) {
+    return MixHash(b ^ MixHash(static_cast<uint64_t>(g)));
+  };
+  std::vector<int64_t> out(G, 0);
+  std::vector<Slot> slots(64, Slot{-1, 0});
+  int64_t mask = 63;
+  int64_t size = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (valid != nullptr && valid[i] == 0) continue;
+    const int64_t g = gid[i];
+    const uint64_t b = bits(i);
+    int64_t idx = static_cast<int64_t>(slot_of(g, b)) & mask;
+    while (slots[idx].gid >= 0 &&
+           (slots[idx].gid != g || slots[idx].bits != b)) {
+      idx = (idx + 1) & mask;
+    }
+    if (slots[idx].gid >= 0) continue;
+    slots[idx] = Slot{g, b};
+    out[g]++;
+    if (++size * 2 > mask) {
+      // Double and reinsert: growth costs O(distinct pairs), not O(rows).
+      std::vector<Slot> old(slots.size() * 2, Slot{-1, 0});
+      old.swap(slots);
+      mask = static_cast<int64_t>(slots.size()) - 1;
+      for (const Slot& s : old) {
+        if (s.gid < 0) continue;
+        int64_t j = static_cast<int64_t>(slot_of(s.gid, s.bits)) & mask;
+        while (slots[j].gid >= 0) j = (j + 1) & mask;
+        slots[j] = s;
+      }
+    }
+  }
+  return out;
 }
 
 Result<Column> AggregateColumn(const Column* col, AggFunc func,
@@ -649,6 +698,30 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
         }
         return Column::Int64(std::move(out));
       }
+      switch (col->dtype()) {
+        case DType::kInt64: {
+          const int64_t* v = col->int64_data().data();
+          return Column::Int64(CountDistinctBits(
+              valid, gid, n, G,
+              [v](int64_t i) { return static_cast<uint64_t>(v[i]); }));
+        }
+        case DType::kFloat64:
+          return Column::Int64(
+              CountDistinctBits(valid, gid, n, G, [f64](int64_t i) {
+                uint64_t bits;
+                std::memcpy(&bits, &f64[i], sizeof(bits));
+                return bits;
+              }));
+        case DType::kBool: {
+          const uint8_t* v = col->bool_data().data();
+          return Column::Int64(
+              CountDistinctBits(valid, gid, n, G, [v](int64_t i) {
+                return static_cast<uint64_t>(v[i] != 0);
+              }));
+        }
+        case DType::kString:
+          break;
+      }
       std::vector<std::unordered_set<std::string>> sets(G);
       std::string buf;
       for (int64_t i = 0; i < n; ++i) {
@@ -686,12 +759,33 @@ Result<DataFrame> GroupByAgg(const DataFrame& df,
   std::vector<int64_t> order(G);
   std::iota(order.begin(), order.end(), 0);
   if (sort_keys) {
+    // Typed per-column compare: nulls first, int64 exactly (not through
+    // double), NaN unordered against everything (ties keep first-seen
+    // order), strings byte-wise.
+    const auto cmp = [](const Column& c, int64_t a, int64_t b) -> int {
+      const bool na = c.IsNull(a), nb = c.IsNull(b);
+      if (na || nb) return na == nb ? 0 : (na ? -1 : 1);
+      switch (c.dtype()) {
+        case DType::kInt64: {
+          const int64_t x = c.int64_data()[a], y = c.int64_data()[b];
+          return x < y ? -1 : (y < x ? 1 : 0);
+        }
+        case DType::kFloat64: {
+          const double x = c.float64_data()[a], y = c.float64_data()[b];
+          return x < y ? -1 : (y < x ? 1 : 0);
+        }
+        case DType::kBool:
+          return static_cast<int>(c.bool_data()[a] != 0) -
+                 static_cast<int>(c.bool_data()[b] != 0);
+        case DType::kString:
+          return c.string_at(a).compare(c.string_at(b));
+      }
+      return 0;
+    };
     std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
       for (const Column* c : key_cols) {
-        Scalar sa = c->GetScalar(first_row[a]);
-        Scalar sb = c->GetScalar(first_row[b]);
-        if (sa < sb) return true;
-        if (sb < sa) return false;
+        const int r = cmp(*c, first_row[a], first_row[b]);
+        if (r != 0) return r < 0;
       }
       return false;
     });

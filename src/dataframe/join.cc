@@ -199,357 +199,439 @@ struct PartTable {
   }
 };
 
+/// Output (left, right) row index pairs. Raw storage instead of
+/// std::vector: every element is written exactly once by a parallel
+/// scatter, so vector's serial zero-fill would only add a wasted memory
+/// pass over megabytes.
+struct IndexPairs {
+  std::unique_ptr<int64_t[]> lidx, ridx;
+  int64_t n = 0;
+};
+
+Result<std::vector<const Column*>> KeyColumns(
+    const DataFrame& df, const std::vector<std::string>& keys) {
+  std::vector<const Column*> cols;
+  for (const auto& k : keys) {
+    XORBITS_ASSIGN_OR_RETURN(const Column* c, df.GetColumn(k));
+    cols.push_back(c);
+  }
+  return cols;
+}
+
+/// Both tuples are codes over one dictionary (pointer-equal or SameAs), so
+/// equal codes are exactly equal values.
+bool SharesDict(const RowHasher& a, const RowHasher& b) {
+  return a.SoleDictCodes() != nullptr && b.SoleDictCodes() != nullptr &&
+         (a.SoleDict() == b.SoleDict() || a.SoleDict()->SameAs(*b.SoleDict()));
+}
+
 }  // namespace
 
-Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
-                        const MergeOptions& options) {
-  std::vector<std::string> lkeys = options.left_on;
-  std::vector<std::string> rkeys = options.right_on;
-  const bool same_names = lkeys.empty() && rkeys.empty();
-  if (same_names) {
-    lkeys = options.on;
-    rkeys = options.on;
+struct JoinTable {
+  JoinTable(const DataFrame& build_side, std::vector<std::string> key_names,
+            std::vector<const Column*> key_cols, JoinKeyMode key_mode)
+      : build(&build_side),
+        keys(std::move(key_names)),
+        cols(key_cols),
+        mode(key_mode),
+        hasher(std::move(key_cols)) {}
+
+  const DataFrame* build;
+  std::vector<std::string> keys;
+  std::vector<const Column*> cols;
+  JoinKeyMode mode;
+  RowHasher hasher;
+  int bits = 0;  // RadixBits(build rows)
+  /// Chain links shared by all partitions (right row -> next right row of
+  /// the same key, -1 ends).
+  std::vector<int64_t> chain_next;
+  /// One table per radix partition; empty when `direct`.
+  std::vector<std::unique_ptr<PartTable>> parts;
+  /// Direct-address map for exact keys with a compact value range (single
+  /// partition only): `dmap[tag - tag_min]` is the entry id, `dhead[entry]`
+  /// its first right row.
+  bool direct = false;
+  uint64_t tag_min = 0;
+  uint64_t tag_range = 0;
+  std::vector<int64_t> dmap, dhead;
+};
+
+namespace {
+
+// The table is laid out and probed under one (tag, eq) scheme per key mode
+// — see PartTable for why the exact modes emit the same bytes as the hash
+// mode. Slot and partition hashes are the value hashes `rh`/`lh` in the
+// hash mode; the exact modes mix the tag inline and fill the arrays only
+// where the radix partitioner needs them by row id.
+
+/// Lays out `t` over its `rn` build rows. `rtag(r)` is row r's slot tag,
+/// `beq(a, b)` build-side key equality, `rnull` flags unmatchable rows
+/// (empty when no key can be null).
+template <typename Tag, typename Eq>
+void BuildLayout(JoinTable& t, int64_t rn, const Tag& rtag, const Eq& beq,
+                 std::vector<uint64_t>& rh,
+                 const std::vector<uint8_t>& rnull) {
+  const bool exact = t.mode != JoinKeyMode::kHash;
+  const auto skip = [&](int64_t r) { return !rnull.empty() && rnull[r]; };
+  t.chain_next.assign(rn, -1);
+  if (t.bits == 0) {
+    if (exact && rn > 0) {
+      uint64_t lo = rtag(0), hi = rtag(0);
+      for (int64_t r = 1; r < rn; ++r) {
+        const uint64_t tag = rtag(r);
+        lo = std::min(lo, tag);
+        hi = std::max(hi, tag);
+      }
+      // Mixed-sign int64 keys produce a huge unsigned span and fall back
+      // to the hash table. The span is compared before adding one: keys 0
+      // and -1 span all 2^64 tags, and `+ 1` would wrap that to 0.
+      if (hi - lo < 65536) {
+        t.direct = true;
+        t.tag_min = lo;
+        t.tag_range = hi - lo + 1;
+        t.dmap.assign(t.tag_range, -1);
+        std::vector<int64_t> dtail;
+        for (int64_t r = 0; r < rn; ++r) {
+          const uint64_t k = rtag(r) - lo;
+          const int64_t e = t.dmap[k];
+          if (e < 0) {
+            t.dmap[k] = static_cast<int64_t>(t.dhead.size());
+            t.dhead.push_back(r);
+            dtail.push_back(r);
+          } else {
+            t.chain_next[dtail[e]] = r;
+            dtail[e] = r;
+          }
+        }
+        return;
+      }
+    }
+    auto table = std::make_unique<PartTable>(rn, t.chain_next.data());
+    for (int64_t r = 0; r < rn; ++r) {
+      if (!skip(r)) table->Insert(exact ? MixHash(rtag(r)) : rh[r], rtag(r),
+                                  r, beq);
+    }
+    t.parts.push_back(std::move(table));
+    return;
   }
-  if (lkeys.empty() || lkeys.size() != rkeys.size()) {
+  if (exact) {
+    rh.resize(rn);
+    ParallelFor(0, rn, 16384, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) rh[i] = MixHash(rtag(i));
+    });
+  }
+  const Partitioned rpart = PartitionRows(rh, t.bits);
+  // One table per partition; right rows insert in ascending order within
+  // their partition, reproducing the serial chain order.
+  t.parts.resize(rpart.begin.size() - 1);
+  ParallelFor(0, static_cast<int64_t>(t.parts.size()), 1,
+              [&](int64_t lo, int64_t hi) {
+    for (int64_t p = lo; p < hi; ++p) {
+      const int64_t pb = rpart.begin[p], pe = rpart.begin[p + 1];
+      auto table = std::make_unique<PartTable>(pe - pb, t.chain_next.data());
+      for (int64_t k = pb; k < pe; ++k) {
+        const int64_t r = rpart.rows[k];
+        if (!skip(r)) table->Insert(rh[r], rtag(r), r, beq);
+      }
+      t.parts[p] = std::move(table);
+    }
+  });
+}
+
+/// Probes `t` with `ln` left rows. `ltag(i)` is row i's tag, `peq(probe,
+/// build)` the cross-side key equality, `lnull` flags unmatchable rows.
+/// Pairs come out in the exact order a serial ascending probe emits them,
+/// at any thread and partition count.
+template <typename Tag, typename Eq>
+IndexPairs ProbeLayout(const JoinTable& t, int64_t ln, const Tag& ltag,
+                       const Eq& peq, std::vector<uint64_t>& lh,
+                       const std::vector<uint8_t>& lnull, bool keep_left) {
+  const bool exact = t.mode != JoinKeyMode::kHash;
+  const auto skip = [&](int64_t i) { return !lnull.empty() && lnull[i]; };
+  const int64_t* chain_next = t.chain_next.data();
+  IndexPairs out;
+  if (t.bits == 0) {
+    // Single table: probe morsels emit (left, right) pairs into
+    // morsel-local buffers, concatenated in morsel order — rows ascend
+    // within a morsel and morsels ascend by row range.
+    const PartTable* tp = t.direct ? nullptr : t.parts[0].get();
+    const int64_t* entry_head =
+        t.direct ? t.dhead.data() : tp->entry_head.data();
+    const int64_t grain = 16384;
+    const int64_t morsels = NumMorsels(0, ln, grain);
+    std::vector<std::vector<int64_t>> lloc(morsels), rloc(morsels);
+    ParallelFor(0, ln, grain, [&](int64_t lo, int64_t hi) {
+      std::vector<int64_t>& lv = lloc[lo / grain];
+      std::vector<int64_t>& rv = rloc[lo / grain];
+      // Slack over the 1:1 estimate: a fan-out barely above 1 would
+      // otherwise force every morsel through a capacity-doubling copy.
+      lv.reserve(hi - lo + (hi - lo) / 8 + 8);
+      rv.reserve(hi - lo + (hi - lo) / 8 + 8);
+      for (int64_t i = lo; i < hi; ++i) {
+        int64_t e = -1;
+        if (t.direct) {
+          const uint64_t k = ltag(i) - t.tag_min;
+          if (k < t.tag_range) e = t.dmap[k];
+        } else if (!skip(i)) {
+          e = tp->Find(exact ? MixHash(ltag(i)) : lh[i], ltag(i), i, peq);
+        }
+        if (e < 0) {
+          if (keep_left) {
+            lv.push_back(i);
+            rv.push_back(-1);
+          }
+          continue;
+        }
+        for (int64_t r = entry_head[e]; r >= 0; r = chain_next[r]) {
+          lv.push_back(i);
+          rv.push_back(r);
+        }
+      }
+    });
+    std::vector<int64_t> off(morsels + 1, 0);
+    for (int64_t m = 0; m < morsels; ++m) {
+      off[m + 1] = off[m] + static_cast<int64_t>(lloc[m].size());
+    }
+    out.n = off[morsels];
+    out.lidx.reset(new int64_t[out.n]);
+    out.ridx.reset(new int64_t[out.n]);
+    ParallelFor(0, morsels, 1, [&](int64_t mlo, int64_t mhi) {
+      for (int64_t m = mlo; m < mhi; ++m) {
+        std::copy(lloc[m].begin(), lloc[m].end(), out.lidx.get() + off[m]);
+        std::copy(rloc[m].begin(), rloc[m].end(), out.ridx.get() + off[m]);
+      }
+    });
+    return out;
+  }
+
+  if (exact) {
+    lh.resize(ln);
+    ParallelFor(0, ln, 16384, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) lh[i] = MixHash(ltag(i));
+    });
+  }
+  const Partitioned lpart = PartitionRows(lh, t.bits);
+  const int64_t P = static_cast<int64_t>(t.parts.size());
+  auto probe_partition_rows = [&](int64_t p, auto&& fn) {
+    const int64_t pb = lpart.begin[p], pe = lpart.begin[p + 1];
+    for (int64_t k = pb; k < pe; ++k) fn(lpart.rows[k]);
+  };
+  // Pass 1: each left row resolves its table entry and match count (rows
+  // of one partition are probed by one morsel, so the writes into the
+  // per-row arrays are disjoint).
+  std::vector<int64_t> ent(ln, -1);
+  std::vector<int64_t> cnt(ln + 1, 0);
+  ParallelFor(0, P, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t p = lo; p < hi; ++p) {
+      const PartTable& table = *t.parts[p];
+      probe_partition_rows(p, [&](int64_t i) {
+        const int64_t e =
+            skip(i) ? -1 : table.Find(lh[i], ltag(i), i, peq);
+        ent[i] = e;
+        cnt[i + 1] = e >= 0 ? table.entry_count[e] : (keep_left ? 1 : 0);
+      });
+    }
+  });
+  for (int64_t i = 0; i < ln; ++i) cnt[i + 1] += cnt[i];
+
+  // Pass 2: scatter (left, right) pairs to their final offsets.
+  out.n = cnt[ln];
+  out.lidx.reset(new int64_t[out.n]);
+  out.ridx.reset(new int64_t[out.n]);
+  ParallelFor(0, P, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t p = lo; p < hi; ++p) {
+      const PartTable& table = *t.parts[p];
+      probe_partition_rows(p, [&](int64_t i) {
+        int64_t o = cnt[i];
+        const int64_t e = ent[i];
+        if (e < 0) {
+          if (keep_left) {
+            out.lidx[o] = i;
+            out.ridx[o] = -1;
+          }
+          return;
+        }
+        for (int64_t r = table.entry_head[e]; r >= 0; r = chain_next[r]) {
+          out.lidx[o] = i;
+          out.ridx[o] = r;
+          ++o;
+        }
+      });
+    }
+  });
+  return out;
+}
+
+/// Appends one (-1, r) pair per right row no pair matched, ascending.
+void AppendUnmatchedRight(int64_t rn, IndexPairs* pairs) {
+  std::vector<uint8_t> matched(rn, 0);
+  for (int64_t o = 0; o < pairs->n; ++o) {
+    if (pairs->ridx[o] >= 0) matched[pairs->ridx[o]] = 1;
+  }
+  int64_t extra = 0;
+  for (int64_t r = 0; r < rn; ++r) extra += matched[r] ? 0 : 1;
+  if (extra == 0) return;
+  std::unique_ptr<int64_t[]> nl(new int64_t[pairs->n + extra]);
+  std::unique_ptr<int64_t[]> nr(new int64_t[pairs->n + extra]);
+  std::copy(pairs->lidx.get(), pairs->lidx.get() + pairs->n, nl.get());
+  std::copy(pairs->ridx.get(), pairs->ridx.get() + pairs->n, nr.get());
+  int64_t o = pairs->n;
+  for (int64_t r = 0; r < rn; ++r) {
+    if (!matched[r]) {
+      nl[o] = -1;
+      nr[o] = r;
+      ++o;
+    }
+  }
+  pairs->lidx = std::move(nl);
+  pairs->ridx = std::move(nr);
+  pairs->n += extra;
+}
+
+}  // namespace
+
+Result<JoinKeys> ResolveJoinKeys(const MergeOptions& options) {
+  JoinKeys keys{options.left_on, options.right_on};
+  if (keys.left.empty() && keys.right.empty()) {
+    keys.left = options.on;
+    keys.right = options.on;
+  }
+  if (keys.left.empty() || keys.left.size() != keys.right.size()) {
     return Status::Invalid("Merge: bad key specification");
   }
-  std::vector<const Column*> lcols, rcols;
-  for (const auto& k : lkeys) {
-    XORBITS_ASSIGN_OR_RETURN(const Column* c, left.GetColumn(k));
-    lcols.push_back(c);
-  }
-  for (const auto& k : rkeys) {
-    XORBITS_ASSIGN_OR_RETURN(const Column* c, right.GetColumn(k));
-    rcols.push_back(c);
-  }
+  return keys;
+}
 
-  // Radix-partitioned hash join. Both sides are hashed by key value
-  // (typed, encoding-independent — see RowHasher) and radix-partitioned on
-  // the high hash bits; each partition builds a compact open-addressing
-  // table and probes independently under `ParallelFor`. The output index
-  // sequence is reconstructed in exact left-row order through a per-row
-  // match-count prefix sum, so the result is byte-identical to the old
-  // serial build/probe at any thread count and partition count.
+Result<JoinKeyMode> ChooseJoinKeyMode(const DataFrame& left,
+                                      const std::vector<std::string>& lkeys,
+                                      const DataFrame& right,
+                                      const std::vector<std::string>& rkeys) {
+  XORBITS_ASSIGN_OR_RETURN(auto lcols, KeyColumns(left, lkeys));
+  XORBITS_ASSIGN_OR_RETURN(auto rcols, KeyColumns(right, rkeys));
+  const RowHasher lhash(std::move(lcols));
+  const RowHasher rhash(std::move(rcols));
+  if (lhash.SoleInt64() != nullptr && rhash.SoleInt64() != nullptr) {
+    return JoinKeyMode::kExactInt64;
+  }
+  if (SharesDict(lhash, rhash)) return JoinKeyMode::kDictCodes;
+  return JoinKeyMode::kHash;
+}
+
+Result<std::shared_ptr<const JoinTable>> BuildJoinTable(
+    const DataFrame& right, const std::vector<std::string>& rkeys,
+    JoinKeyMode mode) {
+  if (rkeys.empty()) return Status::Invalid("BuildJoinTable: no key columns");
+  XORBITS_ASSIGN_OR_RETURN(auto rcols, KeyColumns(right, rkeys));
+  auto t = std::make_shared<JoinTable>(right, rkeys, std::move(rcols), mode);
+  const RowHasher& rhash = t->hasher;
   const int64_t rn = right.num_rows();
-  const int64_t ln = left.num_rows();
-  const RowHasher rhash(rcols);
-  const RowHasher lhash(lcols);
+  const int64_t* rk64 = rhash.SoleInt64();
+  const int32_t* rc = rhash.SoleDictCodes();
+  if ((mode == JoinKeyMode::kExactInt64 && rk64 == nullptr) ||
+      (mode == JoinKeyMode::kDictCodes && rc == nullptr)) {
+    return Status::Invalid("BuildJoinTable: build keys do not fit the mode");
+  }
+  t->bits = RadixBits(rn);
+  ChargeScoped(CounterId::kJoinTablesBuilt);
+  ChargeScoped(CounterId::kJoinRadixPartitions, int64_t{1} << t->bits);
 
+  const auto true_eq = [](int64_t, int64_t) { return true; };
+  std::vector<uint64_t> rh;
+  std::vector<uint8_t> rnull;
+  switch (mode) {
+    case JoinKeyMode::kExactInt64:
+      BuildLayout(*t, rn,
+                  [rk64](int64_t r) { return static_cast<uint64_t>(rk64[r]); },
+                  true_eq, rh, rnull);
+      break;
+    case JoinKeyMode::kDictCodes:
+      BuildLayout(*t, rn,
+                  [rc](int64_t r) { return static_cast<uint64_t>(rc[r]); },
+                  true_eq, rh, rnull);
+      break;
+    case JoinKeyMode::kHash:
+      // Null keys never match (pandas semantics): keep them out of the
+      // table. With no nullable key column the flag array stays empty and
+      // the hot loops skip the check.
+      rh.resize(rn);
+      if (rhash.MayHaveNulls()) rnull.assign(rn, 0);
+      ParallelFor(0, rn, 16384, [&](int64_t lo, int64_t hi) {
+        rhash.HashRange(lo, hi, rh.data());
+        if (!rnull.empty()) {
+          for (int64_t i = lo; i < hi; ++i) rnull[i] = rhash.AnyNull(i);
+        }
+      });
+      BuildLayout(*t, rn, [&rh](int64_t r) { return rh[r]; },
+                  [&rhash](int64_t a, int64_t b) {
+                    return rhash.RowsEqual(a, b);
+                  },
+                  rh, rnull);
+      break;
+  }
+  return std::shared_ptr<const JoinTable>(std::move(t));
+}
+
+Result<DataFrame> ProbeJoin(const DataFrame& left,
+                            const std::vector<std::string>& lkeys,
+                            const JoinTable& table,
+                            const MergeOptions& options) {
+  if (lkeys.size() != table.keys.size()) {
+    return Status::Invalid("ProbeJoin: key count differs from the table's");
+  }
+  XORBITS_ASSIGN_OR_RETURN(auto lcols, KeyColumns(left, lkeys));
+  const RowHasher lhash(lcols);
+  const int64_t ln = left.num_rows();
   const bool keep_left = options.how == JoinType::kLeft ||
                          options.how == JoinType::kOuter;
   const bool keep_right = options.how == JoinType::kRight ||
                           options.how == JoinType::kOuter;
-
-  const int bits = RadixBits(rn);
-  const int64_t P = int64_t{1} << bits;
-  ChargeScoped(CounterId::kJoinRadixPartitions, P);
-  // With a single partition and no right-outer bookkeeping the join runs a
-  // fused probe (below) that never materializes the partition layout.
-  const bool fused = bits == 0 && !keep_right;
-
-  // Key-shape dispatch, resolved before any hashing: single-column
-  // never-null int64 keys (or dictionary codes over one shared dictionary)
-  // run in "exact tag" mode, where the slot tag is the key itself and the
-  // value-hash arrays are never materialized — slot indices mix the tag
-  // inline. Table and partition layout then differ from the generic mode,
-  // but the output cannot: entry ids are assigned in first-seen ascending
-  // row order and matches are emitted in ascending left-row order, both
-  // functions of key values alone.
-  const int64_t* lk64 = lhash.SoleInt64();
-  const int64_t* rk64 = rhash.SoleInt64();
-  const int32_t* lc = lhash.SoleDictCodes();
-  const int32_t* rc = rhash.SoleDictCodes();
-  const bool same_dict =
-      lc != nullptr && rc != nullptr &&
-      (lhash.SoleDict() == rhash.SoleDict() ||
-       lhash.SoleDict()->SameAs(*rhash.SoleDict()));
-  const bool exact_tags = (lk64 != nullptr && rk64 != nullptr) || same_dict;
-
-  // Null keys never match (pandas semantics): keep them out of tables.
-  // When no key column can be null, the flag arrays stay empty and the
-  // hot loops skip the per-row check entirely. (Exact-tag keys are
-  // never-null by construction.)
-  std::vector<uint64_t> rh, lh;
-  std::vector<uint8_t> rnull, lnull;
-  if (!exact_tags) {
-    rh.resize(rn);
-    if (rhash.MayHaveNulls()) rnull.assign(rn, 0);
-    ParallelFor(0, rn, 16384, [&](int64_t lo, int64_t hi) {
-      rhash.HashRange(lo, hi, rh.data());
-      if (!rnull.empty()) {
-        for (int64_t i = lo; i < hi; ++i) rnull[i] = rhash.AnyNull(i) ? 1 : 0;
-      }
-    });
-    lh.resize(ln);
-    if (lhash.MayHaveNulls()) lnull.assign(ln, 0);
-    ParallelFor(0, ln, 16384, [&](int64_t lo, int64_t hi) {
-      lhash.HashRange(lo, hi, lh.data());
-      if (!lnull.empty()) {
-        for (int64_t i = lo; i < hi; ++i) lnull[i] = lhash.AnyNull(i) ? 1 : 0;
-      }
-    });
-  }
-
-  std::vector<int64_t> chain_next(rn, -1);
-  std::vector<std::unique_ptr<PartTable>> tables(P);
-  // Output (left, right) row index pairs. Raw storage instead of
-  // std::vector: every element is written exactly once by a parallel
-  // scatter, so vector's serial zero-fill would only add a wasted
-  // memory pass over megabytes.
-  std::unique_ptr<int64_t[]> lidx, ridx;
-  int64_t out_n = 0;
-  std::vector<uint8_t> right_matched(keep_right ? rn : 0, 0);
-
-  // The whole build+probe pipeline runs under one (tag, eq) scheme chosen
-  // below — see PartTable for why the exact-tag modes emit byte-identical
-  // output to the generic hash-tag mode.
-  auto run_join = [&](const auto& rtag, const auto& ltag, const auto& beq,
-                      const auto& peq) {
-    // Slot/partition hash: the precomputed value-hash arrays in generic
-    // mode, the tag mixed inline in exact-tag mode (no arrays to fill or
-    // re-read). `inline_hash` is loop-invariant, so the branch predicts
-    // perfectly inside the hot loops.
-    const bool inline_hash = rh.empty();
-    const auto rsh = [&](int64_t r) {
-      return inline_hash ? MixHash(rtag(r)) : rh[r];
-    };
-    const auto lsh = [&](int64_t i) {
-      return inline_hash ? MixHash(ltag(i)) : lh[i];
-    };
-    if (fused) {
-      // Single-table fast path: probe morsels emit (left, right) pairs
-      // into morsel-local buffers, concatenated in morsel order — rows
-      // ascend within a morsel and morsels ascend by row range, so the
-      // result is the exact serial ascending emission order, independent
-      // of thread count.
-      //
-      // Exact-tag keys whose value range is compact get a direct-address
-      // table instead of the hash table: `dmap[tag - tag_min]` holds the
-      // entry id, so a probe is one wraparound bounds check and one load —
-      // no mixing, no collision loop. Entry ids are first-seen ascending in
-      // either representation, so the emitted bytes are identical.
-      std::vector<int64_t> dhead, dtail, dcount;
-      std::vector<int64_t> dmap;
-      uint64_t tag_min = 0, tag_range = 0;
-      bool direct = false;
-      if (inline_hash && rn > 0) {
-        uint64_t lo = rtag(0), hi = rtag(0);
-        for (int64_t r = 1; r < rn; ++r) {
-          const uint64_t t = rtag(r);
-          lo = std::min(lo, t);
-          hi = std::max(hi, t);
-        }
-        // Wraparound-safe: mixed-sign int64 keys produce a huge unsigned
-        // span and simply fall back to the hash table.
-        const uint64_t range = hi - lo + 1;
-        if (range <= 65536) {
-          direct = true;
-          tag_min = lo;
-          tag_range = range;
-          dmap.assign(range, -1);
-          dhead.reserve(rn);
-          dtail.reserve(rn);
-          dcount.reserve(rn);
-          for (int64_t r = 0; r < rn; ++r) {
-            const uint64_t k = rtag(r) - tag_min;
-            const int64_t e = dmap[k];
-            if (e < 0) {
-              dmap[k] = static_cast<int64_t>(dhead.size());
-              dhead.push_back(r);
-              dtail.push_back(r);
-              dcount.push_back(1);
-            } else {
-              chain_next[dtail[e]] = r;
-              dtail[e] = r;
-              dcount[e]++;
-            }
-          }
-        }
-      }
-      if (!direct) {
-        auto table = std::make_unique<PartTable>(rn, chain_next.data());
-        for (int64_t r = 0; r < rn; ++r) {
-          if (rnull.empty() || !rnull[r]) {
-            table->Insert(rsh(r), rtag(r), r, beq);
-          }
-        }
-        tables[0] = std::move(table);
-      }
-      const PartTable* tp = tables[0].get();
-      const int64_t* entry_head = direct ? dhead.data() : tp->entry_head.data();
-      const int64_t grain = 16384;
-      const int64_t morsels = NumMorsels(0, ln, grain);
-      std::vector<std::vector<int64_t>> lloc(morsels), rloc(morsels);
-      ParallelFor(0, ln, grain, [&](int64_t lo, int64_t hi) {
-        std::vector<int64_t>& lv = lloc[lo / grain];
-        std::vector<int64_t>& rv = rloc[lo / grain];
-        // Slack over the 1:1 estimate: a fan-out barely above 1 would
-        // otherwise force every morsel through a capacity-doubling copy.
-        lv.reserve(hi - lo + (hi - lo) / 8 + 8);
-        rv.reserve(hi - lo + (hi - lo) / 8 + 8);
-        for (int64_t i = lo; i < hi; ++i) {
-          int64_t e = -1;
-          if (direct) {
-            const uint64_t k = ltag(i) - tag_min;
-            if (k < tag_range) e = dmap[k];
-          } else if (lnull.empty() || !lnull[i]) {
-            e = tp->Find(lsh(i), ltag(i), i, peq);
-          }
-          if (e < 0) {
-            if (keep_left) {
-              lv.push_back(i);
-              rv.push_back(-1);
-            }
-            continue;
-          }
-          for (int64_t r = entry_head[e]; r >= 0; r = chain_next[r]) {
-            lv.push_back(i);
-            rv.push_back(r);
-          }
-        }
-      });
-      std::vector<int64_t> off(morsels + 1, 0);
-      for (int64_t m = 0; m < morsels; ++m) {
-        off[m + 1] = off[m] + static_cast<int64_t>(lloc[m].size());
-      }
-      out_n = off[morsels];
-      lidx.reset(new int64_t[out_n]);
-      ridx.reset(new int64_t[out_n]);
-      ParallelFor(0, morsels, 1, [&](int64_t mlo, int64_t mhi) {
-        for (int64_t m = mlo; m < mhi; ++m) {
-          std::copy(lloc[m].begin(), lloc[m].end(), lidx.get() + off[m]);
-          std::copy(rloc[m].begin(), rloc[m].end(), ridx.get() + off[m]);
-        }
-      });
-      return;
-    }
-
-    // Partitioned path: exact-tag mode materializes its hash arrays here
-    // (one inline mix per row) because the radix partitioner and the
-    // per-partition probes need them by row id.
-    if (inline_hash) {
-      rh.resize(rn);
-      ParallelFor(0, rn, 16384, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) rh[i] = MixHash(rtag(i));
-      });
-      lh.resize(ln);
-      ParallelFor(0, ln, 16384, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) lh[i] = MixHash(ltag(i));
-      });
-    }
-    const Partitioned rpart = PartitionRows(rh, bits);
-    const Partitioned lpart = PartitionRows(lh, bits);
-
-    // Build one table per partition (right rows insert in ascending order
-    // within their partition, reproducing the serial chain order).
-    ParallelFor(0, P, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t p = lo; p < hi; ++p) {
-        const int64_t pb = rpart.begin[p], pe = rpart.begin[p + 1];
-        auto table = std::make_unique<PartTable>(pe - pb, chain_next.data());
-        for (int64_t k = pb; k < pe; ++k) {
-          const int64_t r = rpart.rows[k];
-          if (rnull.empty() || !rnull[r]) {
-            table->Insert(rh[r], rtag(r), r, beq);
-          }
-        }
-        tables[p] = std::move(table);
-      }
-    });
-
-    // Probe pass 1: each left row resolves its table entry and match count
-    // (rows of one partition are probed by one morsel, so the writes into
-    // the global per-row arrays are disjoint).
-    std::vector<int64_t> ent(ln, -1);
-    std::vector<int64_t> cnt(ln + 1, 0);
-    auto probe_partition_rows = [&](int64_t p, auto&& fn) {
-      const int64_t pb = lpart.begin[p], pe = lpart.begin[p + 1];
-      for (int64_t k = pb; k < pe; ++k) fn(lpart.rows[k]);
-    };
-    ParallelFor(0, P, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t p = lo; p < hi; ++p) {
-        const PartTable& table = *tables[p];
-        probe_partition_rows(p, [&](int64_t i) {
-          int64_t e = -1;
-          if (lnull.empty() || !lnull[i]) {
-            e = table.Find(lh[i], ltag(i), i, peq);
-          }
-          ent[i] = e;
-          cnt[i + 1] = e >= 0 ? table.entry_count[e]
-                              : (keep_left ? 1 : 0);
-        });
-      }
-    });
-    for (int64_t i = 0; i < ln; ++i) cnt[i + 1] += cnt[i];
-
-    // Probe pass 2: scatter (left, right) index pairs to their final
-    // offsets — the exact sequence a serial ascending probe would emit.
-    out_n = cnt[ln];
-    lidx.reset(new int64_t[out_n]);
-    ridx.reset(new int64_t[out_n]);
-    ParallelFor(0, P, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t p = lo; p < hi; ++p) {
-        const PartTable& table = *tables[p];
-        probe_partition_rows(p, [&](int64_t i) {
-          int64_t o = cnt[i];
-          const int64_t e = ent[i];
-          if (e < 0) {
-            if (keep_left) {
-              lidx[o] = i;
-              ridx[o] = -1;
-            }
-            return;
-          }
-          for (int64_t r = table.entry_head[e]; r >= 0; r = chain_next[r]) {
-            lidx[o] = i;
-            ridx[o] = r;
-            ++o;
-            if (keep_right) right_matched[r] = 1;
-          }
-        });
-      }
-    });
-  };
+  const Status misfit =
+      Status::Invalid("ProbeJoin: probe keys do not fit the table's mode");
 
   const auto true_eq = [](int64_t, int64_t) { return true; };
-  if (lk64 != nullptr && rk64 != nullptr) {
-    run_join([rk64](int64_t r) { return static_cast<uint64_t>(rk64[r]); },
-             [lk64](int64_t i) { return static_cast<uint64_t>(lk64[i]); },
-             true_eq, true_eq);
-  } else if (same_dict) {
-    run_join([rc](int64_t r) { return static_cast<uint64_t>(rc[r]); },
-             [lc](int64_t i) { return static_cast<uint64_t>(lc[i]); },
-             true_eq, true_eq);
-  } else {
-    run_join([&rh](int64_t r) { return rh[r]; },
-             [&lh](int64_t i) { return lh[i]; },
-             [&rhash](int64_t a, int64_t b) { return rhash.RowsEqual(a, b); },
-             [&lhash, &rhash](int64_t a, int64_t b) {
-               return lhash.Equal(a, rhash, b);
-             });
-  }
-
-  if (keep_right) {
-    int64_t extra = 0;
-    for (int64_t r = 0; r < rn; ++r) extra += right_matched[r] ? 0 : 1;
-    if (extra > 0) {
-      std::unique_ptr<int64_t[]> nl(new int64_t[out_n + extra]);
-      std::unique_ptr<int64_t[]> nr(new int64_t[out_n + extra]);
-      std::copy(lidx.get(), lidx.get() + out_n, nl.get());
-      std::copy(ridx.get(), ridx.get() + out_n, nr.get());
-      int64_t o = out_n;
-      for (int64_t r = 0; r < rn; ++r) {
-        if (!right_matched[r]) {
-          nl[o] = -1;
-          nr[o] = r;
-          ++o;
-        }
-      }
-      lidx = std::move(nl);
-      ridx = std::move(nr);
-      out_n += extra;
+  std::vector<uint64_t> lh;
+  std::vector<uint8_t> lnull;
+  IndexPairs pairs;
+  switch (table.mode) {
+    case JoinKeyMode::kExactInt64: {
+      const int64_t* lk64 = lhash.SoleInt64();
+      if (lk64 == nullptr) return misfit;
+      pairs = ProbeLayout(
+          table, ln,
+          [lk64](int64_t i) { return static_cast<uint64_t>(lk64[i]); },
+          true_eq, lh, lnull, keep_left);
+      break;
     }
+    case JoinKeyMode::kDictCodes: {
+      if (!SharesDict(lhash, table.hasher)) return misfit;
+      const int32_t* lc = lhash.SoleDictCodes();
+      pairs = ProbeLayout(
+          table, ln, [lc](int64_t i) { return static_cast<uint64_t>(lc[i]); },
+          true_eq, lh, lnull, keep_left);
+      break;
+    }
+    case JoinKeyMode::kHash:
+      lh.resize(ln);
+      if (lhash.MayHaveNulls()) lnull.assign(ln, 0);
+      ParallelFor(0, ln, 16384, [&](int64_t lo, int64_t hi) {
+        lhash.HashRange(lo, hi, lh.data());
+        if (!lnull.empty()) {
+          for (int64_t i = lo; i < hi; ++i) lnull[i] = lhash.AnyNull(i);
+        }
+      });
+      pairs = ProbeLayout(table, ln, [&lh](int64_t i) { return lh[i]; },
+                          [&lhash, &table](int64_t a, int64_t b) {
+                            return lhash.Equal(a, table.hasher, b);
+                          },
+                          lh, lnull, keep_left);
+      break;
   }
-  // -1 ("null row") can enter lidx only via the keep_right appends above
+  const DataFrame& right = *table.build;
+  if (keep_right) AppendUnmatchedRight(right.num_rows(), &pairs);
+  const int64_t out_n = pairs.n;
+  const int64_t* lidx = pairs.lidx.get();
+  const int64_t* ridx = pairs.ridx.get();
+  // -1 ("null row") can enter lidx only via the unmatched-right appends
   // and ridx only via keep_left misses, so inner joins skip both scans.
   auto has_neg = [out_n](const int64_t* v) {
     for (int64_t i = 0; i < out_n; ++i) {
@@ -557,11 +639,13 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
     }
     return false;
   };
-  const bool l_any_null = keep_right && has_neg(lidx.get());
-  const bool r_any_null = keep_left && has_neg(ridx.get());
+  const bool l_any_null = keep_right && has_neg(lidx);
+  const bool r_any_null = keep_left && has_neg(ridx);
 
   // Assemble output columns. Key columns named in `on` are emitted once,
   // coalescing left/right values for outer joins.
+  const bool same_names = options.left_on.empty() && options.right_on.empty();
+  const std::vector<std::string>& rkeys = table.keys;
   DataFrame out;
   auto is_key = [](const std::vector<std::string>& keys,
                    const std::string& name) {
@@ -577,12 +661,12 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
         !(same_names && is_key(rkeys, name))) {
       out_name = name + options.suffix_left;
     }
-    Column col = TakeOrNull(left.column(ci), lidx.get(), out_n, l_any_null);
+    Column col = TakeOrNull(left.column(ci), lidx, out_n, l_any_null);
     if (same_names && is_key(lkeys, name)) {
       // Coalesce: fill nulls (unmatched right rows) from the right key.
       for (size_t k = 0; k < lkeys.size(); ++k) {
         if (lkeys[k] != name) continue;
-        Column rcol = TakeOrNull(*rcols[k], ridx.get(), out_n, r_any_null);
+        Column rcol = TakeOrNull(*table.cols[k], ridx, out_n, r_any_null);
         if (col.has_validity()) {
           const int64_t n = col.length();
           std::vector<int64_t> fill_rows;
@@ -634,7 +718,7 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
       out_name = name + options.suffix_right;
     }
     XORBITS_RETURN_NOT_OK(out.SetColumn(
-        out_name, TakeOrNull(right.column(ci), ridx.get(), out_n,
+        out_name, TakeOrNull(right.column(ci), ridx, out_n,
                              r_any_null)));
   }
   out.set_index(Index::Range(0, out_n));
@@ -647,6 +731,16 @@ Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
     return SortValues(out, by, std::vector<bool>(by.size(), true));
   }
   return out;
+}
+
+Result<DataFrame> Merge(const DataFrame& left, const DataFrame& right,
+                        const MergeOptions& options) {
+  XORBITS_ASSIGN_OR_RETURN(JoinKeys keys, ResolveJoinKeys(options));
+  XORBITS_ASSIGN_OR_RETURN(
+      JoinKeyMode mode, ChooseJoinKeyMode(left, keys.left, right, keys.right));
+  XORBITS_ASSIGN_OR_RETURN(auto table,
+                           BuildJoinTable(right, keys.right, mode));
+  return ProbeJoin(left, keys.left, *table, options);
 }
 
 }  // namespace xorbits::dataframe

@@ -19,8 +19,17 @@ Status MergeChunkOp::Execute(ExecutionContext& ctx) const {
                            services::AsDataFrame(ctx.inputs[0]));
   XORBITS_ASSIGN_OR_RETURN(const DataFrame* right,
                            services::AsDataFrame(ctx.inputs[1]));
-  XORBITS_ASSIGN_OR_RETURN(DataFrame out,
-                           dataframe::Merge(*left, *right, options_));
+  XORBITS_ASSIGN_OR_RETURN(dataframe::JoinKeys keys,
+                           dataframe::ResolveJoinKeys(options_));
+  XORBITS_ASSIGN_OR_RETURN(
+      dataframe::JoinKeyMode mode,
+      dataframe::ChooseJoinKeyMode(*left, keys.left, *right, keys.right));
+  // Every probe chunk of a broadcast join shares the right payload, and
+  // with it one table (DESIGN.md §7).
+  XORBITS_ASSIGN_OR_RETURN(auto table,
+                           ctx.inputs[1]->JoinTableOn(keys.right, mode));
+  XORBITS_ASSIGN_OR_RETURN(
+      DataFrame out, dataframe::ProbeJoin(*left, keys.left, *table, options_));
   ctx.outputs[0] = services::MakeChunk(std::move(out));
   return Status::OK();
 }

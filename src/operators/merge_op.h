@@ -10,7 +10,8 @@
 
 namespace xorbits::operators {
 
-/// Joins one left chunk against a gathered right side (broadcast join leg).
+/// Joins one left chunk against a gathered right side (broadcast join leg),
+/// probing the hash table memoized on the right payload.
 class MergeChunkOp : public ChunkOp {
  public:
   explicit MergeChunkOp(dataframe::MergeOptions options)

@@ -42,6 +42,39 @@ std::string ChunkData::ToString() const {
   return scalar().ToString();
 }
 
+Result<std::shared_ptr<const dataframe::JoinTable>> ChunkData::JoinTableOn(
+    const std::vector<std::string>& keys, dataframe::JoinKeyMode mode) const {
+  if (!is_dataframe()) return Status::TypeError("chunk is not a dataframe");
+  std::shared_ptr<JoinTableSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(join_mu_);
+    for (const auto& s : join_tables_) {
+      if (s->mode == mode && s->keys == keys) {
+        slot = s;
+        break;
+      }
+    }
+    if (slot == nullptr) {
+      slot = std::make_shared<JoinTableSlot>();
+      slot->keys = keys;
+      slot->mode = mode;
+      join_tables_.push_back(slot);
+    }
+  }
+  // Built outside join_mu_, so a build over other keys never waits on it.
+  std::call_once(slot->once, [&] {
+    Result<std::shared_ptr<const dataframe::JoinTable>> built =
+        dataframe::BuildJoinTable(dataframe(), keys, mode);
+    if (built.ok()) {
+      slot->table = built.MoveValue();
+    } else {
+      slot->status = built.status();
+    }
+  });
+  if (!slot->status.ok()) return slot->status;
+  return slot->table;
+}
+
 ChunkDataPtr MakeChunk(dataframe::DataFrame df) {
   return std::make_shared<ChunkData>(std::move(df));
 }

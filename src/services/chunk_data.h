@@ -2,11 +2,14 @@
 #define XORBITS_SERVICES_CHUNK_DATA_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "common/result.h"
 #include "dataframe/dataframe.h"
+#include "dataframe/join.h"
 #include "tensor/ndarray.h"
 
 namespace xorbits::services {
@@ -14,7 +17,8 @@ namespace xorbits::services {
 /// A chunk's in-memory payload: one dataframe piece, one tensor block, or a
 /// scalar (final reductions). Immutable once stored; workers share payloads
 /// by pointer within a process, mirroring the zero-copy path of the paper's
-/// storage backends.
+/// storage backends. The only state added after construction is derived
+/// and never changes the payload: join tables memoized by `JoinTableOn`.
 class ChunkData {
  public:
   explicit ChunkData(dataframe::DataFrame df) : payload_(std::move(df)) {}
@@ -57,9 +61,29 @@ class ChunkData {
 
   std::string ToString() const;
 
+  /// The hash-join table over this dataframe's `keys` in `mode`, built on
+  /// the first call and shared by every later one: all probe chunks of a
+  /// broadcast join hold the same payload pointer, so they share one build
+  /// (DESIGN.md §7). Concurrent callers wait for the one builder. The table
+  /// lives as long as the payload; a spill reload or a recompute makes a
+  /// new payload, which builds again.
+  Result<std::shared_ptr<const dataframe::JoinTable>> JoinTableOn(
+      const std::vector<std::string>& keys,
+      dataframe::JoinKeyMode mode) const;
+
  private:
+  struct JoinTableSlot {
+    std::vector<std::string> keys;
+    dataframe::JoinKeyMode mode;
+    std::once_flag once;
+    Status status;
+    std::shared_ptr<const dataframe::JoinTable> table;
+  };
+
   std::variant<dataframe::DataFrame, tensor::NDArray, dataframe::Scalar>
       payload_;
+  mutable std::mutex join_mu_;
+  mutable std::vector<std::shared_ptr<JoinTableSlot>> join_tables_;
 };
 
 using ChunkDataPtr = std::shared_ptr<const ChunkData>;

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "core/xorbits.h"
 #include "dataframe/kernels.h"
+#include "io/serialize.h"
+#include "operators/merge_op.h"
+#include "services/storage_service.h"
 
 namespace xorbits {
 namespace {
@@ -434,6 +441,95 @@ TEST(EngineTest, MetricsRecordFusion) {
   EXPECT_GT(session.metrics().Get(CounterId::kFusedSubtasks), 0);
   EXPECT_DOUBLE_EQ(out->GetColumn("a2").ValueOrDie()->float64_data()[3],
                    (1.5 + 1.0) * 2.0);
+}
+
+
+// --- broadcast joins share one hash table per payload (DESIGN.md §7) ---
+
+DataFrame DimFrame() {
+  return DataFrame::Make({"k", "w"},
+                         {Column::Int64({0, 1, 2, 3, 4, 5}),
+                          Column::Int64({10, 11, 12, 13, 14, 15})})
+      .MoveValue();
+}
+
+TEST(EngineTest, BroadcastMergeBuildsOneTableAndMatchesPandasLike) {
+  dataframe::MergeOptions opts;
+  opts.on = {"k"};
+  Session session(TestConfig());
+  auto left = FromPandas(&session, SampleFrame(4000));
+  auto joined = left->Merge(*FromPandas(&session, DimFrame()), opts);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  auto out = joined->Fetch();
+  ASSERT_TRUE(out.ok()) << out.status();
+  // Every left chunk probed the broadcast side; one table served them all.
+  EXPECT_GE(joined->node()->chunks.size(), 8u);
+  EXPECT_EQ(session.metrics().Get(CounterId::kJoinTablesBuilt), 1);
+
+  Session oracle(TestConfig(EngineKind::kPandasLike));
+  auto want = FromPandas(&oracle, SampleFrame(4000))
+                  ->Merge(*FromPandas(&oracle, DimFrame()), opts)
+                  ->Fetch();
+  ASSERT_TRUE(want.ok()) << want.status();
+  // Same rows (the oracle may order them otherwise: compare sorted by the
+  // unique left id).
+  ASSERT_EQ(out->column_names(), want->column_names());
+  auto got_sorted = dataframe::SortValues(*out, {"v"});
+  auto want_sorted = dataframe::SortValues(*want, {"v"});
+  ASSERT_TRUE(got_sorted.ok() && want_sorted.ok());
+  ASSERT_EQ(got_sorted->num_rows(), want_sorted->num_rows());
+  for (int c = 0; c < got_sorted->num_columns(); ++c) {
+    std::string got_bytes, want_bytes;
+    for (int64_t i = 0; i < got_sorted->num_rows(); ++i) {
+      got_sorted->column(c).AppendKeyBytes(i, &got_bytes);
+      want_sorted->column(c).AppendKeyBytes(i, &want_bytes);
+    }
+    EXPECT_TRUE(got_bytes == want_bytes) << got_sorted->column_name(c);
+  }
+}
+
+TEST(EngineTest, SpilledBroadcastPayloadBuildsAFreshTable) {
+  Config c = TestConfig();
+  c.enable_spill = true;
+  c.spill_dir = "/tmp/xorbits_engine_join_spill";
+  Metrics metrics;
+  MetricsScope scope(&metrics);
+  services::StorageService store(c, &metrics);
+  ASSERT_TRUE(store.Put("dim", services::MakeChunk(DimFrame()), 0).ok());
+  dataframe::MergeOptions opts;
+  opts.on = {"k"};
+  const operators::MergeChunkOp op(opts);
+  const DataFrame left = SampleFrame(4000);
+  auto probe_all = [&]() {
+    std::vector<std::string> outs;
+    for (int64_t lo = 0; lo < 4000; lo += 500) {
+      operators::ExecutionContext ctx;
+      ctx.inputs = {services::MakeChunk(left.SliceRows(lo, 500)),
+                    store.Get("dim", static_cast<int>(lo / 500) % 4)
+                        .ValueOrDie()};
+      ctx.outputs.resize(1);
+      Status st = op.Execute(ctx);
+      EXPECT_TRUE(st.ok()) << st;
+      outs.push_back(
+          io::SerializeDataFrame(ctx.outputs[0]->dataframe()).ValueOrDie());
+    }
+    return outs;
+  };
+  const std::vector<std::string> first = probe_all();
+  EXPECT_EQ(metrics.Get(CounterId::kJoinTablesBuilt), 1);
+  // Spill the payload; the next reads fault back a new one, which builds
+  // its own table.
+  ASSERT_GT(store.SpillByPrefix("dim", 0, 1), 0);
+  const std::vector<std::string> second = probe_all();
+  EXPECT_EQ(metrics.Get(CounterId::kJoinTablesBuilt), 2);
+  EXPECT_EQ(second, first);
+  for (size_t i = 0; i < first.size(); ++i) {
+    auto want = dataframe::Merge(
+        left.SliceRows(static_cast<int64_t>(i) * 500, 500), DimFrame(), opts);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(first[i], io::SerializeDataFrame(*want).ValueOrDie()) << i;
+  }
+  std::filesystem::remove_all(c.spill_dir);
 }
 
 }  // namespace

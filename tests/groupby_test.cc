@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -349,6 +350,92 @@ TEST(GroupByTest, Int64MinMaxExactBeyond2To53) {
   EXPECT_EQ(r->GetColumn("mx").ValueOrDie()->int64_data()[0], big + 2);
   EXPECT_EQ(r->GetColumn("mn").ValueOrDie()->int64_data()[1], -big - 2);
   EXPECT_EQ(r->GetColumn("mx").ValueOrDie()->int64_data()[1], -big);
+}
+
+// nunique over int64/float64/bool counts distinct raw bits per group; the
+// reference is the per-group set of AppendKeyBytes strings.
+TEST(GroupByTest, TypedNuniqueMatchesKeyBytesSets) {
+  const int64_t n = 40000;
+  const int64_t big = int64_t{1} << 53;
+  const double nan_a = std::nan("1");
+  const double nan_b = std::nan("2");
+  std::vector<int64_t> k(n), iv(n);
+  std::vector<double> fv(n);
+  std::vector<uint8_t> bv(n), valid(n);
+  uint64_t x = 12345;
+  for (int64_t i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    k[i] = (i * 7919) % 5000;
+    // big and big + 1 share one double; both must count.
+    iv[i] = big + static_cast<int64_t>((x >> 20) % 3);
+    const double pool[] = {0.0, -0.0, nan_a, nan_b, 1.5, -2.25};
+    fv[i] = pool[(x >> 40) % 6];
+    bv[i] = static_cast<uint8_t>((x >> 50) % 3);  // 2 reads as true
+    valid[i] = (x >> 60) % 7 != 0;
+  }
+  auto df = DataFrame::Make({"k", "i", "f", "b"},
+                            {Column::Int64(k), Column::Int64(iv, valid),
+                             Column::Float64(fv, valid),
+                             Column::Bool(bv, valid)})
+                .MoveValue();
+  auto r = GroupByAgg(df, {"k"},
+                      {{"i", AggFunc::kNunique, "ni"},
+                       {"f", AggFunc::kNunique, "nf"},
+                       {"b", AggFunc::kNunique, "nb"}});
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->num_rows(), 5000);
+  const Column* keys = r->GetColumn("k").ValueOrDie();
+  for (const char* name : {"i", "f", "b"}) {
+    const Column* col = df.GetColumn(name).ValueOrDie();
+    std::map<int64_t, std::set<std::string>> ref;
+    for (int64_t i = 0; i < n; ++i) {
+      std::set<std::string>& vals = ref[k[i]];
+      if (!col->IsValid(i)) continue;
+      std::string bytes;
+      col->AppendKeyBytes(i, &bytes);
+      vals.insert(bytes);
+    }
+    const Column* got =
+        r->GetColumn(std::string("n") + name).ValueOrDie();
+    for (int64_t g = 0; g < r->num_rows(); ++g) {
+      ASSERT_EQ(got->int64_data()[g],
+                static_cast<int64_t>(ref[keys->int64_data()[g]].size()))
+          << name << " group " << keys->int64_data()[g];
+    }
+  }
+}
+
+// Sorted group order compares int64 keys exactly: 2^53 + 1 and 2^53 are one
+// double apart from nothing, so a compare through double keeps first-seen
+// order.
+TEST(GroupByTest, SortedInt64KeysOrderExactlyBeyond2To53) {
+  const int64_t big = int64_t{1} << 53;
+  auto df = DataFrame::Make({"k", "v"},
+                            {Column::Int64({big + 1, big, -big - 1, -big},
+                                           {1, 1, 1, 1}),
+                             Column::Int64({1, 2, 3, 4})})
+                .MoveValue();
+  auto r = GroupByAgg(df, {"k"}, {{"v", AggFunc::kSum, "s"}});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->GetColumn("k").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{-big - 1, -big, big, big + 1}));
+  EXPECT_EQ(r->GetColumn("s").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{3, 4, 2, 1}));
+}
+
+// Nulls still sort first, and a NaN key ties with every value, so it keeps
+// its first-seen place.
+TEST(GroupByTest, SortedKeysNullFirstNanTies) {
+  const double nan = std::nan("");
+  auto df =
+      DataFrame::Make({"k", "v"},
+                      {Column::Float64({nan, 1.0, 0.0, 1.0}, {1, 1, 0, 1}),
+                       Column::Int64({1, 2, 4, 8})})
+          .MoveValue();
+  auto r = GroupByAgg(df, {"k"}, {{"v", AggFunc::kSum, "s"}});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->GetColumn("s").ValueOrDie()->int64_data(),
+            (std::vector<int64_t>{4, 1, 10}));
 }
 
 TEST(AggFuncTest, NamesRoundTrip) {
