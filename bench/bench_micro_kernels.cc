@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the kernels that back the paper-level
 // results: groupby aggregation, hash join, sort, fused vs. unfused
 // elementwise evaluation, TSQR blocks, chunk serialization, the coloring
-// algorithm, and storage put/get.
+// algorithm, storage put/get, and in-memory source fingerprints.
 
 #include <benchmark/benchmark.h>
 
@@ -1063,6 +1063,70 @@ bool WriteBroadcastJoinJson(FILE* f) {
   return ok;
 }
 
+// ---------------------------------------------------------------------------
+// frame_fingerprint: the result cache's content fingerprint of an in-memory
+// source (dataframe::ContentFingerprint) on the 50k-row census frame. `cold`
+// fingerprints a frame whose buffers were never hashed (a fresh copy per
+// rep, built outside the timed window); `warm` fingerprints the same frame
+// again, which reads every buffer's memoized hash. Both must agree.
+// ---------------------------------------------------------------------------
+
+bool WriteFrameFingerprintJson(FILE* f) {
+  const int64_t kRows = 50000;
+  const int kReps = 9;
+  struct Sample {
+    std::vector<double> wall_us;
+    int64_t bytes_hashed = 0;
+    common::Hash128 fp;
+    bool agree = true;
+  };
+  const auto time_us = [](const DataFrame& df, Sample* s) {
+    int64_t bytes = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    const common::Hash128 fp = dataframe::ContentFingerprint(df, &bytes);
+    const auto t1 = std::chrono::steady_clock::now();
+    s->wall_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    if (s->wall_us.size() > 1) s->agree = s->agree && fp == s->fp;
+    s->fp = fp;
+    s->bytes_hashed = bytes;
+  };
+  Sample cold, warm;
+  const DataFrame shared = workloads::pipelines::MakeCensus(kRows);
+  for (int rep = 0; rep < kReps; ++rep) {
+    time_us(workloads::pipelines::MakeCensus(kRows), &cold);
+    time_us(shared, &warm);  // rep 0 fills the memo
+  }
+  warm.wall_us.erase(warm.wall_us.begin());
+  const bool ok = cold.agree && warm.agree && cold.fp == warm.fp &&
+                  cold.bytes_hashed > 0 && warm.bytes_hashed == 0;
+  const auto pct = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))];
+  };
+  const auto row = [&](const char* mode, const Sample& s, bool last) {
+    std::fprintf(f,
+                 "    {\"mode\": \"%s\", \"wall_us_median\": %.1f, "
+                 "\"wall_us_p10\": %.1f, \"wall_us_p90\": %.1f, "
+                 "\"bytes_hashed\": %" PRId64 "}%s\n",
+                 mode, pct(s.wall_us, 0.5), pct(s.wall_us, 0.1),
+                 pct(s.wall_us, 0.9), s.bytes_hashed, last ? "" : ",");
+  };
+  std::fprintf(f,
+               "  \"frame_fingerprint\": {\"frame\": \"census\", "
+               "\"rows\": %" PRId64 ", \"reps\": %d, \"host_cpus\": %d, "
+               "\"identical\": %s, \"runs\": [\n",
+               kRows, kReps, CoreBudget(), ok ? "true" : "false");
+  row("cold", cold, false);
+  row("warm", warm, true);
+  std::fprintf(f, "  ]},\n");
+  std::printf("frame_fingerprint: cold %.1f us (%" PRId64
+              " B hashed) vs warm %.1f us (%" PRId64 " B) %s\n",
+              pct(cold.wall_us, 0.5), cold.bytes_hashed,
+              pct(warm.wall_us, 0.5), warm.bytes_hashed, ok ? "ok" : "FAIL");
+  return ok;
+}
+
 bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   DataFrame gb_df = MakeFrame(kRows, 500);
   DataFrame join_left = MakeFrame(kRows, 2000);
@@ -1227,6 +1291,7 @@ bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   }
   std::fprintf(f, "\n  ],\n");
   all_identical = WriteBroadcastJoinJson(f) && all_identical;
+  all_identical = WriteFrameFingerprintJson(f) && all_identical;
   WriteSharingJson(f);
   all_identical = WriteSelectivityJson(f, kRows) && all_identical;
   // Shuffle frontier sweep: base 8k rows per SF step, 1 MiB band budget.

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/content_hash.h"
 #include "common/metrics.h"
 
 namespace xorbits::common {
@@ -77,11 +78,38 @@ struct Buffer {
     }
   }
 
+  /// HashElements of the whole vector, computed on first use and kept; a
+  /// memo hit hashes (and adds to `*bytes_hashed`) nothing. Lock-free: a
+  /// caller that finds no published hash computes it, and racing callers
+  /// store identical values before publishing `hash_ready` (release).
+  Hash128 content_hash(int64_t* bytes_hashed) const {
+    if (hash_ready.load(std::memory_order_acquire)) {
+      return Hash128{hash_lo.load(std::memory_order_relaxed),
+                     hash_hi.load(std::memory_order_relaxed)};
+    }
+    const Hash128 h = HashElements(
+        vec.data(), static_cast<int64_t>(vec.size()), bytes_hashed);
+    hash_lo.store(h.lo, std::memory_order_relaxed);
+    hash_hi.store(h.hi, std::memory_order_relaxed);
+    hash_ready.store(true, std::memory_order_release);
+    return h;
+  }
+
+  /// Drops the cached size and hash; MutableVec calls it on every in-place
+  /// path, before the caller mutates.
+  void ForgetContent() const {
+    nbytes_cache.store(-1, std::memory_order_relaxed);
+    hash_ready.store(false, std::memory_order_relaxed);
+  }
+
   std::vector<T> vec;
   const uint64_t id;
-  /// Cached nbytes() of a string buffer; -1 = unknown. MutableVec resets it
-  /// on every in-place path, before the caller mutates.
+  /// Cached nbytes() of a string buffer; -1 = unknown.
   mutable std::atomic<int64_t> nbytes_cache{-1};
+  /// Memoized content_hash(), valid once `hash_ready` is set.
+  mutable std::atomic<uint64_t> hash_lo{0};
+  mutable std::atomic<uint64_t> hash_hi{0};
+  mutable std::atomic<bool> hash_ready{false};
   /// Times nbytes() walked the strings (the caching regression test reads it).
   mutable std::atomic<int64_t> measures{0};
 };
@@ -149,8 +177,9 @@ class BufferView {
     if (buf_.use_count() == 1 && offset_ == 0 &&
         (length_ < 0 ||
          length_ == static_cast<int64_t>(buf_->vec.size()))) {
-      // The caller may change the payload in place: drop its cached size.
-      buf_->nbytes_cache.store(-1, std::memory_order_relaxed);
+      // The caller may change the payload in place: drop its cached size
+      // and content hash.
+      buf_->ForgetContent();
       length_ = -1;
       return buf_->vec;
     }
@@ -226,6 +255,18 @@ class BufferView {
   /// Times the underlying buffer's strings were walked to measure it.
   int64_t buffer_measure_count() const {
     return buf_ ? buf_->measures.load(std::memory_order_relaxed) : 0;
+  }
+
+  /// HashElements of the window's elements: a function of the content
+  /// alone, whichever buffer holds it. A window over the whole buffer
+  /// reads the buffer's memo (see buffer_detail::Buffer::content_hash); a
+  /// partial window hashes its own elements. Adds the bytes it had to hash
+  /// to `*bytes_hashed` (0 on a memo hit).
+  Hash128 ContentHash(int64_t* bytes_hashed = nullptr) const {
+    if (buf_ && offset_ == 0 && size() == buf_->vec.size()) {
+      return buf_->content_hash(bytes_hashed);
+    }
+    return HashElements(data(), ssize(), bytes_hashed);
   }
 
   /// Appends this view's buffer to `out` for unique-byte accounting.

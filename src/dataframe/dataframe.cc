@@ -424,4 +424,54 @@ std::string DataFrame::ToString(int64_t max_rows) const {
   return os.str();
 }
 
+common::Hash128 ContentFingerprint(const DataFrame& df,
+                                   int64_t* bytes_hashed) {
+  // Resolving every slot is a forcing point, as serialization is.
+  if (df.is_lazy()) ChargeScoped(CounterId::kSelectionsForced);
+  common::ContentHasher h;
+  h.Mix(static_cast<uint64_t>(df.num_columns()));
+  for (int i = 0; i < df.num_columns(); ++i) {
+    const std::string& name = df.column_name(i);
+    h.Mix(static_cast<uint64_t>(name.size()));
+    h.Update(name.data(), name.size());
+    const Column& c = df.column(i);
+    h.Mix(static_cast<uint64_t>(c.dtype()));
+    h.Mix(static_cast<uint64_t>(c.length()));
+    h.Mix(c.has_validity() ? 1 : 0);
+    if (c.has_validity()) h.Mix(c.validity().ContentHash(bytes_hashed));
+    switch (c.dtype()) {
+      case DType::kInt64:
+        h.Mix(c.int64_data().ContentHash(bytes_hashed));
+        break;
+      case DType::kFloat64:
+        h.Mix(c.float64_data().ContentHash(bytes_hashed));
+        break;
+      case DType::kBool:
+        h.Mix(c.bool_data().ContentHash(bytes_hashed));
+        break;
+      case DType::kString:
+        // Encoding tag: plain strings and dictionary codes over the same
+        // values are different payloads to the codec, so they key apart.
+        h.Mix(c.is_dict() ? 1 : 0);
+        if (c.is_dict()) {
+          h.Mix(c.dict_codes().ContentHash(bytes_hashed));
+          h.Mix(c.dict()->values().ContentHash(bytes_hashed));
+        } else {
+          h.Mix(c.string_data().ContentHash(bytes_hashed));
+        }
+        break;
+    }
+  }
+  const Index& idx = df.index();
+  h.Mix(idx.is_range() ? 0 : 1);
+  h.Mix(static_cast<uint64_t>(idx.length()));
+  if (idx.is_range()) {
+    h.Mix(static_cast<uint64_t>(idx.range_start()));
+  } else {
+    h.Mix(common::HashElements(idx.labels().data(), idx.length(),
+                               bytes_hashed));
+  }
+  return h.Finish();
+}
+
 }  // namespace xorbits::dataframe

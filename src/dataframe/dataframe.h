@@ -175,6 +175,19 @@ class DataFrame {
   Index index_ = Index::Range(0, 0);
 };
 
+/// Content fingerprint of `df`, the result cache's key for an in-memory
+/// source (DESIGN.md §9). It folds in everything the v4 codec writes: the
+/// column count; each column's name, dtype, length and validity; its
+/// encoding (plain values, or dictionary codes plus dictionary values);
+/// and the index (range start and length, or the labels). Column payloads
+/// contribute their buffers' memoized hashes, so fingerprinting the same
+/// buffers again costs O(columns), while equal content in other buffers
+/// still fingerprints equal. Lazy slots resolve through `column(i)`. Adds
+/// the bytes actually hashed (memo misses and index labels) to
+/// `*bytes_hashed` when given.
+common::Hash128 ContentFingerprint(const DataFrame& df,
+                                   int64_t* bytes_hashed = nullptr);
+
 }  // namespace xorbits::dataframe
 
 #endif  // XORBITS_DATAFRAME_DATAFRAME_H_

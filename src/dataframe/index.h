@@ -33,6 +33,8 @@ class Index {
                      : static_cast<int64_t>(labels_.size());
   }
   int64_t range_start() const { return start_; }
+  /// Explicit labels; empty for a range index.
+  const std::vector<int64_t>& labels() const { return labels_; }
 
   int64_t Label(int64_t pos) const {
     return is_range_ ? start_ + pos : labels_[pos];

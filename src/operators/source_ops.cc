@@ -7,9 +7,7 @@
 
 #include "dataframe/kernels.h"
 #include "io/csv.h"
-#include "io/serialize.h"
 #include "io/xparquet.h"
-#include "services/result_cache.h"
 #include "tiling/auto_rechunk.h"
 
 namespace xorbits::operators {
@@ -234,15 +232,17 @@ TileTask FromDataFrameOp::Tile(TileContext& ctx, TileableNode* node) {
   if (total >= 2 * ctx.config().total_bands()) {
     nchunks = std::max<int64_t>(nchunks, ctx.config().total_bands());
   }
-  // Content fingerprint for the result cache: one serialize+hash of the
-  // whole frame, shared by every slice, so identical frames submitted by
-  // different sessions produce identical DataChunkOp cache signatures.
-  // Only paid when the cache is on; without a fingerprint the slices keep
-  // their pointer-identity CseSignature and opt out of cross-session reuse.
+  // Content fingerprint for the result cache, shared by every slice, so
+  // identical frames submitted by different sessions produce identical
+  // DataChunkOp cache signatures. Built from the buffers' memoized hashes:
+  // resubmitting the same buffers hashes no payload again. Only paid when
+  // the cache is on; without a fingerprint the slices keep their
+  // pointer-identity CseSignature and opt out of cross-session reuse.
   std::string cache_fp;
   if (ctx.config().enable_result_cache) {
-    auto bytes_r = io::SerializeDataFrame(df_);
-    if (bytes_r.ok()) cache_fp = services::ResultCache::HashHex(*bytes_r);
+    int64_t hashed = 0;
+    cache_fp = dataframe::ContentFingerprint(df_, &hashed).Hex();
+    ctx.metrics()->Add(CounterId::kCacheFingerprintBytes, hashed);
   }
   for (const auto& [off, count] : SplitRows(total, nchunks)) {
     DataFrame piece = df_.SliceRows(off, count);
@@ -352,8 +352,9 @@ TileTask FromNDArrayOp::Tile(TileContext& ctx, TileableNode* node) {
   // Same content-fingerprint arrangement as FromDataFrameOp::Tile.
   std::string cache_fp;
   if (ctx.config().enable_result_cache) {
-    auto bytes_r = io::SerializeNDArray(array_);
-    if (bytes_r.ok()) cache_fp = services::ResultCache::HashHex(*bytes_r);
+    int64_t hashed = 0;
+    cache_fp = tensor::ContentFingerprint(array_, &hashed).Hex();
+    ctx.metrics()->Add(CounterId::kCacheFingerprintBytes, hashed);
   }
   for (const auto& [off, count] : SplitRows(rows, nchunks)) {
     NDArray piece = array_.SliceRows(off, off + count);

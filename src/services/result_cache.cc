@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/content_hash.h"
 #include "common/trace_names.h"
 #include "common/tracing.h"
 
@@ -19,22 +20,9 @@ ResultCache::ResultCache(const Config& config, StorageService* storage,
           metrics->registry.GetGauge(trace::kGaugeCacheEntries, "entries")) {}
 
 std::string ResultCache::HashHex(const std::string& s) {
-  // Two independent 64-bit FNV-1a lanes (distinct offset bases) give 128
-  // bits: enough that accidental signature collisions — which would serve
-  // one sub-plan's bytes for another — are out of the picture.
-  uint64_t h0 = 14695981039346656037ULL;
-  uint64_t h1 = 9336575329864076361ULL;
-  for (unsigned char c : s) {
-    h0 = (h0 ^ c) * 1099511628211ULL;
-    h1 = (h1 ^ c) * 1099511628211ULL;
-  }
-  static const char* kHex = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[15 - i] = kHex[(h0 >> (4 * i)) & 0xF];
-    out[31 - i] = kHex[(h1 >> (4 * i)) & 0xF];
-  }
-  return out;
+  common::ContentHasher h;
+  h.Update(s.data(), s.size());
+  return h.Finish().Hex();
 }
 
 std::string ResultCache::KeyForSig(const std::string& sig) {

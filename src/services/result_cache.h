@@ -86,9 +86,9 @@ class ResultCache {
   int64_t entries() const;
   bool Contains(const std::string& sig) const;
 
-  /// 128-bit FNV-1a of `s`, as 32 lowercase hex chars. The building block
-  /// for transitive signatures: hashing at every node keeps signature
-  /// strings bounded however deep the plan is.
+  /// 128-bit content hash of `s` (common::ContentHasher), as 32 lowercase
+  /// hex chars. The building block for transitive signatures: hashing at
+  /// every node keeps signature strings bounded however deep the plan is.
   static std::string HashHex(const std::string& s);
 
   /// Storage key for a signature ("cache/<sig>").

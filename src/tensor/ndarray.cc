@@ -135,6 +135,14 @@ Result<NDArray> NDArray::SliceCols(int64_t c0, int64_t c1) const {
   return NDArray(std::move(data), {m, c1 - c0});
 }
 
+common::Hash128 ContentFingerprint(const NDArray& a, int64_t* bytes_hashed) {
+  common::ContentHasher h;
+  h.Mix(static_cast<uint64_t>(a.ndim()));
+  for (int64_t d : a.shape()) h.Mix(static_cast<uint64_t>(d));
+  h.Mix(a.data().ContentHash(bytes_hashed));
+  return h.Finish();
+}
+
 std::string NDArray::ShapeString() const {
   std::ostringstream os;
   os << "(";

@@ -82,6 +82,12 @@ class NDArray {
   std::vector<int64_t> shape_;
 };
 
+/// Content fingerprint of `a` (its shape and its data's memoized buffer
+/// hash), the NDArray counterpart of dataframe::ContentFingerprint. Adds
+/// the bytes actually hashed to `*bytes_hashed` when given.
+common::Hash128 ContentFingerprint(const NDArray& a,
+                                   int64_t* bytes_hashed = nullptr);
+
 // --- elementwise (shapes must match; scalar forms broadcast) ---
 Result<NDArray> Add(const NDArray& a, const NDArray& b);
 Result<NDArray> Sub(const NDArray& a, const NDArray& b);

@@ -2,7 +2,8 @@
 // with no value-data allocation (global counting allocator), private copies
 // on mutate-after-share, unique-byte accounting in StorageService (a buffer
 // shared by several chunks is charged once per band), and serialize/spill
-// round-trips where a sliced view is byte-identical to an eager copy.
+// round-trips where a sliced view is byte-identical to an eager copy, and
+// content fingerprints built from hashes memoized on the buffers.
 // Runs under both the ASan `sanitize` and TSan `concurrency` ctest labels.
 
 #include <gtest/gtest.h>
@@ -16,9 +17,12 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/content_hash.h"
 #include "common/metrics.h"
 #include "dataframe/column.h"
 #include "dataframe/dataframe.h"
+#include "dataframe/dict.h"
+#include "dataframe/index.h"
 #include "services/chunk_data.h"
 #include "services/storage_service.h"
 #include "tensor/ndarray.h"
@@ -49,6 +53,7 @@ namespace {
 
 using common::BufferView;
 using dataframe::Column;
+using dataframe::ContentFingerprint;
 using dataframe::DataFrame;
 using services::ChunkDataPtr;
 using services::MakeChunk;
@@ -491,6 +496,192 @@ TEST(BufferConcurrencyTest, ConcurrentReadersAndCowWritersAreIsolated) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(read_sum.load(), (kThreads / 2) * (n * (n - 1) / 2));
   EXPECT_EQ(col.int64_data()[0], 0);  // shared cell never written
+}
+
+// ---------------------------------------------------------------------------
+// Content fingerprints (DESIGN.md §9): the result cache keys an in-memory
+// source by content, built from hashes memoized on the immutable buffers.
+// ---------------------------------------------------------------------------
+
+/// Rows [lo, hi) of a deterministic frame in fresh buffers: int64, nullable
+/// float64 (holding 0.0), bool, plain strings and dictionary strings over a
+/// fixed dictionary. Row i's values depend on i only, so rows [a, b) of a
+/// larger frame equal MixedFrame(a, b) (index aside).
+DataFrame MixedFrame(int64_t lo, int64_t hi) {
+  const int64_t n = hi - lo;
+  std::vector<int64_t> iv(n);
+  std::vector<double> fv(n);
+  std::vector<uint8_t> fvalid(n), bv(n);
+  std::vector<std::string> sv(n);
+  std::vector<int32_t> codes(n);
+  for (int64_t k = 0; k < n; ++k) {
+    const int64_t i = lo + k;
+    iv[k] = i * 7919 % 1000;
+    fv[k] = i % 5 == 0 ? 0.0 : static_cast<double>(i) / 8;
+    fvalid[k] = i % 11 == 3 ? 0 : 1;
+    bv[k] = i % 3 == 0 ? 1 : 0;
+    sv[k] = "s" + std::to_string(i % 13);
+    codes[k] = static_cast<int32_t>(i % 3);
+  }
+  return DataFrame::Make(
+             {"i", "f", "b", "s", "d"},
+             {Column::Int64(std::move(iv)),
+              Column::Float64(std::move(fv), std::move(fvalid)),
+              Column::Bool(std::move(bv)), Column::String(std::move(sv)),
+              Column::Dictionary(
+                  BufferView<int32_t>(std::move(codes)),
+                  dataframe::StringDict::Make({"ulm", "kiel", "bonn"}))})
+      .MoveValue();
+}
+
+TEST(ContentFingerprintTest, EqualContentInOtherBuffersFingerprintsEqual) {
+  const DataFrame a = MixedFrame(0, 1000);
+  const DataFrame b = MixedFrame(0, 1000);
+  ASSERT_FALSE(a.column(0).int64_data().SharesBufferWith(
+      b.column(0).int64_data()));
+  EXPECT_EQ(ContentFingerprint(a), ContentFingerprint(b));
+  // A window over a larger frame equals a fresh frame of the same rows
+  // (and the same labels): the hash depends on content, not on buffers.
+  DataFrame fresh = MixedFrame(100, 600);
+  fresh.set_index(dataframe::Index::Range(100, 600));
+  EXPECT_EQ(ContentFingerprint(a.SliceRows(100, 500)),
+            ContentFingerprint(fresh));
+
+  const tensor::NDArray x =
+      tensor::NDArray::Make({1, 2, 3, 4, 5, 6}, {3, 2}).MoveValue();
+  const tensor::NDArray y =
+      tensor::NDArray::Make({1, 2, 3, 4, 5, 6}, {3, 2}).MoveValue();
+  EXPECT_EQ(ContentFingerprint(x), ContentFingerprint(y));
+}
+
+TEST(ContentFingerprintTest, EachSingleChangeFingerprintsDifferently) {
+  const int64_t n = 200;
+  const DataFrame base = MixedFrame(0, n);
+  const common::Hash128 fp = ContentFingerprint(base);
+  const auto differs = [&](const DataFrame& changed, const char* what) {
+    EXPECT_NE(ContentFingerprint(changed), fp) << what;
+  };
+  {
+    DataFrame d = base;
+    d.mutable_column(0).mutable_int64_data()[17] ^= 1;
+    differs(d, "one value bit");
+  }
+  {
+    DataFrame d = base;
+    ASSERT_EQ(d.column(1).float64_data()[5], 0.0);
+    d.mutable_column(1).mutable_float64_data()[5] = -0.0;
+    differs(d, "0.0 vs -0.0");
+  }
+  {
+    DataFrame d = base;
+    d.mutable_column(1).mutable_validity()[7] ^= 1;
+    differs(d, "one null bit");
+  }
+  differs(base.Rename({{"i", "j"}}).MoveValue(), "a column name");
+  {
+    // Same raw bits (all zero), only the dtype differs.
+    const DataFrame ints =
+        DataFrame::Make({"z"}, {Column::Int64(std::vector<int64_t>(8, 0))})
+            .MoveValue();
+    const DataFrame floats =
+        DataFrame::Make({"z"}, {Column::Float64(std::vector<double>(8, 0.0))})
+            .MoveValue();
+    EXPECT_NE(ContentFingerprint(ints), ContentFingerprint(floats))
+        << "a dtype";
+  }
+  {
+    DataFrame d = base;
+    ASSERT_TRUE(d.SetColumn("s", base.column(3).DictEncode()).ok());
+    differs(d, "plain vs dict encoding of the same strings");
+  }
+  {
+    DataFrame d = base;
+    const Column& dc = base.column(4);
+    ASSERT_TRUE(d.SetColumn("d", Column::Dictionary(
+                                     dc.dict_codes(),
+                                     dataframe::StringDict::Make(
+                                         {"ulm", "kiel", "bonX"})))
+                    .ok());
+    differs(d, "one dict value");
+  }
+  {
+    DataFrame d = base;
+    d.set_index(dataframe::Index::Range(1, n + 1));
+    differs(d, "the range-index start");
+  }
+  {
+    std::vector<int64_t> labels(n);
+    std::iota(labels.begin(), labels.end(), 0);
+    DataFrame with_labels = base;
+    with_labels.set_index(dataframe::Index::Labels(labels));
+    EXPECT_EQ(ContentFingerprint(with_labels),
+              ContentFingerprint(with_labels));
+    labels[n / 2] = -1;
+    DataFrame d = base;
+    d.set_index(dataframe::Index::Labels(labels));
+    EXPECT_NE(ContentFingerprint(d), ContentFingerprint(with_labels))
+        << "one label";
+  }
+  {
+    const tensor::NDArray a =
+        tensor::NDArray::Make({1, 2, 3, 4, 5, 6}, {3, 2}).MoveValue();
+    const tensor::NDArray b =
+        tensor::NDArray::FromView(a.data(), {2, 3}).MoveValue();
+    const tensor::NDArray c =
+        tensor::NDArray::FromView(a.data(), {6}).MoveValue();
+    EXPECT_NE(ContentFingerprint(a), ContentFingerprint(b));
+    EXPECT_NE(ContentFingerprint(a), ContentFingerprint(c));
+  }
+}
+
+TEST(ContentFingerprintTest, MemoHitHashesNothing) {
+  const DataFrame df = MixedFrame(0, 1000);
+  int64_t cold = 0;
+  const common::Hash128 fp = ContentFingerprint(df, &cold);
+  EXPECT_GT(cold, 0);
+  int64_t warm = 0;
+  EXPECT_EQ(ContentFingerprint(df, &warm), fp);
+  EXPECT_EQ(warm, 0);
+  // A partial window is hashed, not memoized.
+  int64_t window = 0;
+  ContentFingerprint(df.SliceRows(1, 10), &window);
+  EXPECT_GT(window, 0);
+}
+
+TEST(BufferConcurrencyTest, ConcurrentFingerprintsAgreeAndCowResetsTheMemo) {
+  // Eight threads fingerprint one shared, never-hashed frame at once: every
+  // thread computes or reads the memo, and all must agree (TSan checks the
+  // memo's publication).
+  const DataFrame shared = MixedFrame(0, 20000);
+  constexpr int kThreads = 8;
+  std::vector<common::Hash128> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { got[t] = ContentFingerprint(shared); });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[t], got[0]);
+  EXPECT_EQ(got[0], ContentFingerprint(MixedFrame(0, 20000)));
+
+  // A CoW write on a copy gives the copy a private buffer and a new
+  // fingerprint. The copy now owns that buffer alone, so the next write
+  // goes in place, after the buffer was hashed: MutableVec must drop the
+  // memo, or the copy would keep the stale fingerprint.
+  DataFrame copy = shared;
+  copy.mutable_column(0).mutable_int64_data()[0] += 1;
+  const common::Hash128 after_cow = ContentFingerprint(copy);
+  EXPECT_NE(after_cow, got[0]);
+  ASSERT_TRUE(copy.column(0).int64_data().unique());
+  copy.mutable_column(0).mutable_int64_data()[1] += 1;
+  const common::Hash128 after_in_place = ContentFingerprint(copy);
+  EXPECT_NE(after_in_place, after_cow);
+  DataFrame expected = MixedFrame(0, 20000);
+  auto& ev = expected.mutable_column(0).mutable_int64_data();
+  ev[0] += 1;
+  ev[1] += 1;
+  EXPECT_EQ(after_in_place, ContentFingerprint(expected));
+  EXPECT_EQ(ContentFingerprint(shared), got[0]);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "operators/operator.h"
 #include "scheduler/executor.h"
 #include "workloads/pipelines.h"
+#include "test_util.h"
 
 // Fault-injection and recovery coverage (DESIGN.md § Failure model &
 // recovery): deterministic injector draws, subtask retry with backoff,
@@ -30,6 +31,7 @@ using graph::ChunkNode;
 using graph::Subtask;
 using graph::SubtaskGraph;
 using scheduler::Executor;
+using test_util::Fingerprint;
 
 // ---------------------------------------------------------------------------
 // FaultInjector unit tests
@@ -438,24 +440,6 @@ TEST(RecoveryTest, AllBandsDeadFailsFast) {
 // End-to-end seeded chaos matrix: pipelines under injected faults must
 // produce byte-identical results to the fault-free baseline.
 // ---------------------------------------------------------------------------
-
-/// Exact fingerprint of a frame: column names, dtypes, validity and raw
-/// value bytes (same scheme as parallel_test.cc).
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
-}
 
 Config PipelineCluster() {
   Config c;

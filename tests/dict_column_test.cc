@@ -18,29 +18,16 @@
 #include "dataframe/kernels.h"
 #include "io/serialize.h"
 #include "io/xparquet.h"
+#include "test_util.h"
 
 namespace xorbits::dataframe {
 namespace {
 
+using test_util::Fingerprint;
+
 Column SampleStrings() {
   return Column::String({"ca", "ab", "ca", "bd", "ab", "ca"},
                         {1, 1, 0, 1, 1, 1});
-}
-
-/// Order-sensitive value checksum over every cell (AppendKeyBytes is
-/// documented byte-identical across encodings).
-uint64_t Fingerprint(const DataFrame& df) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  std::string key;
-  for (int c = 0; c < df.num_columns(); ++c) {
-    h = HashBytes(df.column_name(c).data(), df.column_name(c).size(), h);
-    for (int64_t i = 0; i < df.num_rows(); ++i) {
-      key.clear();
-      df.column(c).AppendKeyBytes(i, &key);
-      h = HashBytes(key.data(), key.size(), h);
-    }
-  }
-  return h;
 }
 
 TEST(DictColumnTest, EncodeDecodeRoundTrip) {
@@ -283,7 +270,7 @@ TEST_P(DictDeterminismTest, KernelChecksumsInvariant) {
   ThreadPool pool(GetParam());
   ThreadPool* prev = SetCurrentThreadPool(GetParam() > 1 ? &pool : nullptr);
 
-  uint64_t gb_fp[2], join_fp[2], filter_fp[2];
+  std::string gb_fp[2], join_fp[2], filter_fp[2];
   for (int enc = 0; enc < 2; ++enc) {
     DataFrame df = KeyedFrame(enc == 1);
     auto gb = GroupByAgg(df, {"k"},

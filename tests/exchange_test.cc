@@ -15,6 +15,7 @@
 #include "scheduler/executor.h"
 #include "services/exchange_service.h"
 #include "workloads/pipelines.h"
+#include "test_util.h"
 
 // Pipelined block exchange coverage (DESIGN.md §11): deterministic block
 // splitting, compressed serialize/spill round trips, backpressure progress
@@ -35,24 +36,7 @@ using graph::Subtask;
 using graph::SubtaskGraph;
 using scheduler::Executor;
 using services::ExchangeService;
-
-/// Exact fingerprint of a frame: column names, dtypes, validity and raw
-/// value bytes (same scheme as chaos_test.cc / parallel_test.cc).
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
-}
+using test_util::Fingerprint;
 
 /// Deterministic keyed frame; `encoded` dict-encodes the string key so the
 /// same rows can flow through the exchange under both physical encodings.

@@ -10,9 +10,12 @@
 #include "common/thread_pool.h"
 #include "dataframe/groupby.h"
 #include "dataframe/kernels.h"
+#include "test_util.h"
 
 namespace xorbits::dataframe {
 namespace {
+
+using test_util::Fingerprint;
 
 DataFrame Sales() {
   return DataFrame::Make(
@@ -139,23 +142,6 @@ TEST(GroupByTest, UnsortedKeepsFirstSeenOrder) {
 }
 
 // --- Morsel-split independence of the order-insensitive aggregates. ---
-
-/// Exact fingerprint of a frame: names, dtypes, validity and value bytes.
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
-}
 
 /// `n` rows over about `groups` int64 keys (an LCG, no global RNG), with a
 /// nullable int column "i" (values beyond 2^53 included) and a nullable

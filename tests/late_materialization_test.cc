@@ -32,26 +32,13 @@
 #include "operators/groupby_op.h"
 #include "operators/source_ops.h"
 #include "services/chunk_data.h"
+#include "test_util.h"
 
 namespace xorbits::dataframe {
 namespace {
 
+using test_util::Fingerprint;
 
-/// Order-sensitive value checksum over every cell (AppendKeyBytes is
-/// documented byte-identical across encodings and materialization states).
-uint64_t Fingerprint(const DataFrame& df) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  std::string key;
-  for (int c = 0; c < df.num_columns(); ++c) {
-    h = HashBytes(df.column_name(c).data(), df.column_name(c).size(), h);
-    for (int64_t i = 0; i < df.num_rows(); ++i) {
-      key.clear();
-      df.column(c).AppendKeyBytes(i, &key);
-      h = HashBytes(key.data(), key.size(), h);
-    }
-  }
-  return h;
-}
 
 /// Deterministic mixed-dtype frame: int64 key with repeats (groupby/join
 /// fodder), float64 payload, and a low-cardinality string column.
@@ -209,7 +196,7 @@ TEST(LateMaterializationTest, LowSelectivityMaterializesFewerBytes) {
   // Late: the filter stays a selection; reading the result decodes only
   // the ~1% of rows that survive.
   int64_t late_bytes = 0;
-  uint64_t late_fp = 0, eager_fp = 0;
+  std::string late_fp, eager_fp;
   {
     auto er = io::ReadXpq(path);
     ASSERT_TRUE(er.ok());
@@ -408,7 +395,7 @@ TEST(LateMaterializationTest, FilterGroupByJoinChecksumAcrossThreadsAndDict) {
   mo.on = {"key"};
 
   // Baseline: single-threaded, plain strings, eager frames.
-  uint64_t base_gb = 0, base_join = 0;
+  std::string base_gb, base_join;
   {
     auto r = io::ReadXpq(path);
     ASSERT_TRUE(r.ok());

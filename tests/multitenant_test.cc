@@ -10,6 +10,7 @@
 #include "core/xorbits.h"
 #include "services/storage_service.h"
 #include "workloads/pipelines.h"
+#include "test_util.h"
 
 // Multi-tenant serving coverage (DESIGN.md §8): admission control with
 // queue/shed degradation, per-session memory quotas with spill-first
@@ -21,6 +22,7 @@ namespace {
 
 using dataframe::Column;
 using dataframe::DataFrame;
+using test_util::Fingerprint;
 
 // ---------------------------------------------------------------------------
 // Status taxonomy
@@ -208,23 +210,6 @@ TEST(AdmissionTest, QueuedSubmissionIsAdmittedWhenSlotFrees) {
 // ---------------------------------------------------------------------------
 // Byte-identical solo vs multi-tenant results
 // ---------------------------------------------------------------------------
-
-/// Exact fingerprint of a frame (same scheme as chaos_test.cc).
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
-}
 
 std::string SoloFingerprint(const Config& config, int64_t rows,
                             uint64_t seed) {

@@ -21,6 +21,7 @@
 #include "dataframe/join.h"
 #include "dataframe/kernels.h"
 #include "tensor/ndarray.h"
+#include "test_util.h"
 
 namespace xorbits {
 namespace {
@@ -31,6 +32,7 @@ using dataframe::Column;
 using dataframe::DataFrame;
 using dataframe::JoinType;
 using dataframe::MergeOptions;
+using test_util::Fingerprint;
 
 // ---------------------------------------------------------------------------
 // Pool stress
@@ -333,24 +335,6 @@ TEST(MetricsScopeTest, ScopedChargesRollUpToTheParent) {
 // ---------------------------------------------------------------------------
 // Determinism: byte-identical results at any thread count
 // ---------------------------------------------------------------------------
-
-/// Exact fingerprint of a frame: column names, dtypes, validity and raw
-/// value bytes. Any float-level difference changes the fingerprint.
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
-}
 
 /// Deterministic mixed-type test frame (LCG; no global RNG state).
 DataFrame MakeFrame(int64_t n) {

@@ -12,6 +12,7 @@
 #include "services/result_cache.h"
 #include "services/storage_service.h"
 #include "workloads/pipelines.h"
+#include "test_util.h"
 
 // Cross-session result cache coverage (DESIGN.md §9): hit/miss round
 // trips, byte-identical cache-served results, cache-budget (not tenant
@@ -24,6 +25,7 @@ namespace {
 using dataframe::Column;
 using dataframe::DataFrame;
 using services::ResultCache;
+using test_util::Fingerprint;
 
 Config CacheCluster() {
   Config c;
@@ -34,24 +36,6 @@ Config CacheCluster() {
   c.enable_result_cache = true;
   c.result_cache_budget_bytes = 32LL << 20;
   return c;
-}
-
-/// Exact fingerprint of a frame (same scheme as multitenant_test.cc) —
-/// a cache-served result must reproduce the computed bytes exactly.
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 /// Cache-off solo reference result.
@@ -221,6 +205,63 @@ TEST(ResultCacheE2ETest, TwoTenantsShareCachedChunksByteIdenticalToSolo) {
 
   EXPECT_EQ(fp_a, solo);
   EXPECT_EQ(fp_b, solo);
+}
+
+/// A grouped sum and a scaled tensor over caller-owned inputs: the
+/// FromDataFrameOp / FromNDArrayOp leaves are fingerprinted on every run.
+Status RunOverInputs(core::Session* s, const DataFrame& frame,
+                     const tensor::NDArray& array) {
+  XORBITS_ASSIGN_OR_RETURN(DataFrameRef df, FromPandas(s, frame));
+  XORBITS_ASSIGN_OR_RETURN(
+      df, df.GroupByAgg({"workclass"},
+                        {{"age", dataframe::AggFunc::kSum, "total_age"}}));
+  XORBITS_RETURN_NOT_OK(df.Fetch().status());
+  XORBITS_ASSIGN_OR_RETURN(TensorRef t, FromNumpy(s, array));
+  XORBITS_ASSIGN_OR_RETURN(t, t.MulScalar(2.0));
+  return t.Fetch().status();
+}
+
+TEST(ResultCacheE2ETest, ResubmittedBuffersAreFingerprintedFromTheMemo) {
+  const int64_t rows = 4000;
+  const DataFrame census = workloads::pipelines::MakeCensus(rows, 44);
+  std::vector<double> values(rows * 3);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = 0.5 * i;
+  const tensor::NDArray array =
+      tensor::NDArray::Make(values, {rows, 3}).MoveValue();
+  // Bytes a cold fingerprint hashes, measured on separate copies so the
+  // inputs' own memos stay cold.
+  int64_t cold = 0;
+  dataframe::ContentFingerprint(workloads::pipelines::MakeCensus(rows, 44),
+                                &cold);
+  tensor::ContentFingerprint(tensor::NDArray::Make(values, {rows, 3})
+                                 .MoveValue(),
+                             &cold);
+  ASSERT_GT(cold, 0);
+
+  auto mgr = core::SessionManager::Create(CacheCluster());
+  ASSERT_TRUE(mgr.ok());
+  auto run = [&](const DataFrame& frame, const tensor::NDArray& arr,
+                 int64_t* hashed, int64_t* hits) {
+    const MetricsSnapshot before = (*mgr)->metrics().Snapshot();
+    auto s = (*mgr)->CreateSession();
+    ASSERT_TRUE(RunOverInputs(s.get(), frame, arr).ok());
+    // Fingerprint bytes are the submitting session's; hits are the cache's.
+    *hashed = s->metrics().Get(CounterId::kCacheFingerprintBytes);
+    const MetricsSnapshot after = (*mgr)->metrics().Snapshot();
+    *hits = CounterOf(after, "cache_hits") - CounterOf(before, "cache_hits");
+  };
+  int64_t hashed = 0, hits = 0;
+  run(census, array, &hashed, &hits);
+  EXPECT_EQ(hashed, cold);  // first sight of these buffers
+  // A second session submitting the same buffers hashes nothing and hits.
+  run(census, array, &hashed, &hits);
+  EXPECT_EQ(hashed, 0);
+  EXPECT_GT(hits, 0);
+  // The same content in fresh buffers is hashed once, and still hits.
+  run(workloads::pipelines::MakeCensus(rows, 44),
+      tensor::NDArray::Make(values, {rows, 3}).MoveValue(), &hashed, &hits);
+  EXPECT_EQ(hashed, cold);
+  EXPECT_GT(hits, 0);
 }
 
 TEST(ResultCacheE2ETest, CachedBytesChargeTheCacheBudgetNotTenantQuotas) {

@@ -8,6 +8,7 @@
 #include "services/chunk_data.h"
 #include "services/meta_service.h"
 #include "services/storage_service.h"
+#include "test_util.h"
 
 namespace xorbits::services {
 namespace {
@@ -15,6 +16,7 @@ namespace {
 using dataframe::Column;
 using dataframe::DataFrame;
 using dataframe::Scalar;
+using test_util::Fingerprint;
 
 ChunkDataPtr DfChunk(int64_t rows) {
   std::vector<int64_t> v(rows);
@@ -297,23 +299,6 @@ TEST_P(CorruptSpillTest, GetTombstonesTheChunkAndDropsTheFile) {
   }
   EXPECT_EQ(left, damaged - 1);
   EXPECT_TRUE(store.Get("k0", 0).status().IsChunkLost());
-}
-
-/// Exact fingerprint of a frame: column names, dtypes, validity and values.
-std::string Fingerprint(const DataFrame& df) {
-  std::string out;
-  for (int ci = 0; ci < df.num_columns(); ++ci) {
-    out += df.column_name(ci);
-    out += '|';
-    const Column& c = df.column(ci);
-    out += static_cast<char>(c.dtype());
-    for (int64_t i = 0; i < c.length(); ++i) {
-      out += c.IsValid(i) ? 'v' : 'n';
-      if (c.IsValid(i)) c.AppendKeyBytes(i, &out);
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 DataFrame KeyedFrame(int64_t n) {
