@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the kernels that back the paper-level
 // results: groupby aggregation, hash join, sort, fused vs. unfused
 // elementwise evaluation, TSQR blocks, chunk serialization, the coloring
-// algorithm, storage put/get, and in-memory source fingerprints.
+// algorithm, storage put/get, in-memory source fingerprints, and
+// drop_duplicates.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -1127,6 +1129,79 @@ bool WriteFrameFingerprintJson(FILE* f) {
   return ok;
 }
 
+// ---------------------------------------------------------------------------
+// drop_duplicates: DropDuplicates on one key column with rows / 5 distinct
+// keys, once int64 and once dictionary-encoded strings, under the default
+// pool. Every rep's output must equal the reference that keeps the first
+// row of each distinct AppendKeyBytes key.
+// ---------------------------------------------------------------------------
+
+bool WriteDropDuplicatesJson(FILE* f, int64_t rows) {
+  const int64_t distinct = rows / 5;
+  const int kReps = 9;
+  struct Variant {
+    const char* key;
+    DataFrame df;
+  };
+  const Variant variants[] = {
+      {"int64", MakeFrame(rows, distinct)},
+      {"dict_string", MakeStringFrame(rows, distinct, /*encoded=*/true)},
+  };
+  const auto pct = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))];
+  };
+  bool ok = true;
+  std::fprintf(f,
+               "  \"drop_duplicates\": {\"rows\": %" PRId64
+               ", \"distinct\": %" PRId64
+               ", \"reps\": %d, \"host_cpus\": %d, \"runs\": [\n",
+               rows, distinct, kReps, CoreBudget());
+  for (size_t v = 0; v < std::size(variants); ++v) {
+    const DataFrame& df = variants[v].df;
+    const Column& key = *df.GetColumn("k").ValueOrDie();
+    std::unordered_set<std::string> seen;
+    std::vector<uint8_t> keep(rows, 0);
+    for (int64_t i = 0; i < rows; ++i) {
+      std::string bytes;
+      key.AppendKeyBytes(i, &bytes);
+      keep[i] = seen.insert(std::move(bytes)).second ? 1 : 0;
+    }
+    const size_t reference =
+        std::hash<std::string>{}(FingerprintFrame(df.FilterRows(keep)));
+    std::vector<double> wall_ms;
+    int64_t kept = 0;
+    bool identical = true;
+    for (int rep = 0; rep <= kReps; ++rep) {  // rep 0 warms up
+      const auto t0 = std::chrono::steady_clock::now();
+      const DataFrame out = dataframe::DropDuplicates(df, {"k"}).ValueOrDie();
+      const auto t1 = std::chrono::steady_clock::now();
+      identical = identical &&
+                  std::hash<std::string>{}(FingerprintFrame(out)) == reference;
+      kept = out.num_rows();
+      if (rep > 0) {
+        wall_ms.push_back(
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+      }
+    }
+    ok = ok && identical;
+    std::fprintf(f,
+                 "    {\"key\": \"%s\", \"wall_ms_median\": %.2f, "
+                 "\"wall_ms_p10\": %.2f, \"wall_ms_p90\": %.2f, "
+                 "\"kept_rows\": %" PRId64 ", \"checksum\": \"%zx\", "
+                 "\"matches_reference\": %s}%s\n",
+                 variants[v].key, pct(wall_ms, 0.5), pct(wall_ms, 0.1),
+                 pct(wall_ms, 0.9), kept, reference,
+                 identical ? "true" : "false",
+                 v + 1 < std::size(variants) ? "," : "");
+    std::printf("drop_duplicates %s: %.2f ms (p10 %.2f, p90 %.2f) %s\n",
+                variants[v].key, pct(wall_ms, 0.5), pct(wall_ms, 0.1),
+                pct(wall_ms, 0.9), identical ? "ok" : "FAIL");
+  }
+  std::fprintf(f, "  ]},\n");
+  return ok;
+}
+
 bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   DataFrame gb_df = MakeFrame(kRows, 500);
   DataFrame join_left = MakeFrame(kRows, 2000);
@@ -1292,6 +1367,8 @@ bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   std::fprintf(f, "\n  ],\n");
   all_identical = WriteBroadcastJoinJson(f) && all_identical;
   all_identical = WriteFrameFingerprintJson(f) && all_identical;
+  // 1.5M rows at the full run's 400k, 150k at the smoke run's 40k.
+  all_identical = WriteDropDuplicatesJson(f, kRows * 15 / 4) && all_identical;
   WriteSharingJson(f);
   all_identical = WriteSelectivityJson(f, kRows) && all_identical;
   // Shuffle frontier sweep: base 8k rows per SF step, 1 MiB band budget.

@@ -29,10 +29,11 @@ namespace xorbits::dataframe {
 /// String columns come in two physical encodings under the one logical
 /// dtype kString: plain (`BufferView<std::string>`) and dictionary
 /// (`BufferView<int32_t>` codes over a shared, deduplicated StringDict).
-/// Value-level APIs (GetScalar, AppendKeyBytes, string_at, Take/Filter/
-/// Slice/Concat) behave identically for both, so kernels that only read
-/// values never notice the encoding; kernels with a fast path branch on
-/// `is_dict()` and work on the int32 codes directly.
+/// Value-level APIs (GetScalar, string_at, Take/Filter/Slice/Concat, the
+/// reference key bytes) behave identically for both, so kernels that only
+/// read values never notice the encoding; kernels with a fast path branch
+/// on `is_dict()` and work on the int32 codes directly. Hashing kernels key
+/// rows through RowHasher and BuildGroups (key_hash.h).
 class Column {
  public:
   Column() : dtype_(DType::kInt64) {}
@@ -205,7 +206,9 @@ class Column {
 
   /// Appends a type-tagged binary encoding of row `i` to `out`; identical
   /// values produce identical bytes — across encodings too, so a dictionary
-  /// column fingerprints byte-identically to its decoded form.
+  /// column fingerprints byte-identically to its decoded form. The
+  /// reference key encoding: no kernel calls it, tests and benchmarks
+  /// compare the key index's equality against it.
   void AppendKeyBytes(int64_t i, std::string* out) const;
 
   std::string ValueToString(int64_t i) const;

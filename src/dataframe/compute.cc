@@ -423,6 +423,8 @@ Column NotNullCol(const Column& v) {
   return Column::Bool(std::move(out));
 }
 
+// IsIn stays off the key index: its float equality is numeric (-0.0
+// matches 0.0), not bitwise.
 Result<Column> IsIn(const Column& v, const std::vector<Scalar>& values) {
   const int64_t n = v.length();
   std::vector<uint8_t> out(n, 0);
@@ -455,7 +457,29 @@ Result<Column> IsIn(const Column& v, const std::vector<Scalar>& values) {
     });
     return Column::Bool(std::move(out), std::move(validity));
   }
-  if (IsNumeric(v.dtype())) {
+  if (v.dtype() == DType::kInt64) {
+    // Exact: a float value matches only when it is integral and in range,
+    // so 2^53 + 1 never matches 2^53 through a double.
+    std::unordered_set<int64_t> set;
+    for (const auto& s : values) {
+      if (s.is_int()) {
+        set.insert(s.AsInt());
+      } else if (s.is_float()) {
+        const double d = s.AsDouble();
+        if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+          set.insert(static_cast<int64_t>(d));
+        }
+      }
+    }
+    const int64_t* data = v.int64_data().data();
+    ParallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        if (v.IsValid(i)) out[i] = set.count(data[i]) ? 1 : 0;
+      }
+    });
+    return Column::Bool(std::move(out), std::move(validity));
+  }
+  if (v.dtype() == DType::kFloat64) {
     std::unordered_set<double> set;
     for (const auto& s : values) {
       if (s.is_numeric()) set.insert(s.AsDouble());

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <memory>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "dataframe/compute.h"
@@ -71,150 +67,6 @@ inline int64_t AggGrain(int64_t n) { return GrainForMorsels(n, 4096, 16); }
 constexpr int64_t kRowsPerGroupPerMorsel = 8;
 inline int64_t ExactAggGrain(int64_t n, int64_t G) {
   return std::max(AggGrain(n), kRowsPerGroupPerMorsel * G);
-}
-
-/// Open-addressing (linear probe, power-of-two) map from key-tuple rows to
-/// dense group ids. Keys live in the source columns — a slot stores only
-/// (hash, gid) and each gid remembers one representative row — so no key
-/// bytes are ever materialized (the allocation-free replacement for the old
-/// per-row AppendKeyBytes std::string keys).
-class GroupIndex {
- public:
-  explicit GroupIndex(int64_t expected) {
-    // Start small regardless of `expected` (which is an upper bound — the
-    // morsel row count, usually vastly more than the group count) and let
-    // Grow() double on demand: growth rebuilds cost O(groups), not O(rows),
-    // while pre-sizing to `expected` zeroes megabytes per morsel and
-    // evicts the actual working set from cache.
-    int64_t cap = 64;
-    const int64_t want = std::min<int64_t>(expected * 2, 8192);
-    while (cap < want) cap <<= 1;
-    slot_gid_.assign(cap, -1);
-    slot_hash_.assign(cap, 0);
-    mask_ = cap - 1;
-  }
-
-  /// Group id of `row` (hash `h`), inserting a new group on first sight.
-  /// `eq(a, b)` decides row equality — callers pass an inlined typed
-  /// comparator for single-column keys and the generic RowHasher equality
-  /// otherwise.
-  template <typename Eq>
-  int64_t GetOrAdd(uint64_t h, int64_t row, const Eq& eq) {
-    if (static_cast<int64_t>(reps_.size()) * 2 >=
-        static_cast<int64_t>(slot_gid_.size())) {
-      Grow();
-    }
-    int64_t idx = static_cast<int64_t>(h) & mask_;
-    for (;;) {
-      const int64_t g = slot_gid_[idx];
-      if (g < 0) {
-        const int64_t gid = static_cast<int64_t>(reps_.size());
-        slot_gid_[idx] = gid;
-        slot_hash_[idx] = h;
-        reps_.push_back(row);
-        rep_hash_.push_back(h);
-        return gid;
-      }
-      if (slot_hash_[idx] == h && eq(reps_[g], row)) return g;
-      idx = (idx + 1) & mask_;
-    }
-  }
-
-  const std::vector<int64_t>& reps() const { return reps_; }
-  int64_t size() const { return static_cast<int64_t>(reps_.size()); }
-
- private:
-  void Grow() {
-    const int64_t cap = static_cast<int64_t>(slot_gid_.size()) * 2;
-    slot_gid_.assign(cap, -1);
-    slot_hash_.assign(cap, 0);
-    mask_ = cap - 1;
-    for (size_t g = 0; g < reps_.size(); ++g) {
-      int64_t idx = static_cast<int64_t>(rep_hash_[g]) & mask_;
-      while (slot_gid_[idx] >= 0) idx = (idx + 1) & mask_;
-      slot_gid_[idx] = static_cast<int64_t>(g);
-      slot_hash_[idx] = rep_hash_[g];
-    }
-  }
-
-  std::vector<int64_t> slot_gid_;    // -1 = empty
-  std::vector<uint64_t> slot_hash_;
-  std::vector<int64_t> reps_;        // gid -> representative row
-  std::vector<uint64_t> rep_hash_;   // gid -> hash (for Grow)
-  int64_t mask_ = 0;
-};
-
-/// Assigns each row a dense group id; returns group count and fills
-/// `first_row` with one representative row per group in first-seen order.
-///
-/// Parallel hash groupby partition phase, three deterministic steps:
-///   1. each morsel builds a local group index (parallel);
-///   2. local indexes merge into the global one in morsel order, which
-///      reproduces the serial first-seen group order exactly (serial);
-///   3. rows rewrite their local ids to global ids (parallel).
-/// Hashing and comparison are typed and value-based (RowHasher), so the
-/// result is identical whether string keys are plain or dict-encoded.
-int64_t BuildGroups(const DataFrame& df, const std::vector<const Column*>& key_cols,
-                    std::vector<int64_t>* gids, std::vector<int64_t>* first_row) {
-  const int64_t n = df.num_rows();
-  gids->resize(n);
-  const RowHasher hasher(key_cols);
-  std::vector<uint64_t> hashes(n);
-  ParallelFor(0, n, 16384, [&](int64_t lo, int64_t hi) {
-    hasher.HashRange(lo, hi, hashes.data());
-  });
-
-  auto run = [&](const auto& eq) -> int64_t {
-    const int64_t grain = AggGrain(n);
-    const int64_t morsels = NumMorsels(0, n, grain);
-    if (morsels < 2) {
-      GroupIndex table(n);
-      for (int64_t i = 0; i < n; ++i) {
-        (*gids)[i] = table.GetOrAdd(hashes[i], i, eq);
-      }
-      *first_row = table.reps();
-      return table.size();
-    }
-
-    std::vector<std::unique_ptr<GroupIndex>> locals(morsels);
-    ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-      auto local = std::make_unique<GroupIndex>(hi - lo);
-      for (int64_t i = lo; i < hi; ++i) {
-        (*gids)[i] = local->GetOrAdd(hashes[i], i, eq);
-      }
-      locals[lo / grain] = std::move(local);
-    });
-
-    GroupIndex table(n);
-    std::vector<std::vector<int64_t>> remap(morsels);
-    for (int64_t m = 0; m < morsels; ++m) {
-      const std::vector<int64_t>& local_reps = locals[m]->reps();
-      remap[m].resize(local_reps.size());
-      for (size_t k = 0; k < local_reps.size(); ++k) {
-        const int64_t row = local_reps[k];
-        remap[m][k] = table.GetOrAdd(hashes[row], row, eq);
-      }
-    }
-    *first_row = table.reps();
-
-    ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-      const std::vector<int64_t>& r = remap[lo / grain];
-      for (int64_t i = lo; i < hi; ++i) (*gids)[i] = r[(*gids)[i]];
-    });
-    return table.size();
-  };
-
-  // Single-column keys get an inlined typed comparator (see
-  // RowHasher::SoleInt64 for why these are exactly equivalent to the
-  // generic equality). The grouping itself is identical either way — only
-  // the per-probe call overhead differs.
-  if (const int64_t* k64 = hasher.SoleInt64()) {
-    return run([k64](int64_t a, int64_t b) { return k64[a] == k64[b]; });
-  }
-  if (const int32_t* codes = hasher.SoleDictCodes()) {
-    return run([codes](int64_t a, int64_t b) { return codes[a] == codes[b]; });
-  }
-  return run([&hasher](int64_t a, int64_t b) { return hasher.RowsEqual(a, b); });
 }
 
 /// One valid row per group, -1 where the group has none: scanning in row
@@ -306,54 +158,6 @@ template <typename T>
 std::vector<T> AddVec(std::vector<T> a, std::vector<T> b) {
   for (size_t g = 0; g < a.size(); ++g) a[g] += b[g];
   return a;
-}
-
-/// Distinct values per group of a fixed-width column, where `bits(i)` is
-/// row i's value as raw bits — the equality `AppendKeyBytes` gives, so
-/// +0.0 and -0.0 differ and so do NaN payloads. One open-addressing set of
-/// (group, bits) pairs serves every group: no per-row string and no
-/// per-group set. Null rows (`valid[i] == 0`) are not counted.
-template <typename Bits>
-std::vector<int64_t> CountDistinctBits(const uint8_t* valid,
-                                       const int64_t* gid, int64_t n,
-                                       int64_t G, const Bits& bits) {
-  struct Slot {
-    int64_t gid;  // -1 = empty
-    uint64_t bits;
-  };
-  const auto slot_of = [](int64_t g, uint64_t b) {
-    return MixHash(b ^ MixHash(static_cast<uint64_t>(g)));
-  };
-  std::vector<int64_t> out(G, 0);
-  std::vector<Slot> slots(64, Slot{-1, 0});
-  int64_t mask = 63;
-  int64_t size = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (valid != nullptr && valid[i] == 0) continue;
-    const int64_t g = gid[i];
-    const uint64_t b = bits(i);
-    int64_t idx = static_cast<int64_t>(slot_of(g, b)) & mask;
-    while (slots[idx].gid >= 0 &&
-           (slots[idx].gid != g || slots[idx].bits != b)) {
-      idx = (idx + 1) & mask;
-    }
-    if (slots[idx].gid >= 0) continue;
-    slots[idx] = Slot{g, b};
-    out[g]++;
-    if (++size * 2 > mask) {
-      // Double and reinsert: growth costs O(distinct pairs), not O(rows).
-      std::vector<Slot> old(slots.size() * 2, Slot{-1, 0});
-      old.swap(slots);
-      mask = static_cast<int64_t>(slots.size()) - 1;
-      for (const Slot& s : old) {
-        if (s.gid < 0) continue;
-        int64_t j = static_cast<int64_t>(slot_of(s.gid, s.bits)) & mask;
-        while (slots[j].gid >= 0) j = (j + 1) & mask;
-        slots[j] = s;
-      }
-    }
-  }
-  return out;
 }
 
 Result<Column> AggregateColumn(const Column* col, AggFunc func,
@@ -685,54 +489,14 @@ Result<Column> AggregateColumn(const Column* col, AggFunc func,
     }
     case AggFunc::kNunique: {
       if (col == nullptr) return Status::Invalid("nunique needs a column");
-      if (col->is_dict()) {
-        // Dictionary fast path: distinct codes == distinct values.
-        std::vector<std::unordered_set<int32_t>> csets(G);
-        const int32_t* codes = col->dict_codes().data();
-        for (int64_t i = 0; i < n; ++i) {
-          if (col->IsValid(i)) csets[gid[i]].insert(codes[i]);
-        }
-        std::vector<int64_t> out(G);
-        for (int64_t g = 0; g < G; ++g) {
-          out[g] = static_cast<int64_t>(csets[g].size());
-        }
-        return Column::Int64(std::move(out));
-      }
-      switch (col->dtype()) {
-        case DType::kInt64: {
-          const int64_t* v = col->int64_data().data();
-          return Column::Int64(CountDistinctBits(
-              valid, gid, n, G,
-              [v](int64_t i) { return static_cast<uint64_t>(v[i]); }));
-        }
-        case DType::kFloat64:
-          return Column::Int64(
-              CountDistinctBits(valid, gid, n, G, [f64](int64_t i) {
-                uint64_t bits;
-                std::memcpy(&bits, &f64[i], sizeof(bits));
-                return bits;
-              }));
-        case DType::kBool: {
-          const uint8_t* v = col->bool_data().data();
-          return Column::Int64(
-              CountDistinctBits(valid, gid, n, G, [v](int64_t i) {
-                return static_cast<uint64_t>(v[i] != 0);
-              }));
-        }
-        case DType::kString:
-          break;
-      }
-      std::vector<std::unordered_set<std::string>> sets(G);
-      std::string buf;
-      for (int64_t i = 0; i < n; ++i) {
-        if (!col->IsValid(i)) continue;
-        buf.clear();
-        col->AppendKeyBytes(i, &buf);
-        sets[gids[i]].insert(buf);
-      }
-      std::vector<int64_t> out(G);
-      for (int64_t g = 0; g < G; ++g) {
-        out[g] = static_cast<int64_t>(sets[g].size());
+      // Index the (group, value) pairs; each pair whose value is not null
+      // is one distinct value of its group.
+      const Column group = Column::Int64(gids);
+      std::vector<int64_t> pair_ids, pair_rows;
+      BuildGroups({&group, col}, &pair_ids, &pair_rows);
+      std::vector<int64_t> out(G, 0);
+      for (const int64_t row : pair_rows) {
+        if (col->IsValid(row)) out[gid[row]]++;
       }
       return Column::Int64(std::move(out));
     }
@@ -753,7 +517,7 @@ Result<DataFrame> GroupByAgg(const DataFrame& df,
     key_cols.push_back(c);
   }
   std::vector<int64_t> gids, first_row;
-  const int64_t G = BuildGroups(df, key_cols, &gids, &first_row);
+  const int64_t G = BuildGroups(key_cols, &gids, &first_row);
 
   // Group ordering: sorted by key tuple (pandas default) or first-seen.
   std::vector<int64_t> order(G);

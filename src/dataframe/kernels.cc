@@ -5,11 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "dataframe/key_hash.h"
 
 namespace xorbits::dataframe {
 
@@ -438,16 +437,12 @@ Result<DataFrame> DropDuplicates(const DataFrame& df,
       cols.push_back(c);
     }
   }
-  const int64_t n = df.num_rows();
-  std::unordered_set<std::string> seen;
-  seen.reserve(static_cast<size_t>(n) * 2);
-  std::vector<uint8_t> keep(n, 0);
-  std::string key;
-  for (int64_t i = 0; i < n; ++i) {
-    key.clear();
-    for (const Column* c : cols) c->AppendKeyBytes(i, &key);
-    if (seen.insert(key).second) keep[i] = 1;
-  }
+  // With no key columns every row has the one empty key.
+  if (cols.empty()) return Head(df, 1);
+  std::vector<int64_t> gids, first_row;
+  BuildGroups(cols, &gids, &first_row);
+  std::vector<uint8_t> keep(df.num_rows(), 0);
+  for (const int64_t row : first_row) keep[row] = 1;
   return df.FilterRows(keep);
 }
 
@@ -545,42 +540,31 @@ Result<DataFrame> FillNa(const DataFrame& df, const std::string& column,
 }
 
 Result<Column> Unique(const Column& col) {
-  const int64_t n = col.length();
-  std::unordered_set<std::string> seen;
-  std::vector<int64_t> keep_rows;
-  std::string key;
-  for (int64_t i = 0; i < n; ++i) {
-    key.clear();
-    col.AppendKeyBytes(i, &key);
-    if (seen.insert(key).second) keep_rows.push_back(i);
-  }
-  return col.Take(keep_rows);
+  std::vector<int64_t> gids, first_row;
+  BuildGroups({&col}, &gids, &first_row);
+  return col.Take(first_row);
 }
 
 Result<DataFrame> ValueCounts(const Column& col, const std::string& name) {
-  const int64_t n = col.length();
-  std::unordered_map<std::string, std::pair<int64_t, int64_t>> counts;
-  std::string key;
-  for (int64_t i = 0; i < n; ++i) {
-    if (col.IsNull(i)) continue;
-    key.clear();
-    col.AppendKeyBytes(i, &key);
-    auto [it, inserted] = counts.emplace(key, std::make_pair(i, int64_t{0}));
-    it->second.second++;
+  std::vector<int64_t> gids, first_row;
+  const int64_t G = BuildGroups({&col}, &gids, &first_row);
+  std::vector<int64_t> counts(G, 0);
+  for (int64_t i = 0; i < col.length(); ++i) {
+    if (col.IsValid(i)) counts[gids[i]]++;
   }
-  std::vector<std::pair<int64_t, int64_t>> rows;  // (first_row, count)
-  rows.reserve(counts.size());
-  for (const auto& [k, v] : counts) rows.push_back(v);
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.second != b.second) return a.second > b.second;
-                     return a.first < b.first;
-                   });
-  std::vector<int64_t> take;
-  std::vector<int64_t> cnts;
-  for (const auto& [row, cnt] : rows) {
-    take.push_back(row);
-    cnts.push_back(cnt);
+  // Ids run in first-seen order, so the stable sort breaks count ties by
+  // first row. The null key's id has no count and drops out.
+  std::vector<int64_t> ids;
+  for (int64_t g = 0; g < G; ++g) {
+    if (counts[g] > 0) ids.push_back(g);
+  }
+  std::stable_sort(ids.begin(), ids.end(), [&](int64_t a, int64_t b) {
+    return counts[a] > counts[b];
+  });
+  std::vector<int64_t> take, cnts;
+  for (const int64_t g : ids) {
+    take.push_back(first_row[g]);
+    cnts.push_back(counts[g]);
   }
   DataFrame out;
   XORBITS_RETURN_NOT_OK(out.SetColumn(name, col.Take(take)));

@@ -8,11 +8,13 @@
 
 namespace xorbits::dataframe {
 
-/// Typed multi-column row hasher/comparator — the replacement for the
-/// per-row `AppendKeyBytes` std::string materialization in groupby, join
-/// and shuffle-partition hashing. Hash and equality are *value*-based with
-/// the same semantics as the key-bytes encoding (dtype tag participates;
-/// floats compare by bit pattern; nulls hash alike and compare equal), so:
+/// Typed multi-column row hasher/comparator: the key equality of every
+/// hashing kernel. The key index below (groupby, drop_duplicates, unique,
+/// value_counts, nunique, pivot spread), the join's partitioned hash table
+/// and shuffle-partition routing all hash and compare through it. Hash and
+/// equality are *value*-based with the semantics of Column's reference key
+/// bytes encoding (dtype tag participates; floats compare by bit
+/// pattern; nulls hash alike and compare equal), so:
 ///   - a dictionary column hashes identically to its decoded plain form
 ///     (dictionary codes are resolved through per-dictionary value hashes
 ///     precomputed once, one array load per row), and
@@ -47,7 +49,7 @@ class RowHasher {
   }
 
   /// True when every key column is null at `row` — the rows a join build /
-  /// probe must treat as unmatchable. (AppendKeyBytes semantics: any null
+  /// probe must treat as unmatchable. (Key-bytes semantics: any null
   /// participates as its own '\0' tag, so partial nulls still form keys.)
   bool AnyNull(int64_t row) const {
     for (const ColAccess& c : cols_) {
@@ -112,6 +114,18 @@ class RowHasher {
   std::vector<ColAccess> cols_;
   int64_t num_rows_ = 0;
 };
+
+/// The engine's key -> dense id index. Assigns each row of `key_cols` (all
+/// of one length) the id of its key tuple in `gids`, and fills `first_row`
+/// with the first row of every id; returns the id count. Ids are dense and
+/// numbered in first-seen row order. Key equality is RowHasher's: the dtype
+/// takes part, floats compare by raw bits (+0.0 and -0.0 differ, and so do
+/// NaN payloads), null equals null, and dictionary and plain strings
+/// compare by value. Built morsel-parallel; the ids are the same at every
+/// thread count.
+int64_t BuildGroups(const std::vector<const Column*>& key_cols,
+                    std::vector<int64_t>* gids,
+                    std::vector<int64_t>* first_row);
 
 }  // namespace xorbits::dataframe
 

@@ -1,9 +1,10 @@
 #include "dataframe/reshape.h"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
+#include <numeric>
 
-#include "dataframe/kernels.h"
+#include "dataframe/key_hash.h"
 
 namespace xorbits::dataframe {
 
@@ -11,6 +12,7 @@ Result<DataFrame> SpreadToWide(const DataFrame& aggregated,
                                const std::vector<std::string>& index,
                                const std::string& columns,
                                const std::string& value) {
+  if (index.empty()) return Status::Invalid("pivot_table: empty index");
   XORBITS_ASSIGN_OR_RETURN(const Column* col_col,
                            aggregated.GetColumn(columns));
   XORBITS_ASSIGN_OR_RETURN(const Column* val_col,
@@ -29,74 +31,63 @@ Result<DataFrame> SpreadToWide(const DataFrame& aggregated,
   }
   const int64_t n = aggregated.num_rows();
 
-  // Distinct output columns, ordered by value (pandas sorts them).
-  std::vector<std::pair<Scalar, std::string>> col_values;
-  {
-    std::map<std::string, Scalar> seen;  // key-bytes -> scalar
-    std::string key;
-    for (int64_t i = 0; i < n; ++i) {
-      key.clear();
-      col_col->AppendKeyBytes(i, &key);
-      seen.emplace(key, col_col->GetScalar(i));
-    }
-    for (auto& [k, s] : seen) col_values.emplace_back(s, s.ToString());
-    std::sort(col_values.begin(), col_values.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+  // One output column per distinct `columns` key, ordered by value (pandas
+  // sorts them; NaN goes last); each row fills the column of its own key,
+  // so distinct keys that Scalar order ties (+0.0 and -0.0, NaN payloads)
+  // keep their own rows.
+  std::vector<int64_t> col_ids, col_rep;
+  const int64_t num_cols = BuildGroups({col_col}, &col_ids, &col_rep);
+  std::vector<int64_t> col_order(num_cols);
+  std::iota(col_order.begin(), col_order.end(), 0);
+  std::vector<Scalar> col_value(num_cols);
+  for (int64_t c = 0; c < num_cols; ++c) {
+    col_value[c] = col_col->GetScalar(col_rep[c]);
   }
+  const auto is_nan = [](const Scalar& s) {
+    return s.is_float() && std::isnan(s.AsDouble());
+  };
+  std::stable_sort(col_order.begin(), col_order.end(),
+                   [&](int64_t a, int64_t b) {
+                     const bool na = is_nan(col_value[a]);
+                     const bool nb = is_nan(col_value[b]);
+                     if (na || nb) return !na && nb;
+                     return col_value[a] < col_value[b];
+                   });
 
-  // Distinct index tuples in sorted first-seen order (input is sorted by
-  // the upstream groupby).
-  std::map<std::string, int64_t> row_of;  // index key-bytes -> output row
-  std::vector<int64_t> rep_row;           // representative input row
-  std::string key;
-  std::vector<int64_t> row_ids(n);
+  // Distinct index tuples in first-seen order (input is sorted by the
+  // upstream groupby).
+  std::vector<int64_t> row_ids, rep_row;
+  const int64_t rows = BuildGroups(index_cols, &row_ids, &rep_row);
+
+  std::vector<Column> cells(num_cols, Column::Nulls(val_col->dtype(), rows));
   for (int64_t i = 0; i < n; ++i) {
-    key.clear();
-    for (const Column* c : index_cols) c->AppendKeyBytes(i, &key);
-    auto [it, inserted] =
-        row_of.emplace(key, static_cast<int64_t>(rep_row.size()));
-    if (inserted) rep_row.push_back(i);
-    row_ids[i] = it->second;
+    if (val_col->IsNull(i)) continue;
+    Column& cell = cells[col_ids[i]];
+    const int64_t r = row_ids[i];
+    switch (cell.dtype()) {
+      case DType::kInt64:
+        cell.mutable_int64_data()[r] = val_col->int64_data()[i];
+        break;
+      case DType::kFloat64:
+        cell.mutable_float64_data()[r] = val_col->float64_data()[i];
+        break;
+      case DType::kString:
+        cell.mutable_string_data()[r] = val_col->string_data()[i];
+        break;
+      case DType::kBool:
+        cell.mutable_bool_data()[r] = val_col->bool_data()[i];
+        break;
+    }
+    cell.mutable_validity()[r] = 1;
   }
-  const int64_t rows = static_cast<int64_t>(rep_row.size());
 
   DataFrame out;
   for (size_t k = 0; k < index.size(); ++k) {
     XORBITS_RETURN_NOT_OK(out.SetColumn(index[k], index_cols[k]->Take(rep_row)));
   }
-  // One output column per distinct `columns` value.
-  for (const auto& [scalar, name] : col_values) {
-    std::string want;
-    // Cells default to null; fill from matching rows.
-    Column cell = Column::Nulls(val_col->dtype(), rows);
-    for (int64_t i = 0; i < n; ++i) {
-      want.clear();
-      col_col->AppendKeyBytes(i, &want);
-      std::string have;
-      // Compare by scalar equality via key bytes of this row's column value.
-      // (Rows were grouped upstream, so each (index, column) pair is unique.)
-      Scalar s = col_col->GetScalar(i);
-      if (!(s == scalar)) continue;
-      const int64_t r = row_ids[i];
-      if (val_col->IsValid(i)) {
-        switch (cell.dtype()) {
-          case DType::kInt64:
-            cell.mutable_int64_data()[r] = val_col->int64_data()[i];
-            break;
-          case DType::kFloat64:
-            cell.mutable_float64_data()[r] = val_col->float64_data()[i];
-            break;
-          case DType::kString:
-            cell.mutable_string_data()[r] = val_col->string_data()[i];
-            break;
-          case DType::kBool:
-            cell.mutable_bool_data()[r] = val_col->bool_data()[i];
-            break;
-        }
-        cell.mutable_validity()[r] = 1;
-      }
-    }
-    XORBITS_RETURN_NOT_OK(out.SetColumn(name, std::move(cell)));
+  for (const int64_t c : col_order) {
+    XORBITS_RETURN_NOT_OK(
+        out.SetColumn(col_value[c].ToString(), std::move(cells[c])));
   }
   return out;
 }
@@ -105,7 +96,6 @@ Result<DataFrame> PivotTable(const DataFrame& df,
                              const std::vector<std::string>& index,
                              const std::string& columns,
                              const std::string& values, AggFunc func) {
-  if (index.empty()) return Status::Invalid("pivot_table: empty index");
   std::vector<std::string> keys = index;
   keys.push_back(columns);
   XORBITS_ASSIGN_OR_RETURN(

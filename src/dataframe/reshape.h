@@ -20,7 +20,9 @@ Result<DataFrame> PivotTable(const DataFrame& df,
 
 /// Spreads an already-aggregated long table (index..., columns, value) into
 /// wide form — the reshape half of pivot_table, used by the distributed
-/// operator after a distributed groupby.
+/// operator after a distributed groupby. `index` must not be empty. Each
+/// row fills the cell of its own index tuple and `columns` key, under the
+/// key index's equality (key_hash.h).
 Result<DataFrame> SpreadToWide(const DataFrame& aggregated,
                                const std::vector<std::string>& index,
                                const std::string& columns,

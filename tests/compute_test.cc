@@ -103,6 +103,29 @@ TEST(ComputeTest, IsIn) {
   EXPECT_EQ(n->bool_data(), (std::vector<uint8_t>{0, 1, 0}));
 }
 
+// int64 membership is exact: 2^53 + 1 and 2^53 share one double, but only
+// the listed value matches. Float values match only when integral and in
+// int64 range; float columns keep numeric equality (-0.0 matches 0.0, NaN
+// matches nothing).
+TEST(ComputeTest, IsInInt64IsExactBeyond2To53) {
+  const int64_t big = int64_t{1} << 53;
+  auto r = IsIn(Column::Int64({big + 1, big, 5}), {Scalar::Int(big)});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->bool_data(), (std::vector<uint8_t>{0, 1, 0}));
+  auto f = IsIn(Column::Int64({3, 4, big, 7}, {1, 1, 1, 0}),
+                {Scalar::Float(3.0), Scalar::Float(4.5), Scalar::Float(0x1p53),
+                 Scalar::Float(std::nan("")), Scalar::Float(0x1p63),
+                 Scalar::Int(7)});
+  ASSERT_TRUE(f.ok()) << f.status();
+  EXPECT_EQ(f->bool_data(), (std::vector<uint8_t>{1, 0, 1, 0}));
+  EXPECT_TRUE(f->IsNull(3));
+  auto d = IsIn(Column::Float64({-0.0, 0.0, std::nan(""), 2.0}),
+                {Scalar::Float(0.0), Scalar::Float(std::nan("")),
+                 Scalar::Int(2)});
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(d->bool_data(), (std::vector<uint8_t>{1, 1, 0, 1}));
+}
+
 TEST(ComputeTest, StringPredicates) {
   Column c = Column::String({"PROMO BRUSHED", "STANDARD", "ECONOMY BRASS"});
   EXPECT_EQ(StrStartsWith(c, "PROMO")->bool_data(),

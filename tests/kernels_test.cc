@@ -2,13 +2,16 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "dataframe/groupby.h"
 #include "dataframe/kernels.h"
+#include "dataframe/reshape.h"
 #include "operators/dataframe_ops.h"
 #include "services/chunk_data.h"
 
@@ -423,6 +426,266 @@ TEST(ValueCountsTest, SortedByCountDesc) {
             (std::vector<std::string>{"x", "y", "z"}));
   EXPECT_EQ(r->GetColumn("count").ValueOrDie()->int64_data(),
             (std::vector<int64_t>{3, 2, 1}));
+}
+
+// --- hashing kernels against the AppendKeyBytes reference ----------------
+
+/// Reference key of `row` over `cols`: the concatenated AppendKeyBytes.
+std::string RefKey(const std::vector<const Column*>& cols, int64_t row) {
+  std::string key;
+  for (const Column* c : cols) c->AppendKeyBytes(row, &key);
+  return key;
+}
+
+/// Frame with nulls, two NaN payloads, +0.0 next to -0.0, int64 above 2^53
+/// and strings in both encodings (`d` is `s` dictionary-encoded). `k` has
+/// n / 8 groups.
+DataFrame DedupeFrame(int64_t n) {
+  const int64_t big = int64_t{1} << 53;
+  const double fpool[] = {0.0, -0.0, std::nan("1"), std::nan("2"), 1.5};
+  std::vector<int64_t> k(n), i64(n);
+  std::vector<double> f64(n);
+  std::vector<uint8_t> b(n), i_valid(n, 1), f_valid(n, 1), b_valid(n, 1),
+      s_valid(n, 1);
+  std::vector<std::string> s(n);
+  uint64_t state = 7;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int64_t r = 0; r < n; ++r) {
+    k[r] = static_cast<int64_t>(next() % std::max<int64_t>(n / 8, 1));
+    i64[r] = big + static_cast<int64_t>(next() % 3);  // big+1 rounds to big
+    f64[r] = fpool[next() % 5];
+    b[r] = next() % 2;
+    s[r] = "s" + std::to_string(next() % 6);
+    i_valid[r] = next() % 11 != 0;
+    f_valid[r] = next() % 9 != 0;
+    b_valid[r] = next() % 13 != 0;
+    s_valid[r] = next() % 7 != 0;
+  }
+  Column plain = Column::String(std::move(s), std::move(s_valid));
+  Column dict = plain.DictEncode();
+  return DataFrame::Make(
+             {"k", "i", "f", "b", "s", "d"},
+             {Column::Int64(std::move(k)),
+              Column::Int64(std::move(i64), std::move(i_valid)),
+              Column::Float64(std::move(f64), std::move(f_valid)),
+              Column::Bool(std::move(b), std::move(b_valid)), std::move(plain),
+              std::move(dict)})
+      .MoveValue();
+}
+
+DataFrame RefDropDuplicates(const DataFrame& df,
+                            const std::vector<std::string>& subset) {
+  std::vector<const Column*> cols;
+  for (const auto& name : subset) cols.push_back(df.GetColumn(name).ValueOrDie());
+  std::set<std::string> seen;
+  std::vector<uint8_t> keep(df.num_rows(), 0);
+  for (int64_t i = 0; i < df.num_rows(); ++i) {
+    keep[i] = seen.insert(RefKey(cols, i)).second ? 1 : 0;
+  }
+  return df.FilterRows(keep);
+}
+
+Column RefUnique(const Column& col) {
+  std::set<std::string> seen;
+  std::vector<int64_t> rows;
+  for (int64_t i = 0; i < col.length(); ++i) {
+    if (seen.insert(RefKey({&col}, i)).second) rows.push_back(i);
+  }
+  return col.Take(rows);
+}
+
+DataFrame RefValueCounts(const Column& col) {
+  std::map<std::string, std::pair<int64_t, int64_t>> counts;  // first, count
+  for (int64_t i = 0; i < col.length(); ++i) {
+    if (col.IsNull(i)) continue;
+    counts.emplace(RefKey({&col}, i), std::make_pair(i, int64_t{0}))
+        .first->second.second++;
+  }
+  std::vector<std::pair<int64_t, int64_t>> rows;
+  for (const auto& [key, v] : counts) rows.push_back(v);
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  std::vector<int64_t> take, cnts;
+  for (const auto& [row, cnt] : rows) {
+    take.push_back(row);
+    cnts.push_back(cnt);
+  }
+  DataFrame out;
+  EXPECT_TRUE(out.SetColumn("v", col.Take(take)).ok());
+  EXPECT_TRUE(out.SetColumn("count", Column::Int64(std::move(cnts))).ok());
+  return out;
+}
+
+/// Distinct non-null values of `col` per `key` group, keyed by the group's
+/// reference key.
+std::map<std::string, int64_t> RefNunique(const Column& key,
+                                          const Column& col) {
+  std::map<std::string, std::set<std::string>> sets;
+  for (int64_t i = 0; i < key.length(); ++i) {
+    std::set<std::string>& vals = sets[RefKey({&key}, i)];
+    if (col.IsValid(i)) vals.insert(RefKey({&col}, i));
+  }
+  std::map<std::string, int64_t> out;
+  for (const auto& [k, vals] : sets) {
+    out[k] = static_cast<int64_t>(vals.size());
+  }
+  return out;
+}
+
+/// Reference spread: output rows are the distinct `index` tuples in
+/// first-seen order; one column per distinct `columns` key, ordered by
+/// Scalar with NaN last (first-seen among ties); every row fills the cell
+/// of its own keys.
+DataFrame RefSpread(const DataFrame& df, const std::string& index,
+                    const std::string& columns, const std::string& value) {
+  const Column* idx = df.GetColumn(index).ValueOrDie();
+  const Column* cc = df.GetColumn(columns).ValueOrDie();
+  const Column* val = df.GetColumn(value).ValueOrDie();
+  std::map<std::string, int64_t> row_of, col_of;
+  std::vector<int64_t> rep_row, col_rep;
+  for (int64_t i = 0; i < df.num_rows(); ++i) {
+    if (row_of.emplace(RefKey({idx}, i), rep_row.size()).second) {
+      rep_row.push_back(i);
+    }
+    if (col_of.emplace(RefKey({cc}, i), col_rep.size()).second) {
+      col_rep.push_back(i);
+    }
+  }
+  std::vector<int64_t> order(col_rep.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    const Scalar sa = cc->GetScalar(col_rep[a]);
+    const Scalar sb = cc->GetScalar(col_rep[b]);
+    const bool na = sa.is_float() && std::isnan(sa.AsDouble());
+    const bool nb = sb.is_float() && std::isnan(sb.AsDouble());
+    if (na || nb) return !na && nb;
+    return sa < sb;
+  });
+  DataFrame out;
+  EXPECT_TRUE(out.SetColumn(index, idx->Take(rep_row)).ok());
+  for (const int64_t c : order) {
+    std::vector<int64_t> cells(rep_row.size(), 0);
+    std::vector<uint8_t> valid(rep_row.size(), 0);
+    for (int64_t i = 0; i < df.num_rows(); ++i) {
+      if (col_of[RefKey({cc}, i)] != c || val->IsNull(i)) continue;
+      const int64_t r = row_of[RefKey({idx}, i)];
+      cells[r] = val->int64_data()[i];
+      valid[r] = 1;
+    }
+    EXPECT_TRUE(out.SetColumn(cc->GetScalar(col_rep[c]).ToString(),
+                              Column::Int64(cells, valid))
+                    .ok());
+  }
+  return out;
+}
+
+/// Every hashing kernel's output as bytes, run under a pool of `threads`.
+/// Also checks each kernel against its AppendKeyBytes reference.
+std::string DedupeKernelsBytes(const DataFrame& df, int threads) {
+  ThreadPool pool(threads);
+  ThreadPool* prev = SetCurrentThreadPool(&pool);
+  std::string all;
+  const std::vector<std::vector<std::string>> subsets = {
+      {"i"}, {"f"}, {"b"}, {"s"}, {"d"}, {"f", "s"}, {"k", "i", "d"}, {}};
+  for (const auto& subset : subsets) {
+    auto got = DropDuplicates(df, subset);
+    EXPECT_TRUE(got.ok()) << got.status();
+    std::vector<std::string> ref_subset = subset;
+    if (ref_subset.empty()) {
+      for (int c = 0; c < df.num_columns(); ++c) {
+        ref_subset.push_back(df.column_name(c));
+      }
+    }
+    EXPECT_EQ(Bytes(*got), Bytes(RefDropDuplicates(df, ref_subset)))
+        << "drop_duplicates " << ref_subset.size() << " keys";
+    all += Bytes(*got);
+  }
+  EXPECT_EQ(Bytes(*DropDuplicates(df, {"d"})),
+            Bytes(*DropDuplicates(df, {"s"})));
+  for (const char* name : {"i", "f", "b", "s", "d"}) {
+    const Column& col = *df.GetColumn(name).ValueOrDie();
+    DataFrame got_unique, ref_unique;
+    EXPECT_TRUE(got_unique.SetColumn("u", Unique(col).ValueOrDie()).ok());
+    EXPECT_TRUE(ref_unique.SetColumn("u", RefUnique(col)).ok());
+    EXPECT_EQ(Bytes(got_unique), Bytes(ref_unique)) << "unique " << name;
+    const DataFrame counts = ValueCounts(col, "v").ValueOrDie();
+    EXPECT_EQ(Bytes(counts), Bytes(RefValueCounts(col)))
+        << "value_counts " << name;
+    all += Bytes(got_unique) + Bytes(counts);
+  }
+  auto nunique = GroupByAgg(df, {"k"},
+                            {{"i", AggFunc::kNunique, "i"},
+                             {"f", AggFunc::kNunique, "f"},
+                             {"b", AggFunc::kNunique, "b"},
+                             {"s", AggFunc::kNunique, "s"},
+                             {"d", AggFunc::kNunique, "d"}});
+  EXPECT_TRUE(nunique.ok()) << nunique.status();
+  const Column& keys = *nunique->GetColumn("k").ValueOrDie();
+  for (const char* name : {"i", "f", "b", "s", "d"}) {
+    const std::map<std::string, int64_t> ref = RefNunique(
+        *df.GetColumn("k").ValueOrDie(), *df.GetColumn(name).ValueOrDie());
+    const Column& got = *nunique->GetColumn(name).ValueOrDie();
+    EXPECT_EQ(static_cast<size_t>(got.length()), ref.size());
+    for (int64_t g = 0; g < got.length(); ++g) {
+      EXPECT_EQ(got.int64_data()[g], ref.at(RefKey({&keys}, g)))
+          << "nunique " << name << " group " << g;
+    }
+  }
+  all += Bytes(*nunique);
+  for (const char* columns : {"f", "s", "d"}) {
+    const DataFrame long_table =
+        GroupByAgg(df, {"k", columns}, {{"i", AggFunc::kCount, "v"}})
+            .ValueOrDie();
+    auto wide = SpreadToWide(long_table, {"k"}, columns, "v");
+    EXPECT_TRUE(wide.ok()) << wide.status();
+    EXPECT_EQ(Bytes(*wide), Bytes(RefSpread(long_table, "k", columns, "v")))
+        << "spread " << columns;
+    all += Bytes(*wide);
+  }
+  SetCurrentThreadPool(prev);
+  return all;
+}
+
+TEST(KeyIndexKernelsTest, MatchKeyBytesReferenceAtOneAndFourThreads) {
+  // 0 and 1 rows: edge shapes; 300: one morsel; 70000: 16 morsels.
+  for (int64_t n : {0, 1, 300, 70000}) {
+    const DataFrame df = DedupeFrame(n);
+    const std::string one = DedupeKernelsBytes(df, 1);
+    EXPECT_EQ(DedupeKernelsBytes(df, 4), one) << "n=" << n;
+  }
+}
+
+// Each row of a spread fills the column of its own `columns` key: +0.0 and
+// -0.0 are two columns with one row each, and a NaN column (sorted last)
+// holds its row.
+TEST(SpreadToWideTest, SignedZeroAndNanColumnsKeepTheirOwnRows) {
+  auto df = DataFrame::Make(
+                {"k", "c", "v"},
+                {Column::Int64({1, 1, 1, 2}),
+                 Column::Float64({std::nan(""), -0.0, 0.0, 0.0}),
+                 Column::Int64({10, 20, 30, 40})})
+                .MoveValue();
+  auto r = SpreadToWide(df, {"k"}, "c", "v");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->num_columns(), 4);
+  EXPECT_EQ(r->column_name(1), "-0");
+  EXPECT_EQ(r->column_name(2), "0");
+  EXPECT_EQ(r->column_name(3), "nan");
+  const Column& neg = r->column(1);
+  const Column& pos = r->column(2);
+  const Column& nan = r->column(3);
+  EXPECT_EQ(neg.int64_data()[0], 20);
+  EXPECT_TRUE(neg.IsNull(1));
+  EXPECT_EQ(pos.int64_data()[0], 30);
+  EXPECT_EQ(pos.int64_data()[1], 40);
+  EXPECT_EQ(nan.int64_data()[0], 10);
+  EXPECT_TRUE(nan.IsNull(1));
+  // Every output row is an index tuple, so there must be an index.
+  EXPECT_FALSE(SpreadToWide(df, {}, "c", "v").ok());
 }
 
 TEST(IlocTest, PositiveNegativeAndOutOfBounds) {
