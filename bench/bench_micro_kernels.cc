@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the kernels that back the paper-level
 // results: groupby aggregation, hash join, sort, fused vs. unfused
 // elementwise evaluation, TSQR blocks, chunk serialization, the coloring
-// algorithm, storage put/get, in-memory source fingerprints, and
-// drop_duplicates.
+// algorithm, storage put/get, in-memory source fingerprints,
+// drop_duplicates, and the hash-aggregation kernel on pipeline chunk shapes.
 
 #include <benchmark/benchmark.h>
 
@@ -1202,6 +1202,188 @@ bool WriteDropDuplicatesJson(FILE* f, int64_t rows) {
   return ok;
 }
 
+// ---------------------------------------------------------------------------
+// groupby_agg: the hash-aggregation kernel on the chunk shapes that carry
+// the pipelines, serial (no pool) and under a 4-thread pool. The maps are
+// GroupByAgg over DecomposeAggs' map specs, as GroupByMapChunkOp runs them;
+// each rep's output, finalized, must equal the direct aggregation (one
+// chunk needs no combine). The nunique row must equal a per-group distinct
+// count of the (key, value) pairs.
+// ---------------------------------------------------------------------------
+
+struct AggRow {
+  const char* name;
+  DataFrame df;
+  std::vector<std::string> keys;
+  std::vector<dataframe::AggSpec> specs;  // the user's specs
+  bool map;  // run DecomposeAggs' map specs, checked through FinalizeAgg
+};
+
+/// The specs a row runs: the map specs of a map row, else the user's.
+std::vector<dataframe::AggSpec> RowSpecs(const AggRow& row) {
+  if (!row.map) return row.specs;
+  return dataframe::DecomposeAggs(row.specs).ValueOrDie().map_specs;
+}
+
+/// What a row's output is checked as: a map's output finalized.
+DataFrame RowResult(const AggRow& row, DataFrame out) {
+  if (!row.map) return out;
+  return dataframe::FinalizeAgg(out, row.keys, row.specs).ValueOrDie();
+}
+
+bool WriteGroupByAggJson(FILE* f, int64_t nunique_rows) {
+  const int kReps = 9;
+  const auto pct = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))];
+  };
+  std::vector<AggRow> rows;
+  {
+    // One plasticc map chunk: 1M rows over 5,000 objects in 39 chunks.
+    DataFrame df = workloads::pipelines::MakePlasticc(26214, 5000);
+    const auto& flux = df.GetColumn("flux").ValueOrDie()->float64_data();
+    const auto& err = df.GetColumn("flux_err").ValueOrDie()->float64_data();
+    std::vector<double> snr(flux.size());
+    for (size_t i = 0; i < snr.size(); ++i) snr[i] = flux[i] / err[i];
+    (void)df.SetColumn("snr", Column::Float64(std::move(snr)));
+    rows.push_back({"plasticc_map", std::move(df), {"object_id"},
+                    {{"flux", AggFunc::kMean, "flux_mean"},
+                     {"flux", AggFunc::kStd, "flux_std"},
+                     {"flux", AggFunc::kMin, "flux_min"},
+                     {"flux", AggFunc::kMax, "flux_max"},
+                     {"snr", AggFunc::kMean, "snr_mean"},
+                     {"mjd", AggFunc::kMax, "mjd_max"},
+                     {"mjd", AggFunc::kMin, "mjd_min"},
+                     {"", AggFunc::kSize, "n_obs"}},
+                    true});
+  }
+  rows.push_back({"census_map",
+                  workloads::pipelines::MakeCensus(13617),
+                  {"workclass", "marital_status"},
+                  {{"age", AggFunc::kMean, "avg_age"},
+                   {"education_num", AggFunc::kMean, "avg_edu"},
+                   {"hours_per_week", AggFunc::kMean, "avg_hours"},
+                   {"capital_gain", AggFunc::kSum, "total_gain"},
+                   {"", AggFunc::kSize, "n"}},
+                  true});
+  {
+    // lightcurve's whole-frame Agg: a constant key over a rolling mean
+    // whose first rows are null.
+    const int64_t n = 26214;
+    DataFrame df = workloads::pipelines::MakePlasticc(n, 5000);
+    const auto& flux = df.GetColumn("flux").ValueOrDie()->float64_data();
+    std::vector<double> smooth(n, 0.0);
+    std::vector<uint8_t> valid(n, 0);
+    for (int64_t i = 7; i < n; ++i) {
+      for (int64_t j = i - 7; j <= i; ++j) smooth[i] += flux[j];
+      smooth[i] /= 8;
+      valid[i] = 1;
+    }
+    (void)df.SetColumn("__all__", Column::Int64(std::vector<int64_t>(n, 0)));
+    (void)df.SetColumn("flux_smooth",
+                       Column::Float64(std::move(smooth), std::move(valid)));
+    rows.push_back({"whole_frame_agg", std::move(df), {"__all__"},
+                    {{"flux_smooth", AggFunc::kMean, "smooth_mean"},
+                     {"flux_smooth", AggFunc::kMax, "smooth_max"},
+                     {"flux_smooth", AggFunc::kCount, "smooth_count"}},
+                    true});
+  }
+  // nunique over ~98.5% distinct (key, value) pairs: 20k keys (1,600
+  // values each) at 1M rows.
+  std::vector<int64_t> expect_nunique;
+  {
+    Rng rng(17);
+    const int64_t keys = std::max<int64_t>(nunique_rows / 50, 1);
+    std::vector<int64_t> k(nunique_rows), v(nunique_rows);
+    for (int64_t i = 0; i < nunique_rows; ++i) {
+      k[i] = rng.UniformInt(0, keys - 1);
+      v[i] = rng.UniformInt(0, 1599);
+    }
+    std::unordered_set<int64_t> pairs;
+    std::vector<int64_t> distinct(keys, 0);
+    for (int64_t i = 0; i < nunique_rows; ++i) {
+      if (pairs.insert(k[i] * 1600 + v[i]).second) distinct[k[i]]++;
+    }
+    // GroupByAgg numbers keys first-seen.
+    std::vector<uint8_t> seen(keys, 0);
+    for (int64_t i = 0; i < nunique_rows; ++i) {
+      if (!seen[k[i]]) {
+        seen[k[i]] = 1;
+        expect_nunique.push_back(distinct[k[i]]);
+      }
+    }
+    rows.push_back({"nunique",
+                    DataFrame::Make({"k", "v"}, {Column::Int64(std::move(k)),
+                                                 Column::Int64(std::move(v))})
+                        .MoveValue(),
+                    {"k"},
+                    {{"v", AggFunc::kNunique, "n"}},
+                    false});
+  }
+
+  bool ok = true;
+  std::fprintf(f, "  \"groupby_agg\": {\"reps\": %d, \"host_cpus\": %d, "
+               "\"runs\": [\n", kReps, CoreBudget());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const AggRow& row = rows[r];
+    // The reference: the direct aggregation, or the distinct pair counts.
+    size_t reference;
+    if (row.map) {
+      reference = std::hash<std::string>{}(FingerprintFrame(
+          dataframe::GroupByAgg(row.df, row.keys, row.specs, false)
+              .ValueOrDie()));
+    } else {
+      DataFrame want = dataframe::GroupByAgg(row.df, row.keys, {{"", AggFunc::kSize, "n"}}, false).ValueOrDie();
+      (void)want.SetColumn("n", Column::Int64(expect_nunique));
+      reference = std::hash<std::string>{}(FingerprintFrame(want));
+    }
+    const std::vector<dataframe::AggSpec> specs = RowSpecs(row);
+    std::fprintf(f, "    {\"kernel\": \"%s\", \"rows\": %" PRId64
+                 ", \"specs\": %zu, ",
+                 row.name, row.df.num_rows(), specs.size());
+    for (int threads : {1, 4}) {
+      // 1 thread is no pool at all; a 1-thread pool would add a runner.
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      ThreadPool* prev = SetCurrentThreadPool(pool.get());
+      std::vector<double> wall_ms;
+      bool identical = true;
+      int64_t groups = 0;
+      for (int rep = 0; rep <= kReps; ++rep) {  // rep 0 warms up
+        const auto t0 = std::chrono::steady_clock::now();
+        DataFrame out =
+            dataframe::GroupByAgg(row.df, row.keys, specs, false).ValueOrDie();
+        const auto t1 = std::chrono::steady_clock::now();
+        groups = out.num_rows();
+        identical = identical &&
+                    std::hash<std::string>{}(FingerprintFrame(
+                        RowResult(row, std::move(out)))) == reference;
+        if (rep > 0) {
+          wall_ms.push_back(
+              std::chrono::duration<double, std::milli>(t1 - t0).count());
+        }
+      }
+      SetCurrentThreadPool(prev);
+      ok = ok && identical;
+      std::fprintf(f,
+                   "\"threads_%d\": {\"wall_ms_median\": %.3f, "
+                   "\"wall_ms_p10\": %.3f, \"wall_ms_p90\": %.3f, "
+                   "\"matches_reference\": %s}, ",
+                   threads, pct(wall_ms, 0.5), pct(wall_ms, 0.1),
+                   pct(wall_ms, 0.9), identical ? "true" : "false");
+      std::printf("groupby_agg %s threads=%d: %.3f ms (p10 %.3f, p90 %.3f) %s\n",
+                  row.name, threads, pct(wall_ms, 0.5), pct(wall_ms, 0.1),
+                  pct(wall_ms, 0.9), identical ? "ok" : "FAIL");
+      if (threads == 4) {
+        std::fprintf(f, "\"groups\": %" PRId64 ", \"checksum\": \"%zx\"}%s\n",
+                     groups, reference, r + 1 < rows.size() ? "," : "");
+      }
+    }
+  }
+  std::fprintf(f, "  ]},\n");
+  return ok;
+}
+
 bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   DataFrame gb_df = MakeFrame(kRows, 500);
   DataFrame join_left = MakeFrame(kRows, 2000);
@@ -1369,6 +1551,8 @@ bool WriteKernelSweepJson(const char* path, int64_t kRows) {
   all_identical = WriteFrameFingerprintJson(f) && all_identical;
   // 1.5M rows at the full run's 400k, 150k at the smoke run's 40k.
   all_identical = WriteDropDuplicatesJson(f, kRows * 15 / 4) && all_identical;
+  // nunique: 1M rows at the full run's 400k, 100k at the smoke run's 40k.
+  all_identical = WriteGroupByAggJson(f, kRows * 5 / 2) && all_identical;
   WriteSharingJson(f);
   all_identical = WriteSelectivityJson(f, kRows) && all_identical;
   // Shuffle frontier sweep: base 8k rows per SF step, 1 MiB band budget.

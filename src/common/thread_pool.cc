@@ -302,4 +302,15 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   pool->RunParallelFor(begin, end, grain, fn);
 }
 
+int ParallelWidth(int64_t morsels) {
+  ThreadPool* pool = t_current_pool;
+  if (pool == nullptr || morsels < 2 || t_in_morsel) return 1;
+  // A caller that holds no core of its own still runs one piece: never cut
+  // more pieces than the host has cores.
+  const int64_t free_cores = std::max(0, CoreBudget() - CoresInUse());
+  return 1 + static_cast<int>(std::min<int64_t>(
+                 {pool->num_threads(), morsels - 1, free_cores,
+                  CoreBudget() - 1}));
+}
+
 }  // namespace xorbits

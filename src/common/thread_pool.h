@@ -149,6 +149,15 @@ class CoreHold {
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const MorselFn& fn);
 
+/// How many runners a ParallelFor over `morsels` morsels would get if it
+/// started now: the caller plus one per free core, at most the pool size
+/// and at most CoreBudget() in all; 1 with no pool, inside a morsel, or
+/// when no core is idle. Kernels that cut their work into one piece per
+/// runner, and whose results do not depend on the cut, size it with this.
+/// A core freed or taken after the call only moves pieces between
+/// runners.
+int ParallelWidth(int64_t morsels);
+
 /// Number of morsels ParallelFor will use for this range.
 inline int64_t NumMorsels(int64_t begin, int64_t end, int64_t grain) {
   if (end <= begin) return 0;

@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <memory>
 #include <numeric>
+#include <set>
+#include <type_traits>
 
 #include "common/thread_pool.h"
 #include "dataframe/compute.h"
@@ -52,84 +58,640 @@ Result<AggFunc> AggFuncFromName(const std::string& name) {
 
 namespace {
 
-/// Morsel grain for aggregation kernels: bounded morsel count keeps the
-/// per-morsel partial buffers (size G each) cheap, and the decomposition is
-/// a pure function of n so results never depend on thread count.
+/// Morsel grain of the float folds. A float sum, sum of squares or product
+/// is the in-order fold of per-morsel partials cut at these boundaries;
+/// the grain depends on n alone, so the bits never depend on the thread
+/// count.
 inline int64_t AggGrain(int64_t n) { return GrainForMorsels(n, 4096, 16); }
 
-/// Grain for aggregates whose result does not depend on how rows are split
-/// into morsels (integer counts and sums, min/max, first/last, any/all):
-/// each morsel also covers at least kRowsPerGroupPerMorsel rows per group,
-/// so a chunk with many groups and few rows per group (plasticc's
-/// per-object map) allocates and folds one G-sized partial, not one per
-/// 4096 rows. Float accumulators keep AggGrain: their bits depend on the
-/// split.
-constexpr int64_t kRowsPerGroupPerMorsel = 8;
-inline int64_t ExactAggGrain(int64_t n, int64_t G) {
-  return std::max(AggGrain(n), kRowsPerGroupPerMorsel * G);
+/// Rows per step of the pass: a step's group ids and records stay in L1.
+constexpr int64_t kBlockRows = 256;
+
+/// A second worker of a group-range split needs this many rows and groups
+/// of its own: each worker scans every row, which pays only once the
+/// groups' states outgrow the cache.
+constexpr int64_t kMinRowsPerWorker = 32768;
+constexpr int64_t kMinGroupsPerWorker = 4096;
+
+/// A morsel split gives every morsel records of its own and merges them
+/// afterwards; it needs this many rows per merged record.
+constexpr int64_t kRowsPerMergedRecord = 16;
+
+/// The rows of one pass step: every row of [lo, hi), or, for a worker that
+/// owns only some groups, the `count` rows listed in `rows` (ascending).
+struct RowSpan {
+  int64_t lo = 0;
+  int64_t hi = 0;
+  const int64_t* rows = nullptr;
+  int64_t count = 0;
+};
+
+template <typename F>
+inline void ForEachRow(const RowSpan& s, const F& f) {
+  // Copies, so stores into the records cannot force a reload per row.
+  const int64_t lo = s.lo, hi = s.hi, count = s.count;
+  const int64_t* rows = s.rows;
+  if (rows == nullptr) {
+    for (int64_t i = lo; i < hi; ++i) f(i);
+  } else {
+    for (int64_t j = 0; j < count; ++j) f(rows[j]);
+  }
 }
 
-/// One valid row per group, -1 where the group has none: scanning in row
-/// order, a row replaces the group's pick when `better(row, pick)`. With a
-/// strict order that is the earliest extreme row; with `better` constant
-/// false (true) it is the first (last) valid row. With kNanAware, rows
-/// flagged `is_nan` never compete, but a group whose first valid row is
-/// NaN picks that row — exactly what a serial strict-comparison scan
-/// keeps, since nothing compares better than NaN. Every rule here folds
-/// associatively in morsel order, so the pick does not depend on how rows
-/// are split into morsels.
-template <bool kNanAware, typename Better, typename IsNan>
-std::vector<int64_t> PickExtremeRows(const uint8_t* valid, const int64_t* gid,
-                                     int64_t n, int64_t G, int64_t grain,
-                                     const Better& better,
-                                     const IsNan& is_nan) {
-  struct Picks {
-    std::vector<int64_t> first;  // earliest valid row (kNanAware only)
-    std::vector<int64_t> best;   // earliest extreme non-NaN row
-  };
-  Picks picks = ParallelReduce(
-      0, n, grain, Picks{},
-      [&](int64_t lo, int64_t hi) {
-        Picks p;
-        p.best.assign(G, -1);
-        if constexpr (kNanAware) p.first.assign(G, -1);
-        for (int64_t i = lo; i < hi; ++i) {
-          if (valid != nullptr && !valid[i]) continue;
-          const int64_t g = gid[i];
-          if constexpr (kNanAware) {
-            if (p.first[g] < 0) p.first[g] = i;
-            if (is_nan(i)) continue;
-          }
-          int64_t& b = p.best[g];
-          if (b < 0 || better(i, b)) b = i;
-        }
-        return p;
-      },
-      [&](Picks a, Picks b) {
-        if (a.best.empty()) return b;  // the fold's identity
-        for (int64_t g = 0; g < G; ++g) {
-          if constexpr (kNanAware) {
-            if (a.first[g] < 0) a.first[g] = b.first[g];
-          }
-          const int64_t r = b.best[g];
-          if (r >= 0 && (a.best[g] < 0 || better(r, a.best[g]))) {
-            a.best[g] = r;
-          }
-        }
-        return a;
-      });
-  if (picks.best.empty()) return std::vector<int64_t>(G, -1);
-  if constexpr (kNanAware) {
-    for (int64_t g = 0; g < G; ++g) {
-      const int64_t f = picks.first[g];
-      if (f >= 0 && is_nan(f)) picks.best[g] = f;
+/// ForEachRow over the rows whose validity byte is set; every row when the
+/// column has no validity.
+template <typename F>
+inline void ForEachValid(const RowSpan& s, const uint8_t* valid, const F& f) {
+  if (valid == nullptr) {
+    ForEachRow(s, f);
+  } else {
+    ForEachRow(s, [&](int64_t i) {
+      if (valid[i] != 0) f(i);
+    });
+  }
+}
+
+/// Reads a plain or dictionary string column by row.
+struct StringValues {
+  const Column* col;
+  const std::string* operator[](int64_t i) const { return &col->string_at(i); }
+};
+
+inline double ToDouble(int64_t v) { return static_cast<double>(v); }
+inline double ToDouble(double v) { return v; }
+inline double ToDouble(uint8_t v) { return v != 0 ? 1.0 : 0.0; }
+
+// The value orders of min/max: int64 exactly, doubles by IEEE `<`, bools
+// false < true, strings byte-wise.
+inline bool Less(int64_t a, int64_t b) { return a < b; }
+inline bool Less(double a, double b) { return a < b; }
+inline bool Less(uint8_t a, uint8_t b) { return a == 0 && b != 0; }
+inline bool Less(const std::string* a, const std::string* b) { return *a < *b; }
+
+// Truthiness of any/all: nonzero numbers (NaN included), non-empty strings.
+inline bool Truthy(int64_t v) { return v != 0; }
+inline bool Truthy(double v) { return v != 0.0; }
+inline bool Truthy(uint8_t v) { return v != 0; }
+inline bool Truthy(const std::string* v) { return !v->empty(); }
+
+const uint8_t* ValidityOf(const Column& col) {
+  return col.has_validity() ? col.validity().data() : nullptr;
+}
+
+/// Calls `make(values)` with the column's typed reader: its raw int64,
+/// float64 or bool array, or StringValues.
+template <typename Make>
+auto WithValues(const Column& col, const Make& make) {
+  switch (col.dtype()) {
+    case DType::kInt64: return make(col.int64_data().data());
+    case DType::kFloat64: return make(col.float64_data().data());
+    case DType::kBool: return make(col.bool_data().data());
+    case DType::kString: break;
+  }
+  return make(StringValues{&col});
+}
+
+template <typename V>
+inline constexpr bool kIsString = std::is_same_v<V, StringValues>;
+
+/// A group's record: the states of all its aggregates side by side, each a
+/// few 8-byte words at its own offset. A row then touches one or two cache
+/// lines, however many aggregates it feeds.
+struct Records {
+  uint64_t* base = nullptr;
+  int64_t stride = 0;  // words per record
+  uint64_t* operator()(int64_t g) const { return base + g * stride; }
+};
+
+template <typename T>
+inline T Load(const uint64_t* w) {
+  T v;
+  std::memcpy(&v, w, sizeof(T));
+  return v;
+}
+
+template <typename T>
+inline void Store(uint64_t* w, T v) {
+  std::memcpy(w, &v, sizeof(T));
+}
+
+class FloatFold;
+
+/// One aggregate of the fused pass: `words()` words at `offset` of every
+/// group's record.
+class Accumulator {
+ public:
+  explicit Accumulator(int64_t words) : words_(words) {}
+  virtual ~Accumulator() = default;
+  /// Writes the initial state at `state`.
+  virtual void Init(uint64_t* state) const = 0;
+  /// Folds the rows of `rows` (gid[i] is row i's group) into the records.
+  virtual void Update(const int64_t* gid, const RowSpan& rows,
+                      const Records& rec) const = 0;
+  /// Folds the states of `from`, made by the rows after those of `into`,
+  /// into `into`, for every group.
+  virtual void Merge(const Records& into, const Records& from,
+                     int64_t groups) const = 0;
+  /// Turns a finished state into the one its result is read from.
+  virtual void Settle(const Records& /*rec*/, int64_t /*groups*/) const {}
+  virtual const FloatFold* AsFold() const { return nullptr; }
+  int64_t words() const { return words_; }
+
+  int64_t offset = 0;
+
+ protected:
+  /// Calls `f(into_state, from_state)` for every group.
+  template <typename F>
+  void MergeEach(const Records& into, const Records& from, int64_t groups,
+                 const F& f) const {
+    for (int64_t g = 0; g < groups; ++g) f(into(g) + offset, from(g) + offset);
+  }
+
+ private:
+  const int64_t words_;
+};
+
+/// A count or an exact int64 sum: one word, summed.
+class WordSum : public Accumulator {
+ public:
+  WordSum() : Accumulator(1) {}
+  void Init(uint64_t* state) const override { state[0] = 0; }
+  void Merge(const Records& into, const Records& from,
+             int64_t groups) const override {
+    MergeEach(into, from, groups,
+              [](uint64_t* a, const uint64_t* b) { a[0] += b[0]; });
+  }
+};
+
+/// Rows per group, or valid rows per group when `valid` is set.
+class Count final : public WordSum {
+ public:
+  explicit Count(const uint8_t* valid) : valid_(valid) {}
+  void Update(const int64_t* gid, const RowSpan& rows,
+              const Records& rec) const override {
+    uint64_t* w = rec.base + offset;
+    const int64_t stride = rec.stride;
+    if (valid_ == nullptr) {
+      ForEachRow(rows, [&](int64_t i) { w[gid[i] * stride]++; });
+    } else {
+      ForEachRow(rows,
+                 [&](int64_t i) { w[gid[i] * stride] += valid_[i] != 0; });
     }
   }
-  return std::move(picks.best);
+
+ private:
+  const uint8_t* valid_;
+};
+
+/// Exact int64 sum; it wraps like two's complement.
+class IntSum final : public WordSum {
+ public:
+  IntSum(const int64_t* v, const uint8_t* valid) : v_(v), valid_(valid) {}
+  void Update(const int64_t* gid, const RowSpan& rows,
+              const Records& rec) const override {
+    uint64_t* w = rec.base + offset;
+    const int64_t stride = rec.stride;
+    const auto v = v_;
+    ForEachValid(rows, valid_, [&](int64_t i) {
+      w[gid[i] * stride] += static_cast<uint64_t>(v[i]);
+    });
+  }
+
+ private:
+  const int64_t* v_;
+  const uint8_t* valid_;
+};
+
+/// `acc + x` (or `acc * x`), except that a NaN `acc` stays as it is. Where
+/// both are NaN, x86 returns whichever operand the compiler happened to put
+/// first, so without the guard the payload of a sum over two NaNs would
+/// depend on code generation; with it, an accumulator keeps the first NaN
+/// it meets.
+template <bool kProduct>
+inline void Accumulate(double& acc, double x) {
+  if (std::isnan(acc)) return;
+  if constexpr (kProduct) {
+    acc *= x;
+  } else {
+    acc += x;
+  }
 }
 
-/// Gathers the picked row of every group (PickExtremeRows); groups without
-/// one (-1) become null.
+/// A float sum, sum of squares or product: its bits depend on how it is
+/// associated, and it is the in-order fold of per-morsel partials
+/// (AggGrain). Word 0 is a group's partial of the current morsel and word
+/// 1 the fold of its earlier ones; the pass flushes word 0 into word 1 at
+/// the end of each morsel that touched the group. A morsel the group skips
+/// would add +0.0 (or multiply by 1.0), which changes no bits, since the
+/// sums start at +0.0 and never become -0.0. So skipping it is exact, and
+/// so is merging the totals of later morsels, one morsel each, in order.
+class FloatFold : public Accumulator {
+ public:
+  explicit FloatFold(bool product)
+      : Accumulator(2), identity_(product ? 1.0 : 0.0), product_(product) {}
+  void Init(uint64_t* state) const override {
+    Store(state, identity_);
+    Store(state + 1, identity_);
+  }
+  const FloatFold* AsFold() const override { return this; }
+
+  void Flush(uint64_t* record) const {
+    uint64_t* s = record + offset;
+    AddInto(s + 1, Load<double>(s));
+    Store(s, identity_);
+  }
+
+  void Merge(const Records& into, const Records& from,
+             int64_t groups) const override {
+    MergeEach(into, from, groups, [this](uint64_t* a, const uint64_t* b) {
+      AddInto(a + 1, Load<double>(b + 1));
+    });
+  }
+
+ private:
+  void AddInto(uint64_t* total, double x) const {
+    double t = Load<double>(total);
+    if (product_) {
+      Accumulate<true>(t, x);
+    } else {
+      Accumulate<false>(t, x);
+    }
+    Store(total, t);
+  }
+
+  const double identity_;
+  const bool product_;
+};
+
+enum class FoldOp { kSum, kSumSq, kProd };
+
+template <typename V, FoldOp kOp>
+class Fold final : public FloatFold {
+ public:
+  Fold(V v, const uint8_t* valid)
+      : FloatFold(kOp == FoldOp::kProd), v_(v), valid_(valid) {}
+  void Update(const int64_t* gid, const RowSpan& rows,
+              const Records& rec) const override {
+    uint64_t* w = rec.base + offset;
+    const int64_t stride = rec.stride;
+    const auto v = v_;
+    ForEachValid(rows, valid_, [&](int64_t i) {
+      uint64_t* cur = w + gid[i] * stride;
+      double c = Load<double>(cur);
+      const double x = ToDouble(v[i]);
+      if constexpr (kOp == FoldOp::kSum) {
+        Accumulate<false>(c, x);
+      } else if constexpr (kOp == FoldOp::kSumSq) {
+        Accumulate<false>(c, x * x);
+      } else {
+        Accumulate<true>(c, x);
+      }
+      Store(cur, c);
+    });
+  }
+
+ private:
+  V v_;
+  const uint8_t* valid_;
+};
+
+/// A picked row per group (word 0, -1 while there is none).
+class Pick : public Accumulator {
+ public:
+  using Accumulator::Accumulator;
+  void Init(uint64_t* state) const override {
+    Store<int64_t>(state, -1);
+    for (int64_t k = 1; k < words(); ++k) state[k] = 0;
+  }
+};
+
+/// The first or the last valid row.
+template <bool kLast>
+class EdgePick final : public Pick {
+ public:
+  explicit EdgePick(const uint8_t* valid) : Pick(1), valid_(valid) {}
+  void Update(const int64_t* gid, const RowSpan& rows,
+              const Records& rec) const override {
+    uint64_t* w = rec.base + offset;
+    const int64_t stride = rec.stride;
+    ForEachValid(rows, valid_, [&](int64_t i) {
+      uint64_t* s = w + gid[i] * stride;
+      const int64_t r = Load<int64_t>(s);
+      Store<int64_t>(s, kLast || r < 0 ? i : r);
+    });
+  }
+  void Merge(const Records& into, const Records& from,
+             int64_t groups) const override {
+    MergeEach(into, from, groups, [](uint64_t* a, const uint64_t* b) {
+      if (kLast ? Load<int64_t>(b) >= 0 : Load<int64_t>(a) < 0) a[0] = b[0];
+    });
+  }
+
+ private:
+  const uint8_t* valid_;
+};
+
+/// The earliest valid row holding the min (kMin) or max: a row replaces
+/// the pick only when strictly better. Word 0 is the row and word 1 its
+/// value. A float group whose first valid value is NaN keeps that NaN, and
+/// a later NaN never wins; so over a column with NaNs (kFloat), word 0 is
+/// the earliest best non-NaN row, word 2 the first valid row, and Settle
+/// picks word 2 if it holds a NaN. Kept apart, both merge exactly. Numbers
+/// replace by select, not branch: whether a row wins is a coin toss the
+/// branch predictor loses.
+template <typename V, bool kMin, bool kFloat = false>
+class ExtremePick final : public Pick {
+  using T = std::remove_cv_t<std::remove_reference_t<decltype(V()[0])>>;
+
+ public:
+  ExtremePick(V v, const uint8_t* valid)
+      : Pick(kFloat ? 3 : 2), v_(v), valid_(valid) {}
+  void Init(uint64_t* state) const override {
+    Pick::Init(state);
+    if constexpr (kFloat) Store<int64_t>(state + 2, -1);
+  }
+  void Update(const int64_t* gid, const RowSpan& rows,
+              const Records& rec) const override {
+    uint64_t* w = rec.base + offset;
+    const int64_t stride = rec.stride;
+    const auto v = v_;
+    ForEachValid(rows, valid_, [&](int64_t i) {
+      uint64_t* s = w + gid[i] * stride;
+      const T x = v[i];
+      const int64_t r = Load<int64_t>(s);
+      if constexpr (kIsString<V>) {  // an empty pick has no string to read
+        if (r < 0 || Better(x, Load<T>(s + 1))) {
+          Store<int64_t>(s, i);
+          Store<T>(s + 1, x);
+        }
+      } else {
+        const T b = Load<T>(s + 1);
+        bool take = (r < 0) | Better(x, b);
+        if constexpr (kFloat) {
+          take &= !std::isnan(x);
+          const int64_t f = Load<int64_t>(s + 2);
+          Store<int64_t>(s + 2, f < 0 ? i : f);
+        }
+        const uint64_t mask = 0 - static_cast<uint64_t>(take);
+        uint64_t bits = 0;
+        Store<T>(&bits, x);
+        s[0] = (static_cast<uint64_t>(i) & mask) | (s[0] & ~mask);
+        s[1] = (bits & mask) | (s[1] & ~mask);
+      }
+    });
+  }
+  void Merge(const Records& into, const Records& from,
+             int64_t groups) const override {
+    MergeEach(into, from, groups, [](uint64_t* a, const uint64_t* b) {
+      if (Load<int64_t>(b) >= 0 &&
+          (Load<int64_t>(a) < 0 || Better(Load<T>(b + 1), Load<T>(a + 1)))) {
+        a[0] = b[0];
+        a[1] = b[1];
+      }
+      if constexpr (kFloat) {
+        if (Load<int64_t>(a + 2) < 0) a[2] = b[2];
+      }
+    });
+  }
+  void Settle(const Records& rec, int64_t groups) const override {
+    if constexpr (kFloat) {
+      for (int64_t g = 0; g < groups; ++g) {
+        uint64_t* s = rec(g) + offset;
+        const int64_t f = Load<int64_t>(s + 2);
+        if (f >= 0 && std::isnan(v_[f])) Store<int64_t>(s, f);
+      }
+    }
+  }
+
+ private:
+  static bool Better(const T& x, const T& y) {
+    return kMin ? Less(x, y) : Less(y, x);
+  }
+
+  V v_;
+  const uint8_t* valid_;
+};
+
+/// Each group's any (all) flag.
+template <typename V, bool kAny>
+class AnyAll final : public Accumulator {
+ public:
+  AnyAll(V v, const uint8_t* valid) : Accumulator(1), v_(v), valid_(valid) {}
+  void Init(uint64_t* state) const override { state[0] = kAny ? 0 : 1; }
+  void Update(const int64_t* gid, const RowSpan& rows,
+              const Records& rec) const override {
+    uint64_t* w = rec.base + offset;
+    const int64_t stride = rec.stride;
+    const auto v = v_;
+    ForEachValid(rows, valid_, [&](int64_t i) {
+      if constexpr (kAny) {
+        w[gid[i] * stride] |= Truthy(v[i]);
+      } else {
+        w[gid[i] * stride] &= Truthy(v[i]);
+      }
+    });
+  }
+  void Merge(const Records& into, const Records& from,
+             int64_t groups) const override {
+    MergeEach(into, from, groups, [](uint64_t* a, const uint64_t* b) {
+      if constexpr (kAny) {
+        a[0] |= b[0];
+      } else {
+        a[0] &= b[0];
+      }
+    });
+  }
+
+ private:
+  V v_;
+  const uint8_t* valid_;
+};
+
+enum class AccKind {
+  kCount, kIntSum, kSum, kSumSq, kProd, kMin, kMax, kFirst, kLast, kAny,
+  kAll,
+};
+
+/// The fused aggregation pass: every distinct (state, input) once, all of
+/// them updated in one walk over the rows. The walk goes morsel by morsel
+/// (AggGrain) in blocks of kBlockRows, and runs each state's typed loop
+/// over a block, whose records stay in L1 between the loops. With float
+/// folds, it also lists the groups each morsel touches, and flushes their
+/// folds when the morsel ends. Given idle cores, many groups split into
+/// group-id ranges: each worker scans all rows in order and keeps the rows
+/// of its own groups, so every group sees its rows in the serial order.
+/// Few groups split by morsel instead: each morsel walks into records of
+/// its own, which then merge in morsel order, the order the serial walk
+/// folds them in.
+class AggPass {
+ public:
+  AggPass(const std::vector<int64_t>& gids, int64_t G) : gids_(gids), G_(G) {}
+
+  /// The state of `kind` over `col` (null for row counts), made by
+  /// `make()` on first request.
+  template <typename A, typename Make>
+  const A* Get(AccKind kind, const Column* col, const Make& make) {
+    auto [it, added] = index_.try_emplace({kind, col}, nullptr);
+    if (added) {
+      std::unique_ptr<Accumulator> acc = make();
+      acc->offset = stride_;
+      stride_ += acc->words();
+      if (const FloatFold* f = acc->AsFold()) folds_.push_back(f);
+      it->second = acc.get();
+      accs_.push_back(std::move(acc));
+    }
+    return static_cast<const A*>(it->second);
+  }
+
+  void Run() {
+    const int64_t n = static_cast<int64_t>(gids_.size());
+    const int64_t grain = AggGrain(n);
+    const int64_t morsels = NumMorsels(0, n, grain);
+    records_.reset(new uint64_t[G_ * stride_]);
+    const Records rec{records_.get(), stride_};
+    const int64_t ranges = ParallelWidth(
+        std::min(G_ / kMinGroupsPerWorker, n / kMinRowsPerWorker));
+    if (ranges > 1) {
+      ParallelFor(0, ranges, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t w = lo; w < hi; ++w) {
+          Walk(0, n, G_ * w / ranges, G_ * (w + 1) / ranges, rec);
+        }
+      });
+    } else if (G_ * morsels * kRowsPerMergedRecord <= n &&
+               ParallelWidth(morsels) > 1) {
+      const int64_t words = G_ * stride_;
+      std::unique_ptr<uint64_t[]> later(new uint64_t[(morsels - 1) * words]);
+      const auto records_of = [&](int64_t m) {
+        return m == 0 ? rec : Records{later.get() + (m - 1) * words, stride_};
+      };
+      ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
+        Walk(lo, hi, 0, G_, records_of(lo / grain));
+      });
+      for (int64_t m = 1; m < morsels; ++m) {
+        for (const auto& acc : accs_) acc->Merge(rec, records_of(m), G_);
+      }
+    } else {
+      Walk(0, n, 0, G_, rec);
+    }
+    for (const auto& acc : accs_) acc->Settle(rec, G_);
+  }
+
+  /// Word `k` of `acc`'s state, read as T, for every group.
+  template <typename T>
+  std::vector<T> Gather(const Accumulator* acc, int64_t k) const {
+    std::vector<T> out(G_);
+    const uint64_t* w = records_.get() + acc->offset + k;
+    for (int64_t g = 0; g < G_; ++g) out[g] = Load<T>(w + g * stride_);
+    return out;
+  }
+
+ private:
+  static constexpr uint8_t kNoMorsel = 0xff;  // AggGrain makes <= 16
+
+  /// Aggregates the rows [row_lo, row_hi), whole morsels, of the groups
+  /// [glo, ghi) into `rec`.
+  void Walk(int64_t row_lo, int64_t row_hi, int64_t glo, int64_t ghi,
+            const Records& rec) const {
+    for (const auto& acc : accs_) {
+      for (int64_t g = glo; g < ghi; ++g) acc->Init(rec(g) + acc->offset);
+    }
+    const int64_t* gid = gids_.data();
+    const int64_t grain = AggGrain(static_cast<int64_t>(gids_.size()));
+    const bool every_group = glo == 0 && ghi == G_;
+    const uint64_t width = static_cast<uint64_t>(ghi - glo);
+    std::vector<int64_t> listed(every_group ? 0 : kBlockRows);
+    // Groups touched in the current morsel, appended without a branch, and
+    // each group's last morsel.
+    std::vector<int64_t> touched(folds_.empty() ? 0 : grain + 1);
+    std::vector<uint8_t> morsel_of(folds_.empty() ? 0 : width, kNoMorsel);
+    for (int64_t m = row_lo / grain; m * grain < row_hi; ++m) {
+      const int64_t end = std::min(row_hi, (m + 1) * grain);
+      int64_t t = 0;
+      for (int64_t lo = m * grain; lo < end; lo += kBlockRows) {
+        RowSpan span{lo, std::min(end, lo + kBlockRows)};
+        if (!every_group) {
+          int64_t c = 0;
+          for (int64_t i = span.lo; i < span.hi; ++i) {
+            listed[c] = i;
+            c += static_cast<uint64_t>(gid[i] - glo) < width;
+          }
+          span.rows = listed.data();
+          span.count = c;
+        }
+        if (!folds_.empty()) {
+          ForEachRow(span, [&](int64_t i) {
+            uint8_t& seen = morsel_of[gid[i] - glo];
+            touched[t] = gid[i];
+            t += seen != m;
+            seen = static_cast<uint8_t>(m);
+          });
+        }
+        for (const auto& acc : accs_) acc->Update(gid, span, rec);
+      }
+      for (int64_t j = 0; j < t; ++j) {
+        for (const FloatFold* f : folds_) f->Flush(rec(touched[j]));
+      }
+    }
+  }
+
+  const std::vector<int64_t>& gids_;
+  const int64_t G_;
+  std::vector<std::unique_ptr<Accumulator>> accs_;
+  std::vector<const FloatFold*> folds_;
+  std::map<std::pair<AccKind, const Column*>, const Accumulator*> index_;
+  int64_t stride_ = 0;
+  std::unique_ptr<uint64_t[]> records_;  // G_ records of stride_ words
+};
+
+/// Valid rows per group; a column without nulls shares the row counter.
+const Count* CountOf(AggPass* pass, const Column* col) {
+  const uint8_t* valid = col != nullptr ? ValidityOf(*col) : nullptr;
+  return pass->Get<Count>(AccKind::kCount, valid ? col : nullptr,
+                          [&] { return std::make_unique<Count>(valid); });
+}
+
+template <FoldOp kOp>
+const FloatFold* FoldOf(AggPass* pass, const Column& col) {
+  constexpr AccKind kind = kOp == FoldOp::kSum     ? AccKind::kSum
+                           : kOp == FoldOp::kSumSq ? AccKind::kSumSq
+                                                   : AccKind::kProd;
+  return pass->Get<FloatFold>(kind, &col, [&] {
+    return WithValues(col, [&](auto v) -> std::unique_ptr<Accumulator> {
+      if constexpr (kIsString<decltype(v)>) {
+        return nullptr;  // the callers reject strings first
+      } else {
+        return std::make_unique<Fold<decltype(v), kOp>>(v, ValidityOf(col));
+      }
+    });
+  });
+}
+
+/// True when any value of `col`, valid or not, is a NaN.
+bool AnyNan(const Column& col) {
+  bool any = false;
+  for (const double x : col.float64_data()) any |= std::isnan(x);
+  return any;
+}
+
+template <bool kMin>
+const Pick* ExtremeOf(AggPass* pass, const Column& col) {
+  return pass->Get<Pick>(kMin ? AccKind::kMin : AccKind::kMax, &col, [&] {
+    return WithValues(col, [&](auto v) -> std::unique_ptr<Accumulator> {
+      using V = decltype(v);
+      if constexpr (std::is_same_v<V, const double*>) {
+        // Without a NaN the first valid row needs no word of its own.
+        if (AnyNan(col)) {
+          return std::make_unique<ExtremePick<V, kMin, true>>(
+              v, ValidityOf(col));
+        }
+      }
+      return std::make_unique<ExtremePick<V, kMin>>(v, ValidityOf(col));
+    });
+  });
+}
+
+/// Gathers the picked row of every group; groups without one (-1) become
+/// null.
 Column TakePicks(const Column& col, const std::vector<int64_t>& pick) {
   const int64_t G = static_cast<int64_t>(pick.size());
   if (col.length() == 0) return Column::Nulls(col.dtype(), G);
@@ -153,353 +715,184 @@ Column TakePicks(const Column& col, const std::vector<int64_t>& pick) {
   return out;
 }
 
-/// Elementwise-sum combine for per-morsel partial accumulators.
-template <typename T>
-std::vector<T> AddVec(std::vector<T> a, std::vector<T> b) {
-  for (size_t g = 0; g < a.size(); ++g) a[g] += b[g];
-  return a;
+Column Median(const Column& col, const std::vector<int64_t>& gids,
+              int64_t G) {
+  std::vector<std::vector<double>> vals(G);
+  for (size_t i = 0; i < gids.size(); ++i) {
+    if (col.IsValid(i)) vals[gids[i]].push_back(col.GetDouble(i));
+  }
+  std::vector<double> out(G, 0.0);
+  std::vector<uint8_t> validity(G, 1);
+  for (int64_t g = 0; g < G; ++g) {
+    auto& v = vals[g];
+    if (v.empty()) {
+      validity[g] = 0;
+      continue;
+    }
+    std::sort(v.begin(), v.end());
+    const size_t mid = v.size() / 2;
+    out[g] = v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+  }
+  return Column::Float64(std::move(out), std::move(validity));
 }
 
-Result<Column> AggregateColumn(const Column* col, AggFunc func,
-                               const std::vector<int64_t>& gids, int64_t G) {
-  const int64_t n = static_cast<int64_t>(gids.size());
-  // Hot accumulations below run as morsel-local partials (one G-sized
-  // buffer per morsel, morsel count capped by AggGrain, or by
-  // ExactAggGrain where the split cannot show) folded in morsel order —
-  // deterministic at any thread count, including float cases.
-  //
-  // The float64 fast paths hoist the validity pointer and read values
-  // through a raw pointer instead of the per-row GetDouble switch, giving
-  // the compiler straight-line gather loops it can vectorize.
-  const double* f64 =
-      col != nullptr && col->dtype() == DType::kFloat64
-          ? col->float64_data().data()
-          : nullptr;
-  const uint8_t* valid =
-      col != nullptr && col->has_validity() ? col->validity().data() : nullptr;
-  const int64_t* gid = gids.data();
-  const int64_t exact_grain = ExactAggGrain(n, G);
-  const auto never_nan = [](int64_t) { return false; };
+/// Index the (group, value) pairs; each pair whose value is not null is one
+/// distinct value of its group.
+Column Nunique(const Column& col, const std::vector<int64_t>& gids,
+               int64_t G) {
+  const Column group = Column::Int64(gids);
+  std::vector<int64_t> pair_ids, pair_rows;
+  BuildGroups({&group, &col}, &pair_ids, &pair_rows);
+  std::vector<int64_t> out(G, 0);
+  for (const int64_t row : pair_rows) {
+    if (col.IsValid(row)) out[gids[row]]++;
+  }
+  return Column::Int64(std::move(out));
+}
+
+/// Sample variance (or its root, `std`) of `n` >= 2 values from their sum
+/// and sum of squares. A NaN input is passed through as it is, the sum of
+/// squares' first, so the payload does not depend on operand order.
+double Variance(double sum, double sumsq, double n, bool std) {
+  if (std::isnan(sumsq)) return sumsq;
+  if (std::isnan(sum)) return sum;
+  double var = (sumsq - sum * sum / n) / (n - 1);
+  if (var < 0) var = 0;  // numeric noise
+  return std ? std::sqrt(var) : var;
+}
+
+/// Mean, or var/std, from a group's float sum, sum of squares and valid
+/// count; groups without enough rows are null.
+Column Moments(AggFunc func, const AggPass& pass, const FloatFold* sum,
+               const FloatFold* sumsq, const Count* cnt) {
+  const std::vector<double> s = pass.Gather<double>(sum, 1);
+  const std::vector<double> sq =
+      sumsq != nullptr ? pass.Gather<double>(sumsq, 1) : std::vector<double>();
+  const std::vector<int64_t> c = pass.Gather<int64_t>(cnt, 0);
+  const int64_t G = static_cast<int64_t>(c.size());
+  std::vector<double> out(G, 0.0);
+  std::vector<uint8_t> validity(G, 1);
+  for (int64_t g = 0; g < G; ++g) {
+    if (func == AggFunc::kMean) {
+      if (c[g] == 0) {
+        validity[g] = 0;
+      } else {
+        out[g] = s[g] / c[g];
+      }
+    } else if (c[g] < 2) {
+      validity[g] = 0;
+    } else {
+      out[g] = Variance(s[g], sq[g], static_cast<double>(c[g]),
+                        func == AggFunc::kStd);
+    }
+  }
+  return Column::Float64(std::move(out), std::move(validity));
+}
+
+using Finish = std::function<Column()>;
+
+/// Checks `func` against `col` (null only for kSize), binds it to the
+/// states it needs in `pass`, and returns how to build its column once the
+/// pass ran.
+Result<Finish> BindAgg(AggPass* pass, const Column* col, AggFunc func,
+                       const std::vector<int64_t>& gids, int64_t G) {
+  const auto numeric = [col] { return IsNumeric(col->dtype()); };
+  const auto numeric_or_bool = [col] {
+    return IsNumeric(col->dtype()) || col->dtype() == DType::kBool;
+  };
+  const auto int64s = [pass](const Accumulator* acc) {
+    return Finish([pass, acc] {
+      return Column::Int64(pass->Gather<int64_t>(acc, 0));
+    });
+  };
+  const auto total = [pass](const FloatFold* fold) {
+    return Finish(
+        [pass, fold] { return Column::Float64(pass->Gather<double>(fold, 1)); });
+  };
+  const auto picked = [pass, col](const Pick* pick) {
+    return Finish([pass, col, pick] {
+      return TakePicks(*col, pass->Gather<int64_t>(pick, 0));
+    });
+  };
   switch (func) {
-    case AggFunc::kSize: {
-      std::vector<int64_t> out = ParallelReduce(
-          0, n, exact_grain, std::vector<int64_t>(G, 0),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<int64_t> p(G, 0);
-            for (int64_t i = lo; i < hi; ++i) p[gids[i]]++;
-            return p;
-          },
-          AddVec<int64_t>);
-      return Column::Int64(std::move(out));
-    }
-    case AggFunc::kCount: {
-      if (col == nullptr) return Status::Invalid("count needs a column");
-      std::vector<int64_t> out = ParallelReduce(
-          0, n, exact_grain, std::vector<int64_t>(G, 0),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<int64_t> p(G, 0);
-            for (int64_t i = lo; i < hi; ++i) {
-              if (col->IsValid(i)) p[gids[i]]++;
-            }
-            return p;
-          },
-          AddVec<int64_t>);
-      return Column::Int64(std::move(out));
-    }
-    case AggFunc::kSum: {
-      if (col == nullptr) return Status::Invalid("sum needs a column");
-      if (!IsNumeric(col->dtype()) && col->dtype() != DType::kBool) {
+    case AggFunc::kSize:
+      return int64s(CountOf(pass, nullptr));
+    case AggFunc::kCount:
+      return int64s(CountOf(pass, col));
+    case AggFunc::kSum:
+      if (!numeric_or_bool()) {
         return Status::TypeError("sum on non-numeric column");
       }
       if (col->dtype() == DType::kInt64) {
-        const int64_t* data = col->int64_data().data();
-        std::vector<int64_t> out = ParallelReduce(
-            0, n, exact_grain, std::vector<int64_t>(G, 0),
-            [&](int64_t lo, int64_t hi) {
-              std::vector<int64_t> p(G, 0);
-              if (valid == nullptr) {
-                for (int64_t i = lo; i < hi; ++i) p[gid[i]] += data[i];
-              } else {
-                for (int64_t i = lo; i < hi; ++i) {
-                  if (valid[i]) p[gid[i]] += data[i];
-                }
-              }
-              return p;
-            },
-            AddVec<int64_t>);
-        return Column::Int64(std::move(out));
+        return int64s(pass->Get<IntSum>(AccKind::kIntSum, col, [&] {
+          return std::make_unique<IntSum>(col->int64_data().data(),
+                                          ValidityOf(*col));
+        }));
       }
-      std::vector<double> out = ParallelReduce(
-          0, n, AggGrain(n), std::vector<double>(G, 0.0),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<double> p(G, 0.0);
-            if (f64 != nullptr && valid == nullptr) {
-              for (int64_t i = lo; i < hi; ++i) p[gid[i]] += f64[i];
-            } else if (f64 != nullptr) {
-              for (int64_t i = lo; i < hi; ++i) {
-                if (valid[i]) p[gid[i]] += f64[i];
-              }
-            } else {
-              for (int64_t i = lo; i < hi; ++i) {
-                if (col->IsValid(i)) p[gid[i]] += col->GetDouble(i);
-              }
-            }
-            return p;
-          },
-          AddVec<double>);
-      return Column::Float64(std::move(out));
-    }
-    case AggFunc::kSumSq: {
-      if (col == nullptr || !IsNumeric(col->dtype())) {
-        return Status::TypeError("sumsq needs a numeric column");
-      }
-      std::vector<double> out = ParallelReduce(
-          0, n, AggGrain(n), std::vector<double>(G, 0.0),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<double> p(G, 0.0);
-            if (f64 != nullptr && valid == nullptr) {
-              for (int64_t i = lo; i < hi; ++i) {
-                p[gid[i]] += f64[i] * f64[i];
-              }
-            } else {
-              for (int64_t i = lo; i < hi; ++i) {
-                if (col->IsValid(i)) {
-                  const double v = col->GetDouble(i);
-                  p[gid[i]] += v * v;
-                }
-              }
-            }
-            return p;
-          },
-          AddVec<double>);
-      return Column::Float64(std::move(out));
-    }
-    case AggFunc::kMean: {
-      if (col == nullptr || (!IsNumeric(col->dtype()) &&
-                             col->dtype() != DType::kBool)) {
-        return Status::TypeError("mean needs a numeric column");
-      }
-      using MeanPartial = std::pair<std::vector<double>, std::vector<int64_t>>;
-      auto [sum, cnt] = ParallelReduce(
-          0, n, AggGrain(n),
-          MeanPartial{std::vector<double>(G, 0.0), std::vector<int64_t>(G, 0)},
-          [&](int64_t lo, int64_t hi) {
-            MeanPartial p{std::vector<double>(G, 0.0),
-                          std::vector<int64_t>(G, 0)};
-            if (f64 != nullptr && valid == nullptr) {
-              for (int64_t i = lo; i < hi; ++i) {
-                p.first[gid[i]] += f64[i];
-                p.second[gid[i]]++;
-              }
-            } else {
-              for (int64_t i = lo; i < hi; ++i) {
-                if (col->IsValid(i)) {
-                  p.first[gid[i]] += col->GetDouble(i);
-                  p.second[gid[i]]++;
-                }
-              }
-            }
-            return p;
-          },
-          [](MeanPartial a, MeanPartial b) {
-            a.first = AddVec(std::move(a.first), std::move(b.first));
-            a.second = AddVec(std::move(a.second), std::move(b.second));
-            return a;
-          });
-      std::vector<double> out(G, 0.0);
-      std::vector<uint8_t> validity(G, 1);
-      for (int64_t g = 0; g < G; ++g) {
-        if (cnt[g] == 0) {
-          validity[g] = 0;
-        } else {
-          out[g] = sum[g] / cnt[g];
-        }
-      }
-      return Column::Float64(std::move(out), std::move(validity));
-    }
-    case AggFunc::kVar:
-    case AggFunc::kStd: {
-      if (col == nullptr || !IsNumeric(col->dtype())) {
-        return Status::TypeError("var/std needs a numeric column");
-      }
-      struct Moments {
-        std::vector<double> sum, sumsq;
-        std::vector<int64_t> cnt;
-      };
-      Moments mo = ParallelReduce(
-          0, n, AggGrain(n),
-          Moments{std::vector<double>(G, 0.0), std::vector<double>(G, 0.0),
-                  std::vector<int64_t>(G, 0)},
-          [&](int64_t lo, int64_t hi) {
-            Moments p{std::vector<double>(G, 0.0),
-                      std::vector<double>(G, 0.0),
-                      std::vector<int64_t>(G, 0)};
-            if (f64 != nullptr && valid == nullptr) {
-              for (int64_t i = lo; i < hi; ++i) {
-                const double v = f64[i];
-                p.sum[gid[i]] += v;
-                p.sumsq[gid[i]] += v * v;
-                p.cnt[gid[i]]++;
-              }
-            } else {
-              for (int64_t i = lo; i < hi; ++i) {
-                if (col->IsValid(i)) {
-                  const double v = col->GetDouble(i);
-                  p.sum[gid[i]] += v;
-                  p.sumsq[gid[i]] += v * v;
-                  p.cnt[gid[i]]++;
-                }
-              }
-            }
-            return p;
-          },
-          [](Moments a, Moments b) {
-            a.sum = AddVec(std::move(a.sum), std::move(b.sum));
-            a.sumsq = AddVec(std::move(a.sumsq), std::move(b.sumsq));
-            a.cnt = AddVec(std::move(a.cnt), std::move(b.cnt));
-            return a;
-          });
-      const std::vector<double>&sum = mo.sum, &sumsq = mo.sumsq;
-      const std::vector<int64_t>& cnt = mo.cnt;
-      std::vector<double> out(G, 0.0);
-      std::vector<uint8_t> validity(G, 1);
-      for (int64_t g = 0; g < G; ++g) {
-        if (cnt[g] < 2) {
-          validity[g] = 0;
-        } else {
-          double var = (sumsq[g] - sum[g] * sum[g] / cnt[g]) / (cnt[g] - 1);
-          if (var < 0) var = 0;  // numeric noise
-          out[g] = func == AggFunc::kStd ? std::sqrt(var) : var;
-        }
-      }
-      return Column::Float64(std::move(out), std::move(validity));
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      if (col == nullptr) return Status::Invalid("agg needs a column");
-      // Typed columns compare through raw pointers; int64 compares exactly
-      // (a Scalar goes through double, where values beyond 2^53 tie).
-      const bool is_min = func == AggFunc::kMin;
-      if (f64 != nullptr) {
-        return TakePicks(
-            *col, PickExtremeRows<true>(
-                      valid, gid, n, G, exact_grain,
-                      [f64, is_min](int64_t a, int64_t b) {
-                        return is_min ? f64[a] < f64[b] : f64[b] < f64[a];
-                      },
-                      [f64](int64_t i) { return std::isnan(f64[i]); }));
-      }
-      if (col->dtype() == DType::kInt64) {
-        const int64_t* i64 = col->int64_data().data();
-        return TakePicks(
-            *col, PickExtremeRows<false>(
-                      valid, gid, n, G, exact_grain,
-                      [i64, is_min](int64_t a, int64_t b) {
-                        return is_min ? i64[a] < i64[b] : i64[b] < i64[a];
-                      },
-                      never_nan));
-      }
-      // Strings and bools compare as Scalars; both orders are total.
-      return TakePicks(
-          *col, PickExtremeRows<false>(
-                    valid, gid, n, G, exact_grain,
-                    [col, is_min](int64_t a, int64_t b) {
-                      const Scalar sa = col->GetScalar(a);
-                      const Scalar sb = col->GetScalar(b);
-                      return is_min ? sa < sb : sb < sa;
-                    },
-                    never_nan));
-    }
-    case AggFunc::kFirst:
-    case AggFunc::kLast: {
-      if (col == nullptr) return Status::Invalid("agg needs a column");
-      const bool is_last = func == AggFunc::kLast;
-      return TakePicks(*col, PickExtremeRows<false>(
-                                 valid, gid, n, G, exact_grain,
-                                 [is_last](int64_t, int64_t) { return is_last; },
-                                 never_nan));
-    }
-    case AggFunc::kProd: {
-      if (col == nullptr || (!IsNumeric(col->dtype()) &&
-                             col->dtype() != DType::kBool)) {
+      return total(FoldOf<FoldOp::kSum>(pass, *col));
+    case AggFunc::kSumSq:
+      if (!numeric()) return Status::TypeError("sumsq needs a numeric column");
+      return total(FoldOf<FoldOp::kSumSq>(pass, *col));
+    case AggFunc::kProd:
+      if (!numeric_or_bool()) {
         return Status::TypeError("prod needs a numeric column");
       }
-      std::vector<double> out = ParallelReduce(
-          0, n, AggGrain(n), std::vector<double>(G, 1.0),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<double> p(G, 1.0);
-            for (int64_t i = lo; i < hi; ++i) {
-              if (col->IsValid(i)) p[gids[i]] *= col->GetDouble(i);
-            }
-            return p;
-          },
-          [](std::vector<double> a, std::vector<double> b) {
-            for (size_t g = 0; g < a.size(); ++g) a[g] *= b[g];
-            return a;
-          });
-      return Column::Float64(std::move(out));
+      return total(FoldOf<FoldOp::kProd>(pass, *col));
+    case AggFunc::kMean:
+    case AggFunc::kVar:
+    case AggFunc::kStd: {
+      if (func == AggFunc::kMean ? !numeric_or_bool() : !numeric()) {
+        return Status::TypeError(func == AggFunc::kMean
+                                     ? "mean needs a numeric column"
+                                     : "var/std needs a numeric column");
+      }
+      const FloatFold* sum = FoldOf<FoldOp::kSum>(pass, *col);
+      const FloatFold* sq =
+          func == AggFunc::kMean ? nullptr : FoldOf<FoldOp::kSumSq>(pass, *col);
+      const Count* cnt = CountOf(pass, col);
+      return Finish([func, pass, sum, sq, cnt] {
+        return Moments(func, *pass, sum, sq, cnt);
+      });
+    }
+    case AggFunc::kMin:
+      return picked(ExtremeOf<true>(pass, *col));
+    case AggFunc::kMax:
+      return picked(ExtremeOf<false>(pass, *col));
+    case AggFunc::kFirst:
+    case AggFunc::kLast: {
+      const bool last = func == AggFunc::kLast;
+      return picked(pass->Get<Pick>(
+          last ? AccKind::kLast : AccKind::kFirst, col,
+          [&]() -> std::unique_ptr<Accumulator> {
+            if (last) return std::make_unique<EdgePick<true>>(ValidityOf(*col));
+            return std::make_unique<EdgePick<false>>(ValidityOf(*col));
+          }));
     }
     case AggFunc::kAny:
     case AggFunc::kAll: {
-      if (col == nullptr) return Status::Invalid("any/all needs a column");
-      const bool is_any = func == AggFunc::kAny;
-      std::vector<uint8_t> out = ParallelReduce(
-          0, n, exact_grain, std::vector<uint8_t>(G, is_any ? 0 : 1),
-          [&](int64_t lo, int64_t hi) {
-            std::vector<uint8_t> p(G, is_any ? 0 : 1);
-            for (int64_t i = lo; i < hi; ++i) {
-              if (!col->IsValid(i)) continue;
-              const bool truthy = col->dtype() == DType::kString
-                                      ? !col->string_at(i).empty()
-                                      : col->GetDouble(i) != 0.0;
-              if (is_any && truthy) p[gids[i]] = 1;
-              if (!is_any && !truthy) p[gids[i]] = 0;
-            }
-            return p;
-          },
-          [&](std::vector<uint8_t> a, std::vector<uint8_t> b) {
-            for (int64_t g = 0; g < G; ++g) {
-              a[g] = is_any ? (a[g] | b[g]) : (a[g] & b[g]);
-            }
-            return a;
+      const bool any = func == AggFunc::kAny;
+      const Accumulator* flags = pass->Get<Accumulator>(
+          any ? AccKind::kAny : AccKind::kAll, col, [&] {
+            return WithValues(
+                *col, [&](auto v) -> std::unique_ptr<Accumulator> {
+                  if (any) {
+                    return std::make_unique<AnyAll<decltype(v), true>>(
+                        v, ValidityOf(*col));
+                  }
+                  return std::make_unique<AnyAll<decltype(v), false>>(
+                      v, ValidityOf(*col));
+                });
           });
-      return Column::Bool(std::move(out));
+      return Finish([pass, flags] {
+        const std::vector<uint64_t> w = pass->Gather<uint64_t>(flags, 0);
+        return Column::Bool(std::vector<uint8_t>(w.begin(), w.end()));
+      });
     }
-    case AggFunc::kMedian: {
-      if (col == nullptr || !IsNumeric(col->dtype())) {
-        return Status::TypeError("median needs a numeric column");
-      }
-      std::vector<std::vector<double>> vals(G);
-      for (int64_t i = 0; i < n; ++i) {
-        if (col->IsValid(i)) vals[gids[i]].push_back(col->GetDouble(i));
-      }
-      std::vector<double> out(G, 0.0);
-      std::vector<uint8_t> validity(G, 1);
-      for (int64_t g = 0; g < G; ++g) {
-        auto& v = vals[g];
-        if (v.empty()) {
-          validity[g] = 0;
-          continue;
-        }
-        std::sort(v.begin(), v.end());
-        const size_t mid = v.size() / 2;
-        out[g] = v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-      }
-      return Column::Float64(std::move(out), std::move(validity));
-    }
-    case AggFunc::kNunique: {
-      if (col == nullptr) return Status::Invalid("nunique needs a column");
-      // Index the (group, value) pairs; each pair whose value is not null
-      // is one distinct value of its group.
-      const Column group = Column::Int64(gids);
-      std::vector<int64_t> pair_ids, pair_rows;
-      BuildGroups({&group, col}, &pair_ids, &pair_rows);
-      std::vector<int64_t> out(G, 0);
-      for (const int64_t row : pair_rows) {
-        if (col->IsValid(row)) out[gid[row]]++;
-      }
-      return Column::Int64(std::move(out));
-    }
+    case AggFunc::kMedian:
+      if (!numeric()) return Status::TypeError("median needs a numeric column");
+      return Finish([col, &gids, G] { return Median(*col, gids, G); });
+    case AggFunc::kNunique:
+      return Finish([col, &gids, G] { return Nunique(*col, gids, G); });
   }
   return Status::Invalid("unreachable agg func");
 }
@@ -564,9 +957,9 @@ Result<DataFrame> GroupByAgg(const DataFrame& df,
       XORBITS_RETURN_NOT_OK(out.SetColumn(keys[k], key_cols[k]->Take(rep)));
     }
   }
-  // Aggregated columns, reordered to group order.
-  std::vector<int64_t> perm(G);
-  for (int64_t g = 0; g < G; ++g) perm[g] = order[g];
+  // Every spec binds to the states of one pass, which then runs once.
+  AggPass pass(gids, G);
+  std::vector<Finish> finish;
   for (const auto& spec : specs) {
     const Column* col = nullptr;
     if (!spec.input.empty()) {
@@ -575,9 +968,17 @@ Result<DataFrame> GroupByAgg(const DataFrame& df,
       return Status::Invalid("agg '" + std::string(AggFuncName(spec.func)) +
                              "' requires an input column");
     }
-    XORBITS_ASSIGN_OR_RETURN(Column agg,
-                             AggregateColumn(col, spec.func, gids, G));
-    XORBITS_RETURN_NOT_OK(out.SetColumn(spec.output, agg.Take(perm)));
+    XORBITS_ASSIGN_OR_RETURN(Finish f,
+                             BindAgg(&pass, col, spec.func, gids, G));
+    finish.push_back(std::move(f));
+  }
+  pass.Run();
+  // Aggregated columns, reordered to group order unless it is first-seen.
+  const bool first_seen = std::is_sorted(order.begin(), order.end());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    Column agg = finish[s]();
+    XORBITS_RETURN_NOT_OK(out.SetColumn(
+        specs[s].output, first_seen ? std::move(agg) : agg.Take(order)));
   }
   if (out.num_columns() == 0) {
     return Status::Invalid("GroupByAgg produced no columns");
@@ -595,9 +996,14 @@ bool IsDecomposable(const std::vector<AggSpec>& specs) {
 }
 
 namespace {
-std::string PartialName(const AggSpec& spec, const char* part) {
-  return "__p_" + std::string(part) + "_" + spec.output;
+
+/// Column of the map-side partial `func(input)`. It is named after its
+/// input, not after an output, so outputs that need one partial share it:
+/// a mean and a std of one column both read its sum and count.
+std::string PartialName(AggFunc func, const std::string& input) {
+  return "__p_" + std::string(AggFuncName(func)) + "_" + input;
 }
+
 }  // namespace
 
 Result<DecomposedAgg> DecomposeAggs(const std::vector<AggSpec>& specs) {
@@ -605,6 +1011,15 @@ Result<DecomposedAgg> DecomposeAggs(const std::vector<AggSpec>& specs) {
     return Status::NotImplemented("aggregation is not decomposable");
   }
   DecomposedAgg out;
+  std::set<std::string> emitted;
+  // Map `func(input)` per chunk once; later stages fold it with `combine`.
+  const auto emit = [&](AggFunc func, const std::string& input,
+                        AggFunc combine) {
+    const std::string p = PartialName(func, input);
+    if (!emitted.insert(p).second) return;
+    out.map_specs.push_back({input, func, p});
+    out.combine_specs.push_back({p, combine, p});
+  };
   for (const auto& s : specs) {
     switch (s.func) {
       case AggFunc::kSum:
@@ -614,47 +1029,24 @@ Result<DecomposedAgg> DecomposeAggs(const std::vector<AggSpec>& specs) {
       case AggFunc::kLast:
       case AggFunc::kProd:
       case AggFunc::kAny:
-      case AggFunc::kAll: {
-        std::string p = PartialName(s, "v");
-        out.map_specs.push_back({s.input, s.func, p});
-        out.combine_specs.push_back({p, s.func, p});
+      case AggFunc::kAll:
+        emit(s.func, s.input, s.func);
         break;
-      }
       case AggFunc::kCount:
-      case AggFunc::kSize: {
-        std::string p = PartialName(s, "n");
-        out.map_specs.push_back({s.input, s.func, p});
-        out.combine_specs.push_back({p, AggFunc::kSum, p});
+      case AggFunc::kSize:
+      case AggFunc::kSumSq:
+        emit(s.func, s.input, AggFunc::kSum);
         break;
-      }
-      case AggFunc::kMean: {
-        std::string ps = PartialName(s, "sum");
-        std::string pc = PartialName(s, "cnt");
-        out.map_specs.push_back({s.input, AggFunc::kSum, ps});
-        out.map_specs.push_back({s.input, AggFunc::kCount, pc});
-        out.combine_specs.push_back({ps, AggFunc::kSum, ps});
-        out.combine_specs.push_back({pc, AggFunc::kSum, pc});
+      case AggFunc::kMean:
+        emit(AggFunc::kSum, s.input, AggFunc::kSum);
+        emit(AggFunc::kCount, s.input, AggFunc::kSum);
         break;
-      }
       case AggFunc::kVar:
-      case AggFunc::kStd: {
-        std::string ps = PartialName(s, "sum");
-        std::string pq = PartialName(s, "sumsq");
-        std::string pc = PartialName(s, "cnt");
-        out.map_specs.push_back({s.input, AggFunc::kSum, ps});
-        out.map_specs.push_back({s.input, AggFunc::kSumSq, pq});
-        out.map_specs.push_back({s.input, AggFunc::kCount, pc});
-        out.combine_specs.push_back({ps, AggFunc::kSum, ps});
-        out.combine_specs.push_back({pq, AggFunc::kSum, pq});
-        out.combine_specs.push_back({pc, AggFunc::kSum, pc});
+      case AggFunc::kStd:
+        emit(AggFunc::kSum, s.input, AggFunc::kSum);
+        emit(AggFunc::kSumSq, s.input, AggFunc::kSum);
+        emit(AggFunc::kCount, s.input, AggFunc::kSum);
         break;
-      }
-      case AggFunc::kSumSq: {
-        std::string p = PartialName(s, "sq");
-        out.map_specs.push_back({s.input, AggFunc::kSumSq, p});
-        out.combine_specs.push_back({p, AggFunc::kSum, p});
-        break;
-      }
       case AggFunc::kNunique:
       case AggFunc::kMedian:
         return Status::NotImplemented(std::string(AggFuncName(s.func)) +
@@ -672,6 +1064,9 @@ Result<DataFrame> FinalizeAgg(const DataFrame& combined,
     XORBITS_ASSIGN_OR_RETURN(const Column* c, combined.GetColumn(k));
     XORBITS_RETURN_NOT_OK(out.SetColumn(k, *c));
   }
+  const auto partial = [&](AggFunc func, const std::string& input) {
+    return combined.GetColumn(PartialName(func, input));
+  };
   for (const auto& s : specs) {
     switch (s.func) {
       case AggFunc::kSum:
@@ -681,24 +1076,19 @@ Result<DataFrame> FinalizeAgg(const DataFrame& combined,
       case AggFunc::kLast:
       case AggFunc::kProd:
       case AggFunc::kAny:
-      case AggFunc::kAll: {
-        XORBITS_ASSIGN_OR_RETURN(const Column* c,
-                                 combined.GetColumn(PartialName(s, "v")));
-        XORBITS_RETURN_NOT_OK(out.SetColumn(s.output, *c));
-        break;
-      }
+      case AggFunc::kAll:
       case AggFunc::kCount:
-      case AggFunc::kSize: {
-        XORBITS_ASSIGN_OR_RETURN(const Column* c,
-                                 combined.GetColumn(PartialName(s, "n")));
+      case AggFunc::kSize:
+      case AggFunc::kSumSq: {
+        XORBITS_ASSIGN_OR_RETURN(const Column* c, partial(s.func, s.input));
         XORBITS_RETURN_NOT_OK(out.SetColumn(s.output, *c));
         break;
       }
       case AggFunc::kMean: {
         XORBITS_ASSIGN_OR_RETURN(const Column* sum,
-                                 combined.GetColumn(PartialName(s, "sum")));
+                                 partial(AggFunc::kSum, s.input));
         XORBITS_ASSIGN_OR_RETURN(const Column* cnt,
-                                 combined.GetColumn(PartialName(s, "cnt")));
+                                 partial(AggFunc::kCount, s.input));
         XORBITS_ASSIGN_OR_RETURN(Column mean,
                                  BinaryOp(*sum, *cnt, BinOp::kDiv));
         XORBITS_RETURN_NOT_OK(out.SetColumn(s.output, std::move(mean)));
@@ -707,11 +1097,11 @@ Result<DataFrame> FinalizeAgg(const DataFrame& combined,
       case AggFunc::kVar:
       case AggFunc::kStd: {
         XORBITS_ASSIGN_OR_RETURN(const Column* sum,
-                                 combined.GetColumn(PartialName(s, "sum")));
+                                 partial(AggFunc::kSum, s.input));
         XORBITS_ASSIGN_OR_RETURN(const Column* sumsq,
-                                 combined.GetColumn(PartialName(s, "sumsq")));
+                                 partial(AggFunc::kSumSq, s.input));
         XORBITS_ASSIGN_OR_RETURN(const Column* cnt,
-                                 combined.GetColumn(PartialName(s, "cnt")));
+                                 partial(AggFunc::kCount, s.input));
         const int64_t g = sum->length();
         std::vector<double> out_v(g, 0.0);
         std::vector<uint8_t> validity(g, 1);
@@ -721,19 +1111,11 @@ Result<DataFrame> FinalizeAgg(const DataFrame& combined,
             validity[i] = 0;
             continue;
           }
-          const double sv = sum->GetDouble(i);
-          double var = (sumsq->GetDouble(i) - sv * sv / n) / (n - 1);
-          if (var < 0) var = 0;
-          out_v[i] = s.func == AggFunc::kStd ? std::sqrt(var) : var;
+          out_v[i] = Variance(sum->GetDouble(i), sumsq->GetDouble(i), n,
+                              s.func == AggFunc::kStd);
         }
         XORBITS_RETURN_NOT_OK(out.SetColumn(
             s.output, Column::Float64(std::move(out_v), std::move(validity))));
-        break;
-      }
-      case AggFunc::kSumSq: {
-        XORBITS_ASSIGN_OR_RETURN(const Column* c,
-                                 combined.GetColumn(PartialName(s, "sq")));
-        XORBITS_RETURN_NOT_OK(out.SetColumn(s.output, *c));
         break;
       }
       case AggFunc::kNunique:

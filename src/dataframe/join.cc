@@ -556,7 +556,7 @@ Result<std::shared_ptr<const JoinTable>> BuildJoinTable(
       rh.resize(rn);
       if (rhash.MayHaveNulls()) rnull.assign(rn, 0);
       ParallelFor(0, rn, 16384, [&](int64_t lo, int64_t hi) {
-        rhash.HashRange(lo, hi, rh.data());
+        rhash.HashRange(lo, hi, rh.data() + lo);
         if (!rnull.empty()) {
           for (int64_t i = lo; i < hi; ++i) rnull[i] = rhash.AnyNull(i);
         }
@@ -614,7 +614,7 @@ Result<DataFrame> ProbeJoin(const DataFrame& left,
       lh.resize(ln);
       if (lhash.MayHaveNulls()) lnull.assign(ln, 0);
       ParallelFor(0, ln, 16384, [&](int64_t lo, int64_t hi) {
-        lhash.HashRange(lo, hi, lh.data());
+        lhash.HashRange(lo, hi, lh.data() + lo);
         if (!lnull.empty()) {
           for (int64_t i = lo; i < hi; ++i) lnull[i] = lhash.AnyNull(i);
         }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 
 #include "common/thread_pool.h"
 
@@ -110,29 +109,31 @@ uint64_t RowHasher::CombineCol(const ColAccess& c, int64_t row, uint64_t h) {
 }
 
 void RowHasher::HashRange(int64_t lo, int64_t hi, uint64_t* out) const {
-  for (int64_t i = lo; i < hi; ++i) out[i] = 0xa0761d6478bd642fULL;
+  const int64_t n = hi - lo;
+  for (int64_t j = 0; j < n; ++j) out[j] = 0xa0761d6478bd642fULL;
   for (const ColAccess& c : cols_) {
     if (c.validity == nullptr && c.kind == Kind::kInt64) {
       const uint64_t tag = TagFor(DType::kInt64);
-      for (int64_t i = lo; i < hi; ++i) {
-        out[i] =
-            FoldHash(out[i], MixHash(static_cast<uint64_t>(c.i64[i]) ^ tag));
+      const int64_t* v = c.i64 + lo;
+      for (int64_t j = 0; j < n; ++j) {
+        out[j] = FoldHash(out[j], MixHash(static_cast<uint64_t>(v[j]) ^ tag));
       }
     } else if (c.validity == nullptr && c.kind == Kind::kFloat64) {
-      for (int64_t i = lo; i < hi; ++i) {
-        out[i] = FoldHash(out[i], HashF64(c.f64[i]));
+      const double* v = c.f64 + lo;
+      for (int64_t j = 0; j < n; ++j) {
+        out[j] = FoldHash(out[j], HashF64(v[j]));
       }
     } else if (c.validity == nullptr && c.kind == Kind::kDict) {
       const uint64_t tag = TagFor(DType::kString);
-      for (int64_t i = lo; i < hi; ++i) {
-        out[i] =
-            FoldHash(out[i], MixHash(c.dict->hash(c.codes[i]) ^ tag));
+      const int32_t* codes = c.codes + lo;
+      for (int64_t j = 0; j < n; ++j) {
+        out[j] = FoldHash(out[j], MixHash(c.dict->hash(codes[j]) ^ tag));
       }
     } else {
-      for (int64_t i = lo; i < hi; ++i) out[i] = CombineCol(c, i, out[i]);
+      for (int64_t j = 0; j < n; ++j) out[j] = CombineCol(c, lo + j, out[j]);
     }
   }
-  for (int64_t i = lo; i < hi; ++i) out[i] = MixHash(out[i]);
+  for (int64_t j = 0; j < n; ++j) out[j] = MixHash(out[j]);
 }
 
 bool RowHasher::Equal(int64_t a, const RowHasher& other, int64_t b) const {
@@ -190,145 +191,227 @@ bool RowHasher::Equal(int64_t a, const RowHasher& other, int64_t b) const {
 namespace {
 
 /// Open-addressing (linear probe, power-of-two) map from key-tuple rows to
-/// dense group ids. Keys live in the source columns — a slot stores only
-/// (hash, gid) and each gid remembers one representative row — so no key
-/// bytes are ever materialized.
+/// dense ids. A slot keeps the hash beside the id, so a probe reads one
+/// cache line; keys stay in the source columns and each id remembers its
+/// first row and hash. The table starts at 64 slots and doubles as it
+/// fills, so it costs O(ids) whatever the row count.
 class GroupIndex {
  public:
-  explicit GroupIndex(int64_t expected) {
-    // Start small regardless of `expected` (which is an upper bound — the
-    // morsel row count, usually vastly more than the group count) and let
-    // Grow() double on demand: growth rebuilds cost O(groups), not O(rows),
-    // while pre-sizing to `expected` zeroes megabytes per morsel and
-    // evicts the actual working set from cache.
-    int64_t cap = 64;
-    const int64_t want = std::min<int64_t>(expected * 2, 8192);
-    while (cap < want) cap <<= 1;
-    slot_gid_.assign(cap, -1);
-    slot_hash_.assign(cap, 0);
-    mask_ = cap - 1;
-  }
+  GroupIndex() { Rehash(64); }
 
-  /// Group id of `row` (hash `h`), inserting a new group on first sight.
-  /// `eq(a, b)` decides row equality — callers pass an inlined typed
-  /// comparator for single-column keys and the generic RowHasher equality
-  /// otherwise.
+  /// Id of `row` (hash `h`), added as the next id on first sight. `eq(a,
+  /// b)` decides row equality: callers pass an inlined typed comparator for
+  /// single-column keys and the generic RowHasher equality otherwise.
   template <typename Eq>
   int64_t GetOrAdd(uint64_t h, int64_t row, const Eq& eq) {
-    if (static_cast<int64_t>(reps_.size()) * 2 >=
-        static_cast<int64_t>(slot_gid_.size())) {
-      Grow();
+    if (size() * MaxLoadInverse() >= static_cast<int64_t>(slots_.size())) {
+      Rehash(slots_.size() * 2);
     }
-    int64_t idx = static_cast<int64_t>(h) & mask_;
+    uint64_t idx = h & mask_;
     for (;;) {
-      const int64_t g = slot_gid_[idx];
-      if (g < 0) {
-        const int64_t gid = static_cast<int64_t>(reps_.size());
-        slot_gid_[idx] = gid;
-        slot_hash_[idx] = h;
+      Slot& s = slots_[idx];
+      if (s.id < 0) {
+        s = Slot{h, size()};
         reps_.push_back(row);
-        rep_hash_.push_back(h);
-        return gid;
+        hashes_.push_back(h);
+        return s.id;
       }
-      if (slot_hash_[idx] == h && eq(reps_[g], row)) return g;
+      if (s.hash == h && eq(reps_[s.id], row)) return s.id;
       idx = (idx + 1) & mask_;
     }
   }
 
-  const std::vector<int64_t>& reps() const { return reps_; }
+  std::vector<int64_t>& reps() { return reps_; }
+  std::vector<uint64_t>& hashes() { return hashes_; }
   int64_t size() const { return static_cast<int64_t>(reps_.size()); }
 
  private:
-  void Grow() {
-    const int64_t cap = static_cast<int64_t>(slot_gid_.size()) * 2;
-    slot_gid_.assign(cap, -1);
-    slot_hash_.assign(cap, 0);
+  struct Slot {
+    uint64_t hash;
+    int64_t id;  // -1 = empty
+  };
+
+  /// A table of up to 64 KiB stays at most a quarter full, so probes
+  /// rarely run past their first slot; a larger one grows at half load to
+  /// halve its footprint, which matters more once probes miss cache.
+  int64_t MaxLoadInverse() const {
+    return slots_.size() < (size_t{1} << 12) ? 4 : 2;
+  }
+
+  void Rehash(size_t cap) {
+    slots_.assign(cap, Slot{0, -1});
     mask_ = cap - 1;
-    for (size_t g = 0; g < reps_.size(); ++g) {
-      int64_t idx = static_cast<int64_t>(rep_hash_[g]) & mask_;
-      while (slot_gid_[idx] >= 0) idx = (idx + 1) & mask_;
-      slot_gid_[idx] = static_cast<int64_t>(g);
-      slot_hash_[idx] = rep_hash_[g];
+    for (int64_t id = 0; id < size(); ++id) {
+      uint64_t idx = hashes_[id] & mask_;
+      while (slots_[idx].id >= 0) idx = (idx + 1) & mask_;
+      slots_[idx] = Slot{hashes_[id], id};
     }
   }
 
-  std::vector<int64_t> slot_gid_;    // -1 = empty
-  std::vector<uint64_t> slot_hash_;
-  std::vector<int64_t> reps_;        // gid -> representative row
-  std::vector<uint64_t> rep_hash_;   // gid -> hash (for Grow)
-  int64_t mask_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<int64_t> reps_;     // id -> first row
+  std::vector<uint64_t> hashes_;  // id -> hash
+  uint64_t mask_ = 0;
 };
 
-/// Morsel grain of the index build. It depends on n alone, so the morsel
-/// split, and with it the ids, never depend on the thread count.
-inline int64_t IndexGrain(int64_t n) { return GrainForMorsels(n, 4096, 16); }
+/// Rows hashed per step: the block's hashes stay in L1.
+constexpr int64_t kHashBlock = 1024;
+
+/// Adds rows [lo, hi) to `table` in row order and writes each row's id to
+/// `ids[row]`.
+template <typename Eq>
+void IndexRows(const RowHasher& hasher, int64_t lo, int64_t hi, const Eq& eq,
+               GroupIndex* table, int64_t* ids) {
+  uint64_t h[kHashBlock];
+  for (int64_t b = lo; b < hi; b += kHashBlock) {
+    const int64_t e = std::min(hi, b + kHashBlock);
+    hasher.HashRange(b, e, h);
+    for (int64_t i = b; i < e; ++i) ids[i] = table->GetOrAdd(h[i - b], i, eq);
+  }
+}
+
+/// Rows per span below which a second span does not pay for its passes.
+constexpr int64_t kMinSpanRows = 32768;
+
+/// Hash partition of `h` among `k`: its high bits, so a partition's table
+/// still spreads over its low (slot) bits.
+inline int64_t PartitionOf(uint64_t h, int64_t k) {
+  return static_cast<int64_t>(((h >> 32) * static_cast<uint64_t>(k)) >> 32);
+}
+
+/// The k-span build, with no serial phase:
+///   1. each span of rows builds its own table (local ids in `gids`) and
+///      buckets its keys, in local-id order, by hash partition;
+///   2. worker p owns partition p: it adds the span-local keys of its
+///      buckets, span by span, to one table. Its ids are first-seen across
+///      spans, and the keys that open one form a run of each bucket;
+///   3. each span numbers the keys it opened in row order, from the count
+///      of keys the spans before it opened. A key's id is thus the rank of
+///      its first row, which is first-seen order whatever k is;
+///   4. each span maps its rows' local ids to those ids.
+/// A worker writes only its own span's or partition's entries.
+template <typename Eq>
+int64_t BuildPartitioned(int64_t k, const RowHasher& hasher, const Eq& eq,
+                         std::vector<int64_t>* gids,
+                         std::vector<int64_t>* first_row) {
+  const int64_t n = hasher.num_rows();
+  const int64_t span = (n + k - 1) / k;
+  struct Span {
+    std::vector<int64_t> reps;     // local id -> first row
+    std::vector<uint64_t> hashes;  // local id -> hash
+    // Per partition: the local ids whose key falls in it (ascending), and
+    // each one's id in the partition's table.
+    std::vector<std::vector<int64_t>> bucket;
+    std::vector<std::vector<int64_t>> part_id;
+  };
+  std::vector<Span> spans(k);
+  ParallelFor(0, n, span, [&](int64_t lo, int64_t hi) {
+    // Built on the worker's stack: neighbouring headers share cache lines.
+    GroupIndex table;
+    IndexRows(hasher, lo, hi, eq, &table, gids->data());
+    Span s;
+    s.reps = std::move(table.reps());
+    s.hashes = std::move(table.hashes());
+    s.bucket.resize(k);
+    s.part_id.resize(k);
+    for (int64_t id = 0; id < static_cast<int64_t>(s.reps.size()); ++id) {
+      s.bucket[PartitionOf(s.hashes[id], k)].push_back(id);
+    }
+    for (int64_t p = 0; p < k; ++p) s.part_id[p].resize(s.bucket[p].size());
+    spans[lo / span] = std::move(s);
+  });
+
+  // first[s * k + p]: partition p's first id opened by span s; the last row
+  // holds each partition's size.
+  std::vector<int64_t> first((k + 1) * k);
+  std::vector<std::vector<int64_t>> global(k);
+  ParallelFor(0, k, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t p = lo; p < hi; ++p) {
+      GroupIndex table;
+      for (int64_t s = 0; s < k; ++s) {
+        first[s * k + p] = table.size();
+        const Span& sp = spans[s];
+        const std::vector<int64_t>& bucket = sp.bucket[p];
+        int64_t* ids = spans[s].part_id[p].data();
+        for (size_t j = 0; j < bucket.size(); ++j) {
+          ids[j] = table.GetOrAdd(sp.hashes[bucket[j]], sp.reps[bucket[j]], eq);
+        }
+      }
+      first[k * k + p] = table.size();
+      global[p].resize(table.size());
+    }
+  });
+
+  // opened[s]: keys opened by the spans before s.
+  std::vector<int64_t> opened(k + 1, 0);
+  for (int64_t s = 0; s < k; ++s) {
+    opened[s + 1] = opened[s];
+    for (int64_t p = 0; p < k; ++p) {
+      opened[s + 1] += first[(s + 1) * k + p] - first[s * k + p];
+    }
+  }
+  first_row->resize(opened[k]);
+  // Visits span s's local ids in order with the partition id of each.
+  const auto for_each_local = [&](int64_t s, const auto& f) {
+    const Span& sp = spans[s];
+    std::vector<int64_t> at(k, 0);
+    for (int64_t id = 0; id < static_cast<int64_t>(sp.reps.size()); ++id) {
+      const int64_t p = PartitionOf(sp.hashes[id], k);
+      f(id, p, sp.part_id[p][at[p]++]);
+    }
+  };
+  ParallelFor(0, k, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t s = lo; s < hi; ++s) {
+      int64_t g = opened[s];
+      for_each_local(s, [&](int64_t id, int64_t p, int64_t q) {
+        if (q < first[s * k + p]) return;  // opened by an earlier span
+        global[p][q] = g;
+        (*first_row)[g++] = spans[s].reps[id];
+      });
+    }
+  });
+  ParallelFor(0, n, span, [&](int64_t lo, int64_t hi) {
+    const int64_t s = lo / span;
+    std::vector<int64_t> to_global(spans[s].reps.size());
+    for_each_local(s, [&](int64_t id, int64_t p, int64_t q) {
+      to_global[id] = global[p][q];
+    });
+    for (int64_t i = lo; i < hi; ++i) (*gids)[i] = to_global[(*gids)[i]];
+  });
+  return opened[k];
+}
 
 }  // namespace
 
-/// Three deterministic steps:
-///   1. each morsel builds a local group index (parallel);
-///   2. local indexes merge into the global one in morsel order, which
-///      reproduces the serial first-seen group order exactly (serial);
-///   3. rows rewrite their local ids to global ids (parallel).
-/// Hashing and comparison are typed and value-based (RowHasher), so the
-/// result is identical whether string keys are plain or dict-encoded.
+/// Rows are cut into as many spans as the call gets cores (1 when no core
+/// is idle). One span is one table whose ids are already first-seen; k
+/// spans are merged per hash partition (BuildPartitioned). Rows are hashed
+/// a block at a time as they are indexed. Hashing and comparison are typed
+/// and value-based (RowHasher), so the result is identical whether string
+/// keys are plain or dict-encoded.
 int64_t BuildGroups(const std::vector<const Column*>& key_cols,
                     std::vector<int64_t>* gids,
                     std::vector<int64_t>* first_row) {
   const RowHasher hasher(key_cols);
   const int64_t n = hasher.num_rows();
   gids->resize(n);
-  std::vector<uint64_t> hashes(n);
-  ParallelFor(0, n, 16384, [&](int64_t lo, int64_t hi) {
-    hasher.HashRange(lo, hi, hashes.data());
-  });
+  const int64_t spans = ParallelWidth(n / kMinSpanRows);
 
   auto run = [&](const auto& eq) -> int64_t {
-    const int64_t grain = IndexGrain(n);
-    const int64_t morsels = NumMorsels(0, n, grain);
-    if (morsels < 2) {
-      GroupIndex table(n);
-      for (int64_t i = 0; i < n; ++i) {
-        (*gids)[i] = table.GetOrAdd(hashes[i], i, eq);
-      }
-      *first_row = table.reps();
-      return table.size();
-    }
-
-    std::vector<std::unique_ptr<GroupIndex>> locals(morsels);
-    ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-      auto local = std::make_unique<GroupIndex>(hi - lo);
-      for (int64_t i = lo; i < hi; ++i) {
-        (*gids)[i] = local->GetOrAdd(hashes[i], i, eq);
-      }
-      locals[lo / grain] = std::move(local);
-    });
-
-    GroupIndex table(n);
-    std::vector<std::vector<int64_t>> remap(morsels);
-    for (int64_t m = 0; m < morsels; ++m) {
-      const std::vector<int64_t>& local_reps = locals[m]->reps();
-      remap[m].resize(local_reps.size());
-      for (size_t k = 0; k < local_reps.size(); ++k) {
-        const int64_t row = local_reps[k];
-        remap[m][k] = table.GetOrAdd(hashes[row], row, eq);
-      }
-    }
-    *first_row = table.reps();
-
-    ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-      const std::vector<int64_t>& r = remap[lo / grain];
-      for (int64_t i = lo; i < hi; ++i) (*gids)[i] = r[(*gids)[i]];
-    });
-    return table.size();
+    if (spans > 1) return BuildPartitioned(spans, hasher, eq, gids, first_row);
+    GroupIndex table;
+    IndexRows(hasher, 0, n, eq, &table, gids->data());
+    *first_row = std::move(table.reps());
+    return static_cast<int64_t>(first_row->size());
   };
 
-  // Single-column keys get an inlined typed comparator (see
-  // RowHasher::SoleInt64 for why these are exactly equivalent to the
-  // generic equality). The grouping itself is identical either way — only
-  // the per-probe call overhead differs.
-  if (const int64_t* k64 = hasher.SoleInt64()) {
-    return run([k64](int64_t a, int64_t b) { return k64[a] == k64[b]; });
+  // A sole never-null int64 key hashes through a bijection (MixHash is
+  // invertible, and so is folding a value into the constant seed), so
+  // equal hashes are equal keys and the table never reads the column. A
+  // sole dictionary key compares codes (see RowHasher::SoleDictCodes).
+  // The grouping is the generic equality's either way.
+  if (hasher.SoleInt64() != nullptr) {
+    return run([](int64_t, int64_t) { return true; });
   }
   if (const int32_t* codes = hasher.SoleDictCodes()) {
     return run([codes](int64_t a, int64_t b) { return codes[a] == codes[b]; });

@@ -33,7 +33,7 @@ class RowHasher {
     return MixHash(h);
   }
 
-  /// Hashes rows [lo, hi) into `out[lo..hi)`. Bit-identical to calling
+  /// Hashes rows [lo, hi) into `out[0..hi-lo)`. Bit-identical to calling
   /// Hash(row) per row — it is the same fold, evaluated column-major so the
   /// common never-null single-kind columns run as branch-light tight loops
   /// instead of a per-row walk over the column descriptor vector.
@@ -121,8 +121,9 @@ class RowHasher {
 /// numbered in first-seen row order. Key equality is RowHasher's: the dtype
 /// takes part, floats compare by raw bits (+0.0 and -0.0 differ, and so do
 /// NaN payloads), null equals null, and dictionary and plain strings
-/// compare by value. Built morsel-parallel; the ids are the same at every
-/// thread count.
+/// compare by value. Built as one table, or, when the call gets several
+/// cores, as one table per row span merged per hash partition; the ids are
+/// the same either way.
 int64_t BuildGroups(const std::vector<const Column*>& key_cols,
                     std::vector<int64_t>* gids,
                     std::vector<int64_t>* first_row);

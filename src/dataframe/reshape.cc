@@ -2,11 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <map>
 #include <numeric>
 
 #include "dataframe/key_hash.h"
 
 namespace xorbits::dataframe {
+
+namespace {
+
+/// A `columns` key as an error names it: its string form, plus the raw bits
+/// of a float, since distinct floats (two NaN payloads, or values equal to
+/// six digits) print alike.
+std::string KeyLabel(const Column& col, int64_t row) {
+  const Scalar key = col.GetScalar(row);
+  if (key.is_null()) return "null";
+  std::string label = "'" + key.ToString() + "'";
+  if (key.is_float()) {
+    const double v = key.AsDouble();
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(bits));
+    label += std::string(" (bits 0x") + hex + ")";
+  }
+  return label;
+}
+
+}  // namespace
 
 Result<DataFrame> SpreadToWide(const DataFrame& aggregated,
                                const std::vector<std::string>& index,
@@ -53,6 +79,26 @@ Result<DataFrame> SpreadToWide(const DataFrame& aggregated,
                      if (na || nb) return !na && nb;
                      return col_value[a] < col_value[b];
                    });
+
+  // Each key names its output column by its string form. Distinct keys can
+  // share one (NaN payloads, floats equal to six digits, a null and the
+  // string "null"), and a key can name an index column; either would
+  // silently overwrite cells, so it is an error.
+  std::map<std::string, std::string> claimed;  // output name -> claimant
+  for (const std::string& k : index) {
+    claimed.emplace(k, "index column '" + k + "'");
+  }
+  for (const int64_t c : col_order) {
+    const std::string label = KeyLabel(*col_col, col_rep[c]);
+    const auto [it, added] =
+        claimed.emplace(col_value[c].ToString(), "key " + label);
+    if (!added) {
+      return Status::Invalid("pivot_table: key " + label + " of column '" +
+                             columns + "' names output column '" +
+                             it->first + "', which " + it->second +
+                             " names too");
+    }
+  }
 
   // Distinct index tuples in first-seen order (input is sorted by the
   // upstream groupby).

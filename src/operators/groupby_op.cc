@@ -79,7 +79,7 @@ Status HashPartitionChunkOp::Execute(ExecutionContext& ctx) const {
   const dataframe::RowHasher hasher(key_cols);
   std::vector<uint64_t> part(n);
   ParallelFor(0, n, 16384, [&](int64_t lo, int64_t hi) {
-    hasher.HashRange(lo, hi, part.data());
+    hasher.HashRange(lo, hi, part.data() + lo);
     for (int64_t i = lo; i < hi; ++i) part[i] %= partitions_;
   });
   std::vector<int64_t> counts(partitions_, 0);

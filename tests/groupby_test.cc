@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -422,6 +423,362 @@ TEST(GroupByTest, SortedKeysNullFirstNanTies) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->GetColumn("s").ValueOrDie()->int64_data(),
             (std::vector<int64_t>{4, 1, 10}));
+}
+
+// --- Differential test: GroupByAgg against the per-morsel fold. ---
+
+/// `n` rows over `groups` int64 keys (every row its own key when groups ==
+/// n), with int64, float64 and bool inputs, each without ("i", "f", "b")
+/// and with ("iv", "fv", "bv") validity. The ints include values above
+/// 2^53 and near INT64_MAX (so sums wrap); the floats include two NaN
+/// payloads, +-0.0, +-inf and magnitudes from 1e-6 to 1e6, so the
+/// association of a sum shows in its bits, and "z" is "f" with each NaN
+/// made -0.0 (min/max over a float column without NaNs track no first
+/// value); bools include 2 (true). With
+/// `runs`, each group's rows are one run, so most groups open in a later
+/// morsel; every other group's first value is a NaN, and so is each
+/// morsel's first value, so a group can also meet a NaN first in a later
+/// morsel.
+DataFrame DiffFrame(int64_t n, int64_t groups, bool runs = false) {
+  uint64_t state = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(n);
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  const int64_t big = int64_t{1} << 53;
+  const int64_t grain = std::max<int64_t>(4096, (n + 15) / 16);  // AggGrain
+  const double specials[] = {std::nan("1"), std::nan("2"), 0.0, -0.0,
+                             INFINITY, -INFINITY};
+  std::vector<int64_t> k(n), iv(n);
+  std::vector<double> fv(n);
+  std::vector<uint8_t> bv(n), ivalid(n), fvalid(n), bvalid(n);
+  for (int64_t r = 0; r < n; ++r) {
+    k[r] = runs          ? r * groups / n
+           : groups == n ? n - r
+                         : static_cast<int64_t>(next() % groups);
+    const uint64_t pick = next() % 16;
+    iv[r] = pick == 0   ? big + static_cast<int64_t>(next() % 5)
+            : pick == 1 ? INT64_MAX - static_cast<int64_t>(next() % 5)
+                        : static_cast<int64_t>(next() % 2001) - 1000;
+    const uint64_t fpick = next() % 64;
+    fv[r] = fpick < 6 ? specials[fpick]
+                      : (static_cast<double>(next() % 2001) - 1000.0) / 3.0 *
+                            std::pow(10.0, static_cast<double>(next() % 13) - 6);
+    bv[r] = static_cast<uint8_t>(next() % 3);
+    ivalid[r] = next() % 8 != 0;
+    fvalid[r] = next() % 8 != 0;
+    bvalid[r] = next() % 8 != 0;
+    const bool opens = r == 0 || k[r] != k[r - 1];
+    if (runs && ((opens && k[r] % 2 == 1) || r % grain == 0)) {
+      fv[r] = std::nan("3");
+      fvalid[r] = 1;
+    }
+  }
+  std::vector<double> z(fv);
+  for (double& x : z) x = std::isnan(x) ? -0.0 : x;
+  return DataFrame::Make({"k", "i", "iv", "f", "z", "fv", "b", "bv"},
+                         {Column::Int64(k), Column::Int64(iv),
+                          Column::Int64(iv, std::move(ivalid)),
+                          Column::Float64(fv), Column::Float64(z),
+                          Column::Float64(fv, std::move(fvalid)),
+                          Column::Bool(bv),
+                          Column::Bool(bv, std::move(bvalid))})
+      .MoveValue();
+}
+
+/// Every decomposable function on every input it accepts, plus one spec
+/// that repeats another's (input, function).
+std::vector<AggSpec> DiffSpecs() {
+  std::vector<AggSpec> specs = {{"", AggFunc::kSize, "size"}};
+  for (const char* in : {"i", "iv", "f", "fv", "z", "b", "bv"}) {
+    const bool is_bool = in[0] == 'b';
+    for (AggFunc func :
+         {AggFunc::kCount, AggFunc::kSum, AggFunc::kMean, AggFunc::kMin,
+          AggFunc::kMax, AggFunc::kFirst, AggFunc::kLast, AggFunc::kProd,
+          AggFunc::kAny, AggFunc::kAll, AggFunc::kVar, AggFunc::kStd,
+          AggFunc::kSumSq}) {
+      const bool numeric_only = func == AggFunc::kVar ||
+                                func == AggFunc::kStd ||
+                                func == AggFunc::kSumSq;
+      if (is_bool && numeric_only) continue;
+      specs.push_back({in, func, std::string(in) + "_" + AggFuncName(func)});
+    }
+  }
+  specs.push_back({"fv", AggFunc::kSum, "fv_sum_again"});
+  return specs;
+}
+
+/// The aggregation semantics the fused pass must keep, spelled out: float
+/// sums, sums of squares and products fold one partial per morsel in
+/// morsel order, the morsels cut at AggGrain(n) = max(4096, ceil(n / 16))
+/// rows, and every accumulator keeps the first NaN it meets; var/std pass
+/// a NaN sum of squares, else a NaN sum, through; min/max keep the first
+/// valid row and replace it only on a strictly better value; first/last
+/// are the first/last valid row; groups are numbered first-seen.
+DataFrame RefGroupByAgg(const DataFrame& df, const std::vector<AggSpec>& specs) {
+  const Column& key = *df.GetColumn("k").ValueOrDie();
+  const int64_t n = df.num_rows();
+  std::map<std::string, int64_t> ids;
+  std::vector<int64_t> gid(n), first;
+  for (int64_t r = 0; r < n; ++r) {
+    std::string bytes;
+    key.AppendKeyBytes(r, &bytes);
+    const auto [it, added] = ids.emplace(bytes, first.size());
+    if (added) first.push_back(r);
+    gid[r] = it->second;
+  }
+  const int64_t G = static_cast<int64_t>(first.size());
+  const int64_t grain = std::max<int64_t>(4096, (n + 15) / 16);
+
+  const auto fold = [&](const Column& c, bool product, bool square) {
+    const auto step = [product](double& acc, double x) {
+      if (std::isnan(acc)) return;
+      acc = product ? acc * x : acc + x;
+    };
+    std::vector<double> acc(G, product ? 1.0 : 0.0);
+    for (int64_t lo = 0; lo < n; lo += grain) {
+      std::vector<double> p(G, product ? 1.0 : 0.0);
+      for (int64_t r = lo; r < std::min(n, lo + grain); ++r) {
+        if (!c.IsValid(r)) continue;
+        const double v = c.GetDouble(r);
+        step(p[gid[r]], square ? v * v : v);
+      }
+      for (int64_t g = 0; g < G; ++g) step(acc[g], p[g]);
+    }
+    return acc;
+  };
+  const auto valid_count = [&](const Column* c) {
+    std::vector<int64_t> cnt(G, 0);
+    for (int64_t r = 0; r < n; ++r) {
+      if (c == nullptr || c->IsValid(r)) cnt[gid[r]]++;
+    }
+    return cnt;
+  };
+  const auto pick = [&](const Column& c, AggFunc func) {
+    std::vector<int64_t> row(G, -1);
+    for (int64_t r = 0; r < n; ++r) {
+      if (!c.IsValid(r)) continue;
+      int64_t& p = row[gid[r]];
+      bool better = p < 0 || func == AggFunc::kLast;
+      if (!better && (func == AggFunc::kMin || func == AggFunc::kMax)) {
+        const bool lt = func == AggFunc::kMin;
+        switch (c.dtype()) {
+          case DType::kInt64: {
+            const int64_t a = c.int64_data()[r], b = c.int64_data()[p];
+            better = lt ? a < b : b < a;
+            break;
+          }
+          case DType::kFloat64: {
+            const double a = c.float64_data()[r], b = c.float64_data()[p];
+            better = lt ? a < b : b < a;
+            break;
+          }
+          default: {
+            const bool a = c.bool_data()[r] != 0, b = c.bool_data()[p] != 0;
+            better = lt ? !a && b : !b && a;
+          }
+        }
+      }
+      if (better) p = r;
+    }
+    std::vector<int64_t> take(G);
+    std::vector<uint8_t> valid(G);
+    for (int64_t g = 0; g < G; ++g) {
+      take[g] = std::max<int64_t>(row[g], 0);
+      valid[g] = row[g] >= 0;
+    }
+    Column out = c.Take(take);
+    out.mutable_validity() = valid;
+    return out;
+  };
+
+  DataFrame out;
+  EXPECT_TRUE(out.SetColumn("k", key.Take(first)).ok());
+  for (const AggSpec& s : specs) {
+    const Column* c = s.input.empty() ? nullptr : df.GetColumn(s.input).ValueOrDie();
+    Column result;
+    switch (s.func) {
+      case AggFunc::kSize:
+      case AggFunc::kCount:
+        result = Column::Int64(valid_count(c));
+        break;
+      case AggFunc::kSum:
+        if (c->dtype() == DType::kInt64) {
+          std::vector<uint64_t> sum(G, 0);
+          for (int64_t r = 0; r < n; ++r) {
+            if (c->IsValid(r)) sum[gid[r]] += c->int64_data()[r];
+          }
+          result = Column::Int64(std::vector<int64_t>(sum.begin(), sum.end()));
+        } else {
+          result = Column::Float64(fold(*c, false, false));
+        }
+        break;
+      case AggFunc::kSumSq:
+        result = Column::Float64(fold(*c, false, true));
+        break;
+      case AggFunc::kProd:
+        result = Column::Float64(fold(*c, true, false));
+        break;
+      case AggFunc::kMean:
+      case AggFunc::kVar:
+      case AggFunc::kStd: {
+        const std::vector<double> sum = fold(*c, false, false);
+        const std::vector<double> sq = fold(*c, false, true);
+        const std::vector<int64_t> cnt = valid_count(c);
+        std::vector<double> v(G, 0.0);
+        std::vector<uint8_t> valid(G, 1);
+        for (int64_t g = 0; g < G; ++g) {
+          if (s.func == AggFunc::kMean) {
+            valid[g] = cnt[g] > 0;
+            if (valid[g]) v[g] = sum[g] / cnt[g];
+            continue;
+          }
+          valid[g] = cnt[g] >= 2;
+          if (!valid[g]) continue;
+          if (std::isnan(sq[g]) || std::isnan(sum[g])) {
+            v[g] = std::isnan(sq[g]) ? sq[g] : sum[g];
+            continue;
+          }
+          double var = (sq[g] - sum[g] * sum[g] / cnt[g]) / (cnt[g] - 1);
+          if (var < 0) var = 0;
+          v[g] = s.func == AggFunc::kStd ? std::sqrt(var) : var;
+        }
+        result = Column::Float64(std::move(v), std::move(valid));
+        break;
+      }
+      case AggFunc::kAny:
+      case AggFunc::kAll: {
+        const bool any = s.func == AggFunc::kAny;
+        std::vector<uint8_t> flag(G, any ? 0 : 1);
+        for (int64_t r = 0; r < n; ++r) {
+          if (!c->IsValid(r)) continue;
+          const bool truthy = c->GetDouble(r) != 0.0;
+          if (truthy == any) flag[gid[r]] = any ? 1 : 0;
+        }
+        result = Column::Bool(std::move(flag));
+        break;
+      }
+      default:
+        result = pick(*c, s.func);
+    }
+    EXPECT_TRUE(out.SetColumn(s.output, std::move(result)).ok());
+  }
+  return out;
+}
+
+/// Names of the columns whose fingerprints differ ("" when none do).
+std::string DiffColumns(const DataFrame& got, const DataFrame& want) {
+  if (got.num_columns() != want.num_columns()) return "<column count>";
+  std::string names;
+  for (int c = 0; c < want.num_columns(); ++c) {
+    DataFrame a, b;
+    EXPECT_TRUE(a.SetColumn(got.column_name(c), got.column(c)).ok());
+    EXPECT_TRUE(b.SetColumn(want.column_name(c), want.column(c)).ok());
+    if (Fingerprint(a) != Fingerprint(b)) names += want.column_name(c) + " ";
+  }
+  return names;
+}
+
+/// GroupByAgg (first-seen order) of `df` on `threads` threads: 1 is no pool
+/// at all, so the pass walks every morsel itself; more is a pool, where
+/// idle cores split the pass by group range or by morsel.
+DataFrame AggAt(const DataFrame& df, const std::vector<AggSpec>& specs,
+                int threads) {
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  ThreadPool* prev = SetCurrentThreadPool(pool.get());
+  auto r = GroupByAgg(df, {"k"}, specs, /*sort_keys=*/false);
+  SetCurrentThreadPool(prev);
+  EXPECT_TRUE(r.ok()) << r.status();
+  return r.ok() ? r.MoveValue() : DataFrame();
+}
+
+TEST(GroupByDifferentialTest, MatchesPerMorselFoldByteForByte) {
+  const std::vector<AggSpec> specs = DiffSpecs();
+  for (int64_t n : {0, 1, 4095, 4096, 4097, 16 * 4096 + 1}) {
+    for (int64_t groups : {int64_t{1}, int64_t{12},
+                           std::max<int64_t>(n / 5, 1), n}) {
+      if (groups == 0) continue;
+      for (bool runs : {false, true}) {
+        if (runs && groups != 12) continue;
+        const DataFrame df = DiffFrame(n, groups, runs);
+        const DataFrame want = RefGroupByAgg(df, specs);
+        for (int threads : {1, 4}) {
+          EXPECT_EQ(DiffColumns(AggAt(df, specs, threads), want), "")
+              << "n=" << n << " groups=" << groups << " runs=" << runs
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupByDifferentialTest, LazyFilteredInputMatchesEagerReference) {
+  const std::vector<AggSpec> specs = DiffSpecs();
+  const int64_t n = 16 * 4096 + 1;
+  const DataFrame df = DiffFrame(n, n / 5);
+  std::vector<uint8_t> mask(n);
+  for (int64_t r = 0; r < n; ++r) mask[r] = r % 3 != 1;
+  const DataFrame want = RefGroupByAgg(df.FilterRows(mask), specs);
+  for (int threads : {1, 4}) {
+    const DataFrame lazy = df.FilterRowsLate(mask);
+    ASSERT_TRUE(lazy.is_lazy());
+    EXPECT_EQ(DiffColumns(AggAt(lazy, specs, threads), want), "")
+        << "threads=" << threads;
+  }
+}
+
+// Each distinct (input, function) partial is mapped, shipped and combined
+// once: plasticc's mean and std of `flux` share its sum and count.
+TEST(DecomposeTest, SharedPartialsAreEmittedOnce) {
+  const std::vector<AggSpec> specs = {
+      {"flux", AggFunc::kMean, "flux_mean"},
+      {"flux", AggFunc::kStd, "flux_std"},
+      {"flux", AggFunc::kMin, "flux_min"},
+      {"flux", AggFunc::kMax, "flux_max"},
+      {"snr", AggFunc::kMean, "snr_mean"},
+      {"mjd", AggFunc::kMax, "mjd_max"},
+      {"mjd", AggFunc::kMin, "mjd_min"},
+      {"", AggFunc::kSize, "n_obs"}};
+  auto plan = DecomposeAggs(specs);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::set<std::string> outputs;
+  for (const AggSpec& s : plan->map_specs) outputs.insert(s.output);
+  EXPECT_EQ(plan->map_specs.size(), 10u);
+  EXPECT_EQ(outputs.size(), 10u);
+  EXPECT_EQ(plan->combine_specs.size(), 10u);
+
+  // One chunk through map, combine and finalize equals the direct result.
+  const int64_t n = 5000;
+  std::vector<int64_t> obj(n);
+  std::vector<double> flux(n), snr(n), mjd(n);
+  for (int64_t r = 0; r < n; ++r) {
+    obj[r] = (r * 7919) % 97;
+    flux[r] = static_cast<double>((r * 31) % 1000) / 7.0 - 60.0;
+    snr[r] = flux[r] / 3.0;
+    mjd[r] = 59580.0 + static_cast<double>((r * 13) % 1000);
+  }
+  const DataFrame df =
+      DataFrame::Make({"object_id", "flux", "snr", "mjd"},
+                      {Column::Int64(obj), Column::Float64(flux),
+                       Column::Float64(snr), Column::Float64(mjd)})
+          .MoveValue();
+  auto mapped = GroupByAgg(df, {"object_id"}, plan->map_specs, false);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  auto combined =
+      GroupByAgg(*mapped, {"object_id"}, plan->combine_specs, false);
+  ASSERT_TRUE(combined.ok()) << combined.status();
+  auto final_df = FinalizeAgg(*combined, {"object_id"}, specs);
+  ASSERT_TRUE(final_df.ok()) << final_df.status();
+  auto direct = GroupByAgg(df, {"object_id"}, specs, false);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  for (const AggSpec& s : specs) {
+    if (s.func == AggFunc::kMean || s.func == AggFunc::kStd) continue;
+    DataFrame a, b;
+    ASSERT_TRUE(a.SetColumn(s.output, *final_df->GetColumn(s.output).ValueOrDie()).ok());
+    ASSERT_TRUE(b.SetColumn(s.output, *direct->GetColumn(s.output).ValueOrDie()).ok());
+    EXPECT_EQ(Fingerprint(a), Fingerprint(b)) << s.output;
+  }
 }
 
 TEST(AggFuncTest, NamesRoundTrip) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 #include <numeric>
 #include <string>
@@ -539,9 +540,12 @@ std::map<std::string, int64_t> RefNunique(const Column& key,
 /// Reference spread: output rows are the distinct `index` tuples in
 /// first-seen order; one column per distinct `columns` key, ordered by
 /// Scalar with NaN last (first-seen among ties); every row fills the cell
-/// of its own keys.
-DataFrame RefSpread(const DataFrame& df, const std::string& index,
-                    const std::string& columns, const std::string& value) {
+/// of its own keys. No frame (an error) when two keys, or a key and the
+/// index, name one output column.
+std::optional<DataFrame> RefSpread(const DataFrame& df,
+                                   const std::string& index,
+                                   const std::string& columns,
+                                   const std::string& value) {
   const Column* idx = df.GetColumn(index).ValueOrDie();
   const Column* cc = df.GetColumn(columns).ValueOrDie();
   const Column* val = df.GetColumn(value).ValueOrDie();
@@ -565,6 +569,12 @@ DataFrame RefSpread(const DataFrame& df, const std::string& index,
     if (na || nb) return !na && nb;
     return sa < sb;
   });
+  std::set<std::string> names = {index};
+  for (const int64_t c : order) {
+    if (!names.insert(cc->GetScalar(col_rep[c]).ToString()).second) {
+      return std::nullopt;
+    }
+  }
   DataFrame out;
   EXPECT_TRUE(out.SetColumn(index, idx->Take(rep_row)).ok());
   for (const int64_t c : order) {
@@ -641,9 +651,17 @@ std::string DedupeKernelsBytes(const DataFrame& df, int threads) {
         GroupByAgg(df, {"k", columns}, {{"i", AggFunc::kCount, "v"}})
             .ValueOrDie();
     auto wide = SpreadToWide(long_table, {"k"}, columns, "v");
+    const std::optional<DataFrame> ref =
+        RefSpread(long_table, "k", columns, "v");
+    if (!ref.has_value()) {
+      // `f` holds two NaN payloads, which both name the column "nan".
+      EXPECT_EQ(wide.status().code(), StatusCode::kInvalid)
+          << "spread " << columns;
+      all += wide.status().ToString();
+      continue;
+    }
     EXPECT_TRUE(wide.ok()) << wide.status();
-    EXPECT_EQ(Bytes(*wide), Bytes(RefSpread(long_table, "k", columns, "v")))
-        << "spread " << columns;
+    EXPECT_EQ(Bytes(*wide), Bytes(*ref)) << "spread " << columns;
     all += Bytes(*wide);
   }
   SetCurrentThreadPool(prev);
@@ -686,6 +704,44 @@ TEST(SpreadToWideTest, SignedZeroAndNanColumnsKeepTheirOwnRows) {
   EXPECT_TRUE(nan.IsNull(1));
   // Every output row is an index tuple, so there must be an index.
   EXPECT_FALSE(SpreadToWide(df, {}, "c", "v").ok());
+}
+
+// Output columns are named by their key's string form, so keys that print
+// alike, or a key that prints as an index column's name, would overwrite
+// each other's cells; the spread rejects them and names both claimants.
+TEST(SpreadToWideTest, CollidingOutputNamesAreRejected) {
+  auto nans = DataFrame::Make(
+                  {"k", "c", "v"},
+                  {Column::Int64({1, 1, 2}),
+                   Column::Float64({std::nan("1"), std::nan("2"), 1.5}),
+                   Column::Int64({10, 20, 30})})
+                  .MoveValue();
+  auto r = SpreadToWide(nans, {"k"}, "c", "v");
+  ASSERT_EQ(r.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(r.status().ToString().find("7ff8000000000001"), std::string::npos)
+      << r.status();
+  EXPECT_NE(r.status().ToString().find("7ff8000000000002"), std::string::npos)
+      << r.status();
+  EXPECT_NE(r.status().ToString().find("'c'"), std::string::npos)
+      << r.status();
+
+  auto named = DataFrame::Make({"k", "c", "v"},
+                               {Column::Int64({1, 2}),
+                                Column::String({"k", "x"}),
+                                Column::Int64({10, 20})})
+                   .MoveValue();
+  r = SpreadToWide(named, {"k"}, "c", "v");
+  ASSERT_EQ(r.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(r.status().ToString().find("index column 'k'"), std::string::npos)
+      << r.status();
+
+  // Keys that print apart still spread.
+  auto fine = DataFrame::Make({"k", "c", "v"},
+                              {Column::Int64({1, 2}),
+                               Column::String({"x", "y"}),
+                               Column::Int64({10, 20})})
+                  .MoveValue();
+  EXPECT_TRUE(SpreadToWide(fine, {"k"}, "c", "v").ok());
 }
 
 TEST(IlocTest, PositiveNegativeAndOutOfBounds) {
