@@ -67,35 +67,17 @@ inline int64_t AggGrain(int64_t n) { return GrainForMorsels(n, 4096, 16); }
 /// Rows per step of the pass: a step's group ids and records stay in L1.
 constexpr int64_t kBlockRows = 256;
 
-/// A second worker of a group-range split needs this many rows and groups
-/// of its own: each worker scans every row, which pays only once the
-/// groups' states outgrow the cache.
-constexpr int64_t kMinRowsPerWorker = 32768;
-constexpr int64_t kMinGroupsPerWorker = 4096;
-
-/// A morsel split gives every morsel records of its own and merges them
-/// afterwards; it needs this many rows per merged record.
-constexpr int64_t kRowsPerMergedRecord = 16;
-
-/// The rows of one pass step: every row of [lo, hi), or, for a worker that
-/// owns only some groups, the `count` rows listed in `rows` (ascending).
+/// The rows [lo, hi) of one pass step.
 struct RowSpan {
   int64_t lo = 0;
   int64_t hi = 0;
-  const int64_t* rows = nullptr;
-  int64_t count = 0;
 };
 
 template <typename F>
 inline void ForEachRow(const RowSpan& s, const F& f) {
   // Copies, so stores into the records cannot force a reload per row.
-  const int64_t lo = s.lo, hi = s.hi, count = s.count;
-  const int64_t* rows = s.rows;
-  if (rows == nullptr) {
-    for (int64_t i = lo; i < hi; ++i) f(i);
-  } else {
-    for (int64_t j = 0; j < count; ++j) f(rows[j]);
-  }
+  const int64_t lo = s.lo, hi = s.hi;
+  for (int64_t i = lo; i < hi; ++i) f(i);
 }
 
 /// ForEachRow over the rows whose validity byte is set; every row when the
@@ -188,24 +170,10 @@ class Accumulator {
   /// Folds the rows of `rows` (gid[i] is row i's group) into the records.
   virtual void Update(const int64_t* gid, const RowSpan& rows,
                       const Records& rec) const = 0;
-  /// Folds the states of `from`, made by the rows after those of `into`,
-  /// into `into`, for every group.
-  virtual void Merge(const Records& into, const Records& from,
-                     int64_t groups) const = 0;
-  /// Turns a finished state into the one its result is read from.
-  virtual void Settle(const Records& /*rec*/, int64_t /*groups*/) const {}
   virtual const FloatFold* AsFold() const { return nullptr; }
   int64_t words() const { return words_; }
 
   int64_t offset = 0;
-
- protected:
-  /// Calls `f(into_state, from_state)` for every group.
-  template <typename F>
-  void MergeEach(const Records& into, const Records& from, int64_t groups,
-                 const F& f) const {
-    for (int64_t g = 0; g < groups; ++g) f(into(g) + offset, from(g) + offset);
-  }
 
  private:
   const int64_t words_;
@@ -216,11 +184,6 @@ class WordSum : public Accumulator {
  public:
   WordSum() : Accumulator(1) {}
   void Init(uint64_t* state) const override { state[0] = 0; }
-  void Merge(const Records& into, const Records& from,
-             int64_t groups) const override {
-    MergeEach(into, from, groups,
-              [](uint64_t* a, const uint64_t* b) { a[0] += b[0]; });
-  }
 };
 
 /// Rows per group, or valid rows per group when `valid` is set.
@@ -283,8 +246,7 @@ inline void Accumulate(double& acc, double x) {
 /// 1 the fold of its earlier ones; the pass flushes word 0 into word 1 at
 /// the end of each morsel that touched the group. A morsel the group skips
 /// would add +0.0 (or multiply by 1.0), which changes no bits, since the
-/// sums start at +0.0 and never become -0.0. So skipping it is exact, and
-/// so is merging the totals of later morsels, one morsel each, in order.
+/// sums start at +0.0 and never become -0.0. So skipping it is exact.
 class FloatFold : public Accumulator {
  public:
   explicit FloatFold(bool product)
@@ -299,13 +261,6 @@ class FloatFold : public Accumulator {
     uint64_t* s = record + offset;
     AddInto(s + 1, Load<double>(s));
     Store(s, identity_);
-  }
-
-  void Merge(const Records& into, const Records& from,
-             int64_t groups) const override {
-    MergeEach(into, from, groups, [this](uint64_t* a, const uint64_t* b) {
-      AddInto(a + 1, Load<double>(b + 1));
-    });
   }
 
  private:
@@ -380,36 +335,22 @@ class EdgePick final : public Pick {
       Store<int64_t>(s, kLast || r < 0 ? i : r);
     });
   }
-  void Merge(const Records& into, const Records& from,
-             int64_t groups) const override {
-    MergeEach(into, from, groups, [](uint64_t* a, const uint64_t* b) {
-      if (kLast ? Load<int64_t>(b) >= 0 : Load<int64_t>(a) < 0) a[0] = b[0];
-    });
-  }
 
  private:
   const uint8_t* valid_;
 };
 
 /// The earliest valid row holding the min (kMin) or max: a row replaces
-/// the pick only when strictly better. Word 0 is the row and word 1 its
-/// value. A float group whose first valid value is NaN keeps that NaN, and
-/// a later NaN never wins; so over a column with NaNs (kFloat), word 0 is
-/// the earliest best non-NaN row, word 2 the first valid row, and Settle
-/// picks word 2 if it holds a NaN. Kept apart, both merge exactly. Numbers
-/// replace by select, not branch: whether a row wins is a coin toss the
-/// branch predictor loses.
-template <typename V, bool kMin, bool kFloat = false>
+/// the pick only when strictly better, so a float group whose first valid
+/// value is NaN keeps that NaN, and a later NaN never wins. Word 0 is the
+/// row and word 1 its value. Numbers replace by select, not branch:
+/// whether a row wins is a coin toss the branch predictor loses.
+template <typename V, bool kMin>
 class ExtremePick final : public Pick {
   using T = std::remove_cv_t<std::remove_reference_t<decltype(V()[0])>>;
 
  public:
-  ExtremePick(V v, const uint8_t* valid)
-      : Pick(kFloat ? 3 : 2), v_(v), valid_(valid) {}
-  void Init(uint64_t* state) const override {
-    Pick::Init(state);
-    if constexpr (kFloat) Store<int64_t>(state + 2, -1);
-  }
+  ExtremePick(V v, const uint8_t* valid) : Pick(2), v_(v), valid_(valid) {}
   void Update(const int64_t* gid, const RowSpan& rows,
               const Records& rec) const override {
     uint64_t* w = rec.base + offset;
@@ -425,13 +366,7 @@ class ExtremePick final : public Pick {
           Store<T>(s + 1, x);
         }
       } else {
-        const T b = Load<T>(s + 1);
-        bool take = (r < 0) | Better(x, b);
-        if constexpr (kFloat) {
-          take &= !std::isnan(x);
-          const int64_t f = Load<int64_t>(s + 2);
-          Store<int64_t>(s + 2, f < 0 ? i : f);
-        }
+        const bool take = (r < 0) | Better(x, Load<T>(s + 1));
         const uint64_t mask = 0 - static_cast<uint64_t>(take);
         uint64_t bits = 0;
         Store<T>(&bits, x);
@@ -439,28 +374,6 @@ class ExtremePick final : public Pick {
         s[1] = (bits & mask) | (s[1] & ~mask);
       }
     });
-  }
-  void Merge(const Records& into, const Records& from,
-             int64_t groups) const override {
-    MergeEach(into, from, groups, [](uint64_t* a, const uint64_t* b) {
-      if (Load<int64_t>(b) >= 0 &&
-          (Load<int64_t>(a) < 0 || Better(Load<T>(b + 1), Load<T>(a + 1)))) {
-        a[0] = b[0];
-        a[1] = b[1];
-      }
-      if constexpr (kFloat) {
-        if (Load<int64_t>(a + 2) < 0) a[2] = b[2];
-      }
-    });
-  }
-  void Settle(const Records& rec, int64_t groups) const override {
-    if constexpr (kFloat) {
-      for (int64_t g = 0; g < groups; ++g) {
-        uint64_t* s = rec(g) + offset;
-        const int64_t f = Load<int64_t>(s + 2);
-        if (f >= 0 && std::isnan(v_[f])) Store<int64_t>(s, f);
-      }
-    }
   }
 
  private:
@@ -491,16 +404,6 @@ class AnyAll final : public Accumulator {
       }
     });
   }
-  void Merge(const Records& into, const Records& from,
-             int64_t groups) const override {
-    MergeEach(into, from, groups, [](uint64_t* a, const uint64_t* b) {
-      if constexpr (kAny) {
-        a[0] |= b[0];
-      } else {
-        a[0] &= b[0];
-      }
-    });
-  }
 
  private:
   V v_;
@@ -517,12 +420,7 @@ enum class AccKind {
 /// (AggGrain) in blocks of kBlockRows, and runs each state's typed loop
 /// over a block, whose records stay in L1 between the loops. With float
 /// folds, it also lists the groups each morsel touches, and flushes their
-/// folds when the morsel ends. Given idle cores, many groups split into
-/// group-id ranges: each worker scans all rows in order and keeps the rows
-/// of its own groups, so every group sees its rows in the serial order.
-/// Few groups split by morsel instead: each morsel walks into records of
-/// its own, which then merge in morsel order, the order the serial walk
-/// folds them in.
+/// folds when the morsel ends. The pass runs on the calling thread.
 class AggPass {
  public:
   AggPass(const std::vector<int64_t>& gids, int64_t G) : gids_(gids), G_(G) {}
@@ -544,36 +442,38 @@ class AggPass {
   }
 
   void Run() {
-    const int64_t n = static_cast<int64_t>(gids_.size());
-    const int64_t grain = AggGrain(n);
-    const int64_t morsels = NumMorsels(0, n, grain);
+    if (accs_.empty()) return;  // nunique and median read the rows directly
     records_.reset(new uint64_t[G_ * stride_]);
     const Records rec{records_.get(), stride_};
-    const int64_t ranges = ParallelWidth(
-        std::min(G_ / kMinGroupsPerWorker, n / kMinRowsPerWorker));
-    if (ranges > 1) {
-      ParallelFor(0, ranges, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t w = lo; w < hi; ++w) {
-          Walk(0, n, G_ * w / ranges, G_ * (w + 1) / ranges, rec);
-        }
-      });
-    } else if (G_ * morsels * kRowsPerMergedRecord <= n &&
-               ParallelWidth(morsels) > 1) {
-      const int64_t words = G_ * stride_;
-      std::unique_ptr<uint64_t[]> later(new uint64_t[(morsels - 1) * words]);
-      const auto records_of = [&](int64_t m) {
-        return m == 0 ? rec : Records{later.get() + (m - 1) * words, stride_};
-      };
-      ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-        Walk(lo, hi, 0, G_, records_of(lo / grain));
-      });
-      for (int64_t m = 1; m < morsels; ++m) {
-        for (const auto& acc : accs_) acc->Merge(rec, records_of(m), G_);
-      }
-    } else {
-      Walk(0, n, 0, G_, rec);
+    for (const auto& acc : accs_) {
+      for (int64_t g = 0; g < G_; ++g) acc->Init(rec(g) + acc->offset);
     }
-    for (const auto& acc : accs_) acc->Settle(rec, G_);
+    const int64_t n = static_cast<int64_t>(gids_.size());
+    const int64_t* gid = gids_.data();
+    const int64_t grain = AggGrain(n);
+    // Groups touched in the current morsel, appended without a branch, and
+    // each group's last morsel.
+    std::vector<int64_t> touched(folds_.empty() ? 0 : grain + 1);
+    std::vector<uint8_t> morsel_of(folds_.empty() ? 0 : G_, kNoMorsel);
+    for (int64_t m = 0; m * grain < n; ++m) {
+      const int64_t end = std::min(n, (m + 1) * grain);
+      int64_t t = 0;
+      for (int64_t lo = m * grain; lo < end; lo += kBlockRows) {
+        const RowSpan span{lo, std::min(end, lo + kBlockRows)};
+        if (!folds_.empty()) {
+          ForEachRow(span, [&](int64_t i) {
+            uint8_t& seen = morsel_of[gid[i]];
+            touched[t] = gid[i];
+            t += seen != m;
+            seen = static_cast<uint8_t>(m);
+          });
+        }
+        for (const auto& acc : accs_) acc->Update(gid, span, rec);
+      }
+      for (int64_t j = 0; j < t; ++j) {
+        for (const FloatFold* f : folds_) f->Flush(rec(touched[j]));
+      }
+    }
   }
 
   /// Word `k` of `acc`'s state, read as T, for every group.
@@ -587,52 +487,6 @@ class AggPass {
 
  private:
   static constexpr uint8_t kNoMorsel = 0xff;  // AggGrain makes <= 16
-
-  /// Aggregates the rows [row_lo, row_hi), whole morsels, of the groups
-  /// [glo, ghi) into `rec`.
-  void Walk(int64_t row_lo, int64_t row_hi, int64_t glo, int64_t ghi,
-            const Records& rec) const {
-    for (const auto& acc : accs_) {
-      for (int64_t g = glo; g < ghi; ++g) acc->Init(rec(g) + acc->offset);
-    }
-    const int64_t* gid = gids_.data();
-    const int64_t grain = AggGrain(static_cast<int64_t>(gids_.size()));
-    const bool every_group = glo == 0 && ghi == G_;
-    const uint64_t width = static_cast<uint64_t>(ghi - glo);
-    std::vector<int64_t> listed(every_group ? 0 : kBlockRows);
-    // Groups touched in the current morsel, appended without a branch, and
-    // each group's last morsel.
-    std::vector<int64_t> touched(folds_.empty() ? 0 : grain + 1);
-    std::vector<uint8_t> morsel_of(folds_.empty() ? 0 : width, kNoMorsel);
-    for (int64_t m = row_lo / grain; m * grain < row_hi; ++m) {
-      const int64_t end = std::min(row_hi, (m + 1) * grain);
-      int64_t t = 0;
-      for (int64_t lo = m * grain; lo < end; lo += kBlockRows) {
-        RowSpan span{lo, std::min(end, lo + kBlockRows)};
-        if (!every_group) {
-          int64_t c = 0;
-          for (int64_t i = span.lo; i < span.hi; ++i) {
-            listed[c] = i;
-            c += static_cast<uint64_t>(gid[i] - glo) < width;
-          }
-          span.rows = listed.data();
-          span.count = c;
-        }
-        if (!folds_.empty()) {
-          ForEachRow(span, [&](int64_t i) {
-            uint8_t& seen = morsel_of[gid[i] - glo];
-            touched[t] = gid[i];
-            t += seen != m;
-            seen = static_cast<uint8_t>(m);
-          });
-        }
-        for (const auto& acc : accs_) acc->Update(gid, span, rec);
-      }
-      for (int64_t j = 0; j < t; ++j) {
-        for (const FloatFold* f : folds_) f->Flush(rec(touched[j]));
-      }
-    }
-  }
 
   const std::vector<int64_t>& gids_;
   const int64_t G_;
@@ -666,26 +520,12 @@ const FloatFold* FoldOf(AggPass* pass, const Column& col) {
   });
 }
 
-/// True when any value of `col`, valid or not, is a NaN.
-bool AnyNan(const Column& col) {
-  bool any = false;
-  for (const double x : col.float64_data()) any |= std::isnan(x);
-  return any;
-}
-
 template <bool kMin>
 const Pick* ExtremeOf(AggPass* pass, const Column& col) {
   return pass->Get<Pick>(kMin ? AccKind::kMin : AccKind::kMax, &col, [&] {
     return WithValues(col, [&](auto v) -> std::unique_ptr<Accumulator> {
-      using V = decltype(v);
-      if constexpr (std::is_same_v<V, const double*>) {
-        // Without a NaN the first valid row needs no word of its own.
-        if (AnyNan(col)) {
-          return std::make_unique<ExtremePick<V, kMin, true>>(
-              v, ValidityOf(col));
-        }
-      }
-      return std::make_unique<ExtremePick<V, kMin>>(v, ValidityOf(col));
+      return std::make_unique<ExtremePick<decltype(v), kMin>>(
+          v, ValidityOf(col));
     });
   });
 }

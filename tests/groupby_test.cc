@@ -681,7 +681,7 @@ std::string DiffColumns(const DataFrame& got, const DataFrame& want) {
 
 /// GroupByAgg (first-seen order) of `df` on `threads` threads: 1 is no pool
 /// at all, so the pass walks every morsel itself; more is a pool, where
-/// idle cores split the pass by group range or by morsel.
+/// idle cores split the pass by morsel when there are few groups.
 DataFrame AggAt(const DataFrame& df, const std::vector<AggSpec>& specs,
                 int threads) {
   std::unique_ptr<ThreadPool> pool;
